@@ -116,6 +116,13 @@ impl Battery {
         true
     }
 
+    /// Draws `energy_j`, or empties the battery when less remains.
+    pub fn drain_saturating(&mut self, energy_j: f64) {
+        if !self.drain(energy_j) {
+            self.remaining_j = 0.0;
+        }
+    }
+
     /// Adds `energy_j` of charge, saturating at the battery's capacity.
     /// Used by the runtime's charge-while-serving scenario.
     ///
@@ -279,6 +286,18 @@ mod tests {
         assert!(!b.drain(7.0));
         assert!((b.remaining_j() - 6.0).abs() < 1e-9);
         assert!(b.drain(6.0));
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    fn saturating_drain_empties_on_overdraw_and_matches_an_exact_drain() {
+        let mut b = Battery::new(10.0);
+        b.drain_saturating(3.0);
+        let mut exact = Battery::new(10.0);
+        assert!(exact.drain(3.0));
+        assert_eq!(b, exact);
+        b.drain_saturating(100.0);
+        assert_eq!(b.remaining_j().to_bits(), 0.0f64.to_bits());
         assert!(b.is_empty());
     }
 

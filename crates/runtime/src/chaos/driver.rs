@@ -2,12 +2,14 @@
 //! with a closed-loop client population instead of the open-loop arrival
 //! stream of [`Fleet::run`].
 //!
-//! The window loop mirrors [`Fleet::run`] exactly (begin windows → route
-//! events in offset order with failover → end windows), with two changes:
-//! the arrival rate is scaled by the active flash-crowd multiplier, and
-//! every routed request is an *attempt* owned by a client job. Window-end
-//! outcomes ([`crate::Completion`]s and dead-queue drops) are fed back to
-//! the owning job, which retries with backoff + jitter or abandons per the
+//! Both entry points play the same fleet window loop (begin windows →
+//! route events in offset order with failover → end windows); they differ
+//! only in the traffic source. Here [`ClientLoop`] is that source: it
+//! scales the arrival rate by the active flash-crowd multiplier, merges
+//! due retries into each window's events, and turns every routed request
+//! into an *attempt* owned by a client job. Window-end outcomes
+//! ([`crate::Completion`]s and dead-queue drops) are fed back to the
+//! owning job, which retries with backoff + jitter or abandons per the
 //! [`super::ClientPolicy`]. Retries are quantised to window granularity:
 //! a failure in window `t` retries no earlier than window `t + 1` (its
 //! exact due time is preserved inside the target window as the arrival
@@ -25,14 +27,14 @@ use rand::{Rng, SeedableRng};
 use rt3_telemetry::TelemetrySnapshot;
 use rt3_transformer::Model;
 
-use crate::engine::{WINDOW_MS, WINDOW_S};
-use crate::fleet::{DeviceSnapshot, Fleet};
+use crate::engine::WINDOW_MS;
+use crate::fleet::{Fleet, TrafficSource};
 use crate::report::FleetReport;
 use crate::scenario::Scenario;
-use crate::scheduler::Request;
-use crate::telemetry::{ChaosTelemetry, FleetTelemetry};
+use crate::scheduler::{Completion, Request};
+use crate::telemetry::ChaosTelemetry;
 
-use super::clients::{ClientPolicy, ClientReport};
+use super::clients::ClientReport;
 use super::scenario::ChaosScenario;
 
 /// Salt XORed into the fleet seed for the client-side RNG stream, so
@@ -97,20 +99,14 @@ struct Job {
     resolved: bool,
 }
 
-/// One routable event inside a window: a brand-new arrival or a due retry.
-struct WindowEvent {
-    offset_ms: f64,
-    /// `None` = new arrival (job created at issue time, unless
-    /// suppressed); `Some(job)` = retry of an existing open job.
-    retry_of: Option<usize>,
-}
-
-/// The client population's live state: jobs, the outstanding-attempt map,
+/// The client population's live state — jobs, the outstanding-attempt map,
 /// per-window retry queues and the two bookkeepers ([`ClientReport`] and
-/// [`ChaosTelemetry`]) the invariant harness later reconciles.
-struct ClientLoop<'p> {
-    policy: &'p ClientPolicy,
-    duration_s: u32,
+/// [`ChaosTelemetry`]) the invariant harness later reconciles — and the
+/// closed-loop traffic source of the fleet window loop.
+struct ClientLoop<'c> {
+    chaos: &'c ChaosScenario,
+    /// Fresh-arrival stream, seeded exactly as [`Fleet::run`]'s.
+    arrival_rng: StdRng,
     jobs: Vec<Job>,
     open_jobs: u64,
     /// Attempt request id → owning job index.
@@ -122,16 +118,16 @@ struct ClientLoop<'p> {
     telemetry: Option<ChaosTelemetry>,
 }
 
-impl<'p> ClientLoop<'p> {
+impl<'c> ClientLoop<'c> {
     fn new(
-        policy: &'p ClientPolicy,
+        chaos: &'c ChaosScenario,
         duration_s: u32,
         seed: u64,
         telemetry: Option<ChaosTelemetry>,
     ) -> Self {
         Self {
-            policy,
-            duration_s,
+            chaos,
+            arrival_rng: StdRng::seed_from_u64(seed),
             jobs: Vec::new(),
             open_jobs: 0,
             outstanding: HashMap::new(),
@@ -145,7 +141,7 @@ impl<'p> ClientLoop<'p> {
     /// Tries to open a new job for a fresh arrival; `None` when the
     /// population is saturated and the arrival is suppressed instead.
     fn open_job(&mut self) -> Option<usize> {
-        if self.open_jobs >= self.policy.max_backlog() as u64 {
+        if self.open_jobs >= self.chaos.clients.max_backlog() as u64 {
             self.report.suppressed += 1;
             if let Some(ct) = &mut self.telemetry {
                 let id = ct.suppressed;
@@ -166,23 +162,6 @@ impl<'p> ClientLoop<'p> {
         Some(self.jobs.len() - 1)
     }
 
-    /// Counts one issued attempt for `job_idx` (first attempt or retry).
-    fn issue_attempt(&mut self, job_idx: usize, is_retry: bool) {
-        self.jobs[job_idx].attempts += 1;
-        self.report.attempts += 1;
-        if is_retry {
-            self.report.retries += 1;
-        }
-        if let Some(ct) = &mut self.telemetry {
-            let id = ct.attempts;
-            ct.add(id, 1);
-            if is_retry {
-                let id = ct.retries;
-                ct.add(id, 1);
-            }
-        }
-    }
-
     /// Resolves `job_idx` (success, late-accept or abandon), closing it.
     fn close_job(&mut self, job_idx: usize) {
         debug_assert!(!self.jobs[job_idx].resolved, "a job resolves once");
@@ -199,7 +178,8 @@ impl<'p> ClientLoop<'p> {
     /// exhausted. A retry due past the trace end leaves the job open — it
     /// is counted as pending, never silently dropped.
     fn fail_attempt(&mut self, job_idx: usize, fail_ms: f64, t_s: u32) {
-        if self.jobs[job_idx].attempts >= self.policy.max_attempts {
+        let policy = &self.chaos.clients;
+        if self.jobs[job_idx].attempts >= policy.max_attempts {
             self.report.abandoned += 1;
             if let Some(ct) = &mut self.telemetry {
                 let id = ct.abandoned;
@@ -208,9 +188,9 @@ impl<'p> ClientLoop<'p> {
             self.close_job(job_idx);
             return;
         }
-        let backoff = self.policy.backoff_ms(self.jobs[job_idx].attempts);
-        let jitter = if self.policy.jitter_ms > 0.0 {
-            self.rng.gen_range(0.0..self.policy.jitter_ms)
+        let backoff = policy.backoff_ms(self.jobs[job_idx].attempts);
+        let jitter = if policy.jitter_ms > 0.0 {
+            self.rng.gen_range(0.0..policy.jitter_ms)
         } else {
             0.0
         };
@@ -218,11 +198,136 @@ impl<'p> ClientLoop<'p> {
         // retries are quantised to windows and never land in the current
         // one (its events are already being replayed)
         let window = ((retry_ms / WINDOW_MS) as u32).max(t_s + 1);
-        if window >= self.duration_s {
+        if window as usize >= self.retry_due.len() {
             return; // stays open; counted as pending at trace end
         }
         let offset = (retry_ms - window as f64 * WINDOW_MS).clamp(0.0, WINDOW_MS - 1e-6);
         self.retry_due[window as usize].push((offset, job_idx));
+    }
+
+    /// Trace end: attempts still queued or in flight, and jobs waiting on a
+    /// retry that never came due, are pending — never silently dropped.
+    fn finish(mut self) -> (ClientReport, Option<TelemetrySnapshot>) {
+        self.report.attempt_outstanding = self.outstanding.len() as u64;
+        self.report.pending_at_end = self.open_jobs;
+        if let Some(ct) = &mut self.telemetry {
+            let id = ct.attempt_outstanding;
+            ct.add(id, self.report.attempt_outstanding);
+            let id = ct.pending_at_end;
+            ct.add(id, self.report.pending_at_end);
+        }
+        debug_assert_eq!(
+            self.jobs.iter().filter(|j| !j.resolved).count() as u64,
+            self.open_jobs,
+            "open-job counter tracks unresolved jobs"
+        );
+        (self.report, self.telemetry.map(|ct| ct.snapshot()))
+    }
+}
+
+impl TrafficSource for ClientLoop<'_> {
+    /// `None` = new arrival (job created at issue time, unless
+    /// suppressed); `Some(job)` = retry of an existing open job.
+    type Event = Option<usize>;
+    /// The job that owns the attempt.
+    type Attempt = usize;
+
+    /// Fresh arrivals at the overlay-scaled rate, merged with the retries
+    /// due this window.
+    fn window_events(&mut self, t_s: u32, arrivals: &Scenario) -> Vec<(f64, Option<usize>)> {
+        let rate = arrivals.rate_at(t_s) * self.chaos.rate_multiplier_at(t_s);
+        let mut events: Vec<(f64, Option<usize>)> =
+            Scenario::draw_arrivals(rate, &mut self.arrival_rng)
+                .into_iter()
+                .map(|offset_ms| (offset_ms, None))
+                .collect();
+        events.extend(
+            std::mem::take(&mut self.retry_due[t_s as usize])
+                .into_iter()
+                .map(|(offset_ms, job)| (offset_ms, Some(job))),
+        );
+        events.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        events
+    }
+
+    fn issue(&mut self, retry_of: Option<usize>) -> Option<usize> {
+        let job_idx = match retry_of {
+            Some(job_idx) => job_idx,
+            None => self.open_job()?, // suppressed: population saturated
+        };
+        let is_retry = retry_of.is_some();
+        self.jobs[job_idx].attempts += 1;
+        self.report.attempts += 1;
+        if is_retry {
+            self.report.retries += 1;
+        }
+        if let Some(ct) = &mut self.telemetry {
+            let id = ct.attempts;
+            ct.add(id, 1);
+            if is_retry {
+                let id = ct.retries;
+                ct.add(id, 1);
+            }
+        }
+        Some(job_idx)
+    }
+
+    fn admitted(&mut self, id: u64, job_idx: usize) {
+        self.outstanding.insert(id, job_idx);
+    }
+
+    fn unroutable(&mut self, job_idx: usize, arrival_ms: f64, t_s: u32) {
+        self.report.attempt_rejected += 1;
+        if let Some(ct) = &mut self.telemetry {
+            let id = ct.attempt_rejected;
+            ct.add(id, 1);
+        }
+        self.fail_attempt(job_idx, arrival_ms, t_s);
+    }
+
+    fn completed(&mut self, completions: &[Completion], t_s: u32) {
+        for completion in completions {
+            let job_idx = self
+                .outstanding
+                .remove(&completion.id)
+                .expect("every completion belongs to an outstanding attempt");
+            if completion.met_deadline {
+                self.report.succeeded += 1;
+                self.report.attempt_completed += 1;
+                if let Some(ct) = &mut self.telemetry {
+                    let id = ct.succeeded;
+                    ct.add(id, 1);
+                }
+                self.close_job(job_idx);
+            } else {
+                self.report.attempt_late += 1;
+                if let Some(ct) = &mut self.telemetry {
+                    let id = ct.attempt_late;
+                    ct.add(id, 1);
+                }
+                if self.chaos.clients.retry_on_late {
+                    self.fail_attempt(job_idx, completion.finish_ms, t_s);
+                } else {
+                    self.report.succeeded_late += 1;
+                    self.close_job(job_idx);
+                }
+            }
+        }
+    }
+
+    fn dropped_dead(&mut self, dropped: &[Request], window_end_ms: f64, t_s: u32) {
+        for request in dropped {
+            let job_idx = self
+                .outstanding
+                .remove(&request.id)
+                .expect("every dropped request belongs to an outstanding attempt");
+            self.report.attempt_dropped_dead += 1;
+            if let Some(ct) = &mut self.telemetry {
+                let id = ct.attempt_dropped_dead;
+                ct.add(id, 1);
+            }
+            self.fail_attempt(job_idx, window_end_ms, t_s);
+        }
     }
 }
 
@@ -236,236 +341,26 @@ impl<'m, M: Model> Fleet<'m, M> {
     ///
     /// Panics if the fleet's scenario is not the materialisation of
     /// `chaos`, or the composition fails validation.
-    pub fn run_chaos(mut self, chaos: &ChaosScenario) -> ChaosReport {
+    pub fn run_chaos(self, chaos: &ChaosScenario) -> ChaosReport {
         chaos.validate().expect("invalid chaos scenario");
-        let scenario = chaos.fleet_scenario();
         assert_eq!(
             *self.scenario(),
-            scenario,
+            chaos.fleet_scenario(),
             "fleet must be built from chaos.fleet_scenario()"
         );
-        let duration_s = scenario.duration_s();
-        let mut arrival_rng = StdRng::seed_from_u64(self.config.seed);
-        let n = self.devices.len();
-        let device_names: Vec<String> = scenario.devices.iter().map(|p| p.name.clone()).collect();
-        let mut fleet_telemetry = FleetTelemetry::new(self.config.telemetry, &device_names);
         let mut clients = ClientLoop::new(
-            &chaos.clients,
-            duration_s,
+            chaos,
+            self.scenario().duration_s(),
             self.config.seed,
             ChaosTelemetry::new(self.config.telemetry),
         );
-        let mut next_id = 0u64;
-        let mut arrivals_total = 0u64;
-        let mut unroutable = 0u64;
-
-        for t_s in 0..duration_s {
-            let now_ms = t_s as f64 * WINDOW_MS;
-            let window_end_ms = now_ms + WINDOW_MS;
-
-            // 1. per-device battery events, death checks, level decisions
-            let mut serving = vec![false; n];
-            for (i, device) in self.devices.iter_mut().enumerate() {
-                let profile = &scenario.devices[i];
-                serving[i] = device.begin_window(
-                    t_s,
-                    now_ms,
-                    profile.battery_cliff_at(t_s),
-                    profile.charge_w_at(t_s) * WINDOW_S,
-                    profile.thermal_cap_at(t_s),
-                );
-            }
-
-            // 2. this window's events: fresh arrivals at the overlay-scaled
-            //    rate, merged with due retries, replayed in offset order
-            let rate = scenario.arrivals.rate_at(t_s) * chaos.rate_multiplier_at(t_s);
-            let mut events: Vec<WindowEvent> = Scenario::draw_arrivals(rate, &mut arrival_rng)
-                .into_iter()
-                .map(|offset_ms| WindowEvent {
-                    offset_ms,
-                    retry_of: None,
-                })
-                .collect();
-            events.extend(
-                std::mem::take(&mut clients.retry_due[t_s as usize])
-                    .into_iter()
-                    .map(|(offset_ms, job)| WindowEvent {
-                        offset_ms,
-                        retry_of: Some(job),
-                    }),
-            );
-            events.sort_by(|a, b| {
-                a.offset_ms
-                    .partial_cmp(&b.offset_ms)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-
-            let mut routed = vec![0u64; n];
-            let mut rejected = vec![0u64; n];
-            for event in events {
-                let job_idx = match event.retry_of {
-                    Some(job_idx) => job_idx,
-                    None => match clients.open_job() {
-                        Some(job_idx) => job_idx,
-                        None => continue, // suppressed: population saturated
-                    },
-                };
-                clients.issue_attempt(job_idx, event.retry_of.is_some());
-                arrivals_total += 1;
-
-                // route with failover, exactly as Fleet::run does
-                let arrival_ms = now_ms + event.offset_ms;
-                let snapshots: Vec<DeviceSnapshot> = self
-                    .devices
-                    .iter()
-                    .map(|d| Self::snapshot(d, arrival_ms))
-                    .collect();
-                let order = self.router.order(&snapshots);
-                let mut placed = None;
-                for &i in &order {
-                    let request = Request {
-                        id: next_id,
-                        arrival_ms,
-                        deadline_ms: arrival_ms + self.config.deadline_budget_ms,
-                    };
-                    match self.devices[i].try_admit(request) {
-                        Ok(()) => {
-                            routed[i] += 1;
-                            placed = Some(i);
-                            break;
-                        }
-                        Err(_) => {
-                            rejected[i] += 1;
-                            if let Some(ft) = &mut fleet_telemetry {
-                                let id = ft.failovers[i];
-                                ft.add(id, 1);
-                            }
-                        }
-                    }
-                }
-                if let Some(ft) = &mut fleet_telemetry {
-                    let arrivals_id = ft.arrivals;
-                    ft.add(arrivals_id, 1);
-                    match placed {
-                        Some(i) => {
-                            let id = ft.routed[i];
-                            ft.add(id, 1);
-                        }
-                        None => {
-                            let id = ft.unroutable;
-                            ft.add(id, 1);
-                        }
-                    }
-                }
-                match placed {
-                    Some(_) => {
-                        clients.outstanding.insert(next_id, job_idx);
-                    }
-                    None => {
-                        unroutable += 1;
-                        clients.report.attempt_rejected += 1;
-                        if let Some(ct) = &mut clients.telemetry {
-                            let id = ct.attempt_rejected;
-                            ct.add(id, 1);
-                        }
-                        clients.fail_attempt(job_idx, arrival_ms, t_s);
-                    }
-                }
-                self.router.commit(placed, n);
-                next_id += 1;
-            }
-
-            // 3. per-device dispatch; completions and dead-queue drops feed
-            //    back into the owning jobs
-            for (i, device) in self.devices.iter_mut().enumerate() {
-                if serving[i] {
-                    let completions = device.end_window(
-                        t_s,
-                        window_end_ms,
-                        routed[i],
-                        rejected[i],
-                        scenario.arrivals.background_w(t_s) * WINDOW_S,
-                    );
-                    for completion in completions {
-                        let job_idx = clients
-                            .outstanding
-                            .remove(&completion.id)
-                            .expect("every completion belongs to an outstanding attempt");
-                        if completion.met_deadline {
-                            clients.report.succeeded += 1;
-                            clients.report.attempt_completed += 1;
-                            if let Some(ct) = &mut clients.telemetry {
-                                let id = ct.succeeded;
-                                ct.add(id, 1);
-                            }
-                            clients.close_job(job_idx);
-                        } else {
-                            clients.report.attempt_late += 1;
-                            if let Some(ct) = &mut clients.telemetry {
-                                let id = ct.attempt_late;
-                                ct.add(id, 1);
-                            }
-                            if chaos.clients.retry_on_late {
-                                clients.fail_attempt(job_idx, completion.finish_ms, t_s);
-                            } else {
-                                clients.report.succeeded_late += 1;
-                                clients.close_job(job_idx);
-                            }
-                        }
-                    }
-                } else {
-                    let dropped = device.record_dead_window(t_s, routed[i]);
-                    for request in dropped {
-                        let job_idx = clients
-                            .outstanding
-                            .remove(&request.id)
-                            .expect("every dropped request belongs to an outstanding attempt");
-                        clients.report.attempt_dropped_dead += 1;
-                        if let Some(ct) = &mut clients.telemetry {
-                            let id = ct.attempt_dropped_dead;
-                            ct.add(id, 1);
-                        }
-                        clients.fail_attempt(job_idx, window_end_ms, t_s);
-                    }
-                }
-            }
-        }
-
-        // trace end: attempts still queued/in flight, and jobs waiting on a
-        // retry that never came due, are pending — never silently dropped
-        clients.report.attempt_outstanding = clients.outstanding.len() as u64;
-        clients.report.pending_at_end = clients.open_jobs;
-        if let Some(ct) = &mut clients.telemetry {
-            let id = ct.attempt_outstanding;
-            ct.add(id, clients.report.attempt_outstanding);
-            let id = ct.pending_at_end;
-            ct.add(id, clients.report.pending_at_end);
-        }
-        debug_assert_eq!(
-            clients.jobs.iter().filter(|j| !j.resolved).count() as u64,
-            clients.open_jobs,
-            "open-job counter tracks unresolved jobs"
-        );
-
-        let routing = self.router.policy().label().to_string();
-        let devices = self
-            .devices
-            .into_iter()
-            .zip(scenario.devices)
-            .map(|(device, profile)| device.into_report(profile.name, "adaptive".to_string()).0)
-            .collect();
+        let fleet = self.play(&mut clients);
+        let (clients, client_telemetry) = clients.finish();
         ChaosReport {
             chaos: chaos.name.clone(),
-            fleet: FleetReport {
-                scenario: scenario.name,
-                routing,
-                arrivals: arrivals_total,
-                unroutable,
-                devices,
-                telemetry: fleet_telemetry.map(|ft| ft.snapshot()),
-            },
-            clients: clients.report,
-            client_telemetry: clients.telemetry.map(|ct| ct.snapshot()),
+            fleet,
+            clients,
+            client_telemetry,
         }
     }
 }

@@ -446,10 +446,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     /// Latency a request admitted at `arrival_ms` is predicted to see:
     /// the scheduler replays the queued backlog (batch-aware, through the
     /// same cost-model closure dispatch uses) and the prediction is the
-    /// newcomer's simulated completion. The previous implementation asked
-    /// only for `earliest_free_ms()`, so a heavily-queued device looked
-    /// exactly as fast as an idle one to the fleet router's
-    /// predicted-latency term.
+    /// newcomer's simulated completion.
     pub(crate) fn predicted_latency_ms(&self, arrival_ms: f64) -> f64 {
         let finish = self
             .scheduler
@@ -494,8 +491,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         // battery events occur regardless of serving state
         if let Some(drop) = battery_cliff {
             let loss = drop * self.battery.capacity_j();
-            let drained = self.battery.drain(loss.min(self.battery.remaining_j()));
-            debug_assert!(drained);
+            self.battery.drain_saturating(loss);
         }
         self.battery.charge(charge_j);
         // one drain observation per window, fed by everything since the
@@ -579,9 +575,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
                 self.scheduler.block_workers_until(now_ms + cost.time_ms);
                 let switch_energy = self.power.power_w(&level) * cost.time_ms / 1_000.0;
                 self.inference_energy_j += switch_energy;
-                if !self.battery.drain(switch_energy) {
-                    self.battery.drain(self.battery.remaining_j());
-                }
+                self.battery.drain_saturating(switch_energy);
                 if let Some(t) = &mut self.telemetry {
                     t.shard.add(t.ids.switches, 1);
                     t.shard.record(t.ids.switch_time_ms, cost.time_ms);
@@ -760,9 +754,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
                 (completion.finish_ms - completion.start_ms) / completion.batch as f64;
             let energy = core_power_w * service_share / 1_000.0;
             self.inference_energy_j += energy;
-            if !self.battery.drain(energy) {
-                self.battery.drain(self.battery.remaining_j());
-            }
+            self.battery.drain_saturating(energy);
             self.completed += 1;
             self.runs_per_level[completion.level_pos] += 1;
             self.latency_hist.record(completion.latency_ms());
@@ -850,9 +842,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
 
         // 7. background drain
         self.background_energy_j += background_j;
-        if !self.battery.drain(background_j) {
-            self.battery.drain(self.battery.remaining_j());
-        }
+        self.battery.drain_saturating(background_j);
 
         if let Some(t) = &mut self.telemetry {
             t.shard.add(t.ids.windows_served, 1);

@@ -14,7 +14,8 @@
 //!
 //! where `soc` is the state of charge, `level_pos` the active governor
 //! level (higher = faster V/F point = more service capacity) and
-//! `predicted_latency` the wait-until-free plus one base-latency service.
+//! `predicted_latency` the newcomer's completion time after the device's
+//! queued backlog is replayed through its cost model.
 //! Requests try devices in descending score order, so a device whose
 //! admission control rejects (queue full, certain miss) fails over to the
 //! next-best one; a request is unroutable only when *every* device is dead
@@ -37,8 +38,8 @@ use crate::controller::{HysteresisConfig, RuntimeController};
 use crate::cost::{Analytic, CostConfig, CostModel, LatencyModel};
 use crate::engine::{DeviceSim, RuntimePolicy, WINDOW_MS, WINDOW_S};
 use crate::report::FleetReport;
-use crate::scenario::FleetScenario;
-use crate::scheduler::{DeadlineScheduler, Request, SchedulerConfig};
+use crate::scenario::{FleetScenario, Scenario};
+use crate::scheduler::{Completion, DeadlineScheduler, Request, SchedulerConfig};
 use crate::telemetry::{DeviceTelemetry, FleetTelemetry};
 use crate::ModelBank;
 use rand::rngs::StdRng;
@@ -184,8 +185,9 @@ pub struct DeviceSnapshot {
     pub queue_len: usize,
     /// Bound on the queue.
     pub queue_capacity: usize,
-    /// Predicted single-request latency if admitted now: wait until a
-    /// worker frees plus one base-latency service, in milliseconds.
+    /// Predicted latency of a request admitted now, in milliseconds: the
+    /// queued backlog is replayed batch by batch through the device's cost
+    /// model and the newcomer's simulated completion is the prediction.
     pub predicted_latency_ms: f64,
     /// Per-request deadline budget, for normalising the latency term.
     pub deadline_budget_ms: f64,
@@ -322,6 +324,57 @@ fn rotate_from(alive: &[usize], start: usize) -> Vec<usize> {
     order
 }
 
+/// Where the fleet window loop's traffic comes from and where its outcomes
+/// go — the only thing [`Fleet::run`] and [`Fleet::run_chaos`] do
+/// differently.
+pub(crate) trait TrafficSource {
+    /// What a window event carries until it is issued.
+    type Event;
+    /// What an issued attempt carries until its outcome is known.
+    type Attempt;
+
+    /// Window `t_s`'s events as `(offset_ms, event)`, in offset order.
+    fn window_events(&mut self, t_s: u32, arrivals: &Scenario) -> Vec<(f64, Self::Event)>;
+
+    /// Turns an event into an attempt to route, or `None` to skip it.
+    fn issue(&mut self, event: Self::Event) -> Option<Self::Attempt>;
+
+    /// A device admitted `attempt` as request `id`.
+    fn admitted(&mut self, _id: u64, _attempt: Self::Attempt) {}
+
+    /// No device admitted `attempt`, which arrived at `arrival_ms` in
+    /// window `t_s`.
+    fn unroutable(&mut self, _attempt: Self::Attempt, _arrival_ms: f64, _t_s: u32) {}
+
+    /// A live device served window `t_s` and finished `completions`.
+    fn completed(&mut self, _completions: &[Completion], _t_s: u32) {}
+
+    /// A dead device dropped its queued `dropped` requests at the end of
+    /// window `t_s`.
+    fn dropped_dead(&mut self, _dropped: &[Request], _window_end_ms: f64, _t_s: u32) {}
+}
+
+/// The open-loop traffic source: arrivals drawn from the fleet seed at the
+/// scenario's rate, every outcome ignored.
+struct OpenLoop(StdRng);
+
+impl TrafficSource for OpenLoop {
+    type Event = ();
+    type Attempt = ();
+
+    fn window_events(&mut self, t_s: u32, arrivals: &Scenario) -> Vec<(f64, ())> {
+        arrivals
+            .arrivals_in_second(t_s, &mut self.0)
+            .into_iter()
+            .map(|offset_ms| (offset_ms, ()))
+            .collect()
+    }
+
+    fn issue(&mut self, _event: ()) -> Option<()> {
+        Some(())
+    }
+}
+
 /// Fleet-serving parameters: the per-device serving knobs plus the router.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -386,12 +439,12 @@ impl FleetConfig {
 /// own battery, controller, bank and scheduler; the fleet shares only the
 /// offline artifacts (model, masks, pattern space, search outcome).
 pub struct Fleet<'m, M: Model> {
-    pub(crate) devices: Vec<DeviceSim<'m, M>>,
-    pub(crate) router: Router,
+    devices: Vec<DeviceSim<'m, M>>,
+    router: Router,
     pub(crate) config: FleetConfig,
     /// The trace the fleet was built for; [`Fleet::run`] plays exactly this
     /// one, so devices can never be driven by mismatched profiles.
-    pub(crate) scenario: FleetScenario,
+    scenario: FleetScenario,
 }
 
 impl<'m, M: Model> Fleet<'m, M> {
@@ -500,9 +553,18 @@ impl<'m, M: Model> Fleet<'m, M> {
 
     /// Plays the fleet's scenario to completion and reports per-device and
     /// fleet aggregates.
-    pub fn run(mut self) -> FleetReport {
+    pub fn run(self) -> FleetReport {
+        let mut traffic = OpenLoop(StdRng::seed_from_u64(self.config.seed));
+        self.play(&mut traffic)
+    }
+
+    /// The fleet window loop both [`Fleet::run`] and [`Fleet::run_chaos`]
+    /// play: per governor window, begin every device's window, route the
+    /// source's events one by one in offset order with failover, then end
+    /// every live window (or record a dead one) and feed the outcomes back
+    /// to the source.
+    pub(crate) fn play<S: TrafficSource>(mut self, source: &mut S) -> FleetReport {
         let scenario = self.scenario.clone();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut next_id = 0u64;
         let mut arrivals_total = 0u64;
         let mut unroutable = 0u64;
@@ -527,13 +589,15 @@ impl<'m, M: Model> Fleet<'m, M> {
                 );
             }
 
-            // 2. fleet-wide arrivals, routed one by one with failover
-            let offsets = scenario.arrivals.arrivals_in_second(t_s, &mut rng);
-            arrivals_total += offsets.len() as u64;
+            // 2. the window's events, routed one by one with failover
             let mut routed = vec![0u64; n];
             let mut rejected = vec![0u64; n];
-            for offset in &offsets {
-                let arrival_ms = now_ms + offset;
+            for (offset_ms, event) in source.window_events(t_s, &scenario.arrivals) {
+                let Some(attempt) = source.issue(event) else {
+                    continue;
+                };
+                arrivals_total += 1;
+                let arrival_ms = now_ms + offset_ms;
                 let snapshots: Vec<DeviceSnapshot> = self
                     .devices
                     .iter()
@@ -576,25 +640,32 @@ impl<'m, M: Model> Fleet<'m, M> {
                         }
                     }
                 }
-                if placed.is_none() {
-                    unroutable += 1;
+                match placed {
+                    Some(_) => source.admitted(next_id, attempt),
+                    None => {
+                        unroutable += 1;
+                        source.unroutable(attempt, arrival_ms, t_s);
+                    }
                 }
                 self.router.commit(placed, n);
                 next_id += 1;
             }
 
-            // 3. per-device dispatch, energy and window reports
+            // 3. per-device dispatch, energy and window reports; the
+            //    outcomes go back to the source
             for (i, device) in self.devices.iter_mut().enumerate() {
                 if serving[i] {
-                    device.end_window(
+                    let completions = device.end_window(
                         t_s,
                         window_end_ms,
                         routed[i],
                         rejected[i],
                         scenario.arrivals.background_w(t_s) * WINDOW_S,
                     );
+                    source.completed(&completions, t_s);
                 } else {
-                    device.record_dead_window(t_s, routed[i]);
+                    let dropped = device.record_dead_window(t_s, routed[i]);
+                    source.dropped_dead(&dropped, window_end_ms, t_s);
                 }
             }
         }
@@ -607,7 +678,7 @@ impl<'m, M: Model> Fleet<'m, M> {
             .map(|(device, profile)| device.into_report(profile.name, "adaptive".to_string()).0)
             .collect();
         FleetReport {
-            scenario: self.scenario.name,
+            scenario: scenario.name,
             routing,
             arrivals: arrivals_total,
             unroutable,
@@ -618,7 +689,7 @@ impl<'m, M: Model> Fleet<'m, M> {
 
     /// The router's view of one device for a request arriving at
     /// `arrival_ms`.
-    pub(crate) fn snapshot(device: &DeviceSim<'m, M>, arrival_ms: f64) -> DeviceSnapshot {
+    fn snapshot(device: &DeviceSim<'m, M>, arrival_ms: f64) -> DeviceSnapshot {
         DeviceSnapshot {
             alive: !device.is_dead(),
             state_of_charge: device.state_of_charge(),

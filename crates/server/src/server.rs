@@ -373,10 +373,7 @@ impl Shared {
     fn window_step(&self, core: &mut Core, boundary: f64) {
         let window_s = self.config.window_ms / 1_000.0;
         let background_j = self.config.background_w * window_s;
-        if !core.battery.drain(background_j) {
-            let remaining = core.battery.remaining_j();
-            core.battery.drain(remaining);
-        }
+        core.battery.drain_saturating(background_j);
         if core.battery.is_empty() {
             self.enter_drain(core);
             return;
@@ -393,10 +390,7 @@ impl Shared {
             core.scheduler.block_workers_until(boundary + switch_ms);
             let level = self.spec.governor.levels()[decision.level_pos];
             let energy = self.spec.power.power_w(&level) * switch_ms / 1_000.0;
-            if !core.battery.drain(energy) {
-                let remaining = core.battery.remaining_j();
-                core.battery.drain(remaining);
-            }
+            core.battery.drain_saturating(energy);
             let ids = &core.ids;
             core.shard.add(ids.switches, 1);
             core.shard.record(ids.switch_time_ms, switch_ms);
@@ -525,10 +519,7 @@ impl Shared {
                     let service_share =
                         (completion.finish_ms - completion.start_ms) / completion.batch as f64;
                     let energy = core_power_w * service_share / 1_000.0;
-                    if !core.battery.drain(energy) {
-                        let remaining = core.battery.remaining_j();
-                        core.battery.drain(remaining);
-                    }
+                    core.battery.drain_saturating(energy);
                     core.inflight.push(Reverse(InFlight {
                         finish_ms: completion.finish_ms,
                         internal_id: completion.id,
