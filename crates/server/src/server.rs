@@ -7,13 +7,15 @@
 //!
 //! * **connection threads** (one per accepted socket) parse frames,
 //!   run admission under the lock, and write rejects synchronously;
-//! * the **dispatch thread** ticks every few milliseconds: at window
-//!   boundaries it runs the battery governor (level switches, battery
-//!   drain, death detection), then dispatches due micro-batches and
-//!   flushes each completion's response once the wall clock reaches its
-//!   simulated finish time — so the latency a client measures on the wire
-//!   *is* the cost model's queue + service prediction, plus real network
-//!   and scheduling jitter;
+//! * the **dispatch thread** sleeps on a condition variable until the
+//!   next due event — a window boundary, a worker freeing up for a queued
+//!   request, or an in-flight response's simulated finish time — or until
+//!   an admission wakes it. At window boundaries it runs the battery
+//!   governor (level switches, battery drain, death detection); it then
+//!   dispatches due micro-batches and flushes each completion's response
+//!   once the wall clock reaches its simulated finish time — so the
+//!   latency a client measures on the wire *is* the cost model's queue +
+//!   service prediction, plus real network and scheduling jitter;
 //! * the **acceptor** hands sockets to connection threads, or refuses
 //!   them with a terminal frame once the battery has died.
 //!
@@ -39,7 +41,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -123,7 +125,8 @@ pub struct ServerConfig {
     pub scheduler: SchedulerConfig,
     /// Governor cadence: one controller decision per window.
     pub window_ms: f64,
-    /// Dispatch-thread tick, the response-pacing granularity.
+    /// Longest the dispatch thread sleeps when nothing is due. Responses
+    /// are paced by event-driven wakeups, not by this tick.
     pub tick_ms: u64,
     /// Always-on background drain charged per window.
     pub background_w: f64,
@@ -328,8 +331,29 @@ struct Core {
     subscribers: Vec<Weak<ConnWriter>>,
 }
 
+impl Core {
+    /// The wall time of the dispatch thread's next due event: the earliest
+    /// of the next window boundary, the in-flight heap's head finish time
+    /// and — while requests are queued — the moment a worker frees up.
+    fn next_due_ms(&self) -> f64 {
+        let mut due = self.next_window_ms;
+        if let Some(Reverse(head)) = self.inflight.peek() {
+            due = due.min(head.finish_ms);
+        }
+        if self.scheduler.queue_len() > 0 {
+            due = due.min(self.scheduler.earliest_free_ms());
+        }
+        due
+    }
+}
+
 struct Shared {
     core: Mutex<Core>,
+    /// Paired with `core`: wakes the dispatch thread when an admission or
+    /// a shutdown makes something due earlier than it planned to wake.
+    wakeup: Condvar,
+    /// Flipped only under the `core` lock, so a thread that holds the lock
+    /// and sees `true` knows shutdown's drain has not run yet.
     running: AtomicBool,
     dead: AtomicBool,
     start: Instant,
@@ -495,11 +519,27 @@ impl Shared {
         }
     }
 
+    /// The dispatch thread: holds the core lock while it ticks, then waits
+    /// on `wakeup` until the next due event (at most `tick_ms`). It ticks
+    /// only when something is due, so an idle wakeup costs no work.
+    fn dispatch_loop(&self) {
+        let max_wait_ms = self.config.tick_ms as f64;
+        let mut core = self.core.lock().expect("core lock");
+        while self.running.load(Ordering::Acquire) {
+            let now_ms = self.now_ms();
+            let due_ms = core.next_due_ms();
+            if due_ms <= now_ms {
+                self.tick(&mut core, now_ms);
+                continue;
+            }
+            let wait = Duration::from_secs_f64((due_ms - now_ms).min(max_wait_ms) / 1_000.0);
+            core = self.wakeup.wait_timeout(core, wait).expect("core lock").0;
+        }
+    }
+
     /// One dispatch tick: advance windows, dispatch due batches, flush
     /// responses whose simulated finish time has passed.
-    fn tick(&self, now_ms: f64) {
-        let mut core = self.core.lock().expect("core lock");
-        let core = &mut *core;
+    fn tick(&self, core: &mut Core, now_ms: f64) {
         self.advance_windows(core, now_ms);
         if !self.dead.load(Ordering::Acquire) {
             let service = self.service_closure(core);
@@ -630,6 +670,7 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             core: Mutex::new(core),
+            wakeup: Condvar::new(),
             running: AtomicBool::new(true),
             dead: AtomicBool::new(false),
             start: Instant::now(),
@@ -641,12 +682,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("rt3-serve-dispatch".into())
-                .spawn(move || {
-                    while shared.running.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(shared.config.tick_ms));
-                        shared.tick(shared.now_ms());
-                    }
-                })
+                .spawn(move || shared.dispatch_loop())
                 .expect("spawn dispatch thread")
         };
         let acceptor = {
@@ -691,11 +727,14 @@ impl Server {
     /// explicit codes, every connection is closed, threads are joined.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        if !self.shared.running.swap(false, Ordering::AcqRel) {
-            return;
-        }
         {
             let mut core = self.shared.core.lock().expect("core lock");
+            // flipped and notified under the lock: the dispatch thread is
+            // either waiting (and woken) or will see `false` before it waits
+            if !self.shared.running.swap(false, Ordering::AcqRel) {
+                return;
+            }
+            self.shared.wakeup.notify_one();
             let core = &mut *core;
             let dropped = core.scheduler.drain_queue();
             let level_pos = core.active_level as u32;
@@ -796,6 +835,13 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     });
     {
         let mut core = shared.core.lock().expect("core lock");
+        if !shared.running.load(Ordering::Acquire) {
+            // accepted just before shutdown closed the registered
+            // connections: end this one the same way
+            writer.send(&ServerFrame::encode_terminal(TERMINAL_SHUTDOWN));
+            writer.shutdown();
+            return;
+        }
         let id = core.ids.connections_opened;
         core.shard.add(id, 1);
         core.connections.push(Arc::downgrade(&writer));
@@ -888,9 +934,23 @@ fn protocol_error(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, error: &Protoc
 }
 
 fn handle_infer(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, budget_ms: f64) {
+    if admit(shared, writer, client_id, budget_ms) {
+        // after the guard is dropped, so the woken dispatch thread does
+        // not block straight away on the lock
+        shared.wakeup.notify_one();
+    }
+}
+
+/// Admission under the core lock; returns whether the request was queued.
+fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, budget_ms: f64) -> bool {
     let now_ms = shared.now_ms();
     let mut core = shared.core.lock().expect("core lock");
     let core = &mut *core;
+    if !shared.running.load(Ordering::Acquire) {
+        // shutdown's drain already ran and sent this connection its
+        // terminal frame: nothing would resolve a request admitted now
+        return false;
+    }
     // catch up on window boundaries the dispatch thread hasn't ticked yet,
     // so admission always sees the current level and battery state
     shared.advance_windows(core, now_ms);
@@ -906,7 +966,7 @@ fn handle_infer(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, 
         if !writer.send(&response.encode()) {
             core.shard.add(core.ids.responses_failed, 1);
         }
-        return;
+        return false;
     }
     let internal_id = core.next_internal_id;
     core.next_internal_id += 1;
@@ -930,6 +990,7 @@ fn handle_infer(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, 
             core.shard.add(ids.admitted, 1);
             core.shard
                 .set(ids.queue_depth, core.scheduler.queue_len() as f64);
+            true
         }
         Err(reason) => {
             let (status, counter) = match reason {
@@ -951,6 +1012,7 @@ fn handle_infer(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, 
             if !writer.send(&response.encode()) {
                 core.shard.add(core.ids.responses_failed, 1);
             }
+            false
         }
     }
 }

@@ -104,13 +104,15 @@ fn loadgen_reconciles_with_server_counters() {
 fn wall_latency_tracks_cost_model_pacing() {
     // one request at a time on an idle server: the wall latency the client
     // measures should be close to the cost model's single-request service
-    // time (plus tick granularity + real scheduling jitter).
+    // time (plus real scheduling jitter) — never below it, and not rounded
+    // up to a dispatch tick.
     let spec = healthy_spec();
     let base_ms: f64 = spec.level_base_ms.iter().copied().fold(0.0, f64::max);
     let server = Server::spawn("127.0.0.1:0", spec, fast_config()).unwrap();
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
     let mut worst_ms = 0.0f64;
-    for id in 0..10u64 {
+    let mut lags_ms = Vec::new();
+    for id in 0..60u64 {
         let started = Instant::now();
         let outcome = client.infer(id, 1_000.0, b"payload").unwrap();
         let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
@@ -122,14 +124,52 @@ fn wall_latency_tracks_cost_model_pacing() {
             response.infer_ms > 0.0,
             "service time is reported on the wire"
         );
+        // the response is never written before its simulated finish time
+        let paced_ms = response.queue_ms + response.infer_ms;
+        assert!(
+            wall_ms >= paced_ms,
+            "request {id} answered after {wall_ms:.3}ms, before its paced \
+             {paced_ms:.3}ms (queue {:.3} + infer {:.3})",
+            response.queue_ms,
+            response.infer_ms
+        );
+        lags_ms.push(wall_ms - paced_ms);
         worst_ms = worst_ms.max(wall_ms);
     }
-    // generous bound: base service + several ticks + switch + jitter. The
-    // point is that responses are paced (not instant echo) yet bounded.
+    // generous bound: base service + switch + jitter. The point is that
+    // responses are paced (not instant echo) yet bounded.
     assert!(
         worst_ms < base_ms + 500.0,
         "wall latency {worst_ms:.1}ms is unreasonably far above the \
          cost-model service time {base_ms:.1}ms"
+    );
+    // pacing wakes the dispatch thread at the finish time: the typical lag
+    // past it is loopback + wakeup jitter, well under the 2 ms idle tick
+    lags_ms.sort_by(f64::total_cmp);
+    let median_lag_ms = lags_ms[lags_ms.len() / 2];
+    assert!(
+        median_lag_ms < 1.0,
+        "median lag past the paced finish is {median_lag_ms:.3}ms: \
+         responses are quantised to the tick"
+    );
+}
+
+#[test]
+fn shutdown_wakes_an_idle_dispatch_thread() {
+    // with a one-second idle tick and nothing due, the dispatch thread is
+    // parked in its wait; shutdown must wake it rather than wait it out
+    let config = ServerConfig {
+        tick_ms: 1_000,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::spawn("127.0.0.1:0", healthy_spec(), config).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(200),
+        "shutdown took {took:?}: the dispatch thread slept through its wakeup"
     );
 }
 
@@ -274,7 +314,7 @@ fn subscribe_streams_obs_chunks_per_window() {
     );
 
     // every subsequent chunk is one governor window's delta; at 50ms
-    // windows the dispatch tick produces them continuously
+    // windows the dispatch thread wakes at each boundary to produce them
     let mut windows = Vec::new();
     for _ in 0..3 {
         let chunk = sub.next_obs().unwrap();
