@@ -32,26 +32,7 @@ pub fn combined_masks_for_model<M: Model>(
     names: &[String],
     set: &PatternSet,
 ) -> MaskSet {
-    combined_masks_and_weights(model, backbone, names, set).0
-}
-
-/// One-pass lowering of a model to its servable Level-1 ∧ Level-2 form:
-/// returns both the combined mask set and the compiled pattern-pruned
-/// weights (in `model.parameters()` order), sharing a single
-/// `PatternPrunedMatrix::from_dense` per parameter.
-///
-/// This is the V/F-switch path of the runtime's model bank, which
-/// previously lowered every weight twice — once for the masks, once for
-/// the executable weights. The masks and weights are bit-identical to the
-/// two-pass construction because both derive from the same plan.
-pub fn combined_masks_and_weights<M: Model>(
-    model: &M,
-    backbone: &MaskSet,
-    names: &[String],
-    set: &PatternSet,
-) -> (MaskSet, Vec<(String, PatternPrunedMatrix)>) {
     let mut pattern_masks = MaskSet::new();
-    let mut weights = Vec::new();
     for (name, weight) in model.parameters() {
         if !names.contains(&name) {
             continue;
@@ -62,11 +43,10 @@ pub fn combined_masks_and_weights<M: Model>(
             Some(mask) => weight.zip(mask, |w, m| w * m),
             None => weight.clone(),
         };
-        let pruned = PatternPrunedMatrix::from_dense(&effective, set);
-        pattern_masks.insert(name.clone(), pruned.mask());
-        weights.push((name, pruned));
+        let lowered = PatternPrunedMatrix::from_dense(&effective, set);
+        pattern_masks.insert(name, lowered.mask());
     }
-    (backbone.intersect(&pattern_masks), weights)
+    backbone.intersect(&pattern_masks)
 }
 
 /// Sparsity the combined mask set achieves over the listed parameters.

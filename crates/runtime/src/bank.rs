@@ -6,18 +6,27 @@
 //! accepts evolutionary/bandit/random/exhaustive alternatives), so better
 //! search directly moves what this bank serves. Online, switching levels must be a
 //! lightweight pattern-set swap, not a model rebuild — so the bank turns each
-//! chosen pattern set into a [`BankedModel`]: the combined Level-1 ∧ Level-2
-//! masks plus the block-sparse weights ([`PatternPrunedMatrix`]) the workers
-//! execute. Entries build lazily on first use and live in a small LRU cache,
-//! mirroring how a memory-constrained device would page pattern sets in and
-//! out of its working set; the eviction/rebuild traffic is exactly what
+//! chosen pattern set into a [`BankedModel`]: the block-sparse Level-1 ∧
+//! Level-2 weights ([`PatternPrunedMatrix`]) the workers execute. Entries
+//! build lazily on first use and live in a small LRU cache, mirroring how a
+//! memory-constrained device would page pattern sets in and out of its
+//! working set; the eviction/rebuild traffic is exactly what
 //! [`MemoryModel::pattern_switch_cost`] charges for.
+//!
+//! Lowering is split the way the paper splits its switch. Which pattern
+//! each block gets depends only on the model, the backbone and the pattern
+//! set, so the bank scores a level's blocks once — the first time the level
+//! is built — and keeps that layout (2 bytes per block) for good, across
+//! evictions. Every later build of the level, which is what a cold V/F
+//! switch pays, only packs the kept weight values under the kept layout.
 
 use rt3_hardware::{MemoryModel, SwitchCost};
-use rt3_pruning::{combined_masks_and_weights, CandidatePatternSet, PatternSpace};
-use rt3_sparse::{PatternPrunedMatrix, PatternSet};
+use rt3_pruning::{CandidatePatternSet, PatternSpace};
+use rt3_sparse::{Backend, PatternPlan, PatternPrunedMatrix, PatternSet};
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
+use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 /// One ready-to-serve sparse model variant.
 #[derive(Debug, Clone)]
@@ -26,9 +35,7 @@ pub struct BankedModel {
     pub level_pos: usize,
     /// Target sparsity of the candidate pattern set.
     pub target_sparsity: f64,
-    /// Combined backbone ∧ pattern masks.
-    pub masks: MaskSet,
-    /// Achieved overall sparsity of the combined masks.
+    /// Achieved overall sparsity of the combined backbone ∧ pattern masks.
     pub sparsity: f64,
     /// Block-sparse prunable weights, in model parameter order.
     pub weights: Vec<(String, PatternPrunedMatrix)>,
@@ -127,23 +134,33 @@ pub struct BankStats {
 /// Pre-materialised per-level model variants with lazy build and LRU
 /// eviction.
 pub struct ModelBank<'m, M: Model> {
-    model: &'m M,
+    model: PhantomData<&'m M>,
     backbone: MaskSet,
-    prunable: Vec<String>,
+    /// The prunable weights, in model parameter order.
+    prunable: Vec<(String, &'m Matrix)>,
     /// One chosen candidate per governor level position (0 = lowest
     /// frequency).
     assignments: Vec<CandidatePatternSet>,
+    /// Per level, the block→pattern ids of every prunable weight; scored on
+    /// the level's first build and kept across evictions.
+    layouts: Vec<OnceLock<Vec<Vec<u16>>>>,
     entries: Vec<Option<BankedModel>>,
     /// Level positions ordered least- to most-recently used.
     recency: Vec<usize>,
     capacity: usize,
     memory: MemoryModel,
     total_blocks: usize,
+    /// Elements the combined masks cover: every prunable weight plus any
+    /// backbone mask of another parameter.
+    covered_elements: usize,
+    /// Non-zeros of those other backbone masks, which no pattern touches.
+    unpatterned_kept: usize,
     stats: BankStats,
 }
 
 impl<'m, M: Model> ModelBank<'m, M> {
-    /// Builds a bank over the best solution of a Level-2 search.
+    /// Builds a bank over the best solution of a Level-2 search. No block
+    /// is scored here; each level is lowered on its first build.
     ///
     /// `actions` are candidate indices ordered as the paper orders sub-models
     /// — from the *highest*-frequency level (M1) down — while bank slots are
@@ -176,25 +193,39 @@ impl<'m, M: Model> ModelBank<'m, M> {
                 space.candidates()[a].clone()
             })
             .collect();
-        let prunable = model.prunable_parameter_names();
-        let psize = space.pattern_size();
-        let total_blocks = model
+        let names = model.prunable_parameter_names();
+        let prunable: Vec<(String, &'m Matrix)> = model
             .parameters()
+            .into_iter()
+            .filter(|(name, _)| names.contains(name))
+            .collect();
+        let psize = space.pattern_size();
+        let total_blocks = prunable
             .iter()
-            .filter(|(name, _)| prunable.contains(name))
             .map(|(_, w)| w.rows().div_ceil(psize) * w.cols().div_ceil(psize))
             .sum();
+        let unpatterned: Vec<&Matrix> = backbone
+            .iter()
+            .filter(|(name, _)| !prunable.iter().any(|(n, _)| n == name))
+            .map(|(_, mask)| mask)
+            .collect();
+        let covered_elements = prunable.iter().map(|(_, w)| w.len()).sum::<usize>()
+            + unpatterned.iter().map(|m| m.len()).sum::<usize>();
+        let unpatterned_kept = unpatterned.iter().map(|m| m.count_nonzero()).sum();
         let levels = assignments.len();
         Self {
-            model,
+            model: PhantomData,
             backbone,
             prunable,
             assignments,
+            layouts: (0..levels).map(|_| OnceLock::new()).collect(),
             entries: (0..levels).map(|_| None).collect(),
             recency: Vec::with_capacity(levels),
             capacity,
             memory,
             total_blocks,
+            covered_elements,
+            unpatterned_kept,
             stats: BankStats::default(),
         }
     }
@@ -232,28 +263,66 @@ impl<'m, M: Model> ModelBank<'m, M> {
     }
 
     /// Builds the variant for a level from scratch, bypassing the cache.
-    /// Deterministic: two cold rebuilds produce bit-identical masks and
-    /// weights (the invariant the bank's caching relies on). The cost-model
+    /// Deterministic: two cold rebuilds produce bit-identical weights and
+    /// sparsity (the invariant the bank's caching relies on). The cost-model
     /// calibration pass ([`crate::cost::calibrate`]) also builds its timing
     /// probes through here, so measuring leaves the serving bank's
     /// residency and LRU statistics untouched.
     ///
-    /// Masks and executable weights come out of one
-    /// [`combined_masks_and_weights`] pass, so a V/F switch pays a single
-    /// plan compilation per weight instead of the two `from_dense`
-    /// lowerings the pre-plan bank performed.
+    /// The level's first build scores every block of the backbone-masked
+    /// weights against its pattern set and keeps the resulting layout; every
+    /// build — the first included — then packs each prunable weight straight
+    /// from the model weight and its backbone mask under that layout
+    /// ([`PatternPrunedMatrix::pack`]). A cold V/F switch to a level built
+    /// before therefore pays the pack alone. The achieved sparsity comes
+    /// from the pack's kept counts and equals the `overall_sparsity` of
+    /// `rt3_pruning::combined_masks_for_model`'s masks bit for bit.
     pub fn rebuild_cold(&self, level_pos: usize) -> BankedModel {
         let candidate = &self.assignments[level_pos];
-        let (masks, weights) =
-            combined_masks_and_weights(self.model, &self.backbone, &self.prunable, &candidate.set);
-        let sparsity = masks.overall_sparsity();
+        let set = &candidate.set;
+        let layout = self.layouts[level_pos].get_or_init(|| self.score(set));
+        let mut kept = self.unpatterned_kept;
+        let weights = self
+            .prunable
+            .iter()
+            .zip(layout)
+            .map(|((name, weight), blocks)| {
+                let (packed, k) =
+                    PatternPrunedMatrix::pack(weight, self.backbone.get(name), set, blocks);
+                kept += k;
+                (name.clone(), packed)
+            })
+            .collect();
         BankedModel {
             level_pos,
             target_sparsity: candidate.sparsity,
-            masks,
-            sparsity,
+            sparsity: self.sparsity_of(kept),
             weights,
         }
+    }
+
+    /// The block→pattern layout of every prunable weight under `set`,
+    /// scored on the backbone-masked weight exactly as the offline search
+    /// evaluated it.
+    fn score(&self, set: &PatternSet) -> Vec<Vec<u16>> {
+        self.prunable
+            .iter()
+            .map(|(name, weight)| match self.backbone.get(name) {
+                Some(mask) => {
+                    PatternPlan::assign(&weight.zip(mask, |w, m| w * m), set, Backend::detect())
+                }
+                None => PatternPlan::assign(weight, set, Backend::detect()),
+            })
+            .collect()
+    }
+
+    /// Overall sparsity of the combined masks with `kept` non-zeros, in the
+    /// same integer-then-divide form as `MaskSet::overall_sparsity`.
+    fn sparsity_of(&self, kept: usize) -> f64 {
+        if self.covered_elements == 0 {
+            return 0.0;
+        }
+        (self.covered_elements - kept) as f64 / self.covered_elements as f64
     }
 
     /// The variant for `level_pos`, building it on a cache miss and evicting
@@ -309,11 +378,16 @@ impl<'m, M: Model> ModelBank<'m, M> {
 mod tests {
     use super::*;
     use rt3_pruning::{
-        block_prune_model, generate_pattern_space, BlockPruningConfig, PatternSpaceConfig,
+        block_prune_model, combined_masks_for_model, generate_pattern_space, BlockPruningConfig,
+        PatternSpaceConfig,
     };
     use rt3_transformer::{TransformerConfig, TransformerLm};
 
     fn setup() -> (TransformerLm, MaskSet, PatternSpace) {
+        setup_with(4)
+    }
+
+    fn setup_with(pattern_size: usize) -> (TransformerLm, MaskSet, PatternSpace) {
         let model = TransformerLm::new(TransformerConfig::tiny(32), 5);
         let backbone = block_prune_model(&model, &BlockPruningConfig::default());
         let space = generate_pattern_space(
@@ -321,7 +395,7 @@ mod tests {
             &backbone,
             &[0.4, 0.6, 0.8],
             &PatternSpaceConfig {
-                pattern_size: 4,
+                pattern_size,
                 patterns_per_set: 2,
                 sample_fraction: 0.5,
                 seed: 2,
@@ -366,18 +440,64 @@ mod tests {
             MemoryModel::odroid_xu3(),
             2,
         );
-        let first = bank.get(0).masks.clone();
+        let first = bank.get(0).weights.clone();
         let _ = bank.get(1);
         let _ = bank.get(2); // evicts level 0
         assert_eq!(bank.stats().evictions, 1);
         assert!(!bank.is_resident(0));
         assert!(bank.is_resident(1) && bank.is_resident(2));
-        let rebuilt = bank.get(0).masks.clone(); // evicts level 1
+        let rebuilt = bank.get(0).weights.clone(); // evicts level 1
         assert_eq!(
             first, rebuilt,
             "rebuild after eviction must be bit-identical"
         );
         assert!(!bank.is_resident(1));
+    }
+
+    /// The oracle for the kept layouts: every level, on its first build
+    /// and again after eviction (packed from the kept layout alone), equals
+    /// a from-scratch lowering of the backbone-masked weights, and its
+    /// sparsity equals the combined masks' bit for bit. Pattern size 3
+    /// leaves partial edge blocks on the 16- and 32-wide weights.
+    #[test]
+    fn banked_levels_match_a_from_scratch_lowering() {
+        for pattern_size in [4, 3] {
+            let (model, backbone, space) = setup_with(pattern_size);
+            let prunable = model.prunable_parameter_names();
+            let mut bank = ModelBank::new(
+                &model,
+                backbone.clone(),
+                &space,
+                &[0, 1, 2],
+                MemoryModel::odroid_xu3(),
+                1,
+            );
+            for _round in 0..2 {
+                for level in 0..bank.levels() {
+                    let set = bank.pattern_set(level).clone();
+                    let expected: Vec<(String, PatternPrunedMatrix)> = model
+                        .parameters()
+                        .into_iter()
+                        .filter(|(name, _)| prunable.contains(name))
+                        .map(|(name, w)| {
+                            let mask = backbone.get(&name).expect("backbone masks every weight");
+                            let effective = w.zip(mask, |a, b| a * b);
+                            let lowered = PatternPrunedMatrix::from_dense(&effective, &set);
+                            (name, lowered)
+                        })
+                        .collect();
+                    let sparsity = combined_masks_for_model(&model, &backbone, &prunable, &set)
+                        .overall_sparsity();
+                    let banked = bank.get(level);
+                    assert!(
+                        banked.weights == expected,
+                        "psize {pattern_size} level {level}: weights differ"
+                    );
+                    assert_eq!(banked.sparsity.to_bits(), sparsity.to_bits());
+                }
+            }
+            assert_eq!(bank.stats().builds, 6);
+        }
     }
 
     #[test]

@@ -193,10 +193,11 @@ pub struct LevelCalibration {
 }
 
 /// Measured cost of one V/F switch: with the `from` variant resident, the
-/// wall-clock cost of materialising the `to` variant from scratch —
-/// mask combination, block scoring through the detected SIMD backend and
-/// plan compilation ([`ModelBank::rebuild_cold`]), which is exactly what a
+/// wall-clock cost of materialising the `to` variant
+/// ([`ModelBank::rebuild_cold`]) — packing every prunable weight's kept
+/// values under the level's kept block layout — which is exactly what a
 /// governor transition to a non-resident level pays before it can serve.
+/// The one-off block scoring of a level's first build is not part of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchCalibration {
     /// Source governor level position (resident while the switch is timed).
@@ -384,8 +385,10 @@ pub fn calibrate<M: Model>(
 /// Times every ordered V/F level pair: the `from` variant is built and
 /// warmed (one batch-of-one inference) so the machine state resembles
 /// steady serving at that level, then the cold rebuild of each `to` variant
-/// is timed best-of-samples. Faster lowering kernels (the SIMD-backed block
-/// scoring) show up directly in these numbers, which is why the pass
+/// is timed best-of-samples. [`calibrate`] has built every level once
+/// before this runs, so each sample is a pack under the level's kept
+/// layout with no block scoring — the switch a serving bank pays. Faster
+/// packing shows up directly in these numbers, which is why the pass
 /// re-measures them instead of reusing the analytic
 /// [`ModelBank::switch_cost`].
 fn calibrate_switches<M: Model>(

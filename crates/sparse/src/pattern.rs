@@ -316,11 +316,7 @@ impl PatternSet {
     /// should go through `PatternPrunedMatrix::from_dense`, which
     /// amortises the pattern compilation this method redoes per call.
     pub fn best_pattern_for(&self, block: &Matrix) -> usize {
-        let compiled: Vec<crate::CompiledPattern> = self
-            .patterns
-            .iter()
-            .map(crate::CompiledPattern::compile)
-            .collect();
+        let compiled = crate::plan::compile_set(self);
         let h = block.rows().min(self.size());
         let w = block.cols().min(self.size());
         let mut squares = Vec::new();
@@ -386,6 +382,32 @@ impl PatternPrunedMatrix {
             plan: PatternPlan::compile_with_backend(dense, set, backend),
             set: set.clone(),
         }
+    }
+
+    /// Packs `weight`, masked element-wise by `mask` if given, under a
+    /// block→pattern assignment kept from an earlier
+    /// [`PatternPlan::assign`], without scoring a block. Equals
+    /// [`Self::from_dense`] of the masked weight when `assignments` was
+    /// scored on it. The count is the non-zero count of the combined
+    /// `mask ∧ pattern` keep-mask (see [`PatternPlan::pack`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignments` does not hold one in-range pattern id per
+    /// block or `mask` is not shaped like `weight`.
+    pub fn pack(
+        weight: &Matrix,
+        mask: Option<&Matrix>,
+        set: &PatternSet,
+        assignments: &[u16],
+    ) -> (Self, usize) {
+        let (plan, kept) =
+            PatternPlan::pack(weight, mask, set, assignments, crate::Backend::detect());
+        let matrix = Self {
+            set: set.clone(),
+            plan,
+        };
+        (matrix, kept)
     }
 
     /// Logical number of rows.

@@ -32,6 +32,13 @@
 //! ([`crate::reference::matmul_dense_scalar`]) — the accumulation order per
 //! output element is unchanged.
 //!
+//! Lowering itself has two halves: [`PatternPlan::assign`] scores every
+//! block against the set (the expensive part) and [`PatternPlan::pack`]
+//! gathers the kept values under that assignment. The assignment depends
+//! only on the weight and the set, so a caller that re-lowers the same
+//! weight — the runtime's model bank after an eviction — keeps it and
+//! packs alone.
+//!
 //! On top of the compiled layout the plan carries three execution-time
 //! strategies (PR 10):
 //!
@@ -115,7 +122,7 @@ impl CompiledPattern {
 /// index of the pattern preserving the largest l2 norm over one `h x w`
 /// block of row-major `data` (row `r` lives at `base + r * stride`).
 /// Accumulation is row-major over kept positions and ties keep the lowest
-/// index; both [`PatternPlan::compile`] and
+/// index; both [`PatternPlan::assign`] and
 /// [`PatternSet::best_pattern_for`] call this, so their assignments cannot
 /// drift apart.
 ///
@@ -164,6 +171,14 @@ pub(crate) fn best_pattern_for_block(
     best
 }
 
+/// One compiled table per pattern in `set`, in set order.
+pub(crate) fn compile_set(set: &PatternSet) -> Vec<CompiledPattern> {
+    set.patterns()
+        .iter()
+        .map(CompiledPattern::compile)
+        .collect()
+}
+
 /// A pattern-pruned matrix lowered to its executable form: flat value
 /// arena, per-block `u32` offsets, shared per-pattern offset tables and a
 /// full/edge block split. See the module docs for the layout rationale.
@@ -191,11 +206,9 @@ pub struct PatternPlan {
 }
 
 impl PatternPlan {
-    /// Lowers `dense` against `set`: assigns every `psize x psize` block
-    /// the pattern preserving the largest l2 norm (the same
-    /// `best_pattern_for_block` implementation
-    /// [`PatternSet::best_pattern_for`] calls, via the shared compiled
-    /// tables) and packs the kept values into the arena.
+    /// Lowers `dense` against `set`: [`PatternPlan::assign`] gives every
+    /// `psize x psize` block the pattern preserving the largest l2 norm,
+    /// then [`PatternPlan::pack`] packs the kept values into the arena.
     ///
     /// # Panics
     ///
@@ -210,35 +223,38 @@ impl PatternPlan {
     /// ([`Backend::validated`]); forcing [`Backend::Scalar`] is how the
     /// proptest suite obtains the bit-exactness reference on SIMD hosts.
     pub fn compile_with_backend(dense: &Matrix, set: &PatternSet, backend: Backend) -> Self {
+        let assignments = Self::assign(dense, set, backend);
+        Self::pack(dense, None, set, &assignments, backend).0
+    }
+
+    /// The scoring half of lowering: the id of the pattern preserving the
+    /// largest l2 norm of each `psize x psize` block of `dense`, row-major
+    /// over the block grid (the same `best_pattern_for_block`
+    /// implementation [`PatternSet::best_pattern_for`] calls). The result
+    /// depends only on `dense` and `set`, so a caller that lowers the same
+    /// weight again — a model bank re-materialising an evicted level — can
+    /// keep it and call [`PatternPlan::pack`] alone. `backend` (clamped
+    /// like [`PatternPlan::compile_with_backend`]) only speeds up the
+    /// squares; the assignment is bit-stable across backends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set has more than `u16::MAX` patterns.
+    pub fn assign(dense: &Matrix, set: &PatternSet, backend: Backend) -> Vec<u16> {
         let backend = backend.validated();
         assert!(
             set.len() <= u16::MAX as usize,
             "pattern set too large for u16 assignment indices"
         );
         let psize = set.size();
-        let rows = dense.rows();
-        let cols = dense.cols();
-        let grid_rows = rows.div_ceil(psize);
-        let grid_cols = cols.div_ceil(psize);
-        let blocks = grid_rows * grid_cols;
-        let compiled: Vec<CompiledPattern> = set
-            .patterns()
-            .iter()
-            .map(CompiledPattern::compile)
-            .collect();
+        let (rows, cols) = dense.shape();
+        let compiled = compile_set(set);
         let data = dense.as_slice();
-        let mean_ones =
-            compiled.iter().map(CompiledPattern::ones).sum::<usize>() / compiled.len().max(1);
-        let mut assignments = Vec::with_capacity(blocks);
-        let mut block_offsets = Vec::with_capacity(blocks + 1);
-        block_offsets.push(0u32);
-        let mut arena: Vec<f32> = Vec::with_capacity(blocks * mean_ones);
+        let mut assignments = Vec::with_capacity(rows.div_ceil(psize) * cols.div_ceil(psize));
         let mut squares = Vec::with_capacity(psize * psize);
-        for br in 0..grid_rows {
-            let base_r = br * psize;
+        for base_r in (0..rows).step_by(psize) {
             let h = psize.min(rows - base_r);
-            for bc in 0..grid_cols {
-                let base_c = bc * psize;
+            for base_c in (0..cols).step_by(psize) {
                 let w = psize.min(cols - base_c);
                 let best = best_pattern_for_block(
                     &compiled,
@@ -251,40 +267,126 @@ impl PatternPlan {
                     &mut squares,
                 );
                 assignments.push(best as u16);
-                // pack values in the pattern's row-major kept order;
-                // positions outside the logical matrix store 0.0 so every
-                // block assigned to a pattern has the same arena stride
-                let cp = &compiled[best];
-                for r in 0..psize {
-                    let (s, e) = cp.row_range(r);
-                    if r < h {
-                        let row = &data[(base_r + r) * cols + base_c..][..w];
-                        arena.extend(cp.cols[s..e].iter().map(|&c| {
-                            if (c as usize) < w {
-                                row[c as usize]
-                            } else {
-                                0.0
-                            }
-                        }));
-                    } else {
-                        arena.extend(std::iter::repeat_n(0.0f32, e - s));
-                    }
-                }
-                let end = u32::try_from(arena.len()).expect("arena exceeds u32 offsets");
-                block_offsets.push(end);
             }
         }
-        Self {
+        assignments
+    }
+
+    /// The packing half of lowering: gathers the kept values of `weight`
+    /// under a block→pattern `assignments` table (as produced by
+    /// [`PatternPlan::assign`]) into the plan's arena, in each pattern's
+    /// row-major kept order. With a `mask` every gathered value is
+    /// `weight * mask` — the same single f32 multiply as masking the weight
+    /// up front with `Matrix::zip`, so the arena is bit-identical to
+    /// packing the masked weight. Positions outside the logical matrix
+    /// store 0.0, so every block assigned to a pattern has the same arena
+    /// stride.
+    ///
+    /// Also returns the number of kept in-shape positions whose mask value
+    /// is non-zero (every kept in-shape position without a mask): the
+    /// non-zero count of the combined `mask ∧ pattern` keep-mask.
+    ///
+    /// Full blocks gather through per-pattern flat offsets precomputed for
+    /// the weight's row stride; only edge blocks take the clamped path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignments` does not hold one in-range pattern id per
+    /// block, `mask` is not shaped like `weight`, or the kept values do
+    /// not fit a `u32` arena offset.
+    pub fn pack(
+        weight: &Matrix,
+        mask: Option<&Matrix>,
+        set: &PatternSet,
+        assignments: &[u16],
+        backend: Backend,
+    ) -> (Self, usize) {
+        let psize = set.size();
+        let (rows, cols) = weight.shape();
+        let grid = (rows.div_ceil(psize), cols.div_ceil(psize));
+        assert_eq!(
+            assignments.len(),
+            grid.0 * grid.1,
+            "one pattern id per block is required"
+        );
+        if let Some(mask) = mask {
+            assert_eq!(mask.shape(), weight.shape(), "mask shape mismatch");
+        }
+        let compiled = compile_set(set);
+        let ones: Vec<usize> = compiled.iter().map(CompiledPattern::ones).collect();
+        let stored: usize = assignments
+            .iter()
+            .map(|&a| *ones.get(a as usize).expect("pattern id outside the set"))
+            .sum();
+        u32::try_from(stored).expect("arena exceeds u32 offsets");
+        // flat offset of every kept position from its block's origin, for
+        // this weight's row stride
+        let flat: Vec<Vec<usize>> = compiled
+            .iter()
+            .map(|cp| {
+                (0..psize)
+                    .flat_map(|r| {
+                        let (s, e) = cp.row_range(r);
+                        cp.cols[s..e].iter().map(move |&c| r * cols + c as usize)
+                    })
+                    .collect()
+            })
+            .collect();
+        let data = weight.as_slice();
+        let mask = mask.map(Matrix::as_slice);
+        // the packed value at flat index `i`, and whether the mask keeps it
+        let gather = |i: usize| match mask {
+            None => (data[i], true),
+            Some(m) => (data[i] * m[i], m[i] != 0.0),
+        };
+        let mut kept = 0usize;
+        let mut arena: Vec<f32> = Vec::with_capacity(stored);
+        let mut block_offsets = Vec::with_capacity(assignments.len() + 1);
+        block_offsets.push(0u32);
+        let mut blocks = assignments.iter();
+        for base_r in (0..rows).step_by(psize) {
+            let h = psize.min(rows - base_r);
+            for base_c in (0..cols).step_by(psize) {
+                let w = psize.min(cols - base_c);
+                let a = *blocks.next().expect("one pattern id per block") as usize;
+                let base = base_r * cols + base_c;
+                if h == psize && w == psize {
+                    arena.extend(flat[a].iter().map(|&o| {
+                        let (v, keep) = gather(base + o);
+                        kept += usize::from(keep);
+                        v
+                    }));
+                } else {
+                    let cp = &compiled[a];
+                    for r in 0..psize {
+                        let (s, e) = cp.row_range(r);
+                        arena.extend(cp.cols[s..e].iter().map(|&c| {
+                            let c = c as usize;
+                            if r >= h || c >= w {
+                                return 0.0;
+                            }
+                            let (v, keep) = gather(base + r * cols + c);
+                            kept += usize::from(keep);
+                            v
+                        }));
+                    }
+                }
+                // `stored` fits a u32, so every prefix does
+                block_offsets.push(arena.len() as u32);
+            }
+        }
+        let plan = Self {
             rows,
             cols,
             psize,
-            grid: (grid_rows, grid_cols),
-            assignments,
+            grid,
+            assignments: assignments.to_vec(),
             arena,
             block_offsets,
             compiled,
-            backend,
-        }
+            backend: backend.validated(),
+        };
+        (plan, kept)
     }
 
     /// Logical shape `(rows, cols)`.

@@ -2,9 +2,10 @@
 //! to the same dense matrix and its kernel must agree with the dense matmul.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use rt3_sparse::{
-    BlockPartition, BlockPrunedMatrix, CooMatrix, CsrMatrix, PatternMask, PatternPrunedMatrix,
-    PatternSet,
+    Backend, BlockPartition, BlockPrunedMatrix, CooMatrix, CsrMatrix, PatternMask, PatternPlan,
+    PatternPrunedMatrix, PatternSet,
 };
 use rt3_tensor::Matrix;
 
@@ -24,8 +25,87 @@ fn dense_rhs(rows: usize, cols: usize, seed: u64) -> Matrix {
     })
 }
 
+/// Single-pass lowering of `dense`, written out independently of
+/// `PatternPlan`: per block (row-major over the grid) the pattern
+/// `best_pattern_for` picks and the block's values in that pattern's
+/// row-major kept order, 0.0 outside the matrix.
+fn single_pass_lowering(dense: &Matrix, set: &PatternSet) -> (Vec<u16>, Vec<Vec<f32>>) {
+    let psize = set.size();
+    let mut assignments = Vec::new();
+    let mut values = Vec::new();
+    for base_r in (0..dense.rows()).step_by(psize) {
+        for base_c in (0..dense.cols()).step_by(psize) {
+            let best = set.best_pattern_for(&dense.block(base_r, base_c, psize, psize));
+            assignments.push(best as u16);
+            values.push(
+                set.patterns()[best]
+                    .kept_positions()
+                    .into_iter()
+                    .map(|(r, c)| {
+                        let (r, c) = (base_r + r, base_c + c);
+                        if r < dense.rows() && c < dense.cols() {
+                            dense.get(r, c)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect(),
+            );
+        }
+    }
+    (assignments, values)
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Assign then pack reproduces a single-pass lowering exactly — the
+    /// same assignments, the same arena bits block by block (so the same
+    /// block offsets) — with and without a mask, on the scalar and the
+    /// detected backend, over shapes with partial edge blocks. Packing
+    /// with a mask equals lowering the masked weight, and the returned
+    /// count is the non-zero count of `mask ∧ pattern mask`.
+    #[test]
+    fn assign_then_pack_matches_single_pass_lowering(
+        m in sparse_matrix(19),
+        psize in 2usize..6,
+        sparsity in 0.0f64..0.9,
+        patterns in 1usize..5,
+        seed in 0u64..1_000,
+        keep_mask in proptest::collection::vec(prop_oneof![1 => Just(0.0f32), 2 => Just(1.0f32)], 19 * 19),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let set = PatternSet::new(
+            (0..patterns).map(|_| PatternMask::random(psize, sparsity, &mut rng)).collect(),
+        )
+        .expect("non-empty set");
+        let mask = Matrix::from_vec(m.rows(), m.cols(), keep_mask[..m.len()].to_vec());
+        let masked = m.zip(&mask, |w, k| w * k);
+        for backend in [Backend::Scalar, Backend::detect()] {
+            for (dense, mask) in [(&m, None), (&masked, Some(&mask))] {
+                let (assignments, values) = single_pass_lowering(dense, &set);
+                let assigned = PatternPlan::assign(dense, &set, backend);
+                prop_assert_eq!(&assigned, &assignments);
+                let (plan, kept) = PatternPlan::pack(&m, mask, &set, &assigned, backend);
+                prop_assert_eq!(plan.assignments(), &assignments[..]);
+                for (bi, expected) in values.iter().enumerate() {
+                    prop_assert_eq!(bits(plan.block_values(bi)), bits(expected), "block {}", bi);
+                }
+                prop_assert_eq!(plan.stored_values(), values.iter().map(Vec::len).sum::<usize>());
+                prop_assert!(plan == PatternPlan::compile_with_backend(dense, &set, backend));
+                let pattern_mask = PatternPrunedMatrix::from_dense(dense, &set).mask();
+                let combined = match mask {
+                    Some(mask) => pattern_mask.zip(mask, |p, k| p * k),
+                    None => pattern_mask,
+                };
+                prop_assert_eq!(kept, combined.count_nonzero());
+            }
+        }
+    }
 
     #[test]
     fn coo_roundtrip_and_matmul(m in sparse_matrix(12)) {
