@@ -16,20 +16,28 @@
 //! Lowering is split the way the paper splits its switch. Which pattern
 //! each block gets depends only on the model, the backbone and the pattern
 //! set, so the bank scores a level's blocks once — the first time the level
-//! is built — and keeps that layout (2 bytes per block) for good, across
-//! evictions. Every later build of the level, which is what a cold V/F
-//! switch pays, only packs the kept weight values under the kept layout.
+//! is built — and keeps, for good and across evictions, everything a pack
+//! needs that does not depend on the values: per weight a [`PackLayout`]
+//! holding a `u16` pattern id and a `u32` arena offset per block (6 bytes
+//! per block) and each pattern's kept positions as `u32` flat offsets for
+//! the weight's row stride, all sharing one compiled copy of the level's
+//! pattern set; and the level's achieved sparsity. Every later build of
+//! the level, which is what a cold V/F switch pays, is a pure gather: the
+//! bank first evicts the least-recently-used variant, so it never holds
+//! more than its capacity, then refills that variant's own arenas in place
+//! with the new level's kept values. Once every arena has held its largest
+//! level, a switch allocates nothing.
 
 use rt3_hardware::{MemoryModel, SwitchCost};
 use rt3_pruning::{CandidatePatternSet, PatternSpace};
-use rt3_sparse::{Backend, PatternPlan, PatternPrunedMatrix, PatternSet};
+use rt3_sparse::{Backend, CompiledSet, PackLayout, PatternPrunedMatrix, PatternSet};
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
 use std::marker::PhantomData;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One ready-to-serve sparse model variant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BankedModel {
     /// Governor level position this variant serves (0 = lowest frequency).
     pub level_pos: usize,
@@ -141,9 +149,9 @@ pub struct ModelBank<'m, M: Model> {
     /// One chosen candidate per governor level position (0 = lowest
     /// frequency).
     assignments: Vec<CandidatePatternSet>,
-    /// Per level, the block→pattern ids of every prunable weight; scored on
-    /// the level's first build and kept across evictions.
-    layouts: Vec<OnceLock<Vec<Vec<u16>>>>,
+    /// Per level, the pack tables of every prunable weight and the achieved
+    /// sparsity; built on the level's first build and kept across evictions.
+    tables: Vec<OnceLock<LevelTables>>,
     entries: Vec<Option<BankedModel>>,
     /// Level positions ordered least- to most-recently used.
     recency: Vec<usize>,
@@ -218,7 +226,7 @@ impl<'m, M: Model> ModelBank<'m, M> {
             backbone,
             prunable,
             assignments,
-            layouts: (0..levels).map(|_| OnceLock::new()).collect(),
+            tables: (0..levels).map(|_| OnceLock::new()).collect(),
             entries: (0..levels).map(|_| None).collect(),
             recency: Vec::with_capacity(levels),
             capacity,
@@ -265,55 +273,71 @@ impl<'m, M: Model> ModelBank<'m, M> {
     /// Builds the variant for a level from scratch, bypassing the cache.
     /// Deterministic: two cold rebuilds produce bit-identical weights and
     /// sparsity (the invariant the bank's caching relies on). The cost-model
-    /// calibration pass ([`crate::cost::calibrate`]) also builds its timing
-    /// probes through here, so measuring leaves the serving bank's
-    /// residency and LRU statistics untouched.
+    /// calibration pass ([`crate::cost::calibrate`]) also builds its
+    /// per-level timing probes through here, so measuring leaves the
+    /// serving bank's residency and LRU statistics untouched.
     ///
     /// The level's first build scores every block of the backbone-masked
-    /// weights against its pattern set and keeps the resulting layout; every
-    /// build — the first included — then packs each prunable weight straight
-    /// from the model weight and its backbone mask under that layout
-    /// ([`PatternPrunedMatrix::pack`]). A cold V/F switch to a level built
-    /// before therefore pays the pack alone. The achieved sparsity comes
-    /// from the pack's kept counts and equals the `overall_sparsity` of
+    /// weights against its pattern set and keeps the resulting pack tables;
+    /// every build — the first included — then gathers each prunable
+    /// weight straight from the model weight and its backbone mask under
+    /// those tables ([`PatternPrunedMatrix::pack_into`]), the same gather a
+    /// cold switch in [`Self::get`] runs into an evicted variant's arenas.
+    /// The achieved sparsity equals the `overall_sparsity` of
     /// `rt3_pruning::combined_masks_for_model`'s masks bit for bit.
     pub fn rebuild_cold(&self, level_pos: usize) -> BankedModel {
+        let mut variant = BankedModel::default();
+        self.refill(level_pos, &mut variant);
+        variant
+    }
+
+    /// Overwrites `variant` with the level's weights, reusing its arenas.
+    /// A non-empty `variant` must come from this bank: every variant lists
+    /// the same weights in the same order, so names stay as they are.
+    fn refill(&self, level_pos: usize, variant: &mut BankedModel) {
         let candidate = &self.assignments[level_pos];
-        let set = &candidate.set;
-        let layout = self.layouts[level_pos].get_or_init(|| self.score(set));
-        let mut kept = self.unpatterned_kept;
-        let weights = self
-            .prunable
-            .iter()
-            .zip(layout)
-            .map(|((name, weight), blocks)| {
-                let (packed, k) =
-                    PatternPrunedMatrix::pack(weight, self.backbone.get(name), set, blocks);
-                kept += k;
-                (name.clone(), packed)
-            })
-            .collect();
-        BankedModel {
-            level_pos,
-            target_sparsity: candidate.sparsity,
-            sparsity: self.sparsity_of(kept),
-            weights,
+        let tables = self.tables[level_pos].get_or_init(|| self.lower(&candidate.set));
+        variant.level_pos = level_pos;
+        variant.target_sparsity = candidate.sparsity;
+        variant.sparsity = tables.sparsity;
+        for (k, ((name, weight), layout)) in self.prunable.iter().zip(&tables.layouts).enumerate() {
+            let mask = self.backbone.get(name);
+            match variant.weights.get_mut(k) {
+                Some((_, packed)) => packed.pack_into(layout, weight, mask),
+                None => variant.weights.push((
+                    name.clone(),
+                    PatternPrunedMatrix::pack(layout, weight, mask),
+                )),
+            }
         }
     }
 
-    /// The block→pattern layout of every prunable weight under `set`,
-    /// scored on the backbone-masked weight exactly as the offline search
-    /// evaluated it.
-    fn score(&self, set: &PatternSet) -> Vec<Vec<u16>> {
-        self.prunable
+    /// Scores every prunable weight under `set`, on the backbone-masked
+    /// weight exactly as the offline search evaluated it, and derives the
+    /// level's pack tables and sparsity.
+    fn lower(&self, set: &PatternSet) -> LevelTables {
+        let set = Arc::new(CompiledSet::new(set));
+        let backend = Backend::detect();
+        let mut kept = self.unpatterned_kept;
+        let layouts = self
+            .prunable
             .iter()
-            .map(|(name, weight)| match self.backbone.get(name) {
-                Some(mask) => {
-                    PatternPlan::assign(&weight.zip(mask, |w, m| w * m), set, Backend::detect())
-                }
-                None => PatternPlan::assign(weight, set, Backend::detect()),
+            .map(|(name, weight)| {
+                let mask = self.backbone.get(name);
+                let layout = match mask {
+                    Some(mask) => {
+                        PackLayout::assign(&weight.zip(mask, |w, m| w * m), &set, backend)
+                    }
+                    None => PackLayout::assign(weight, &set, backend),
+                };
+                kept += layout.kept(mask);
+                Arc::new(layout)
             })
-            .collect()
+            .collect();
+        LevelTables {
+            layouts,
+            sparsity: self.sparsity_of(kept),
+        }
     }
 
     /// Overall sparsity of the combined masks with `kept` non-zeros, in the
@@ -325,8 +349,10 @@ impl<'m, M: Model> ModelBank<'m, M> {
         (self.covered_elements - kept) as f64 / self.covered_elements as f64
     }
 
-    /// The variant for `level_pos`, building it on a cache miss and evicting
-    /// the least-recently-used variant when over capacity.
+    /// The variant for `level_pos`. On a cache miss a full bank first
+    /// evicts its least-recently-used variant, then refills that variant's
+    /// buffers with the level's values, so at most `capacity` variants are
+    /// ever resident.
     pub fn get(&mut self, level_pos: usize) -> &BankedModel {
         assert!(
             level_pos < self.entries.len(),
@@ -335,14 +361,35 @@ impl<'m, M: Model> ModelBank<'m, M> {
         if self.entries[level_pos].is_some() {
             self.stats.hits += 1;
         } else {
-            self.entries[level_pos] = Some(self.rebuild_cold(level_pos));
+            let mut variant = self.evict_lru().unwrap_or_default();
+            self.refill(level_pos, &mut variant);
+            self.entries[level_pos] = Some(variant);
             self.stats.builds += 1;
         }
-        self.touch(level_pos);
-        self.evict_over_capacity(level_pos);
+        self.recency.retain(|&p| p != level_pos);
+        self.recency.push(level_pos);
         self.entries[level_pos]
             .as_ref()
             .expect("entry just ensured")
+    }
+
+    /// An empty bank of `capacity` over the same levels that shares this
+    /// bank's kept pack tables, so none of its builds scores a block.
+    pub(crate) fn spare(&self, capacity: usize) -> Self {
+        assert!(capacity > 0, "bank capacity must be positive");
+        let levels = self.levels();
+        Self {
+            model: PhantomData,
+            backbone: self.backbone.clone(),
+            prunable: self.prunable.clone(),
+            assignments: self.assignments.clone(),
+            tables: self.tables.clone(),
+            entries: (0..levels).map(|_| None).collect(),
+            recency: Vec::with_capacity(levels),
+            capacity,
+            stats: BankStats::default(),
+            ..*self
+        }
     }
 
     /// Whether the variant for `level_pos` is currently materialised.
@@ -350,28 +397,24 @@ impl<'m, M: Model> ModelBank<'m, M> {
         self.entries[level_pos].is_some()
     }
 
-    fn touch(&mut self, level_pos: usize) {
-        self.recency.retain(|&p| p != level_pos);
-        self.recency.push(level_pos);
-    }
-
-    fn evict_over_capacity(&mut self, keep: usize) {
-        while self.recency.len() > self.capacity {
-            let victim = self.recency[0];
-            if victim == keep {
-                // capacity of 1 with the active entry first: nothing else to
-                // evict without dropping the entry we are about to return
-                if self.recency.len() == 1 {
-                    break;
-                }
-                self.recency.swap(0, 1);
-                continue;
-            }
-            self.recency.remove(0);
-            self.entries[victim] = None;
-            self.stats.evictions += 1;
+    /// Removes the least-recently-used variant if the bank is full.
+    fn evict_lru(&mut self) -> Option<BankedModel> {
+        if self.recency.len() < self.capacity {
+            return None;
         }
+        let victim = self.recency.remove(0);
+        self.stats.evictions += 1;
+        self.entries[victim].take()
     }
+}
+
+/// What every build of one level reuses (see the module docs).
+#[derive(Debug, Clone)]
+struct LevelTables {
+    /// One pack layout per prunable weight, in model parameter order.
+    layouts: Vec<Arc<PackLayout>>,
+    /// Achieved overall sparsity of the combined backbone ∧ pattern masks.
+    sparsity: f64,
 }
 
 #[cfg(test)]
@@ -454,11 +497,14 @@ mod tests {
         assert!(!bank.is_resident(1));
     }
 
-    /// The oracle for the kept layouts: every level, on its first build
-    /// and again after eviction (packed from the kept layout alone), equals
-    /// a from-scratch lowering of the backbone-masked weights, and its
-    /// sparsity equals the combined masks' bit for bit. Pattern size 3
-    /// leaves partial edge blocks on the 16- and 32-wide weights.
+    /// The oracle for the kept tables and the buffer reuse: a capacity-1
+    /// bank is switched across every ordered level pair, so each level is
+    /// built first from scratch and then refilled into every other level's
+    /// evicted buffers, and each must equal a from-scratch lowering of the
+    /// backbone-masked weights, with sparsity equal to the combined masks'
+    /// bit for bit. The walk includes a step from a larger to a smaller
+    /// arena, where stale tail values would show. Pattern size 3 leaves
+    /// partial edge blocks on the 16- and 32-wide weights.
     #[test]
     fn banked_levels_match_a_from_scratch_lowering() {
         for pattern_size in [4, 3] {
@@ -472,31 +518,52 @@ mod tests {
                 MemoryModel::odroid_xu3(),
                 1,
             );
-            for _round in 0..2 {
-                for level in 0..bank.levels() {
-                    let set = bank.pattern_set(level).clone();
-                    let expected: Vec<(String, PatternPrunedMatrix)> = model
+            let expected: Vec<(Vec<(String, PatternPrunedMatrix)>, f64)> = (0..bank.levels())
+                .map(|level| {
+                    let set = bank.pattern_set(level);
+                    let weights = model
                         .parameters()
                         .into_iter()
                         .filter(|(name, _)| prunable.contains(name))
                         .map(|(name, w)| {
                             let mask = backbone.get(&name).expect("backbone masks every weight");
                             let effective = w.zip(mask, |a, b| a * b);
-                            let lowered = PatternPrunedMatrix::from_dense(&effective, &set);
+                            let lowered = PatternPrunedMatrix::from_dense(&effective, set);
                             (name, lowered)
                         })
                         .collect();
-                    let sparsity = combined_masks_for_model(&model, &backbone, &prunable, &set)
+                    let sparsity = combined_masks_for_model(&model, &backbone, &prunable, set)
                         .overall_sparsity();
-                    let banked = bank.get(level);
-                    assert!(
-                        banked.weights == expected,
-                        "psize {pattern_size} level {level}: weights differ"
-                    );
-                    assert_eq!(banked.sparsity.to_bits(), sparsity.to_bits());
+                    (weights, sparsity)
+                })
+                .collect();
+            let stored = |level: usize| -> usize {
+                expected[level]
+                    .0
+                    .iter()
+                    .map(|(_, w)| w.stored_values())
+                    .sum()
+            };
+            let mut shrinks = false;
+            let mut accesses = 0;
+            for from in 0..bank.levels() {
+                for to in (0..bank.levels()).filter(|&to| to != from) {
+                    shrinks |= stored(from) > stored(to);
+                    for level in [from, to] {
+                        let banked = bank.get(level);
+                        accesses += 1;
+                        assert!(
+                            banked.weights == expected[level].0,
+                            "psize {pattern_size} {from} -> {to}: level {level} weights differ"
+                        );
+                        assert_eq!(banked.sparsity.to_bits(), expected[level].1.to_bits());
+                    }
                 }
             }
-            assert_eq!(bank.stats().builds, 6);
+            assert!(shrinks, "the walk must shrink an arena");
+            let stats = bank.stats();
+            assert_eq!(stats.hits + stats.builds, accesses);
+            assert_eq!(stats.evictions, stats.builds - 1);
         }
     }
 

@@ -192,15 +192,15 @@ pub struct LevelCalibration {
     pub curve: AmortisationCurve,
 }
 
-/// Measured cost of one V/F switch: with the `from` variant resident, the
-/// wall-clock cost of materialising the `to` variant
-/// ([`ModelBank::rebuild_cold`]) — packing every prunable weight's kept
-/// values under the level's kept block layout — which is exactly what a
+/// Measured cost of one V/F switch: in a capacity-1 bank holding the warm
+/// `from` variant, the wall-clock cost of [`ModelBank::get`] on `to` —
+/// evicting `from` and refilling its buffers with every prunable weight's
+/// kept values under `to`'s kept pack tables — which is exactly what a
 /// governor transition to a non-resident level pays before it can serve.
 /// The one-off block scoring of a level's first build is not part of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchCalibration {
-    /// Source governor level position (resident while the switch is timed).
+    /// Source governor level position (resident until the switch evicts it).
     pub from_level: usize,
     /// Destination governor level position (the one being built).
     pub to_level: usize,
@@ -382,31 +382,31 @@ pub fn calibrate<M: Model>(
     )
 }
 
-/// Times every ordered V/F level pair: the `from` variant is built and
-/// warmed (one batch-of-one inference) so the machine state resembles
-/// steady serving at that level, then the cold rebuild of each `to` variant
-/// is timed best-of-samples. [`calibrate`] has built every level once
-/// before this runs, so each sample is a pack under the level's kept
-/// layout with no block scoring — the switch a serving bank pays. Faster
-/// packing shows up directly in these numbers, which is why the pass
-/// re-measures them instead of reusing the analytic
-/// [`ModelBank::switch_cost`].
+/// Times every ordered V/F level pair on a throwaway capacity-1 bank that
+/// shares `bank`'s kept tables: each sample makes the `from` variant
+/// resident and warm (one batch-of-one inference) so the machine state
+/// resembles steady serving at that level, then times the `get` of `to`,
+/// best-of-samples. [`calibrate`] has built every level once before this
+/// runs, so each sample is the evict-and-refill gather a serving bank pays
+/// on a cold switch, with no block scoring. Faster switching shows up
+/// directly in these numbers, which is why the pass re-measures them
+/// instead of reusing the analytic [`ModelBank::switch_cost`].
 fn calibrate_switches<M: Model>(
     bank: &ModelBank<'_, M>,
     options: &CalibrationOptions,
 ) -> Vec<SwitchCalibration> {
+    let mut spare = bank.spare(1);
     let mut switches = Vec::with_capacity(bank.levels().saturating_sub(1) * bank.levels());
     for from_level in 0..bank.levels() {
-        let resident = bank.rebuild_cold(from_level);
-        let _ = pool::run_batches(&resident, &[1], options.workers);
         for to_level in 0..bank.levels() {
             if to_level == from_level {
                 continue;
             }
             let samples: Vec<f64> = (0..options.samples)
                 .map(|_| {
+                    let _ = pool::run_batches(spare.get(from_level), &[1], options.workers);
                     let start = std::time::Instant::now();
-                    let built = bank.rebuild_cold(to_level);
+                    let built = spare.get(to_level);
                     let elapsed_ms = start.elapsed().as_secs_f64() * 1_000.0;
                     assert!(built.stored_values() > 0, "switch built an empty variant");
                     elapsed_ms

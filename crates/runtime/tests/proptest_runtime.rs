@@ -61,12 +61,12 @@ proptest! {
         }
     }
 
-    /// After any access sequence (hits, misses, evictions at any capacity),
-    /// the bank's weights are identical to a cold rebuild.
+    /// After any access sequence (hits, misses, evictions at every
+    /// capacity, capacity 1 included), the bank's weights are identical to
+    /// a cold rebuild and no more than `capacity` levels are resident.
     #[test]
     fn bank_masks_survive_any_eviction_pattern(
         accesses in proptest::collection::vec(0usize..3, 1..24),
-        capacity in 1usize..4,
     ) {
         let model = TransformerLm::new(TransformerConfig::tiny(32), 21);
         let backbone = block_prune_model(&model, &BlockPruningConfig::default());
@@ -81,31 +81,35 @@ proptest! {
                 seed: 6,
             },
         );
-        let mut bank = ModelBank::new(
-            &model,
-            backbone.clone(),
-            &space,
-            &[0, 1, 2],
-            MemoryModel::odroid_xu3(),
-            capacity,
-        );
-        let reference: Vec<_> = (0..3).map(|pos| bank.rebuild_cold(pos)).collect();
-        for &pos in &accesses {
-            let banked = bank.get(pos);
-            prop_assert!(
-                banked.weights == reference[pos].weights,
-                "banked weights must match a cold rebuild"
+        for capacity in 1..4 {
+            let mut bank = ModelBank::new(
+                &model,
+                backbone.clone(),
+                &space,
+                &[0, 1, 2],
+                MemoryModel::odroid_xu3(),
+                capacity,
             );
-            prop_assert!(banked.sparsity.to_bits() == reference[pos].sparsity.to_bits());
-            prop_assert!(
-                banked.infer(2) == reference[pos].infer(2),
-                "banked weights must match a cold rebuild bit-for-bit"
-            );
-        }
-        let stats = bank.stats();
-        prop_assert_eq!(stats.hits + stats.builds, accesses.len() as u64);
-        if capacity >= 3 {
-            prop_assert_eq!(stats.evictions, 0);
+            let reference: Vec<_> = (0..3).map(|pos| bank.rebuild_cold(pos)).collect();
+            for &pos in &accesses {
+                let banked = bank.get(pos);
+                prop_assert!(
+                    banked.weights == reference[pos].weights,
+                    "banked weights must match a cold rebuild"
+                );
+                prop_assert!(banked.sparsity.to_bits() == reference[pos].sparsity.to_bits());
+                prop_assert!(
+                    banked.infer(2) == reference[pos].infer(2),
+                    "banked weights must match a cold rebuild bit-for-bit"
+                );
+                let resident = (0..3).filter(|&p| bank.is_resident(p)).count();
+                prop_assert!(resident <= capacity);
+            }
+            let stats = bank.stats();
+            prop_assert_eq!(stats.hits + stats.builds, accesses.len() as u64);
+            if capacity >= 3 {
+                prop_assert_eq!(stats.evictions, 0);
+            }
         }
     }
 

@@ -7,11 +7,12 @@
 //! (and therefore its latency) without touching the backbone weights — that
 //! is what makes the switch lightweight enough to track DVFS.
 
-use crate::plan::PatternPlan;
+use crate::plan::{PackLayout, PatternPlan};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rt3_tensor::Matrix;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A square binary mask applied to one block of a weight matrix.
 ///
@@ -351,7 +352,6 @@ impl PatternSet {
 /// cross-checking.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PatternPrunedMatrix {
-    set: PatternSet,
     plan: PatternPlan,
 }
 
@@ -366,7 +366,6 @@ impl PatternPrunedMatrix {
     pub fn from_dense(dense: &Matrix, set: &PatternSet) -> Self {
         Self {
             plan: PatternPlan::compile(dense, set),
-            set: set.clone(),
         }
     }
 
@@ -380,34 +379,32 @@ impl PatternPrunedMatrix {
     ) -> Self {
         Self {
             plan: PatternPlan::compile_with_backend(dense, set, backend),
-            set: set.clone(),
         }
     }
 
     /// Packs `weight`, masked element-wise by `mask` if given, under a
-    /// block→pattern assignment kept from an earlier
-    /// [`PatternPlan::assign`], without scoring a block. Equals
-    /// [`Self::from_dense`] of the masked weight when `assignments` was
-    /// scored on it. The count is the non-zero count of the combined
-    /// `mask ∧ pattern` keep-mask (see [`PatternPlan::pack`]).
+    /// layout kept from an earlier [`PackLayout::assign`], without scoring
+    /// a block. Equals [`Self::from_dense`] of the masked weight when the
+    /// layout was assigned on it.
     ///
     /// # Panics
     ///
-    /// Panics if `assignments` does not hold one in-range pattern id per
-    /// block or `mask` is not shaped like `weight`.
-    pub fn pack(
-        weight: &Matrix,
-        mask: Option<&Matrix>,
-        set: &PatternSet,
-        assignments: &[u16],
-    ) -> (Self, usize) {
-        let (plan, kept) =
-            PatternPlan::pack(weight, mask, set, assignments, crate::Backend::detect());
-        let matrix = Self {
-            set: set.clone(),
-            plan,
-        };
-        (matrix, kept)
+    /// Panics if `weight` or `mask` is not shaped like the layout's weight.
+    pub fn pack(layout: &Arc<PackLayout>, weight: &Matrix, mask: Option<&Matrix>) -> Self {
+        Self {
+            plan: PatternPlan::pack(layout, weight, mask, crate::Backend::detect()),
+        }
+    }
+
+    /// [`Self::pack`] into this matrix's existing arena (see
+    /// [`PatternPlan::pack_into`]): allocation-free once the arena has held
+    /// a layout at least as large.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Self::pack`].
+    pub fn pack_into(&mut self, layout: &Arc<PackLayout>, weight: &Matrix, mask: Option<&Matrix>) {
+        self.plan.pack_into(layout, weight, mask);
     }
 
     /// Logical number of rows.
@@ -437,7 +434,7 @@ impl PatternPrunedMatrix {
 
     /// The pattern set used.
     pub fn pattern_set(&self) -> &PatternSet {
-        &self.set
+        self.plan.pattern_set()
     }
 
     /// The compiled execution plan backing every kernel of this matrix.
@@ -521,7 +518,7 @@ impl PatternPrunedMatrix {
     /// working-set state rebuilt from the bitmaps, not shipped storage
     /// (see [`PatternPlan::table_bytes`] for their footprint).
     pub fn index_bytes(&self) -> usize {
-        std::mem::size_of_val(self.assignments()) + self.set.storage_bytes()
+        std::mem::size_of_val(self.assignments()) + self.pattern_set().storage_bytes()
     }
 }
 

@@ -32,12 +32,17 @@
 //! ([`crate::reference::matmul_dense_scalar`]) — the accumulation order per
 //! output element is unchanged.
 //!
-//! Lowering itself has two halves: [`PatternPlan::assign`] scores every
-//! block against the set (the expensive part) and [`PatternPlan::pack`]
-//! gathers the kept values under that assignment. The assignment depends
-//! only on the weight and the set, so a caller that re-lowers the same
-//! weight — the runtime's model bank after an eviction — keeps it and
-//! packs alone.
+//! Lowering itself has two halves. [`PackLayout::assign`] scores every
+//! block against the set (the expensive part) and keeps everything a pack
+//! needs that does not depend on the values: the block→pattern ids, the
+//! block offsets, and each pattern's kept positions as flat offsets for
+//! the weight's row stride. [`PatternPlan::pack_into`] — the one value
+//! gather, which `compile` and [`PatternPlan::pack`] also run — then
+//! writes the kept values into a plan's existing arena. A plan is an
+//! `Arc`-shared layout plus its own arena, and every layout of one pattern
+//! set shares a single [`CompiledSet`], so a caller that re-lowers the same
+//! weight — the runtime's model bank after an eviction — keeps the layout
+//! and only gathers, into buffers it already owns.
 //!
 //! On top of the compiled layout the plan carries three execution-time
 //! strategies (PR 10):
@@ -65,6 +70,7 @@ use crate::simd::{self, Backend};
 use rt3_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Number of f32 lanes the inner multiply-add is chunked by; wide enough
 /// for one 256-bit vector, small enough that narrow rhs widths still use
@@ -122,7 +128,7 @@ impl CompiledPattern {
 /// index of the pattern preserving the largest l2 norm over one `h x w`
 /// block of row-major `data` (row `r` lives at `base + r * stride`).
 /// Accumulation is row-major over kept positions and ties keep the lowest
-/// index; both [`PatternPlan::assign`] and
+/// index; both [`PackLayout::assign`] and
 /// [`PatternSet::best_pattern_for`] call this, so their assignments cannot
 /// drift apart.
 ///
@@ -179,25 +185,205 @@ pub(crate) fn compile_set(set: &PatternSet) -> Vec<CompiledPattern> {
         .collect()
 }
 
-/// A pattern-pruned matrix lowered to its executable form: flat value
-/// arena, per-block `u32` offsets, shared per-pattern offset tables and a
-/// full/edge block split. See the module docs for the layout rationale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PatternPlan {
+/// A pattern set together with its compiled offset tables, one
+/// [`CompiledPattern`] per pattern in set order. Built once per set and
+/// shared behind an `Arc` by every [`PackLayout`] lowered against it, so
+/// the weights of one model variant carry a single copy of the set.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+pub struct CompiledSet {
+    set: PatternSet,
+    patterns: Vec<CompiledPattern>,
+}
+
+impl CompiledSet {
+    /// Compiles every pattern of `set`.
+    pub fn new(set: &PatternSet) -> Self {
+        Self {
+            set: set.clone(),
+            patterns: compile_set(set),
+        }
+    }
+}
+
+/// Everything packing one weight needs that does not depend on its values:
+/// the block→pattern assignment, the arena offset of every block, and each
+/// pattern's kept positions as flat offsets for the weight's row stride.
+/// [`PackLayout::assign`] builds it (the scoring half of lowering); after
+/// that, [`PatternPlan::pack_into`] only gathers values.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+pub struct PackLayout {
+    set: Arc<CompiledSet>,
     rows: usize,
     cols: usize,
     psize: usize,
     grid: (usize, usize),
     /// Pattern id per block, row-major over the block grid.
     assignments: Vec<u16>,
+    /// Prefix sums into the arena, one entry per block plus a terminator.
+    block_offsets: Vec<u32>,
+    /// Per pattern, the flat offset of every kept position from its
+    /// block's origin for row stride `cols`, in row-major kept order.
+    flat: Vec<Vec<u32>>,
+}
+
+impl PackLayout {
+    /// The scoring half of lowering: gives each `psize x psize` block of
+    /// `dense` the pattern preserving the largest l2 norm (the same
+    /// `best_pattern_for_block` implementation
+    /// [`PatternSet::best_pattern_for`] calls) and lays out the arena for
+    /// that assignment. The layout depends only on `dense` and the set, so
+    /// a caller that packs the same weight again — a model bank
+    /// re-materialising an evicted level — keeps it and gathers alone.
+    /// `backend` (clamped like [`PatternPlan::compile_with_backend`]) only
+    /// speeds up the squares; the assignment is bit-stable across
+    /// backends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set has more than `u16::MAX` patterns or the kept
+    /// values do not fit a `u32` arena offset.
+    pub fn assign(dense: &Matrix, set: &Arc<CompiledSet>, backend: Backend) -> Self {
+        let backend = backend.validated();
+        let compiled = &set.patterns;
+        assert!(
+            compiled.len() <= u16::MAX as usize,
+            "pattern set too large for u16 assignment indices"
+        );
+        let psize = set.set.size();
+        let (rows, cols) = dense.shape();
+        let grid = (rows.div_ceil(psize), cols.div_ceil(psize));
+        let data = dense.as_slice();
+        let mut assignments = Vec::with_capacity(grid.0 * grid.1);
+        let mut block_offsets = Vec::with_capacity(grid.0 * grid.1 + 1);
+        block_offsets.push(0u32);
+        let mut stored = 0usize;
+        let mut squares = Vec::with_capacity(psize * psize);
+        for base_r in (0..rows).step_by(psize) {
+            let h = psize.min(rows - base_r);
+            for base_c in (0..cols).step_by(psize) {
+                let w = psize.min(cols - base_c);
+                let best = best_pattern_for_block(
+                    compiled,
+                    data,
+                    cols,
+                    base_r * cols + base_c,
+                    h,
+                    w,
+                    backend,
+                    &mut squares,
+                );
+                assignments.push(best as u16);
+                stored += compiled[best].ones();
+                block_offsets.push(u32::try_from(stored).expect("arena exceeds u32 offsets"));
+            }
+        }
+        let flat = compiled
+            .iter()
+            .map(|cp| {
+                (0..psize)
+                    .flat_map(|r| {
+                        let (s, e) = cp.row_range(r);
+                        cp.cols[s..e].iter().map(move |&c| {
+                            u32::try_from(r * cols + c as usize)
+                                .expect("row stride exceeds u32 flat offsets")
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        Self {
+            set: Arc::clone(set),
+            rows,
+            cols,
+            psize,
+            grid,
+            assignments,
+            block_offsets,
+            flat,
+        }
+    }
+
+    /// Values a plan under this layout stores, edge-block padding included.
+    pub fn stored_values(&self) -> usize {
+        *self
+            .block_offsets
+            .last()
+            .expect("offsets carry a terminator") as usize
+    }
+
+    /// Number of kept in-shape positions whose `mask` value is non-zero
+    /// (every kept in-shape position without a mask): the non-zero count
+    /// of the combined `mask ∧ pattern` keep-mask. Gathers the mask the way
+    /// a pack gathers values, so it pays one arena-sized allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` is not shaped like the layout's weight.
+    pub fn kept(&self, mask: Option<&Matrix>) -> usize {
+        let mut keeps = vec![0.0; self.stored_values()];
+        match mask {
+            None => self.gather(&mut keeps, |_| 1.0),
+            Some(mask) => {
+                assert_eq!(mask.shape(), (self.rows, self.cols), "mask shape mismatch");
+                let mask = mask.as_slice();
+                self.gather(&mut keeps, |i| mask[i]);
+            }
+        }
+        keeps.iter().filter(|&&k| k != 0.0).count()
+    }
+
+    /// Writes every block's kept values into `arena` (block-major, each
+    /// block in its pattern's row-major kept order), reading the value at
+    /// flat weight index `i` as `value(i)`. Positions outside the logical
+    /// matrix store 0.0, so every block assigned to a pattern has the same
+    /// arena stride. Full blocks gather through the flat offsets; only edge
+    /// blocks take the clamped path.
+    fn gather(&self, arena: &mut [f32], value: impl Fn(usize) -> f32) {
+        let mut bi = 0;
+        for base_r in (0..self.rows).step_by(self.psize) {
+            let h = self.psize.min(self.rows - base_r);
+            for base_c in (0..self.cols).step_by(self.psize) {
+                let w = self.psize.min(self.cols - base_c);
+                let a = self.assignments[bi] as usize;
+                let dst = &mut arena
+                    [self.block_offsets[bi] as usize..self.block_offsets[bi + 1] as usize];
+                let base = base_r * self.cols + base_c;
+                if h == self.psize && w == self.psize {
+                    for (d, &o) in dst.iter_mut().zip(&self.flat[a]) {
+                        *d = value(base + o as usize);
+                    }
+                } else {
+                    let cp = &self.set.patterns[a];
+                    for r in 0..self.psize {
+                        let (s, e) = cp.row_range(r);
+                        for (d, &c) in dst[s..e].iter_mut().zip(&cp.cols[s..e]) {
+                            let c = c as usize;
+                            *d = if r < h && c < w {
+                                value(base + r * self.cols + c)
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                }
+                bi += 1;
+            }
+        }
+    }
+}
+
+/// A pattern-pruned matrix lowered to its executable form: flat value
+/// arena, per-block `u32` offsets, shared per-pattern offset tables and a
+/// full/edge block split. See the module docs for the layout rationale.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PatternPlan {
+    /// The value-independent half of the plan (assignment, block offsets,
+    /// compiled tables), shared with every plan packed under it.
+    layout: Arc<PackLayout>,
     /// All kept values, block-major; block `bi` owns
     /// `arena[block_offsets[bi]..block_offsets[bi + 1]]` in its pattern's
     /// row-major kept order.
     arena: Vec<f32>,
-    /// Prefix sums into `arena`, one entry per block plus a terminator.
-    block_offsets: Vec<u32>,
-    /// One compiled table per pattern in the set, in set order.
-    compiled: Vec<CompiledPattern>,
     /// Kernel backend the plan executes with. Process state, not model
     /// data: it is skipped on serialization and re-detected for the host
     /// CPU on deserialization ([`Backend::default`]).
@@ -206,7 +392,7 @@ pub struct PatternPlan {
 }
 
 impl PatternPlan {
-    /// Lowers `dense` against `set`: [`PatternPlan::assign`] gives every
+    /// Lowers `dense` against `set`: [`PackLayout::assign`] gives every
     /// `psize x psize` block the pattern preserving the largest l2 norm,
     /// then [`PatternPlan::pack`] packs the kept values into the arena.
     ///
@@ -223,175 +409,67 @@ impl PatternPlan {
     /// ([`Backend::validated`]); forcing [`Backend::Scalar`] is how the
     /// proptest suite obtains the bit-exactness reference on SIMD hosts.
     pub fn compile_with_backend(dense: &Matrix, set: &PatternSet, backend: Backend) -> Self {
-        let assignments = Self::assign(dense, set, backend);
-        Self::pack(dense, None, set, &assignments, backend).0
+        let set = Arc::new(CompiledSet::new(set));
+        let layout = Arc::new(PackLayout::assign(dense, &set, backend));
+        Self::pack(&layout, dense, None, backend)
     }
 
-    /// The scoring half of lowering: the id of the pattern preserving the
-    /// largest l2 norm of each `psize x psize` block of `dense`, row-major
-    /// over the block grid (the same `best_pattern_for_block`
-    /// implementation [`PatternSet::best_pattern_for`] calls). The result
-    /// depends only on `dense` and `set`, so a caller that lowers the same
-    /// weight again — a model bank re-materialising an evicted level — can
-    /// keep it and call [`PatternPlan::pack`] alone. `backend` (clamped
-    /// like [`PatternPlan::compile_with_backend`]) only speeds up the
-    /// squares; the assignment is bit-stable across backends.
+    /// A fresh plan under `layout` holding the values of `weight`, masked
+    /// by `mask` if given (see [`PatternPlan::pack_into`]).
     ///
     /// # Panics
     ///
-    /// Panics if the set has more than `u16::MAX` patterns.
-    pub fn assign(dense: &Matrix, set: &PatternSet, backend: Backend) -> Vec<u16> {
-        let backend = backend.validated();
-        assert!(
-            set.len() <= u16::MAX as usize,
-            "pattern set too large for u16 assignment indices"
-        );
-        let psize = set.size();
-        let (rows, cols) = dense.shape();
-        let compiled = compile_set(set);
-        let data = dense.as_slice();
-        let mut assignments = Vec::with_capacity(rows.div_ceil(psize) * cols.div_ceil(psize));
-        let mut squares = Vec::with_capacity(psize * psize);
-        for base_r in (0..rows).step_by(psize) {
-            let h = psize.min(rows - base_r);
-            for base_c in (0..cols).step_by(psize) {
-                let w = psize.min(cols - base_c);
-                let best = best_pattern_for_block(
-                    &compiled,
-                    data,
-                    cols,
-                    base_r * cols + base_c,
-                    h,
-                    w,
-                    backend,
-                    &mut squares,
-                );
-                assignments.push(best as u16);
-            }
-        }
-        assignments
-    }
-
-    /// The packing half of lowering: gathers the kept values of `weight`
-    /// under a block→pattern `assignments` table (as produced by
-    /// [`PatternPlan::assign`]) into the plan's arena, in each pattern's
-    /// row-major kept order. With a `mask` every gathered value is
-    /// `weight * mask` — the same single f32 multiply as masking the weight
-    /// up front with `Matrix::zip`, so the arena is bit-identical to
-    /// packing the masked weight. Positions outside the logical matrix
-    /// store 0.0, so every block assigned to a pattern has the same arena
-    /// stride.
-    ///
-    /// Also returns the number of kept in-shape positions whose mask value
-    /// is non-zero (every kept in-shape position without a mask): the
-    /// non-zero count of the combined `mask ∧ pattern` keep-mask.
-    ///
-    /// Full blocks gather through per-pattern flat offsets precomputed for
-    /// the weight's row stride; only edge blocks take the clamped path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignments` does not hold one in-range pattern id per
-    /// block, `mask` is not shaped like `weight`, or the kept values do
-    /// not fit a `u32` arena offset.
+    /// Same as [`PatternPlan::pack_into`].
     pub fn pack(
+        layout: &Arc<PackLayout>,
         weight: &Matrix,
         mask: Option<&Matrix>,
-        set: &PatternSet,
-        assignments: &[u16],
         backend: Backend,
-    ) -> (Self, usize) {
-        let psize = set.size();
-        let (rows, cols) = weight.shape();
-        let grid = (rows.div_ceil(psize), cols.div_ceil(psize));
-        assert_eq!(
-            assignments.len(),
-            grid.0 * grid.1,
-            "one pattern id per block is required"
-        );
-        if let Some(mask) = mask {
-            assert_eq!(mask.shape(), weight.shape(), "mask shape mismatch");
-        }
-        let compiled = compile_set(set);
-        let ones: Vec<usize> = compiled.iter().map(CompiledPattern::ones).collect();
-        let stored: usize = assignments
-            .iter()
-            .map(|&a| *ones.get(a as usize).expect("pattern id outside the set"))
-            .sum();
-        u32::try_from(stored).expect("arena exceeds u32 offsets");
-        // flat offset of every kept position from its block's origin, for
-        // this weight's row stride
-        let flat: Vec<Vec<usize>> = compiled
-            .iter()
-            .map(|cp| {
-                (0..psize)
-                    .flat_map(|r| {
-                        let (s, e) = cp.row_range(r);
-                        cp.cols[s..e].iter().map(move |&c| r * cols + c as usize)
-                    })
-                    .collect()
-            })
-            .collect();
-        let data = weight.as_slice();
-        let mask = mask.map(Matrix::as_slice);
-        // the packed value at flat index `i`, and whether the mask keeps it
-        let gather = |i: usize| match mask {
-            None => (data[i], true),
-            Some(m) => (data[i] * m[i], m[i] != 0.0),
-        };
-        let mut kept = 0usize;
-        let mut arena: Vec<f32> = Vec::with_capacity(stored);
-        let mut block_offsets = Vec::with_capacity(assignments.len() + 1);
-        block_offsets.push(0u32);
-        let mut blocks = assignments.iter();
-        for base_r in (0..rows).step_by(psize) {
-            let h = psize.min(rows - base_r);
-            for base_c in (0..cols).step_by(psize) {
-                let w = psize.min(cols - base_c);
-                let a = *blocks.next().expect("one pattern id per block") as usize;
-                let base = base_r * cols + base_c;
-                if h == psize && w == psize {
-                    arena.extend(flat[a].iter().map(|&o| {
-                        let (v, keep) = gather(base + o);
-                        kept += usize::from(keep);
-                        v
-                    }));
-                } else {
-                    let cp = &compiled[a];
-                    for r in 0..psize {
-                        let (s, e) = cp.row_range(r);
-                        arena.extend(cp.cols[s..e].iter().map(|&c| {
-                            let c = c as usize;
-                            if r >= h || c >= w {
-                                return 0.0;
-                            }
-                            let (v, keep) = gather(base + r * cols + c);
-                            kept += usize::from(keep);
-                            v
-                        }));
-                    }
-                }
-                // `stored` fits a u32, so every prefix does
-                block_offsets.push(arena.len() as u32);
-            }
-        }
-        let plan = Self {
-            rows,
-            cols,
-            psize,
-            grid,
-            assignments: assignments.to_vec(),
-            arena,
-            block_offsets,
-            compiled,
+    ) -> Self {
+        let mut plan = Self {
+            layout: Arc::clone(layout),
+            arena: Vec::new(),
             backend: backend.validated(),
         };
-        (plan, kept)
+        plan.pack_into(layout, weight, mask);
+        plan
+    }
+
+    /// The packing half of lowering, and the only value gather: re-targets
+    /// this plan to `layout` and overwrites its arena, in place, with the
+    /// kept values of `weight`. With a `mask` every gathered value is
+    /// `weight * mask` — the same single f32 multiply as masking the weight
+    /// up front with `Matrix::zip`, so the arena is bit-identical to
+    /// packing the masked weight. The arena allocates only when it must
+    /// grow past its capacity, so re-packing a plan that once held a
+    /// layout at least as large is allocation-free; every slot of the new
+    /// layout is written, so nothing of the previous values survives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight` or `mask` is not shaped like the layout's weight.
+    pub fn pack_into(&mut self, layout: &Arc<PackLayout>, weight: &Matrix, mask: Option<&Matrix>) {
+        assert_eq!(
+            weight.shape(),
+            (layout.rows, layout.cols),
+            "weight shape mismatch"
+        );
+        self.arena.resize(layout.stored_values(), 0.0);
+        let data = weight.as_slice();
+        match mask {
+            None => layout.gather(&mut self.arena, |i| data[i]),
+            Some(mask) => {
+                assert_eq!(mask.shape(), weight.shape(), "mask shape mismatch");
+                let mask = mask.as_slice();
+                layout.gather(&mut self.arena, |i| data[i] * mask[i]);
+            }
+        }
+        self.layout = Arc::clone(layout);
     }
 
     /// Logical shape `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        (self.layout.rows, self.layout.cols)
     }
 
     /// Kernel backend this plan executes with.
@@ -407,19 +485,24 @@ impl PatternPlan {
         self
     }
 
+    /// The pattern set the plan was lowered against.
+    pub fn pattern_set(&self) -> &PatternSet {
+        &self.layout.set.set
+    }
+
     /// Pattern side length.
     pub fn pattern_size(&self) -> usize {
-        self.psize
+        self.layout.psize
     }
 
     /// `(block rows, block cols)` of the block grid.
     pub fn block_grid(&self) -> (usize, usize) {
-        self.grid
+        self.layout.grid
     }
 
     /// Pattern id per block, row-major over the block grid.
     pub fn assignments(&self) -> &[u16] {
-        &self.assignments
+        &self.layout.assignments
     }
 
     /// Total values stored in the arena (including kept zeros).
@@ -429,39 +512,41 @@ impl PatternPlan {
 
     /// The compiled offset tables, one per pattern in the set.
     pub fn compiled_patterns(&self) -> &[CompiledPattern] {
-        &self.compiled
+        &self.layout.set.patterns
     }
 
     /// The packed values of block `bi`, in its pattern's row-major kept
     /// order (the arena slice the kernels execute from).
     pub fn block_values(&self, bi: usize) -> &[f32] {
-        &self.arena[self.block_offsets[bi] as usize..self.block_offsets[bi + 1] as usize]
+        let offsets = &self.layout.block_offsets;
+        &self.arena[offsets[bi] as usize..offsets[bi + 1] as usize]
     }
 
     /// Bytes of plan metadata beyond the values and the pattern bitmaps:
     /// per-block offsets plus the compiled per-pattern tables.
     pub fn table_bytes(&self) -> usize {
         let tables: usize = self
-            .compiled
+            .compiled_patterns()
             .iter()
             .map(|cp| (cp.row_ptr.len() + cp.cols.len()) * std::mem::size_of::<u32>())
             .sum();
-        self.block_offsets.len() * std::mem::size_of::<u32>() + tables
+        self.layout.block_offsets.len() * std::mem::size_of::<u32>() + tables
     }
 
     /// Calls `f(row, col, value)` for every kept position inside the
     /// logical matrix bounds, block-major then row-major within the block —
     /// the single traversal backing both `to_dense` and `mask`.
     pub fn for_each_kept<F: FnMut(usize, usize, f32)>(&self, mut f: F) {
-        let (grid_rows, grid_cols) = self.grid;
+        let l = &*self.layout;
+        let (grid_rows, grid_cols) = l.grid;
         for br in 0..grid_rows {
-            let base_r = br * self.psize;
-            let h = self.psize.min(self.rows - base_r);
+            let base_r = br * l.psize;
+            let h = l.psize.min(l.rows - base_r);
             for bc in 0..grid_cols {
                 let bi = br * grid_cols + bc;
-                let base_c = bc * self.psize;
-                let w = self.psize.min(self.cols - base_c);
-                let cp = &self.compiled[self.assignments[bi] as usize];
+                let base_c = bc * l.psize;
+                let w = l.psize.min(l.cols - base_c);
+                let cp = &l.set.patterns[l.assignments[bi] as usize];
                 let vals = self.block_values(bi);
                 for r in 0..h {
                     let (s, e) = cp.row_range(r);
@@ -497,7 +582,7 @@ impl PatternPlan {
         if width == 0 {
             return;
         }
-        let (grid_rows, _) = self.grid;
+        let (grid_rows, _) = self.layout.grid;
         self.dispatch_width(rhs.as_slice(), out.as_mut_slice(), width, 0..grid_rows);
     }
 
@@ -524,14 +609,15 @@ impl PatternPlan {
         let splits = self.row_splits(workers);
         let rhs_data = rhs.as_slice();
         if splits.len() <= 1 {
-            let (grid_rows, _) = self.grid;
+            let (grid_rows, _) = self.layout.grid;
             self.dispatch_width(rhs_data, out.as_mut_slice(), width, 0..grid_rows);
             return;
         }
         std::thread::scope(|scope| {
             let mut rest: &mut [f32] = out.as_mut_slice();
             for brs in splits {
-                let range_rows = (brs.end * self.psize).min(self.rows) - brs.start * self.psize;
+                let psize = self.layout.psize;
+                let range_rows = (brs.end * psize).min(self.layout.rows) - brs.start * psize;
                 let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(range_rows * width);
                 rest = tail;
                 scope.spawn(move || self.dispatch_width(rhs_data, chunk, width, brs));
@@ -545,7 +631,7 @@ impl PatternPlan {
     /// the `block_offsets` prefix sums. Concatenated in order the ranges
     /// cover `0..grid_rows` exactly.
     pub fn row_splits(&self, parts: usize) -> Vec<Range<usize>> {
-        let (grid_rows, grid_cols) = self.grid;
+        let (grid_rows, grid_cols) = self.layout.grid;
         if grid_rows == 0 || parts <= 1 {
             return std::iter::once(0..grid_rows).collect();
         }
@@ -561,7 +647,9 @@ impl PatternPlan {
                 // strictly before it
                 let target = total * p as u64 / parts as u64;
                 let mut end = start;
-                while end < grid_rows && u64::from(self.block_offsets[end * grid_cols]) < target {
+                while end < grid_rows
+                    && u64::from(self.layout.block_offsets[end * grid_cols]) < target
+                {
                     end += 1;
                 }
                 end
@@ -575,10 +663,10 @@ impl PatternPlan {
     }
 
     fn check_matmul_shapes(&self, rhs: &Matrix, out: &Matrix) {
-        assert_eq!(self.cols, rhs.rows(), "matmul shape mismatch");
+        assert_eq!(self.layout.cols, rhs.rows(), "matmul shape mismatch");
         assert_eq!(
             out.shape(),
-            (self.rows, rhs.cols()),
+            (self.layout.rows, rhs.cols()),
             "matmul output shape mismatch"
         );
     }
@@ -611,12 +699,12 @@ impl PatternPlan {
         width: usize,
         brs: Range<usize>,
     ) {
-        let row_base = brs.start * self.psize;
+        let row_base = brs.start * self.layout.psize;
         if W == 64 && std::mem::size_of_val(rhs) > L1_BYTES {
             self.execute_tiled::<W>(rhs, out, width, brs, row_base);
             return;
         }
-        let (_, grid_cols) = self.grid;
+        let (_, grid_cols) = self.layout.grid;
         for br in brs {
             for bc in 0..grid_cols {
                 self.process_block::<W>(br, bc, rhs, out, width, row_base);
@@ -640,8 +728,8 @@ impl PatternPlan {
         brs: Range<usize>,
         row_base: usize,
     ) {
-        let (_, grid_cols) = self.grid;
-        let tile = (L1_BYTES / 2 / (self.psize * width * std::mem::size_of::<f32>())).max(1);
+        let (_, grid_cols) = self.layout.grid;
+        let tile = (L1_BYTES / 2 / (self.layout.psize * width * std::mem::size_of::<f32>())).max(1);
         let mut t = brs.start;
         while t < brs.end {
             let t_end = brs.end.min(t + tile);
@@ -666,14 +754,14 @@ impl PatternPlan {
         width: usize,
         row_base: usize,
     ) {
-        let (_, grid_cols) = self.grid;
-        let bi = br * grid_cols + bc;
-        let base_r = br * self.psize;
-        let base_c = bc * self.psize;
-        let cp = &self.compiled[self.assignments[bi] as usize];
+        let l = &*self.layout;
+        let bi = br * l.grid.1 + bc;
+        let base_r = br * l.psize;
+        let base_c = bc * l.psize;
+        let cp = &l.set.patterns[l.assignments[bi] as usize];
         let vals = self.block_values(bi);
         let local_r = base_r - row_base;
-        if base_r + self.psize <= self.rows && base_c + self.psize <= self.cols {
+        if base_r + l.psize <= l.rows && base_c + l.psize <= l.cols {
             if W == 0 {
                 self.block_full_general(cp, vals, local_r, base_c, rhs, out, width);
             } else if self.backend.covers_width(W) {
@@ -684,7 +772,7 @@ impl PatternPlan {
                     &cp.row_ptr,
                     &cp.cols,
                     vals,
-                    self.psize,
+                    l.psize,
                     local_r,
                     base_c,
                     rhs,
@@ -720,7 +808,7 @@ impl PatternPlan {
         rhs: &[f32],
         out: &mut [f32],
     ) {
-        for r in 0..self.psize {
+        for r in 0..self.layout.psize {
             let (s, e) = cp.row_range(r);
             if s == e {
                 continue;
@@ -755,7 +843,7 @@ impl PatternPlan {
         out: &mut [f32],
         width: usize,
     ) {
-        for r in 0..self.psize {
+        for r in 0..self.layout.psize {
             let (s, e) = cp.row_range(r);
             if s == e {
                 continue;
@@ -786,8 +874,8 @@ impl PatternPlan {
         out: &mut [f32],
         width: usize,
     ) {
-        let h = self.psize.min(self.rows - base_r);
-        let w = self.psize.min(self.cols - base_c);
+        let h = self.layout.psize.min(self.layout.rows - base_r);
+        let w = self.layout.psize.min(self.layout.cols - base_c);
         for r in 0..h {
             let (s, e) = cp.row_range(r);
             let rr = local_r + r;

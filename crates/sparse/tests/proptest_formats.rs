@@ -4,10 +4,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rt3_sparse::{
-    Backend, BlockPartition, BlockPrunedMatrix, CooMatrix, CsrMatrix, PatternMask, PatternPlan,
-    PatternPrunedMatrix, PatternSet,
+    Backend, BlockPartition, BlockPrunedMatrix, CompiledSet, CooMatrix, CsrMatrix, PackLayout,
+    PatternMask, PatternPlan, PatternPrunedMatrix, PatternSet,
 };
 use rt3_tensor::Matrix;
+use std::sync::Arc;
 
 /// Strategy: a small matrix with controllable density of non-zeros.
 fn sparse_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -67,8 +68,10 @@ proptest! {
     /// same assignments, the same arena bits block by block (so the same
     /// block offsets) — with and without a mask, on the scalar and the
     /// detected backend, over shapes with partial edge blocks. Packing
-    /// with a mask equals lowering the masked weight, and the returned
-    /// count is the non-zero count of `mask ∧ pattern mask`.
+    /// with a mask equals lowering the masked weight, packing into a plan
+    /// whose arena held a larger layout equals a fresh pack (no stale
+    /// value survives), and the layout's kept count is the non-zero count
+    /// of `mask ∧ pattern mask`.
     #[test]
     fn assign_then_pack_matches_single_pass_lowering(
         m in sparse_matrix(19),
@@ -83,26 +86,33 @@ proptest! {
             (0..patterns).map(|_| PatternMask::random(psize, sparsity, &mut rng)).collect(),
         )
         .expect("non-empty set");
+        let compiled = Arc::new(CompiledSet::new(&set));
+        // keeps every position: the largest arena a plan of this shape holds
+        let dense_set = PatternSet::new(vec![PatternMask::new(psize, vec![true; psize * psize])])
+            .expect("non-empty set");
         let mask = Matrix::from_vec(m.rows(), m.cols(), keep_mask[..m.len()].to_vec());
         let masked = m.zip(&mask, |w, k| w * k);
         for backend in [Backend::Scalar, Backend::detect()] {
             for (dense, mask) in [(&m, None), (&masked, Some(&mask))] {
                 let (assignments, values) = single_pass_lowering(dense, &set);
-                let assigned = PatternPlan::assign(dense, &set, backend);
-                prop_assert_eq!(&assigned, &assignments);
-                let (plan, kept) = PatternPlan::pack(&m, mask, &set, &assigned, backend);
+                let layout = Arc::new(PackLayout::assign(dense, &compiled, backend));
+                let plan = PatternPlan::pack(&layout, &m, mask, backend);
                 prop_assert_eq!(plan.assignments(), &assignments[..]);
                 for (bi, expected) in values.iter().enumerate() {
                     prop_assert_eq!(bits(plan.block_values(bi)), bits(expected), "block {}", bi);
                 }
                 prop_assert_eq!(plan.stored_values(), values.iter().map(Vec::len).sum::<usize>());
+                prop_assert_eq!(layout.stored_values(), plan.stored_values());
                 prop_assert!(plan == PatternPlan::compile_with_backend(dense, &set, backend));
+                let mut reused = PatternPlan::compile_with_backend(&m, &dense_set, backend);
+                reused.pack_into(&layout, &m, mask);
+                prop_assert!(reused == plan);
                 let pattern_mask = PatternPrunedMatrix::from_dense(dense, &set).mask();
                 let combined = match mask {
                     Some(mask) => pattern_mask.zip(mask, |p, k| p * k),
                     None => pattern_mask,
                 };
-                prop_assert_eq!(kept, combined.count_nonzero());
+                prop_assert_eq!(layout.kept(mask), combined.count_nonzero());
             }
         }
     }
