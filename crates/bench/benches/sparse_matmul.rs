@@ -22,11 +22,14 @@
 //! and available parallelism, and the run **fails** (non-zero exit) if:
 //!
 //! * with AVX2 detected, the compiled kernel's **geometric-mean** speedup
-//!   over CSR across the sparsity-0.75 sweep falls below **2×**, or any
-//!   single point falls below its regime floor (1.4× at s = 0.75, 0.7× at
-//!   s = 0.90 where flat CSR structurally wins narrow-rhs points; the
-//!   portable fallback keeps the original ×1.15 no-regression bound,
-//!   now enforced per point), or
+//!   over CSR across the wide (w ≥ 8) sparsity-0.75 sweep falls below
+//!   **2×**, or any single wide point falls below its regime floor (1.4×
+//!   at s = 0.75, 0.7× at s = 0.90; the portable fallback keeps the
+//!   original ×1.15 no-regression bound, now enforced per point), or
+//! * at any point of the separate **narrow group** (w ∈ {1, 2, 4} ×
+//!   s ∈ {0.75, 0.90} × n ∈ {96, 256}, run in quick mode too) the compiled
+//!   kernel under either the detected or the scalar backend is slower
+//!   than CSR (floor 1.0×), or
 //! * `par_matmul_into` with 4 workers is not ≥ 2× the single-threaded
 //!   compiled kernel at the n = 2048, w = 64 point — enforced only when
 //!   the host actually has ≥ 4 hardware threads (the committed JSON
@@ -264,8 +267,9 @@ fn bench_kernels(c: &mut Criterion) {
     // its shared pattern structure (~half the streamed bytes per non-zero).
     // Per-point floors then catch regressions inside each measured regime
     // (see DESIGN.md, "Kernel dispatch"): at s = 0.90 the structured plan
-    // carries per-block overhead over ~6 kept values per block, and narrow
-    // rhs lets flat CSR win outright — the floor there only bounds how far.
+    // carries per-block overhead over ~6 kept values per block, so the
+    // floor there only bounds how far CSR may pull ahead. The narrow widths
+    // have their own group and gate (`bench_narrow`).
     let per_point_floor = |p: &SummaryPoint| match backend {
         Backend::Avx2 => {
             if p.sparsity <= 0.75 {
@@ -353,6 +357,82 @@ fn bench_kernels(c: &mut Criterion) {
     }
 }
 
+/// Narrow widths of the served micro-batches: every (n, s, w) point of
+/// the narrow group, in quick mode too.
+fn narrow_points() -> Vec<(usize, f64, usize)> {
+    let mut points = Vec::new();
+    for sparsity in [0.75, 0.90] {
+        for n in [96, 256] {
+            for width in [1, 2, 4] {
+                points.push((n, sparsity, width));
+            }
+        }
+    }
+    points
+}
+
+/// The narrow rhs widths (1, 2, 4) the serving engines mostly dispatch,
+/// at both sparsities, timed for the compiled kernel under the detected
+/// and the scalar backend against CSR at equal non-zeros. Kept out of the
+/// wide sweep's geomean and per-point floors (those gates keep their
+/// population); instead the run **fails** if, at any narrow point, either
+/// compiled kernel's minimum time is slower than CSR's (gate 1.0x).
+fn bench_narrow(c: &mut Criterion) {
+    let samples = if quick() { 10 } else { 20 };
+    let backend = Backend::detect();
+    let points = narrow_points();
+    let mut worst = f64::INFINITY;
+    for &(n, sparsity, width) in &points {
+        let s_tag = (sparsity * 100.0).round() as usize;
+        let (_, pp, pp_scalar, csr) = operands(n, sparsity);
+        let rhs = Matrix::from_fn(n, width, |i, j| ((i * 3 + j) as f32).sin());
+        let mut out = Matrix::zeros(n, width);
+        let mut group =
+            c.benchmark_group(format!("sparse_matmul_narrow_{n}x{n}_s{s_tag}_w{width}"));
+        group.sample_size(samples);
+        group.bench_function("csr", |b| b.iter(|| csr.matmul_dense(&rhs)));
+        group.bench_function("pattern_compiled", |b| b.iter(|| pp.matmul_dense(&rhs)));
+        group.bench_function("pattern_compiled_scalar", |b| {
+            b.iter(|| pp_scalar.matmul_dense(&rhs))
+        });
+        group.finish();
+
+        // more timed runs than the wide sweep: a narrow point takes a few
+        // microseconds, so the minimum needs more draws to settle
+        let iters = 10 * samples as u32;
+        let (compiled_ns, compiled_min_ns) =
+            time_ns(iters, || pp.matmul_dense_into(&rhs, &mut out));
+        let (compiled_scalar_ns, compiled_scalar_min_ns) =
+            time_ns(iters, || pp_scalar.matmul_dense_into(&rhs, &mut out));
+        let (csr_ns, csr_min_ns) = time_ns(iters, || csr.matmul_dense(&rhs));
+        let speedup = csr_min_ns / compiled_min_ns;
+        let scalar_speedup = csr_min_ns / compiled_scalar_min_ns;
+        println!(
+            "{{\"bench\": \"sparse_matmul/narrow_n{n}_s{s_tag}_w{width}\", \"sparsity\": {sparsity}, \
+             \"backend\": \"{}\", \"compiled_ns\": {compiled_ns:.1}, \
+             \"compiled_scalar_ns\": {compiled_scalar_ns:.1}, \"csr_ns\": {csr_ns:.1}, \
+             \"compiled_min_ns\": {compiled_min_ns:.1}, \
+             \"compiled_scalar_min_ns\": {compiled_scalar_min_ns:.1}, \
+             \"csr_min_ns\": {csr_min_ns:.1}, \"speedup_vs_csr\": {speedup:.2}, \
+             \"scalar_speedup_vs_csr\": {scalar_speedup:.2}}}",
+            backend.label(),
+        );
+        for (label, ratio) in [(backend.label(), speedup), ("scalar", scalar_speedup)] {
+            assert!(
+                ratio >= 1.0,
+                "perf gate: compiled kernel ({label}) at {ratio:.2}x CSR (floor 1.00x) at \
+                 narrow point n={n}, w={width}, sparsity {sparsity}",
+            );
+        }
+        worst = worst.min(speedup).min(scalar_speedup);
+    }
+    println!(
+        "{{\"bench\": \"sparse_matmul/gate_narrow\", \"min_speedup_vs_csr\": {worst:.3}, \
+         \"required\": 1.0, \"points\": {}}}",
+        points.len(),
+    );
+}
+
 /// Real serving-path throughput: `pool::run_batches` wall-clock over a
 /// banked model (the level-0 variant of a paper-shaped transformer), i.e.
 /// what every micro-batch of the single-device and fleet engines executes.
@@ -390,5 +470,5 @@ fn bench_pool_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_pool_throughput);
+criterion_group!(benches, bench_kernels, bench_narrow, bench_pool_throughput);
 criterion_main!(benches);

@@ -99,13 +99,7 @@ impl BankedModel {
         for (idx, (_, weight)) in self.weights.iter().enumerate() {
             let cols = weight.cols();
             let mut rhs_buf = std::mem::take(&mut scratch.rhs);
-            rhs_buf.clear();
-            // cheap deterministic activations, distinct per weight; same
-            // values (row-major) as the original `Matrix::from_fn` fill
-            rhs_buf.extend((0..cols * width).map(|k| {
-                let x = ((k / width) * 31 + (k % width) * 17 + idx * 7) % 13;
-                x as f32 / 13.0 - 0.5
-            }));
+            fill_activations(&mut rhs_buf, cols, width, idx);
             let rhs = Matrix::from_vec(cols, width, rhs_buf);
             let mut out_buf = std::mem::take(&mut scratch.out);
             out_buf.resize(weight.rows() * width, 0.0);
@@ -125,6 +119,25 @@ impl BankedModel {
     /// Number of stored (surviving) weight values across all banked weights.
     pub fn stored_values(&self) -> usize {
         self.weights.iter().map(|(_, w)| w.stored_values()).sum()
+    }
+}
+
+/// Fills `buf` with the cheap deterministic activations of weight `idx`: a
+/// row-major `rows x width` block whose element `(i, j)` is
+/// `((i * 31 + j * 17 + idx * 7) % 13) / 13 - 0.5`, distinct per weight.
+/// The residue steps by 31 per row and by 17 per column, so the fill needs
+/// no division by the runtime width.
+fn fill_activations(buf: &mut Vec<f32>, rows: usize, width: usize, idx: usize) {
+    buf.clear();
+    buf.reserve(rows * width);
+    let mut row_start = (idx * 7) % 13;
+    for _ in 0..rows {
+        let mut x = row_start;
+        for _ in 0..width {
+            buf.push(x as f32 / 13.0 - 0.5);
+            x = (x + 17) % 13;
+        }
+        row_start = (row_start + 31) % 13;
     }
 }
 
@@ -445,6 +458,23 @@ mod tests {
             },
         );
         (model, backbone, space)
+    }
+
+    #[test]
+    fn activation_fill_matches_closed_form() {
+        let mut buf = vec![1.0; 3];
+        for width in 1..=4 {
+            for idx in [0, 1, 5, 12, 13, 22, 100] {
+                fill_activations(&mut buf, 37, width, idx);
+                let expected: Vec<f32> = (0..37 * width)
+                    .map(|k| {
+                        let x = ((k / width) * 31 + (k % width) * 17 + idx * 7) % 13;
+                        x as f32 / 13.0 - 0.5
+                    })
+                    .collect();
+                assert_eq!(buf, expected, "width {width}, weight {idx}");
+            }
+        }
     }
 
     #[test]

@@ -12,19 +12,22 @@
 //!   replaces the nested vectors.
 //! * **Per-pattern offset tables.** Each pattern in the set is compiled
 //!   *once* into a [`CompiledPattern`]: its kept positions grouped by local
-//!   row (CSR-style `row_ptr` over `u32` column offsets). Every block
-//!   assigned to that pattern shares the table, so the per-block metadata is
-//!   a single `u16` pattern id — exactly the reuse the paper's Level-2
-//!   format is designed around.
+//!   row (CSR-style `row_ptr` over `u32` column offsets), plus each kept
+//!   position's local row. Every block assigned to that pattern shares the
+//!   table, so the per-block metadata is a single `u16` pattern id —
+//!   exactly the reuse the paper's Level-2 format is designed around.
 //! * **Full-block vs. edge-block dispatch.** Interior blocks (the common
-//!   case) run a branch-free loop; for the rhs widths the serving engines
-//!   actually dispatch (1, 4, 8, 16, 32, 64) the kernel is monomorphized
-//!   on the width, holding each output row in a `[f32; W]` register
-//!   accumulator across all of the row's kept values — unrolled f32
-//!   multiply-adds with no per-element bounds checks, which the compiler
-//!   auto-vectorizes. Other widths take a chunked general path. Only the
-//!   (at most one) partial row/column strip of edge blocks takes the
-//!   checked path.
+//!   case) run a branch-free loop monomorphized on the rhs width for the
+//!   widths the serving engines dispatch (1, 2, 3, 4, 8, 16, 32, 64). At
+//!   the narrow widths 1–4 the kernel is one loop over the block's kept
+//!   values (the *kept list*: local row, local column, value), each
+//!   running `W` unrolled f32 multiply-adds into its output row; its trip
+//!   count is the pattern's kept count, so it carries no per-row branches,
+//!   which is what a row of a few kept values is bound by. At widths 8 and
+//!   up the portable kernel holds each output row in a `[f32; W]`
+//!   register accumulator across all of the row's kept values. Other
+//!   widths take a chunked general path. Only the (at most one) partial
+//!   row/column strip of edge blocks takes the checked path.
 //!
 //! The plan is built at [`PatternPrunedMatrix`] construction, so the matmul
 //! hot loop performs **zero heap allocation** and the kernel result is
@@ -84,13 +87,16 @@ const LANES: usize = 8;
 const L1_BYTES: usize = 32 * 1024;
 
 /// One pattern lowered to flat offset tables: kept positions grouped by
-/// local row, CSR-style.
+/// local row, CSR-style, plus each position's local row for the narrow-rhs
+/// kept-list kernel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledPattern {
     /// `row_ptr[r]..row_ptr[r + 1]` indexes `cols` for local row `r`.
     row_ptr: Vec<u32>,
     /// Local column offset of each kept position, in row-major kept order.
     cols: Vec<u32>,
+    /// Local row of each kept position, parallel to `cols`.
+    rows: Vec<u32>,
 }
 
 impl CompiledPattern {
@@ -100,16 +106,22 @@ impl CompiledPattern {
         let size = mask.size();
         let mut row_ptr = Vec::with_capacity(size + 1);
         let mut cols = Vec::with_capacity(mask.ones());
+        let mut rows = Vec::with_capacity(mask.ones());
         row_ptr.push(0);
         for r in 0..size {
             for c in 0..size {
                 if mask.is_kept(r, c) {
                     cols.push(c as u32);
+                    rows.push(r as u32);
                 }
             }
             row_ptr.push(cols.len() as u32);
         }
-        Self { row_ptr, cols }
+        Self {
+            row_ptr,
+            cols,
+            rows,
+        }
     }
 
     /// Number of kept positions.
@@ -528,7 +540,9 @@ impl PatternPlan {
         let tables: usize = self
             .compiled_patterns()
             .iter()
-            .map(|cp| (cp.row_ptr.len() + cp.cols.len()) * std::mem::size_of::<u32>())
+            .map(|cp| {
+                (cp.row_ptr.len() + cp.cols.len() + cp.rows.len()) * std::mem::size_of::<u32>()
+            })
             .sum();
         self.layout.block_offsets.len() * std::mem::size_of::<u32>() + tables
     }
@@ -564,12 +578,12 @@ impl PatternPlan {
     /// zeroed first). This is the zero-allocation entry point: the hot loop
     /// touches only the arena, the offset tables and the two matrices.
     ///
-    /// Common rhs widths (1, 4, 8, 16, 32, 64 — the micro-batch sizes the
-    /// serving engines dispatch) run a monomorphized kernel whose output
-    /// row lives in a fixed-size register accumulator across all of a
-    /// row's kept positions; other widths take a chunked general path.
-    /// Both preserve the scalar reference's per-element accumulation
-    /// order, so results are bit-identical to it.
+    /// Common rhs widths (1, 2, 3, 4, 8, 16, 32, 64 — the micro-batch
+    /// sizes the serving engines dispatch) run a monomorphized kernel: the
+    /// kept-list loop, or on an AVX2 backend at widths 8 and up a kernel
+    /// holding each output row in vector registers; other widths take a
+    /// chunked general path. All preserve the scalar reference's
+    /// per-element accumulation order, so results are bit-identical to it.
     ///
     /// # Panics
     ///
@@ -678,6 +692,8 @@ impl PatternPlan {
     fn dispatch_width(&self, rhs: &[f32], out: &mut [f32], width: usize, brs: Range<usize>) {
         match width {
             1 => self.execute::<1>(rhs, out, width, brs),
+            2 => self.execute::<2>(rhs, out, width, brs),
+            3 => self.execute::<3>(rhs, out, width, brs),
             4 => self.execute::<4>(rhs, out, width, brs),
             8 => self.execute::<8>(rhs, out, width, brs),
             16 => self.execute::<16>(rhs, out, width, brs),
@@ -778,6 +794,8 @@ impl PatternPlan {
                     rhs,
                     out,
                 );
+            } else if W <= 4 {
+                self.block_full_kept::<W>(cp, vals, local_r, base_c, rhs, out);
             } else {
                 self.block_full_fixed::<W>(cp, vals, local_r, base_c, rhs, out);
             }
@@ -786,18 +804,52 @@ impl PatternPlan {
         }
     }
 
-    /// Interior-block kernel for a compile-time rhs width: the output row
-    /// is copied into a `[f32; W]` register accumulator once, every kept
-    /// position of the row then runs `W` unrolled multiply-adds against it
-    /// (no per-element bounds checks, no output loads/stores per value),
-    /// and the row is written back once. Accumulation per element stays in
-    /// arena order, so the result is bit-identical to the scalar path.
-    /// This is also the loop the AVX2 kernels mirror (`simd::block_full`)
-    /// and the portable fallback when the backend is scalar.
+    /// Interior-block kernel for the narrow rhs widths (1–4) the serving
+    /// engines mostly dispatch, on every backend. One loop walks the
+    /// block's kept values, adding `v * rhs[base_c + cols[k]]` into output
+    /// row `local_r + rows[k]` with `W` unrolled multiply-adds. A loop over
+    /// the block's rows instead (`block_full_fixed`) changes its trip
+    /// count with every pattern row (0–`psize` kept values each),
+    /// mispredicting its branches, and pays a row lookup per row, which a
+    /// row of at most 4 floats cannot amortise; the kept list has one trip
+    /// count per pattern. Each output element still receives its row's
+    /// kept values in row-major kept order, so the result is bit-identical
+    /// to the scalar reference.
     ///
     /// `local_r` is the block's first row *within `out`* (differs from the
     /// logical row during `par_matmul_into`, whose threads see only their
     /// own row-range slice).
+    #[inline]
+    fn block_full_kept<const W: usize>(
+        &self,
+        cp: &CompiledPattern,
+        vals: &[f32],
+        local_r: usize,
+        base_c: usize,
+        rhs: &[f32],
+        out: &mut [f32],
+    ) {
+        let psize = self.layout.psize;
+        let (out, _) = out[local_r * W..(local_r + psize) * W].as_chunks_mut::<W>();
+        let (rhs, _) = rhs[base_c * W..(base_c + psize) * W].as_chunks::<W>();
+        for ((&r, &c), &v) in cp.rows.iter().zip(&cp.cols).zip(vals) {
+            let o = &mut out[r as usize];
+            let b = &rhs[c as usize];
+            for j in 0..W {
+                o[j] += v * b[j];
+            }
+        }
+    }
+
+    /// Interior-block kernel for the wide compile-time rhs widths (8 and
+    /// up) when the backend has no SIMD kernel for them: the output row is
+    /// copied into a `[f32; W]` register accumulator once, every kept
+    /// position of the row then runs `W` unrolled multiply-adds against it
+    /// (no per-element bounds checks, no output loads/stores per value),
+    /// and the row is written back once. Accumulation per element stays in
+    /// arena order, so the result is bit-identical to the scalar path.
+    /// This is also the loop the AVX2 kernels mirror (`simd::block_full`).
+    /// `local_r` indexes `out` as in `block_full_kept`.
     #[inline]
     fn block_full_fixed<const W: usize>(
         &self,
@@ -830,7 +882,7 @@ impl PatternPlan {
 
     /// Interior-block kernel for arbitrary rhs widths: each output row is
     /// sliced once and the inner loop is a chunked multiply-add over the
-    /// rhs row. `local_r` indexes `out` as in `block_full_fixed`.
+    /// rhs row. `local_r` indexes `out` as in `block_full_kept`.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn block_full_general(
@@ -861,7 +913,7 @@ impl PatternPlan {
     /// Edge-block kernel: rows and columns are clamped to the logical
     /// matrix bounds (only the last block row/column can land here).
     /// `base_r` is the logical row (for the clamp); `local_r` indexes
-    /// `out` as in `block_full_fixed`.
+    /// `out` as in `block_full_kept`.
     #[allow(clippy::too_many_arguments)]
     fn block_edge(
         &self,
@@ -938,6 +990,7 @@ mod tests {
         assert_eq!(cp.row_range(1), (2, 2));
         assert_eq!(cp.row_range(2), (2, 5));
         assert_eq!(cp.cols, vec![0, 2, 0, 1, 2]);
+        assert_eq!(cp.rows, vec![0, 0, 2, 2, 2]);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Runtime-dispatched SIMD kernels for the compiled pattern plans.
 //!
-//! The width-monomorphized full-block kernels of [`crate::PatternPlan`] hold
+//! The wide (w ≥ 8) full-block kernels of [`crate::PatternPlan`] hold
 //! each output row in a register accumulator; on x86-64 with AVX2 that
 //! accumulator maps directly onto 256-bit vector registers (one `__m256`
 //! per 8 rhs columns). This module provides those kernels as `std::arch`
-//! intrinsics for the widths the serving engines dispatch (8, 16, 32, 64 —
-//! 1, 2, 4 and 8 vectors per output row), selected **once** at plan
-//! construction via [`Backend::detect`] and falling back to the portable
-//! compiled-scalar kernels everywhere else.
+//! intrinsics for the wide widths (8, 16, 32, 64 — 1, 2, 4 and 8 vectors
+//! per output row), selected **once** at plan construction via
+//! [`Backend::detect`] and falling back to the portable compiled-scalar
+//! kernels everywhere else (the narrow widths 1–4 the serving engines
+//! mostly dispatch run the portable kept-list kernel on every backend).
 //!
 //! **Bit-exactness contract.** The SIMD kernels vectorize across the
 //! *width/columns* axis: every output element keeps its own lane-private
@@ -33,9 +34,9 @@ use serde::{Deserialize, Serialize};
 /// Kernel backend executing a [`crate::PatternPlan`].
 ///
 /// Detected once per process ([`Backend::detect`], cached) and stored in
-/// the plan at construction. `Scalar` is the portable fallback — the PR 3
-/// compiled register-accumulator kernels — and the bit-exactness reference
-/// for every other backend.
+/// the plan at construction. `Scalar` is the portable fallback — the
+/// compiled kept-list and register-accumulator kernels — and the
+/// bit-exactness reference for every other backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Backend {
     /// Portable compiled-scalar kernels (auto-vectorized by the compiler).

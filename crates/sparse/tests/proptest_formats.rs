@@ -185,40 +185,48 @@ proptest! {
 
     /// The compiled-plan kernel must be *bit-identical* to the retained
     /// scalar reference across random shapes, including partial edge blocks
-    /// (dims not divisible by psize) and all-zero blocks. Exact equality
-    /// holds because the plan accumulates into each output element in the
-    /// same order as the reference; the only divergence — the reference
-    /// skips stored zeros, the plan multiplies them through — can flip the
-    /// sign of a zero partial sum, and `approx_eq(_, 0.0)` treats -0.0 and
-    /// +0.0 as equal (documented float-reassociation-free tolerance).
+    /// (dims not divisible by psize) and all-zero blocks, on the scalar and
+    /// the detected backend. The two patterns draw their sparsities
+    /// independently, so a set mixes kept counts (arena strides) per
+    /// pattern and can hold a near-empty pattern next to a dense one.
+    /// Exact equality holds because the plan accumulates into each output
+    /// element in the same order as the reference; the only divergence —
+    /// the reference skips stored zeros, the plan multiplies them through —
+    /// can flip the sign of a zero partial sum, and `approx_eq(_, 0.0)`
+    /// treats -0.0 and +0.0 as equal (documented float-reassociation-free
+    /// tolerance).
     #[test]
     fn compiled_kernel_is_bit_identical_to_scalar_reference(
         m in sparse_matrix(17),
         psize in 2usize..6,
-        sparsity in 0.0f64..0.95,
+        sparsity_a in 0.0f64..0.95,
+        sparsity_b in 0.0f64..0.95,
         width in 1usize..6,
     ) {
         let bits_a = PatternMask::from_importance(
             &Matrix::from_fn(psize, psize, |i, j| ((i * 5 + j * 3) % 7) as f32),
-            sparsity,
+            sparsity_a,
         );
         let bits_b = PatternMask::from_importance(
             &Matrix::from_fn(psize, psize, |i, j| ((i * 11 + j * 2) % 9) as f32),
-            sparsity,
+            sparsity_b,
         );
         let set = PatternSet::new(vec![bits_a, bits_b]).expect("non-empty set");
-        let pp = PatternPrunedMatrix::from_dense(&m, &set);
         let rhs = dense_rhs(m.cols(), width, 7);
-        let compiled = pp.matmul_dense(&rhs);
-        let scalar = rt3_sparse::reference::matmul_dense_scalar(&pp, &rhs);
-        prop_assert!(
-            compiled.approx_eq(&scalar, 0.0),
-            "compiled plan diverged from the scalar reference"
-        );
-        // the zero-allocation entry point computes the same thing
-        let mut out = Matrix::filled(pp.rows(), width, f32::NAN);
-        pp.matmul_dense_into(&rhs, &mut out);
-        prop_assert!(out.approx_eq(&compiled, 0.0));
+        for backend in [Backend::Scalar, Backend::detect()] {
+            let pp = PatternPrunedMatrix::from_dense_with_backend(&m, &set, backend);
+            let compiled = pp.matmul_dense(&rhs);
+            let scalar = rt3_sparse::reference::matmul_dense_scalar(&pp, &rhs);
+            prop_assert!(
+                compiled.approx_eq(&scalar, 0.0),
+                "compiled plan ({}) diverged from the scalar reference",
+                backend.label()
+            );
+            // the zero-allocation entry point computes the same thing
+            let mut out = Matrix::filled(pp.rows(), width, f32::NAN);
+            pp.matmul_dense_into(&rhs, &mut out);
+            prop_assert!(out.approx_eq(&compiled, 0.0));
+        }
     }
 
     /// An all-zero matrix exercises every block through the plan with a
