@@ -16,7 +16,7 @@
 //! A thermal cap (from the scenario) is hardware-mandated and clamps the
 //! decision downward regardless of hysteresis.
 
-use rt3_hardware::{DvfsGovernor, VfLevel};
+use rt3_hardware::DvfsGovernor;
 
 /// Hysteresis parameters of the online policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,16 +108,6 @@ impl RuntimeController {
     /// The wrapped governor.
     pub fn governor(&self) -> &DvfsGovernor {
         &self.governor
-    }
-
-    /// The currently active level position, if any decision has been made.
-    pub fn current_level(&self) -> Option<usize> {
-        self.current
-    }
-
-    /// The V/F level of the current decision.
-    pub fn current_vf_level(&self) -> Option<VfLevel> {
-        self.current.map(|p| self.governor.levels()[p])
     }
 
     /// Number of level switches performed so far.

@@ -11,8 +11,9 @@
 //! replayed as real sparse inference on the [`crate::pool`] worker pool.
 
 use crate::bank::{BankStats, ModelBank};
-use crate::controller::{HysteresisConfig, RuntimeController, Telemetry};
+use crate::controller::{HysteresisConfig, RuntimeController};
 use crate::cost::{Analytic, CostConfig, CostModel, LatencyModel};
+use crate::governor::DeviceGovernor;
 use crate::pool;
 use crate::report::{ServeReport, WindowReport};
 use crate::scenario::Scenario;
@@ -21,7 +22,7 @@ use crate::telemetry::DeviceTelemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_core::{Rt3Config, SearchOutcome};
-use rt3_hardware::{Battery, DrainRateTracker, MemoryModel, PowerModel, VfLevel};
+use rt3_hardware::{Battery, MemoryModel, PowerModel};
 use rt3_pruning::PatternSpace;
 use rt3_telemetry::{
     DecisionRecord, StreamingHistogram, TelemetryConfig, TraceEvent, TraceEventKind, WallClock,
@@ -136,7 +137,6 @@ pub struct ServeEngine<'m, M: Model> {
     bank: Option<ModelBank<'m, M>>,
     rt3: Rt3Config,
     cost: Arc<dyn CostModel>,
-    power: PowerModel,
     config: ServeConfig,
 }
 
@@ -195,7 +195,6 @@ impl<'m, M: Model> ServeEngine<'m, M> {
             bank: Some(bank),
             rt3,
             cost,
-            power: PowerModel::cortex_a7(),
             config,
         }
     }
@@ -230,13 +229,15 @@ impl<'m, M: Model> ServeEngine<'m, M> {
     pub fn run(&mut self, scenario: &Scenario) -> ServeReport {
         let mut device = DeviceSim::new(
             self.bank.take().expect("bank is restored after each run"),
-            RuntimeController::new(self.rt3.governor.clone(), self.config.hysteresis),
+            DeviceGovernor::new(
+                RuntimeController::new(self.rt3.governor.clone(), self.config.hysteresis),
+                Battery::new(self.config.battery_capacity_j),
+                self.config.policy,
+                Arc::clone(&self.cost),
+                PowerModel::cortex_a7(),
+                self.config.scheduler.workers,
+            ),
             DeadlineScheduler::new(self.config.scheduler),
-            Battery::new(self.config.battery_capacity_j),
-            self.config.policy,
-            Arc::clone(&self.cost),
-            self.power,
-            self.rt3.governor.levels().to_vec(),
             self.config.deadline_budget_ms,
             self.config.real_inference,
             scenario.duration_s(),
@@ -295,8 +296,9 @@ impl<'m, M: Model> ServeEngine<'m, M> {
     }
 }
 
-/// One simulated device stepped window-by-window: its battery, controller,
-/// scheduler and model bank, plus the serve-report accumulators.
+/// One simulated device stepped window-by-window: its governor (battery,
+/// controller, active level), scheduler and model bank, plus the
+/// serve-report accumulators.
 ///
 /// [`ServeEngine::run`] drives a single `DeviceSim` from a [`Scenario`];
 /// [`crate::Fleet`] drives several of them from a
@@ -304,21 +306,12 @@ impl<'m, M: Model> ServeEngine<'m, M> {
 /// taken straight from the trace.
 pub(crate) struct DeviceSim<'m, M: Model> {
     bank: ModelBank<'m, M>,
-    controller: RuntimeController,
-    scheduler: DeadlineScheduler,
-    battery: Battery,
-    policy: RuntimePolicy,
-    cost: Arc<dyn CostModel>,
-    power: PowerModel,
-    levels: Vec<VfLevel>,
-    deadline_budget_ms: f64,
+    /// Battery, controller and active level; the fleet router reads its
+    /// state of charge and time to death.
+    pub(crate) governor: DeviceGovernor,
+    pub(crate) scheduler: DeadlineScheduler,
+    pub(crate) deadline_budget_ms: f64,
     real_inference: bool,
-    workers: usize,
-    /// EWMA observer of the battery trajectory, one observation per window;
-    /// feeds the predictive router's time-to-death score.
-    drain: DrainRateTracker,
-    active_level: Option<usize>,
-    active_base_latency_ms: f64,
     /// Whether the current window's [`DeviceSim::begin_window`] performed a
     /// counted pattern-set switch (recorded on the window report).
     last_switched: bool,
@@ -347,41 +340,25 @@ pub(crate) struct DeviceSim<'m, M: Model> {
 }
 
 impl<'m, M: Model> DeviceSim<'m, M> {
-    /// Builds a device around pre-constructed components. `battery` may be
-    /// partially drained (fleet devices start at heterogeneous charge).
-    #[allow(clippy::too_many_arguments)]
+    /// Builds a device around pre-constructed components (fleet devices
+    /// start their governors at heterogeneous charge).
     pub(crate) fn new(
         bank: ModelBank<'m, M>,
-        controller: RuntimeController,
+        governor: DeviceGovernor,
         scheduler: DeadlineScheduler,
-        battery: Battery,
-        policy: RuntimePolicy,
-        cost: Arc<dyn CostModel>,
-        power: PowerModel,
-        levels: Vec<VfLevel>,
         deadline_budget_ms: f64,
         real_inference: bool,
         duration_hint_s: u32,
         telemetry: Option<DeviceTelemetry>,
     ) -> Self {
-        let workers = scheduler.workers();
-        let level_count = levels.len();
+        let level_count = governor.level_count();
         let bank_stats_seen = bank.stats();
         Self {
             bank,
-            controller,
+            governor,
             scheduler,
-            battery,
-            policy,
-            cost,
-            power,
-            levels,
             deadline_budget_ms,
             real_inference,
-            workers,
-            drain: DrainRateTracker::default(),
-            active_level: None,
-            active_base_latency_ms: 0.0,
             last_switched: false,
             telemetry,
             bank_stats_seen,
@@ -402,84 +379,11 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         }
     }
 
-    /// Replaces the device's cost model (fleet construction hook; must be
-    /// called before the first window so cached base latencies stay
-    /// consistent).
-    pub(crate) fn set_cost_model(&mut self, cost: Arc<dyn CostModel>) {
-        debug_assert!(
-            self.active_level.is_none(),
-            "cost model must be set before the first window"
-        );
-        self.cost = cost;
-    }
-
-    /// Whether the device's battery has died at some earlier window.
-    pub(crate) fn is_dead(&self) -> bool {
-        self.died_at_s.is_some()
-    }
-
-    /// Battery state of charge in `[0, 1]`.
-    pub(crate) fn state_of_charge(&self) -> f64 {
-        self.battery.state_of_charge()
-    }
-
-    /// Governor level position in effect for the current window.
-    pub(crate) fn active_level(&self) -> Option<usize> {
-        self.active_level
-    }
-
-    /// Number of governor levels the device serves.
-    pub(crate) fn level_count(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Currently queued (admitted but unstarted) requests.
-    pub(crate) fn queue_len(&self) -> usize {
-        self.scheduler.queue_len()
-    }
-
-    /// Bound on the device's request queue.
-    pub(crate) fn queue_capacity(&self) -> usize {
-        self.scheduler.queue_capacity()
-    }
-
-    /// Latency a request admitted at `arrival_ms` is predicted to see:
-    /// the scheduler replays the queued backlog (batch-aware, through the
-    /// same cost-model closure dispatch uses) and the prediction is the
-    /// newcomer's simulated completion.
-    pub(crate) fn predicted_latency_ms(&self, arrival_ms: f64) -> f64 {
-        let finish = self
-            .scheduler
-            .predicted_finish_ms(arrival_ms, &self.service_estimator());
-        finish - arrival_ms
-    }
-
-    /// The batch→service-time closure admission and routing predictions
-    /// share with dispatch: the active level's cached base latency through
-    /// the cost model's amortisation curve. Captures an `Arc` clone so the
-    /// closure doesn't borrow the device (admission mutates the scheduler).
-    fn service_estimator(&self) -> impl Fn(usize) -> f64 {
-        let level_pos = self.active_level.unwrap_or(0);
-        let base = self.active_base_latency_ms;
-        let cost = Arc::clone(&self.cost);
-        move |batch| cost.service_from_base_ms(level_pos, base, batch)
-    }
-
-    /// Per-request deadline budget the device was configured with.
-    pub(crate) fn deadline_budget_ms(&self) -> f64 {
-        self.deadline_budget_ms
-    }
-
-    /// Predicted milliseconds until this device's battery dies at its
-    /// EWMA-smoothed drain rate (infinite while charging or unobserved).
-    pub(crate) fn time_to_death_ms(&self) -> f64 {
-        self.drain.time_to_death_ms(self.battery.remaining_j())
-    }
-
     /// Battery events, death bookkeeping, level decision and pattern-set
-    /// switch for the window starting at `t_s`. Returns `false` when the
-    /// device is (now) dead; the caller must then finish the window with
-    /// [`DeviceSim::record_dead_window`] instead of admitting traffic.
+    /// switch for the window starting at `t_s`, all through the governor.
+    /// Returns `false` when the device is (now) dead; the caller must then
+    /// finish the window with [`DeviceSim::record_dead_window`] instead of
+    /// admitting traffic.
     pub(crate) fn begin_window(
         &mut self,
         t_s: u32,
@@ -488,73 +392,33 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         charge_j: f64,
         thermal_cap: Option<usize>,
     ) -> bool {
-        // battery events occur regardless of serving state
-        if let Some(drop) = battery_cliff {
-            let loss = drop * self.battery.capacity_j();
-            self.battery.drain_saturating(loss);
-        }
-        self.battery.charge(charge_j);
-        // one drain observation per window, fed by everything since the
-        // previous boundary (inference, background, switches, cliffs,
-        // charging) — the predictive router reads the smoothed rate
-        self.drain.observe(WINDOW_S, self.battery.remaining_j());
-
+        // the dwell must be read *before* the decision (a switch resets it)
+        let dwell_ms = self.governor.ms_since_last_switch(now_ms);
+        let decision =
+            self.governor
+                .begin_window(now_ms, WINDOW_S, battery_cliff, charge_j, thermal_cap);
         if let Some(t) = &mut self.telemetry {
-            t.shard
-                .set(t.ids.state_of_charge, self.battery.state_of_charge());
-            t.shard.set(t.ids.drain_rate_w, self.drain.drain_rate_w());
-            t.shard.set(
-                t.ids.time_to_death_ms,
-                self.drain.time_to_death_ms(self.battery.remaining_j()),
-            );
+            self.governor.record_battery(&mut t.shard, &t.ids);
         }
-
-        if self.battery.is_empty() && self.died_at_s.is_none() {
-            self.died_at_s = Some(t_s);
-        }
-        if self.died_at_s.is_some() {
+        let Some(decision) = decision else {
+            self.died_at_s.get_or_insert(t_s);
             return false;
-        }
-
-        // the dwell must be read *before* the decision (a switch resets it);
-        // the other audit inputs are captured alongside for the record
-        let audit_inputs = match &self.telemetry {
-            Some(t) if t.full() => Some((
-                self.controller.ms_since_last_switch(now_ms),
-                self.drain.time_to_death_ms(self.battery.remaining_j()),
-                self.battery.state_of_charge(),
-            )),
-            _ => None,
         };
+        // the audit records the battery the decision saw, before a switch
+        // drains its energy
+        let state_of_charge = self.governor.state_of_charge();
+        let time_to_death_ms = self.governor.time_to_death_ms();
 
-        // 1. telemetry + level decision
-        let decision = match self.policy {
-            RuntimePolicy::Adaptive => self.controller.decide(Telemetry {
-                now_ms,
-                state_of_charge: self.battery.state_of_charge(),
-                thermal_cap,
-            }),
-            RuntimePolicy::FixedLevel(pos) => {
-                // the thermal cap is hardware-mandated even for the
-                // baseline; it keeps its (dense-for-that-level) model
-                let capped = thermal_cap.map_or(pos, |cap| pos.min(cap));
-                crate::controller::LevelDecision {
-                    level_pos: capped,
-                    switched: self.active_level != Some(capped),
-                }
-            }
-        };
+        // pattern-set switch: the governor charges time to the workers and
+        // energy to the battery (the very first activation is a model
+        // load, not a run-time switch, and is not counted). The base
+        // latency only changes on a switch, so the governor caches it
+        // rather than recomputing it per window/batch.
         let level_pos = decision.level_pos;
-        let level = self.levels[level_pos];
-
-        // 2. pattern-set switch: charge time to the workers and traffic
-        //    energy to the battery (the very first activation is a model
-        //    load, not a run-time switch, and is not counted). Sparsity
-        //    and base latency only change on a switch, so they are cached
-        //    here rather than recomputed per window/batch.
-        let counted_switch = self.active_level.is_some() && self.active_level != Some(level_pos);
-        if self.active_level != Some(level_pos) {
-            let cost = self.bank.switch_cost(level_pos);
+        let from_level = self.governor.active_level();
+        let mut counted_switch = false;
+        if decision.switched {
+            let switch_time_ms = self.bank.switch_cost(level_pos).time_ms;
             let build_timer = self
                 .telemetry
                 .as_ref()
@@ -568,17 +432,21 @@ impl<'m, M: Model> DeviceSim<'m, M> {
                         .record(t.ids.bank_build_wall_ms, t.clock.now_ms() - begin_ms);
                 }
             }
-            self.active_base_latency_ms = self.cost.base_latency_ms(sparsity, &level);
-            if counted_switch {
+            let base_ms = self.governor.base_latency_ms(sparsity, level_pos);
+            if let Some(energy_j) = self.governor.activate(
+                level_pos,
+                base_ms,
+                switch_time_ms,
+                now_ms,
+                &mut self.scheduler,
+            ) {
+                counted_switch = true;
                 self.switches += 1;
-                self.switch_time_ms += cost.time_ms;
-                self.scheduler.block_workers_until(now_ms + cost.time_ms);
-                let switch_energy = self.power.power_w(&level) * cost.time_ms / 1_000.0;
-                self.inference_energy_j += switch_energy;
-                self.battery.drain_saturating(switch_energy);
+                self.switch_time_ms += switch_time_ms;
+                self.inference_energy_j += energy_j;
                 if let Some(t) = &mut self.telemetry {
                     t.shard.add(t.ids.switches, 1);
-                    t.shard.record(t.ids.switch_time_ms, cost.time_ms);
+                    t.shard.record(t.ids.switch_time_ms, switch_time_ms);
                     // device-level span: the window [now, now+cost] blocks
                     // every queued request, and the span analyzer charges
                     // the overlap to them
@@ -586,43 +454,33 @@ impl<'m, M: Model> DeviceSim<'m, M> {
                         t_ms: now_ms,
                         request_id: 0,
                         kind: TraceEventKind::Switch {
-                            from_level: self.active_level.unwrap_or(level_pos),
+                            from_level: from_level.unwrap_or(level_pos),
                             to_level: level_pos,
-                            duration_ms: cost.time_ms,
+                            duration_ms: switch_time_ms,
                         },
                     });
                 }
             }
-            self.active_level = Some(level_pos);
         }
         self.last_switched = counted_switch;
         if let Some(t) = &mut self.telemetry {
             t.shard.set(t.ids.active_level, level_pos as f64);
         }
-        if let Some((dwell_ms, time_to_death_ms, state_of_charge)) = audit_inputs {
+        if let Some(t) = self.telemetry.as_mut().filter(|t| t.full()) {
             // `switched` records the engine's *counted* switch (the first
             // model activation is a load, not a switch), so the audited
             // switch count reconciles exactly with the report's
-            let raw_target = match self.policy {
-                RuntimePolicy::Adaptive => {
-                    self.controller.raw_target(state_of_charge.clamp(0.0, 1.0))
-                }
-                RuntimePolicy::FixedLevel(pos) => pos,
-            };
-            let record = DecisionRecord {
+            t.audit_decision(DecisionRecord {
                 t_ms: now_ms,
                 state_of_charge,
                 thermal_cap,
-                raw_target,
+                raw_target: self.governor.raw_target(state_of_charge),
                 chosen_level: level_pos,
                 switched: counted_switch,
                 dwell_ms,
                 time_to_death_ms,
-                predicted_latency_ms: self.active_base_latency_ms,
-            };
-            if let Some(t) = &mut self.telemetry {
-                t.audit_decision(record);
-            }
+                predicted_latency_ms: self.governor.active_base_ms(),
+            });
         }
         true
     }
@@ -636,7 +494,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     /// away (bounded queue full, or the deadline is already unmeetable).
     pub(crate) fn try_admit(&mut self, request: Request) -> Result<(), RejectReason> {
         let arrival_ms = request.arrival_ms;
-        let result = self.scheduler.submit(request, self.service_estimator());
+        let result = self.scheduler.submit(request, self.governor.service());
         if let Some(t) = &mut self.telemetry {
             match result {
                 Ok(predicted_finish_ms) => {
@@ -710,7 +568,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         self.windows.push(WindowReport {
             t_s,
             level_pos: None,
-            state_of_charge: self.battery.state_of_charge(),
+            state_of_charge: self.governor.state_of_charge(),
             arrivals,
             completed: 0,
             missed: 0,
@@ -734,27 +592,21 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         background_j: f64,
     ) -> Vec<Completion> {
         self.arrivals_total += arrivals;
-        let level_pos = self.active_level.expect("window began on a live device");
-        let level = self.levels[level_pos];
-        let base_latency = self.active_base_latency_ms;
+        let level_pos = self
+            .governor
+            .active_level()
+            .expect("window began on a live device");
 
         // 4. dispatch everything that can start inside this window, with
         //    batch service times charged by the shared cost model
-        let cost = &self.cost;
-        let completions = self.scheduler.dispatch(window_end_ms, level_pos, |batch| {
-            cost.service_from_base_ms(level_pos, base_latency, batch)
-        });
+        let completions =
+            self.scheduler
+                .dispatch(window_end_ms, level_pos, self.governor.service());
 
-        // 5. charge inference energy: each worker is one core of the
-        //    cluster, so a batch costs (cluster power / workers) × time
-        let core_power_w = self.power.power_w(&level) / self.workers as f64;
+        // 5. charge inference energy per completion through the governor
         let mut window_missed = 0u64;
         for completion in &completions {
-            let service_share =
-                (completion.finish_ms - completion.start_ms) / completion.batch as f64;
-            let energy = core_power_w * service_share / 1_000.0;
-            self.inference_energy_j += energy;
-            self.battery.drain_saturating(energy);
+            self.inference_energy_j += self.governor.charge_completion(completion);
             self.completed += 1;
             self.runs_per_level[completion.level_pos] += 1;
             self.latency_hist.record(completion.latency_ms());
@@ -762,17 +614,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
                 window_missed += 1;
             }
             if let Some(t) = &mut self.telemetry {
-                t.shard.add(t.ids.completed, 1);
-                t.shard.record(t.ids.latency_ms, completion.latency_ms());
-                t.shard.record(
-                    t.ids.queue_wait_ms,
-                    completion.start_ms - completion.arrival_ms,
-                );
-                t.shard
-                    .record(t.ids.infer_ms, completion.finish_ms - completion.start_ms);
-                if !completion.met_deadline {
-                    t.shard.add(t.ids.deadline_missed, 1);
-                }
+                t.ids.record_completion(&mut t.shard, completion);
                 if t.full() {
                     let predicted_ms =
                         t.settle_prediction(completion.id, Some(completion.latency_ms()));
@@ -829,12 +671,16 @@ impl<'m, M: Model> DeviceSim<'m, M> {
                     pool::run_batches_instrumented(
                         self.bank.get(level_pos),
                         &batch_sizes,
-                        self.workers,
+                        self.scheduler.workers(),
                         &pool_telemetry,
                         shard,
                     )
                 }
-                None => pool::run_batches(self.bank.get(level_pos), &batch_sizes, self.workers),
+                None => pool::run_batches(
+                    self.bank.get(level_pos),
+                    &batch_sizes,
+                    self.scheduler.workers(),
+                ),
             };
             self.checksum += outcome.checksum;
             self.real_batches += outcome.batches;
@@ -842,7 +688,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
 
         // 7. background drain
         self.background_energy_j += background_j;
-        self.battery.drain_saturating(background_j);
+        self.governor.drain(background_j);
 
         if let Some(t) = &mut self.telemetry {
             t.shard.add(t.ids.windows_served, 1);
@@ -870,7 +716,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         self.windows.push(WindowReport {
             t_s,
             level_pos: Some(level_pos),
-            state_of_charge: self.battery.state_of_charge(),
+            state_of_charge: self.governor.state_of_charge(),
             arrivals,
             completed: completions.len() as u64,
             missed: window_missed,
@@ -923,7 +769,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         let report = ServeReport {
             scenario,
             policy,
-            cost_model: self.cost.label().to_string(),
+            cost_model: self.governor.cost().label().to_string(),
             windows: self.windows,
             arrivals: self.arrivals_total,
             completed: self.completed,
@@ -937,7 +783,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             inference_energy_j: self.inference_energy_j,
             background_energy_j: self.background_energy_j,
             runs_per_level: self.runs_per_level,
-            final_state_of_charge: self.battery.state_of_charge(),
+            final_state_of_charge: self.governor.state_of_charge(),
             died_at_s: self.died_at_s,
             inference_checksum: self.checksum,
             real_batches: self.real_batches,
@@ -969,14 +815,13 @@ mod tests {
         let outcome = run_level2_search(&model, &backbone, &space, &rt3, &mut evaluator);
         let best = outcome.best.as_ref().expect("feasible solution");
 
-        let levels = rt3.governor.levels().to_vec();
         let bank = ModelBank::new(
             &model,
             backbone.masks.clone(),
             &space,
             &best.actions,
             MemoryModel::odroid_xu3(),
-            levels.len(),
+            rt3.governor.levels().len(),
         );
         let config = ServeConfig {
             battery_capacity_j: 30.0,
@@ -993,13 +838,15 @@ mod tests {
         ));
         let mut device = DeviceSim::new(
             bank,
-            RuntimeController::new(rt3.governor.clone(), config.hysteresis),
+            DeviceGovernor::new(
+                RuntimeController::new(rt3.governor.clone(), config.hysteresis),
+                Battery::new(config.battery_capacity_j),
+                RuntimePolicy::Adaptive,
+                cost,
+                PowerModel::cortex_a7(),
+                config.scheduler.workers,
+            ),
             DeadlineScheduler::new(config.scheduler),
-            Battery::new(config.battery_capacity_j),
-            RuntimePolicy::Adaptive,
-            cost,
-            PowerModel::cortex_a7(),
-            levels,
             config.deadline_budget_ms,
             false,
             10,
@@ -1018,7 +865,7 @@ mod tests {
                 .expect("gauge is registered and set every window");
             assert_eq!(
                 gauge,
-                device.time_to_death_ms(),
+                device.governor.time_to_death_ms(),
                 "window {t_s}: exported gauge must match the tracker"
             );
             if t_s == 0 {

@@ -37,6 +37,7 @@
 use crate::controller::{HysteresisConfig, RuntimeController};
 use crate::cost::{Analytic, CostConfig, CostModel, LatencyModel};
 use crate::engine::{DeviceSim, RuntimePolicy, WINDOW_MS, WINDOW_S};
+use crate::governor::DeviceGovernor;
 use crate::report::FleetReport;
 use crate::scenario::{FleetScenario, Scenario};
 use crate::scheduler::{Completion, DeadlineScheduler, Request, SchedulerConfig};
@@ -448,9 +449,9 @@ pub struct Fleet<'m, M: Model> {
 }
 
 impl<'m, M: Model> Fleet<'m, M> {
-    /// Builds one [`DeviceSim`] per profile in `scenario`, each with its own
-    /// model bank over the search's best solution and a battery pre-drained
-    /// to the profile's initial state of charge.
+    /// Builds one simulated device per profile in `scenario`, each with its
+    /// own model bank over the search's best solution and a battery
+    /// pre-drained to the profile's initial state of charge.
     ///
     /// # Panics
     ///
@@ -484,7 +485,7 @@ impl<'m, M: Model> Fleet<'m, M> {
             },
             config.cost,
         ));
-        let levels = rt3.governor.levels().to_vec();
+        let level_count = rt3.governor.levels().len();
         let duration_s = scenario.duration_s();
         // one wall clock shared by every device's kernel/build timings
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
@@ -498,7 +499,7 @@ impl<'m, M: Model> Fleet<'m, M> {
                     space,
                     &best.actions,
                     MemoryModel::odroid_xu3(),
-                    levels.len(),
+                    level_count,
                 );
                 let mut battery = Battery::new(profile.battery_capacity_j);
                 let deficit = profile.battery_capacity_j * (1.0 - profile.initial_soc);
@@ -508,13 +509,15 @@ impl<'m, M: Model> Fleet<'m, M> {
                 }
                 DeviceSim::new(
                     bank,
-                    RuntimeController::new(rt3.governor.clone(), config.hysteresis),
+                    DeviceGovernor::new(
+                        RuntimeController::new(rt3.governor.clone(), config.hysteresis),
+                        battery,
+                        RuntimePolicy::Adaptive,
+                        Arc::clone(&cost),
+                        PowerModel::cortex_a7(),
+                        config.scheduler.workers,
+                    ),
                     DeadlineScheduler::new(config.scheduler),
-                    battery,
-                    RuntimePolicy::Adaptive,
-                    Arc::clone(&cost),
-                    PowerModel::cortex_a7(),
-                    levels.clone(),
                     config.deadline_budget_ms,
                     config.real_inference,
                     duration_s,
@@ -536,7 +539,7 @@ impl<'m, M: Model> Fleet<'m, M> {
     #[must_use]
     pub fn with_cost_model(mut self, cost: Arc<dyn CostModel>) -> Self {
         for device in &mut self.devices {
-            device.set_cost_model(Arc::clone(&cost));
+            device.governor.set_cost_model(Arc::clone(&cost));
         }
         self
     }
@@ -690,16 +693,22 @@ impl<'m, M: Model> Fleet<'m, M> {
     /// The router's view of one device for a request arriving at
     /// `arrival_ms`.
     fn snapshot(device: &DeviceSim<'m, M>, arrival_ms: f64) -> DeviceSnapshot {
+        let governor = &device.governor;
         DeviceSnapshot {
-            alive: !device.is_dead(),
-            state_of_charge: device.state_of_charge(),
-            level_pos: device.active_level().unwrap_or(0),
-            levels: device.level_count(),
-            queue_len: device.queue_len(),
-            queue_capacity: device.queue_capacity(),
-            predicted_latency_ms: device.predicted_latency_ms(arrival_ms),
-            deadline_budget_ms: device.deadline_budget_ms(),
-            time_to_death_ms: device.time_to_death_ms(),
+            alive: !governor.is_dead(),
+            state_of_charge: governor.state_of_charge(),
+            level_pos: governor.active_level().unwrap_or(0),
+            levels: governor.level_count(),
+            queue_len: device.scheduler.queue_len(),
+            queue_capacity: device.scheduler.queue_capacity(),
+            // the newcomer's simulated completion after the queued backlog,
+            // replayed through the closure dispatch uses
+            predicted_latency_ms: device
+                .scheduler
+                .predicted_finish_ms(arrival_ms, &governor.service())
+                - arrival_ms,
+            deadline_budget_ms: device.deadline_budget_ms,
+            time_to_death_ms: governor.time_to_death_ms(),
         }
     }
 }

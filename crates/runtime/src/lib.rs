@@ -12,6 +12,10 @@
 //!   switch-cost accounting from [`rt3_hardware::MemoryModel`].
 //! * [`RuntimeController`] — the paper's battery governor plus dwell-window
 //!   and state-of-charge hysteresis, with thermal-cap clamping.
+//! * [`DeviceGovernor`] — one device's battery, drain observer, controller
+//!   and active level: the window-boundary decision, switch charging and
+//!   inference energy that the simulated device and the socket server
+//!   share, together with the [`DeviceMetricIds`] schema.
 //! * [`cost`] — the unified cost-model layer behind every prediction:
 //!   the [`CostModel`] trait with the default fixed-α [`Analytic`] model
 //!   and the pool-measured [`Calibrated`] model (see [`calibrate`]).
@@ -77,6 +81,7 @@ mod controller;
 pub mod cost;
 mod engine;
 mod fleet;
+mod governor;
 pub mod pool;
 mod report;
 mod scenario;
@@ -96,10 +101,12 @@ pub use engine::{RuntimePolicy, ServeConfig, ServeEngine};
 pub use fleet::{
     DeviceSnapshot, Fleet, FleetConfig, Router, RouterConfig, RoutingPolicy, RoutingWeights,
 };
+pub use governor::DeviceGovernor;
 pub use report::{FleetReport, ServeReport, WindowReport};
 pub use rt3_telemetry::{TelemetryConfig, TelemetryLevel, TelemetrySnapshot};
 pub use scenario::{DeviceProfile, FleetScenario, Scenario};
 pub use scheduler::{Completion, DeadlineScheduler, RejectReason, Request, SchedulerConfig};
+pub use telemetry::DeviceMetricIds;
 
 #[cfg(test)]
 mod tests {

@@ -38,7 +38,7 @@ pub struct WindowReport {
 pub struct ServeReport {
     /// Scenario name.
     pub scenario: String,
-    /// Policy label ("adaptive" or "fixed-l<index>").
+    /// Policy label ("adaptive" or "fixed-l`<index>`").
     pub policy: String,
     /// Cost-model label ("analytic" or "calibrated") the run's predictions
     /// came from.

@@ -11,6 +11,7 @@
 //! request trace, the controller decision audit and per-request prediction
 //! tracking for the residuals.
 
+use crate::scheduler::Completion;
 use rt3_telemetry::{
     Clock, CounterId, DecisionAudit, DecisionRecord, GaugeId, HistogramId, MetricRegistry,
     MetricShard, ObsPlane, TelemetryConfig, TelemetryLevel, TelemetrySnapshot, TraceEvent,
@@ -44,72 +45,75 @@ impl Hasher for IdHasher {
     }
 }
 
-/// The fixed metric schema of one serving device. Names are part of the
-/// JSONL contract documented in DESIGN.md §9.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DeviceMetricIds {
+/// Declares the device metric schema once: per entry, the handle field,
+/// its id type, and the registry call with the exported name.
+macro_rules! device_schema {
+    ($($field:ident: $id:ident = $kind:ident($name:literal),)*) => {
+        /// The fixed metric schema of one serving device, shared by the
+        /// simulated device and the socket server. Names are part of the
+        /// JSONL contract documented in DESIGN.md §9; each field is the
+        /// handle of the name it documents.
+        #[derive(Debug, Clone, Copy)]
+        pub struct DeviceMetricIds {
+            $(#[doc = concat!("`", $name, "`")] pub $field: $id,)*
+        }
+
+        impl DeviceMetricIds {
+            /// Registers every name of the schema in `registry`, in order.
+            pub fn register(registry: &mut MetricRegistry) -> Self {
+                Self { $($field: registry.$kind($name),)* }
+            }
+        }
+    };
+}
+
+device_schema! {
     // scheduler / admission
-    pub admitted: CounterId,
-    pub rejected_queue_full: CounterId,
-    pub rejected_certain_miss: CounterId,
-    pub completed: CounterId,
-    pub deadline_missed: CounterId,
-    pub dropped_dead: CounterId,
-    pub dropped_trace_end: CounterId,
-    pub queue_depth: GaugeId,
+    admitted: CounterId = counter("requests_admitted"),
+    rejected_queue_full: CounterId = counter("requests_rejected_queue_full"),
+    rejected_certain_miss: CounterId = counter("requests_rejected_certain_miss"),
+    completed: CounterId = counter("requests_completed"),
+    deadline_missed: CounterId = counter("deadline_missed"),
+    dropped_dead: CounterId = counter("requests_dropped_dead"),
+    dropped_trace_end: CounterId = counter("requests_dropped_trace_end"),
+    queue_depth: GaugeId = gauge("queue_depth"),
     // controller / battery
-    pub switches: CounterId,
-    pub windows_served: CounterId,
-    pub windows_dead: CounterId,
-    pub state_of_charge: GaugeId,
-    pub active_level: GaugeId,
-    pub drain_rate_w: GaugeId,
-    pub time_to_death_ms: GaugeId,
-    pub switch_time_ms: HistogramId,
+    switches: CounterId = counter("switches"),
+    windows_served: CounterId = counter("windows_served"),
+    windows_dead: CounterId = counter("windows_dead"),
+    state_of_charge: GaugeId = gauge("state_of_charge"),
+    active_level: GaugeId = gauge("active_level"),
+    drain_rate_w: GaugeId = gauge("drain_rate_w"),
+    time_to_death_ms: GaugeId = gauge("time_to_death_ms"),
+    switch_time_ms: HistogramId = histogram("switch_time_ms"),
     // latency breakdown
-    pub latency_ms: HistogramId,
-    pub queue_wait_ms: HistogramId,
-    pub infer_ms: HistogramId,
-    pub batch_size: HistogramId,
+    latency_ms: HistogramId = histogram("latency_ms"),
+    queue_wait_ms: HistogramId = histogram("queue_wait_ms"),
+    infer_ms: HistogramId = histogram("infer_ms"),
+    batch_size: HistogramId = histogram("batch_size"),
     // model bank
-    pub bank_hits: CounterId,
-    pub bank_builds: CounterId,
-    pub bank_evictions: CounterId,
-    pub bank_build_wall_ms: HistogramId,
+    bank_hits: CounterId = counter("bank_hits"),
+    bank_builds: CounterId = counter("bank_builds"),
+    bank_evictions: CounterId = counter("bank_evictions"),
+    bank_build_wall_ms: HistogramId = histogram("bank_build_wall_ms"),
     // worker pool (timed locally per worker, folded in per window)
-    pub pool_batches: CounterId,
-    pub pool_batch_wall_ms: HistogramId,
+    pool_batches: CounterId = counter("pool_batches"),
+    pool_batch_wall_ms: HistogramId = histogram("pool_batch_wall_ms"),
 }
 
 impl DeviceMetricIds {
-    fn register(registry: &mut MetricRegistry) -> Self {
-        Self {
-            admitted: registry.counter("requests_admitted"),
-            rejected_queue_full: registry.counter("requests_rejected_queue_full"),
-            rejected_certain_miss: registry.counter("requests_rejected_certain_miss"),
-            completed: registry.counter("requests_completed"),
-            deadline_missed: registry.counter("deadline_missed"),
-            dropped_dead: registry.counter("requests_dropped_dead"),
-            dropped_trace_end: registry.counter("requests_dropped_trace_end"),
-            queue_depth: registry.gauge("queue_depth"),
-            switches: registry.counter("switches"),
-            windows_served: registry.counter("windows_served"),
-            windows_dead: registry.counter("windows_dead"),
-            state_of_charge: registry.gauge("state_of_charge"),
-            active_level: registry.gauge("active_level"),
-            drain_rate_w: registry.gauge("drain_rate_w"),
-            time_to_death_ms: registry.gauge("time_to_death_ms"),
-            switch_time_ms: registry.histogram("switch_time_ms"),
-            latency_ms: registry.histogram("latency_ms"),
-            queue_wait_ms: registry.histogram("queue_wait_ms"),
-            infer_ms: registry.histogram("infer_ms"),
-            batch_size: registry.histogram("batch_size"),
-            bank_hits: registry.counter("bank_hits"),
-            bank_builds: registry.counter("bank_builds"),
-            bank_evictions: registry.counter("bank_evictions"),
-            bank_build_wall_ms: registry.histogram("bank_build_wall_ms"),
-            pool_batches: registry.counter("pool_batches"),
-            pool_batch_wall_ms: registry.histogram("pool_batch_wall_ms"),
+    /// Records one completed request: the completion counter, the latency
+    /// breakdown and, when late, the miss counter.
+    pub fn record_completion(&self, shard: &mut MetricShard, completion: &Completion) {
+        shard.add(self.completed, 1);
+        shard.record(self.latency_ms, completion.latency_ms());
+        shard.record(
+            self.queue_wait_ms,
+            completion.start_ms - completion.arrival_ms,
+        );
+        shard.record(self.infer_ms, completion.finish_ms - completion.start_ms);
+        if !completion.met_deadline {
+            shard.add(self.deadline_missed, 1);
         }
     }
 }

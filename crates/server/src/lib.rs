@@ -14,7 +14,8 @@
 //!
 //! * [`protocol`] — the wire format: frames, opcodes, status codes.
 //! * [`Server`] — the thread-per-connection server around one
-//!   mutex-guarded core (scheduler + governor + battery).
+//!   mutex-guarded core (scheduler + the runtime's
+//!   [`rt3_runtime::DeviceGovernor`]).
 //! * [`ServeClient`] — a blocking client for the protocol.
 //! * [`loadgen`] — the closed-loop multi-connection load generator:
 //!   wall-clock latency histograms plus a timeout-retry-abandon

@@ -10,8 +10,9 @@
 //! * the **dispatch thread** sleeps on a condition variable until the
 //!   next due event — a window boundary, a worker freeing up for a queued
 //!   request, or an in-flight response's simulated finish time — or until
-//!   an admission wakes it. At window boundaries it runs the battery
-//!   governor (level switches, battery drain, death detection); it then
+//!   an admission wakes it. At window boundaries it steps the runtime's
+//!   [`DeviceGovernor`] on the wall clock — the simulated device's level
+//!   switches, battery drain and death detection; it then
 //!   dispatches due micro-batches and flushes each completion's response
 //!   once the wall clock reaches its simulated finish time — so the
 //!   latency a client measures on the wire *is* the cost model's queue +
@@ -29,12 +30,13 @@ use crate::protocol::{
 };
 use rt3_hardware::{Battery, DvfsGovernor, PowerModel};
 use rt3_runtime::{
-    Analytic, CostConfig, CostModel, DeadlineScheduler, HysteresisConfig, LatencyModel,
-    RejectReason, Request, RuntimeController, SchedulerConfig, Telemetry,
+    Analytic, Completion, CostConfig, CostModel, DeadlineScheduler, DeviceGovernor,
+    DeviceMetricIds, HysteresisConfig, LatencyModel, RejectReason, Request, RuntimeController,
+    RuntimePolicy, SchedulerConfig,
 };
 use rt3_telemetry::{
-    CounterId, GaugeId, HistogramId, MetricRegistry, MetricShard, ObsPlane, ResidualStats,
-    TelemetryLevel, TelemetrySnapshot,
+    CounterId, MetricRegistry, MetricShard, ObsPlane, ResidualStats, TelemetryLevel,
+    TelemetrySnapshot,
 };
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -45,10 +47,11 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What the server serves: the cost model, the governor and the battery —
-/// the same physical story the simulated engine plays, minus the model
+/// What the server serves: the cost model, the governor and the battery,
+/// played by the simulated engine's [`DeviceGovernor`]. There is no model
 /// bank (the server paces responses by the cost model; it does not run
-/// tensor math on the request path).
+/// tensor math on the request path), so the spec supplies the figures a
+/// bank would: each level's base latency and the switch time.
 pub struct ServerSpec {
     /// Prediction surface for admission and service times.
     pub cost: Arc<dyn CostModel>,
@@ -56,10 +59,11 @@ pub struct ServerSpec {
     pub governor: DvfsGovernor,
     /// Controller hysteresis.
     pub hysteresis: HysteresisConfig,
-    /// Cached single-request latency per governor level position (what the
-    /// engine caches as `active_base_latency_ms` after each switch).
+    /// Single-request latency per governor level position (what the
+    /// engine derives from the banked variant's sparsity at each switch).
     pub level_base_ms: Vec<f64>,
-    /// Wall-time cost of a pattern-set switch, charged to the workers.
+    /// Wall-time cost of a pattern-set switch, charged to the workers (the
+    /// engine prices it per level from its bank).
     pub switch_time_ms: f64,
     /// Battery capacity at startup, joules.
     pub battery_capacity_j: f64,
@@ -216,20 +220,13 @@ struct PendingEntry {
     conn: Arc<ConnWriter>,
 }
 
-/// A dispatched request whose response is due at `finish_ms`.
-struct InFlight {
-    finish_ms: f64,
-    internal_id: u64,
-    response: InferResponse,
-    latency_ms: f64,
-    queue_ms: f64,
-    infer_ms: f64,
-    met_deadline: bool,
-}
+/// A dispatched request (keyed by its internal id) whose response is due
+/// at its `finish_ms`; the response is built when it is flushed.
+struct InFlight(Completion);
 
 impl PartialEq for InFlight {
     fn eq(&self, other: &Self) -> bool {
-        self.finish_ms == other.finish_ms && self.internal_id == other.internal_id
+        self.cmp(other).is_eq()
     }
 }
 impl Eq for InFlight {}
@@ -240,21 +237,16 @@ impl PartialOrd for InFlight {
 }
 impl Ord for InFlight {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.finish_ms
-            .total_cmp(&other.finish_ms)
-            .then(self.internal_id.cmp(&other.internal_id))
+        self.0
+            .finish_ms
+            .total_cmp(&other.0.finish_ms)
+            .then(self.0.id.cmp(&other.0.id))
     }
 }
 
-/// Metric handles, registered once at startup. Names follow the runtime's
-/// device-telemetry schema (DESIGN.md §9) so dashboards can consume both.
-struct MetricIds {
-    admitted: CounterId,
-    rejected_queue_full: CounterId,
-    rejected_certain_miss: CounterId,
-    completed: CounterId,
-    deadline_missed: CounterId,
-    dropped_dead: CounterId,
+/// The transport-only metric handles, registered after the runtime's
+/// device schema ([`DeviceMetricIds`]).
+struct TransportIds {
     draining_refused: CounterId,
     dropped_shutdown: CounterId,
     protocol_errors: CounterId,
@@ -263,26 +255,11 @@ struct MetricIds {
     connections_refused_dead: CounterId,
     connections_timed_out: CounterId,
     responses_failed: CounterId,
-    switches: CounterId,
-    latency_ms: HistogramId,
-    queue_wait_ms: HistogramId,
-    infer_ms: HistogramId,
-    batch_size: HistogramId,
-    switch_time_ms: HistogramId,
-    active_level: GaugeId,
-    state_of_charge: GaugeId,
-    queue_depth: GaugeId,
 }
 
-impl MetricIds {
+impl TransportIds {
     fn register(registry: &mut MetricRegistry) -> Self {
         Self {
-            admitted: registry.counter("requests_admitted"),
-            rejected_queue_full: registry.counter("requests_rejected_queue_full"),
-            rejected_certain_miss: registry.counter("requests_rejected_certain_miss"),
-            completed: registry.counter("requests_completed"),
-            deadline_missed: registry.counter("deadline_missed"),
-            dropped_dead: registry.counter("requests_dropped_dead"),
             draining_refused: registry.counter("requests_draining_refused"),
             dropped_shutdown: registry.counter("requests_dropped_shutdown"),
             protocol_errors: registry.counter("protocol_errors"),
@@ -291,15 +268,6 @@ impl MetricIds {
             connections_refused_dead: registry.counter("connections_refused_dead"),
             connections_timed_out: registry.counter("connections_timed_out"),
             responses_failed: registry.counter("responses_failed"),
-            switches: registry.counter("switches"),
-            latency_ms: registry.histogram("latency_ms"),
-            queue_wait_ms: registry.histogram("queue_wait_ms"),
-            infer_ms: registry.histogram("infer_ms"),
-            batch_size: registry.histogram("batch_size"),
-            switch_time_ms: registry.histogram("switch_time_ms"),
-            active_level: registry.gauge("active_level"),
-            state_of_charge: registry.gauge("state_of_charge"),
-            queue_depth: registry.gauge("queue_depth"),
         }
     }
 }
@@ -307,17 +275,16 @@ impl MetricIds {
 /// Everything the threads share under one lock.
 struct Core {
     scheduler: DeadlineScheduler,
-    controller: RuntimeController,
-    battery: Battery,
-    active_level: usize,
-    active_base_ms: f64,
+    /// Battery, drain tracker, controller and active level.
+    governor: DeviceGovernor,
     next_window_ms: f64,
     next_internal_id: u64,
     pending: HashMap<u64, PendingEntry>,
     inflight: std::collections::BinaryHeap<Reverse<InFlight>>,
     registry: MetricRegistry,
     shard: MetricShard,
-    ids: MetricIds,
+    ids: DeviceMetricIds,
+    transport: TransportIds,
     connections: Vec<Weak<ConnWriter>>,
     /// Live series + alert rules, scraped once per governor window by the
     /// dispatch tick (or by whichever admission catches the boundary
@@ -338,12 +305,19 @@ impl Core {
     fn next_due_ms(&self) -> f64 {
         let mut due = self.next_window_ms;
         if let Some(Reverse(head)) = self.inflight.peek() {
-            due = due.min(head.finish_ms);
+            due = due.min(head.0.finish_ms);
         }
         if self.scheduler.queue_len() > 0 {
             due = due.min(self.scheduler.earliest_free_ms());
         }
         due
+    }
+
+    /// The active level position (the boot window activates one).
+    fn level_pos(&self) -> usize {
+        self.governor
+            .active_level()
+            .expect("the boot window activates a level")
     }
 }
 
@@ -362,30 +336,72 @@ struct Shared {
 }
 
 impl Shared {
+    /// The shared state of a server that has booted but runs no threads:
+    /// the governor's boot window at 0 activates the initial level (a
+    /// load, not a counted switch — the engine's convention).
+    fn new(spec: ServerSpec, config: ServerConfig) -> Result<Self, String> {
+        spec.validate()?;
+        config.validate()?;
+        let mut registry = MetricRegistry::new();
+        let ids = DeviceMetricIds::register(&mut registry);
+        let transport = TransportIds::register(&mut registry);
+        let shard = registry.shard();
+        let governor = DeviceGovernor::new(
+            RuntimeController::new(spec.governor.clone(), spec.hysteresis),
+            Battery::new(spec.battery_capacity_j),
+            RuntimePolicy::Adaptive,
+            Arc::clone(&spec.cost),
+            spec.power,
+            config.scheduler.workers,
+        );
+        let core = Core {
+            scheduler: DeadlineScheduler::new(config.scheduler),
+            governor,
+            next_window_ms: config.window_ms,
+            next_internal_id: 0,
+            pending: HashMap::new(),
+            inflight: std::collections::BinaryHeap::new(),
+            registry,
+            shard,
+            ids,
+            transport,
+            connections: Vec::new(),
+            obs: ObsPlane::standard(config.window_ms, 1_024),
+            window_index: 0,
+            subscribers: Vec::new(),
+        };
+        let shared = Self {
+            core: Mutex::new(core),
+            wakeup: Condvar::new(),
+            running: AtomicBool::new(true),
+            dead: AtomicBool::new(false),
+            start: Instant::now(),
+            config,
+            spec,
+        };
+        shared.begin_window(&mut shared.core.lock().expect("core lock"), 0.0);
+        Ok(shared)
+    }
+
     fn now_ms(&self) -> f64 {
         self.start.elapsed().as_secs_f64() * 1_000.0
     }
 
-    /// The admission/service closure for the active level — the same
-    /// cost-model path `DeviceSim::try_admit` and the engine's dispatch
-    /// drive.
-    fn service_closure(&self, core: &Core) -> impl Fn(usize) -> f64 {
-        let cost = Arc::clone(&self.spec.cost);
-        let level_pos = core.active_level;
-        let base = core.active_base_ms;
-        move |batch| cost.service_from_base_ms(level_pos, base, batch)
-    }
-
-    /// Runs governor windows up to `now_ms`: level decisions, switch costs,
-    /// background drain, battery-death detection — then scrapes each
-    /// boundary into the obs plane and pushes the window's series/alert
-    /// chunk to every subscriber.
+    /// Runs governor windows up to `now_ms`, then scrapes each boundary
+    /// into the obs plane and pushes the window's series/alert chunk to
+    /// every subscriber.
     fn advance_windows(&self, core: &mut Core, now_ms: f64) {
         while core.next_window_ms <= now_ms {
             let boundary = core.next_window_ms;
             core.next_window_ms += self.config.window_ms;
-            if !self.dead.load(Ordering::Acquire) {
-                self.window_step(core, boundary);
+            // the closing window counts as served or dead by the state it ran in
+            if self.dead.load(Ordering::Acquire) {
+                core.shard.add(core.ids.windows_dead, 1);
+            } else {
+                core.shard.add(core.ids.windows_served, 1);
+                let window_s = self.config.window_ms / 1_000.0;
+                core.governor.drain(self.config.background_w * window_s);
+                self.begin_window(core, boundary);
             }
             // dead windows still scrape: subscribers keep seeing the
             // post-mortem gauges instead of a silently frozen stream
@@ -393,36 +409,40 @@ impl Shared {
         }
     }
 
-    /// The governor work of one live window boundary.
-    fn window_step(&self, core: &mut Core, boundary: f64) {
+    /// The governor step of one boundary (the boot at 0 included): battery
+    /// gauges, death, and the level the governor picks. The server has no
+    /// thermal source, charger or cliff, and no bank: a switch costs the
+    /// spec's `switch_time_ms` and installs the level's `level_base_ms`.
+    fn begin_window(&self, core: &mut Core, boundary: f64) {
         let window_s = self.config.window_ms / 1_000.0;
-        let background_j = self.config.background_w * window_s;
-        core.battery.drain_saturating(background_j);
-        if core.battery.is_empty() {
-            self.enter_drain(core);
-            return;
-        }
-        let decision = core.controller.decide(Telemetry {
-            now_ms: boundary,
-            state_of_charge: core.battery.state_of_charge(),
-            thermal_cap: None,
-        });
-        if decision.level_pos != core.active_level {
-            core.active_level = decision.level_pos;
-            core.active_base_ms = self.spec.level_base_ms[decision.level_pos];
+        let decision = core
+            .governor
+            .begin_window(boundary, window_s, None, 0.0, None);
+        core.governor.record_battery(&mut core.shard, &core.ids);
+        let Some(decision) = decision else {
+            // battery death: drain, and flip the acceptor into refuse mode;
+            // connections stay open for draining responses and metrics
+            self.dead.store(true, Ordering::Release);
+            let counter = core.ids.dropped_dead;
+            return Self::drain_pending(core, Status::DroppedDead, counter);
+        };
+        let (level_pos, ids) = (decision.level_pos, core.ids);
+        if decision.switched {
             let switch_ms = self.spec.switch_time_ms;
-            core.scheduler.block_workers_until(boundary + switch_ms);
-            let level = self.spec.governor.levels()[decision.level_pos];
-            let energy = self.spec.power.power_w(&level) * switch_ms / 1_000.0;
-            core.battery.drain_saturating(energy);
-            let ids = &core.ids;
-            core.shard.add(ids.switches, 1);
-            core.shard.record(ids.switch_time_ms, switch_ms);
+            let base_ms = self.spec.level_base_ms[level_pos];
+            let counted = core.governor.activate(
+                level_pos,
+                base_ms,
+                switch_ms,
+                boundary,
+                &mut core.scheduler,
+            );
+            if counted.is_some() {
+                core.shard.add(ids.switches, 1);
+                core.shard.record(ids.switch_time_ms, switch_ms);
+            }
         }
-        let ids = &core.ids;
-        core.shard.set(ids.active_level, core.active_level as f64);
-        core.shard
-            .set(ids.state_of_charge, core.battery.state_of_charge());
+        core.shard.set(ids.active_level, level_pos as f64);
     }
 
     /// Scrapes one window boundary into the obs plane, evaluates the alert
@@ -448,74 +468,52 @@ impl Shared {
         });
     }
 
-    /// Battery death: drop queued requests with an explicit code, flush
-    /// every in-flight response immediately, and flip the acceptor into
-    /// refuse mode. Connections stay open for draining responses and
-    /// metrics queries.
-    fn enter_drain(&self, core: &mut Core) {
-        self.dead.store(true, Ordering::Release);
-        let dropped = core.scheduler.drain_queue();
-        let level_pos = core.active_level as u32;
-        let counter = core.ids.dropped_dead;
-        for request in dropped {
-            self.resolve(
-                core,
-                request.id,
-                InferResponse {
-                    id: 0, // patched from the pending entry
-                    status: Status::DroppedDead,
-                    level_pos,
-                    queue_ms: 0.0,
-                    infer_ms: 0.0,
-                },
-                counter,
-            );
-        }
-        let due: Vec<Reverse<InFlight>> = core.inflight.drain().collect();
-        for Reverse(flight) in due {
-            self.flush_completion(core, flight);
-        }
-        let ids = &core.ids;
-        core.shard.set(ids.queue_depth, 0.0);
-        core.shard.set(ids.state_of_charge, 0.0);
-    }
-
-    /// Writes a non-completion resolution (reject/drop) for a pending
-    /// request and counts it.
-    fn resolve(
-        &self,
-        core: &mut Core,
-        internal_id: u64,
-        mut response: InferResponse,
-        counter: CounterId,
-    ) {
-        if let Some(entry) = core.pending.remove(&internal_id) {
-            response.id = entry.client_id;
+    /// The one drain path of battery death and shutdown: every queued
+    /// request resolves with `status` (counted under `counter`), then every
+    /// in-flight response flushes at once.
+    fn drain_pending(core: &mut Core, status: Status, counter: CounterId) {
+        let level_pos = core.level_pos() as u32;
+        for request in core.scheduler.drain_queue() {
+            let Some(entry) = core.pending.remove(&request.id) else {
+                continue;
+            };
             core.shard.add(counter, 1);
+            let response = InferResponse {
+                id: entry.client_id,
+                status,
+                level_pos,
+                queue_ms: 0.0,
+                infer_ms: 0.0,
+            };
             if !entry.conn.send(&response.encode()) {
-                let ids = &core.ids;
-                core.shard.add(ids.responses_failed, 1);
+                core.shard.add(core.transport.responses_failed, 1);
             }
         }
+        for Reverse(flight) in std::mem::take(&mut core.inflight) {
+            Self::flush_completion(core, flight);
+        }
+        core.shard.set(core.ids.queue_depth, 0.0);
     }
 
     /// Writes a completion response and records its telemetry.
-    fn flush_completion(&self, core: &mut Core, flight: InFlight) {
-        let Some(entry) = core.pending.remove(&flight.internal_id) else {
+    fn flush_completion(core: &mut Core, InFlight(completion): InFlight) {
+        let Some(entry) = core.pending.remove(&completion.id) else {
             return;
         };
-        let mut response = flight.response;
-        response.id = entry.client_id;
-        let ids = &core.ids;
-        core.shard.add(ids.completed, 1);
-        if !flight.met_deadline {
-            core.shard.add(ids.deadline_missed, 1);
-        }
-        core.shard.record(ids.latency_ms, flight.latency_ms);
-        core.shard.record(ids.queue_wait_ms, flight.queue_ms);
-        core.shard.record(ids.infer_ms, flight.infer_ms);
+        let response = InferResponse {
+            id: entry.client_id,
+            status: if completion.met_deadline {
+                Status::Completed
+            } else {
+                Status::CompletedLate
+            },
+            level_pos: completion.level_pos as u32,
+            queue_ms: completion.start_ms - completion.arrival_ms,
+            infer_ms: completion.finish_ms - completion.start_ms,
+        };
+        core.ids.record_completion(&mut core.shard, &completion);
         if !entry.conn.send(&response.encode()) {
-            core.shard.add(ids.responses_failed, 1);
+            core.shard.add(core.transport.responses_failed, 1);
         }
     }
 
@@ -542,13 +540,10 @@ impl Shared {
     fn tick(&self, core: &mut Core, now_ms: f64) {
         self.advance_windows(core, now_ms);
         if !self.dead.load(Ordering::Acquire) {
-            let service = self.service_closure(core);
-            let level_pos = core.active_level;
-            let completions = core.scheduler.dispatch(now_ms, level_pos, &service);
+            let level_pos = core.level_pos();
+            let service = core.governor.service();
+            let completions = core.scheduler.dispatch(now_ms, level_pos, service);
             if !completions.is_empty() {
-                let level = self.spec.governor.levels()[level_pos];
-                let core_power_w =
-                    self.spec.power.power_w(&level) / self.config.scheduler.workers as f64;
                 let mut i = 0;
                 while i < completions.len() {
                     let batch = completions[i].batch;
@@ -556,40 +551,19 @@ impl Shared {
                     i += batch;
                 }
                 for completion in completions {
-                    let service_share =
-                        (completion.finish_ms - completion.start_ms) / completion.batch as f64;
-                    let energy = core_power_w * service_share / 1_000.0;
-                    core.battery.drain_saturating(energy);
-                    core.inflight.push(Reverse(InFlight {
-                        finish_ms: completion.finish_ms,
-                        internal_id: completion.id,
-                        response: InferResponse {
-                            id: 0, // patched at flush from the pending entry
-                            status: if completion.met_deadline {
-                                Status::Completed
-                            } else {
-                                Status::CompletedLate
-                            },
-                            level_pos: completion.level_pos as u32,
-                            queue_ms: completion.start_ms - completion.arrival_ms,
-                            infer_ms: completion.finish_ms - completion.start_ms,
-                        },
-                        latency_ms: completion.latency_ms(),
-                        queue_ms: completion.start_ms - completion.arrival_ms,
-                        infer_ms: completion.finish_ms - completion.start_ms,
-                        met_deadline: completion.met_deadline,
-                    }));
+                    core.governor.charge_completion(&completion);
+                    core.inflight.push(Reverse(InFlight(completion)));
                 }
                 core.shard
                     .set(core.ids.queue_depth, core.scheduler.queue_len() as f64);
             }
         }
         while let Some(Reverse(head)) = core.inflight.peek() {
-            if head.finish_ms > now_ms {
+            if head.0.finish_ms > now_ms {
                 break;
             }
             let Reverse(flight) = core.inflight.pop().expect("peeked");
-            self.flush_completion(core, flight);
+            Self::flush_completion(core, flight);
         }
     }
 
@@ -631,52 +605,11 @@ impl Server {
         spec: ServerSpec,
         config: ServerConfig,
     ) -> Result<Self, String> {
-        spec.validate()?;
-        config.validate()?;
+        let shared = Arc::new(Shared::new(spec, config)?);
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind failed: {e}"))?;
         let local = listener
             .local_addr()
             .map_err(|e| format!("local_addr failed: {e}"))?;
-
-        let mut registry = MetricRegistry::new();
-        let ids = MetricIds::register(&mut registry);
-        let shard = registry.shard();
-        let mut controller = RuntimeController::new(spec.governor.clone(), spec.hysteresis);
-        let battery = Battery::new(spec.battery_capacity_j);
-        // the boot decision activates the initial level (a load, not a
-        // counted switch — same convention as the engine)
-        let boot = controller.decide(Telemetry {
-            now_ms: 0.0,
-            state_of_charge: battery.state_of_charge(),
-            thermal_cap: None,
-        });
-        let core = Core {
-            scheduler: DeadlineScheduler::new(config.scheduler),
-            controller,
-            battery,
-            active_level: boot.level_pos,
-            active_base_ms: spec.level_base_ms[boot.level_pos],
-            next_window_ms: config.window_ms,
-            next_internal_id: 0,
-            pending: HashMap::new(),
-            inflight: std::collections::BinaryHeap::new(),
-            registry,
-            shard,
-            ids,
-            connections: Vec::new(),
-            obs: ObsPlane::standard(config.window_ms, 1_024),
-            window_index: 0,
-            subscribers: Vec::new(),
-        };
-        let shared = Arc::new(Shared {
-            core: Mutex::new(core),
-            wakeup: Condvar::new(),
-            running: AtomicBool::new(true),
-            dead: AtomicBool::new(false),
-            start: Instant::now(),
-            config,
-            spec,
-        });
 
         let dispatcher = {
             let shared = Arc::clone(&shared);
@@ -735,28 +668,8 @@ impl Server {
                 return;
             }
             self.shared.wakeup.notify_one();
-            let core = &mut *core;
-            let dropped = core.scheduler.drain_queue();
-            let level_pos = core.active_level as u32;
-            let counter = core.ids.dropped_shutdown;
-            for request in dropped {
-                self.shared.resolve(
-                    core,
-                    request.id,
-                    InferResponse {
-                        id: 0,
-                        status: Status::DroppedShutdown,
-                        level_pos,
-                        queue_ms: 0.0,
-                        infer_ms: 0.0,
-                    },
-                    counter,
-                );
-            }
-            let due: Vec<Reverse<InFlight>> = core.inflight.drain().collect();
-            for Reverse(flight) in due {
-                self.shared.flush_completion(core, flight);
-            }
+            let counter = core.transport.dropped_shutdown;
+            Shared::drain_pending(&mut core, Status::DroppedShutdown, counter);
             for conn in core.connections.drain(..) {
                 if let Some(conn) = conn.upgrade() {
                     conn.send(&ServerFrame::encode_terminal(TERMINAL_SHUTDOWN));
@@ -799,7 +712,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 &ServerFrame::encode_terminal(TERMINAL_BATTERY_DEAD),
             );
             let mut core = shared.core.lock().expect("core lock");
-            let id = core.ids.connections_refused_dead;
+            let id = core.transport.connections_refused_dead;
             core.shard.add(id, 1);
             continue;
         }
@@ -842,7 +755,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             writer.shutdown();
             return;
         }
-        let id = core.ids.connections_opened;
+        let id = core.transport.connections_opened;
         core.shard.add(id, 1);
         core.connections.push(Arc::downgrade(&writer));
     }
@@ -856,7 +769,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 // terminal status so the timeout is never a silent reset
                 {
                     let mut core = shared.core.lock().expect("core lock");
-                    let id = core.ids.connections_timed_out;
+                    let id = core.transport.connections_timed_out;
                     core.shard.add(id, 1);
                 }
                 writer.send(&ServerFrame::encode_terminal(TERMINAL_IDLE_TIMEOUT));
@@ -914,7 +827,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         }
     }
     let mut core = shared.core.lock().expect("core lock");
-    let id = core.ids.connections_closed;
+    let id = core.transport.connections_closed;
     core.shard.add(id, 1);
 }
 
@@ -926,7 +839,7 @@ fn protocol_error(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, error: &Protoc
     let counted = !matches!(error, ProtocolError::Io(_));
     if counted {
         let mut core = shared.core.lock().expect("core lock");
-        let id = core.ids.protocol_errors;
+        let id = core.transport.protocol_errors;
         core.shard.add(id, 1);
         writer.send(&ServerFrame::encode_terminal(TERMINAL_PROTOCOL_ERROR));
     }
@@ -958,13 +871,13 @@ fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, budget_
         let response = InferResponse {
             id: client_id,
             status: Status::Draining,
-            level_pos: core.active_level as u32,
+            level_pos: core.level_pos() as u32,
             queue_ms: 0.0,
             infer_ms: 0.0,
         };
-        core.shard.add(core.ids.draining_refused, 1);
+        core.shard.add(core.transport.draining_refused, 1);
         if !writer.send(&response.encode()) {
-            core.shard.add(core.ids.responses_failed, 1);
+            core.shard.add(core.transport.responses_failed, 1);
         }
         return false;
     }
@@ -975,8 +888,7 @@ fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, budget_
         arrival_ms: now_ms,
         deadline_ms: now_ms + budget_ms,
     };
-    let service = shared.service_closure(core);
-    let result = core.scheduler.submit(request, service);
+    let result = core.scheduler.submit(request, core.governor.service());
     match result {
         Ok(_) => {
             core.pending.insert(
@@ -1005,14 +917,139 @@ fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, budget_
             let response = InferResponse {
                 id: client_id,
                 status,
-                level_pos: core.active_level as u32,
+                level_pos: core.level_pos() as u32,
                 queue_ms: 0.0,
                 infer_ms: 0.0,
             };
             if !writer.send(&response.encode()) {
-                core.shard.add(core.ids.responses_failed, 1);
+                core.shard.add(core.transport.responses_failed, 1);
             }
             false
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rt3_core::{
+        build_search_space, run_level1, run_level2_search, Rt3Config, SurrogateEvaluator,
+        TaskProfile,
+    };
+    use rt3_runtime::{Scenario, ServeConfig, ServeEngine, TelemetryConfig};
+    use rt3_transformer::{TransformerConfig, TransformerLm};
+
+    /// The server and the simulated engine run one governor. On the same
+    /// battery, cost model and switch price, the server's core, stepped
+    /// boundary by boundary without threads, must take the engine's
+    /// decision at every window — level, counted switch, and the state of
+    /// charge and time to death the decision saw, bit for bit — and die in
+    /// the same window.
+    #[test]
+    fn server_governor_matches_the_engine_window_for_window() {
+        let model = TransformerLm::new(TransformerConfig::tiny(32), 13);
+        let rt3 = Rt3Config::tiny_test();
+        let mut evaluator = SurrogateEvaluator::new(TaskProfile::wikitext2());
+        let backbone = run_level1(&model, &rt3, &mut evaluator);
+        let space = build_search_space(&model, &backbone, &rt3);
+        let outcome = run_level2_search(&model, &backbone, &space, &rt3, &mut evaluator);
+        let config = ServeConfig {
+            battery_capacity_j: 13.0,
+            real_inference: false,
+            telemetry: TelemetryConfig::full(),
+            ..ServeConfig::default()
+        };
+        let hysteresis = config.hysteresis;
+        let mut engine = ServeEngine::new(
+            &model,
+            backbone.masks.clone(),
+            &space,
+            &outcome,
+            rt3.clone(),
+            config,
+        );
+
+        // the server charges one switch price for every level; the engine
+        // prices each level from its bank, so the comparison holds only
+        // while every candidate set costs the same
+        let levels = rt3.governor.levels().len();
+        let switch_time_ms = engine.bank().switch_cost(0).time_ms;
+        for pos in 1..levels {
+            assert_eq!(
+                engine.bank().switch_cost(pos).time_ms.to_bits(),
+                switch_time_ms.to_bits(),
+                "level {pos} switches at a different price"
+            );
+        }
+        let spec = ServerSpec {
+            cost: Arc::clone(engine.cost_model()),
+            governor: rt3.governor.clone(),
+            hysteresis,
+            level_base_ms: (0..levels)
+                .map(|pos| engine.level_latency_ms(pos))
+                .collect(),
+            switch_time_ms,
+            battery_capacity_j: 13.0,
+            power: PowerModel::cortex_a7(),
+        };
+
+        let report = engine.run(&Scenario::ConstantDrain {
+            duration_s: 90,
+            rps: 0.0,
+            background_w: 0.2,
+        });
+        let died_at_s = report.died_at_s.expect("the battery dies inside the run");
+        assert!(
+            report.switches >= 2,
+            "the run crosses both governor thresholds"
+        );
+        let decisions = report.telemetry.expect("full telemetry").decisions;
+        assert_eq!(
+            decisions.len(),
+            died_at_s as usize,
+            "one decision per live window"
+        );
+
+        let server_config = ServerConfig {
+            window_ms: 1_000.0,
+            background_w: 0.2,
+            ..ServerConfig::default()
+        };
+        let shared = Shared::new(spec, server_config).unwrap();
+        let mut core = shared.core.lock().unwrap();
+        let mut switches = 0;
+        for (k, decision) in decisions.iter().enumerate() {
+            let boundary = k as f64 * 1_000.0;
+            assert_eq!(decision.t_ms, boundary);
+            // window 0 is the boot, which `Shared::new` already ran
+            shared.advance_windows(&mut core, boundary);
+            assert!(!shared.dead.load(Ordering::Acquire), "window {k}: alive");
+            let metrics = core.registry.snapshot(&core.shard);
+            let gauge = |name: &str| metrics.gauge(name).expect("gauge set at boot").to_bits();
+            assert_eq!(
+                gauge("active_level"),
+                (decision.chosen_level as f64).to_bits(),
+                "window {k}: level"
+            );
+            assert_eq!(
+                gauge("state_of_charge"),
+                decision.state_of_charge.to_bits(),
+                "window {k}: state of charge"
+            );
+            assert_eq!(
+                gauge("time_to_death_ms"),
+                decision.time_to_death_ms.to_bits(),
+                "window {k}: time to death"
+            );
+            let counted = metrics.counter("switches").unwrap_or(0);
+            assert_eq!(counted > switches, decision.switched, "window {k}: switch");
+            switches = counted;
+        }
+        assert_eq!(switches, report.switches);
+        shared.advance_windows(&mut core, f64::from(died_at_s) * 1_000.0);
+        assert!(
+            shared.dead.load(Ordering::Acquire),
+            "the server dies in the engine's death window {died_at_s}"
+        );
     }
 }

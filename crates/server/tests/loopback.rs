@@ -9,6 +9,7 @@ use rt3_server::{
     check_load_invariants, loadgen, InferOutcome, LoadgenConfig, ServeClient, Server, ServerConfig,
     ServerSpec, Status,
 };
+use rt3_telemetry::{AlertState, TelemetrySnapshot};
 use std::time::{Duration, Instant};
 
 /// A server spec with plenty of battery: nothing dies during the run.
@@ -339,4 +340,82 @@ fn subscribe_streams_obs_chunks_per_window() {
 
     // the infer path keeps working while a subscriber is attached
     worker.infer(99, 1_000.0, b"x").unwrap();
+}
+
+#[test]
+fn battery_gauges_are_set_at_spawn() {
+    // the boot window activates the initial level before any boundary, as
+    // the engine's first window does; with the default 1 s window nothing
+    // else has run yet
+    let server = Server::spawn("127.0.0.1:0", healthy_spec(), ServerConfig::default()).unwrap();
+    let snapshot = server.metrics_snapshot();
+    assert!(snapshot.metrics.gauge("active_level").is_some());
+    assert_eq!(snapshot.metrics.gauge("state_of_charge"), Some(1.0));
+}
+
+#[test]
+fn metrics_jsonl_carries_the_device_schema() {
+    let server = Server::spawn("127.0.0.1:0", healthy_spec(), fast_config()).unwrap();
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    // cross a few 50 ms boundaries so the drain tracker has observations
+    std::thread::sleep(Duration::from_millis(160));
+    let jsonl = client.metrics().unwrap();
+    for name in [
+        "time_to_death_ms",
+        "drain_rate_w",
+        "windows_served",
+        "windows_dead",
+    ] {
+        assert!(
+            jsonl.contains(&format!("\"name\":\"{name}\"")),
+            "the wire snapshot carries {name}: {jsonl}"
+        );
+    }
+    let snapshot = server.metrics_snapshot();
+    assert!(snapshot.metrics.counter("windows_served").unwrap_or(0) >= 2);
+    assert!(snapshot.metrics.gauge("drain_rate_w").unwrap_or(0.0) > 0.0);
+}
+
+#[test]
+fn battery_cliff_alert_fires_before_the_drain() {
+    // 0.05 J of background drain per 50 ms window on a 1 J battery: the
+    // server dies after about 20 windows, and the cliff rule (time to
+    // death under 8 windows, held for 2) must page while it still serves
+    let spec = ServerSpec {
+        battery_capacity_j: 1.0,
+        ..healthy_spec()
+    };
+    let config = ServerConfig {
+        window_ms: 50.0,
+        background_w: 1.0,
+        ..ServerConfig::default()
+    };
+    let server = Server::spawn("127.0.0.1:0", spec, config).unwrap();
+    let firing = |snapshot: &TelemetrySnapshot| {
+        snapshot.obs.as_ref().is_some_and(|obs| {
+            obs.states
+                .iter()
+                .any(|(rule, state)| rule == "battery_cliff" && *state == AlertState::Firing)
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut fired_while_serving = false;
+    while !server.is_draining() {
+        assert!(Instant::now() < deadline, "the battery never died");
+        // a snapshot taken while the drain is still off afterwards
+        // predates the drain
+        let snapshot = server.metrics_snapshot();
+        fired_while_serving |= firing(&snapshot) && !server.is_draining();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        fired_while_serving,
+        "battery_cliff must fire before the server drains"
+    );
+    let served = server
+        .metrics_snapshot()
+        .metrics
+        .counter("windows_served")
+        .unwrap_or(0);
+    assert!(served >= 15, "the battery lasted {served} windows, not 15");
 }

@@ -16,7 +16,7 @@
 //! * [`PatternPlan`] / [`CompiledPattern`] — the compiled execution plan a
 //!   [`PatternPrunedMatrix`] lowers into at construction: flat value arena,
 //!   shared per-pattern offset tables and a blocked SIMD-friendly kernel
-//!   (see `plan.rs`; the seed scalar kernel survives in [`reference`] for
+//!   (see `plan.rs`; the seed scalar kernel survives in [`mod@reference`] for
 //!   bit-level cross-checks).
 //! * [`Backend`] — the runtime-detected kernel backend (`simd.rs`):
 //!   hand-written AVX2 kernels for the full-block widths the engines

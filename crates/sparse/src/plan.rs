@@ -418,7 +418,7 @@ impl PatternPlan {
 
     /// [`PatternPlan::compile`] with an explicit kernel backend. The
     /// request is clamped to what the CPU supports
-    /// ([`Backend::validated`]); forcing [`Backend::Scalar`] is how the
+    /// (`Backend::validated`); forcing [`Backend::Scalar`] is how the
     /// proptest suite obtains the bit-exactness reference on SIMD hosts.
     pub fn compile_with_backend(dense: &Matrix, set: &PatternSet, backend: Backend) -> Self {
         let set = Arc::new(CompiledSet::new(set));

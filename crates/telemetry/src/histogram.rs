@@ -23,7 +23,7 @@ const BUCKETS: usize = OCTAVES * SUB_BUCKETS;
 
 /// Fixed-layout log-bucketed histogram of non-negative samples (latencies,
 /// service times, batch sizes). `counts` stores only the *occupied* slice
-/// of the conceptual [`BUCKETS`]-long array: `counts[i]` is bucket
+/// of the conceptual `BUCKETS`-long array: `counts[i]` is bucket
 /// `base + i`, and the slice is trimmed so `counts.first()` and
 /// `counts.last()` are both nonzero (empty histograms hold an empty `Vec`
 /// and `base == 0`). Real metric streams occupy a narrow band of the

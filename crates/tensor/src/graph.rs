@@ -103,7 +103,7 @@ struct Node {
 
 /// Reverse-mode autodiff tape.
 ///
-/// See the [module documentation](self) for an overview and example.
+/// See the `graph` module documentation for an overview and example.
 #[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
