@@ -1,10 +1,12 @@
 //! Criterion bench: throughput of the RL controller (episode sampling +
-//! policy-gradient update) and of one full Level-2 search episode with the
-//! surrogate evaluator.
+//! policy-gradient update) and of one Level-2 evaluation with the surrogate
+//! evaluator against a search's candidate table (lowered on the first
+//! iteration, so the timed loop is prediction, scoring and reward).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rt3_core::evaluate_assignment;
-use rt3_core::{build_search_space, run_level1, Rt3Config, SurrogateEvaluator, TaskProfile};
+use rt3_core::{
+    build_search_space, run_level1, CandidateTable, Rt3Config, SurrogateEvaluator, TaskProfile,
+};
 use rt3_rl::{Controller, ControllerConfig};
 use rt3_transformer::{TransformerConfig, TransformerLm};
 
@@ -23,18 +25,9 @@ fn bench_rl(c: &mut Criterion) {
     let mut evaluator = SurrogateEvaluator::new(TaskProfile::wikitext2());
     let backbone = run_level1(&model, &config, &mut evaluator);
     let space = build_search_space(&model, &backbone, &config);
+    let table = CandidateTable::new(&model, &backbone, &space, &config);
     group.bench_function("evaluate_one_assignment", |b| {
-        b.iter(|| {
-            evaluate_assignment(
-                &model,
-                &backbone,
-                &space,
-                &config,
-                &mut evaluator,
-                &[0, 1, 2],
-                true,
-            )
-        })
+        b.iter(|| table.evaluate(&mut evaluator, &[0, 1, 2], true))
     });
     group.finish();
 }

@@ -10,9 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rt3_core::{
-    build_optimizer, build_search_space, evaluate_assignment_with_reference,
-    level2_assignment_space, level2_runs_reference, run_level1, BackboneResult, OptimizerKind,
-    Rt3Config, SurrogateEvaluator, TaskProfile,
+    build_optimizer, build_search_space, level2_assignment_space, run_level1, BackboneResult,
+    CandidateTable, OptimizerKind, Rt3Config, SurrogateEvaluator, TaskProfile,
 };
 use rt3_pruning::PatternSpace;
 use rt3_search::{DriverConfig, SearchDriver};
@@ -43,9 +42,9 @@ fn offline() -> (TransformerLm, BackboneResult, PatternSpace, Rt3Config) {
 fn bench_search_convergence(c: &mut Criterion) {
     let (model, backbone, space, config) = offline();
     let assignment_space = level2_assignment_space(&space, &config);
-    // invariant across assignments — hoist it so the timed loop measures
-    // search + per-assignment evaluation, not reference recomputation
-    let reference = level2_runs_reference(&model, &backbone, &space, &config);
+    // one table for every run, as one search holds one: the timed loop
+    // measures search + per-assignment evaluation, not lowering
+    let table = CandidateTable::new(&model, &backbone, &space, &config);
     let budget = budget();
     let mut group = c.benchmark_group("search_convergence");
     group.sample_size(10);
@@ -60,16 +59,7 @@ fn bench_search_convergence(c: &mut Criterion) {
                 let mut optimizer = build_optimizer(kind, assignment_space, config.seed);
                 let driver = SearchDriver::new(DriverConfig::budget(budget));
                 driver.run(optimizer.as_mut(), |actions| {
-                    evaluate_assignment_with_reference(
-                        &model,
-                        &backbone,
-                        &space,
-                        &config,
-                        &mut evaluator,
-                        actions,
-                        true,
-                        reference,
-                    )
+                    table.evaluate(&mut evaluator, actions, true)
                 })
             })
         });
@@ -85,16 +75,7 @@ fn bench_search_convergence(c: &mut Criterion) {
         let mut optimizer = build_optimizer(kind, assignment_space, config.seed);
         let driver = SearchDriver::new(DriverConfig::budget(budget));
         let outcome = driver.run(optimizer.as_mut(), |actions| {
-            evaluate_assignment_with_reference(
-                &model,
-                &backbone,
-                &space,
-                &config,
-                &mut evaluator,
-                actions,
-                true,
-                reference,
-            )
+            table.evaluate(&mut evaluator, actions, true)
         });
         let best = outcome.best().expect("non-empty search");
         println!(

@@ -5,10 +5,7 @@
 //! is the search strategy.
 
 use crate::evaluator::AccuracyEvaluator;
-use crate::search::{
-    evaluate_assignment_with_reference, level2_assignment_space, level2_runs_reference,
-    BackboneResult, SolutionPoint,
-};
+use crate::search::{level2_assignment_space, BackboneResult, CandidateTable, SolutionPoint};
 use crate::Rt3Config;
 use rt3_pruning::PatternSpace;
 use rt3_search::{build_optimizer, DriverConfig, OptimizerKind, SearchDriver};
@@ -118,10 +115,9 @@ pub fn compare_optimizers<M: Model, E: AccuracyEvaluator>(
     comparison: &ComparisonConfig,
 ) -> ComparisonReport {
     let assignment_space = level2_assignment_space(space, config);
-    // the runs-normalisation reference is invariant across assignments —
-    // hoist it once instead of recomputing it per evaluation (the
-    // exhaustive-optimum pass alone evaluates the whole space)
-    let reference = level2_runs_reference(model, backbone, space, config);
+    // every row draws its lowerings from one table (the exhaustive-optimum
+    // pass alone evaluates the whole space)
+    let table = CandidateTable::new(model, backbone, space, config);
     // evaluations are deterministic per assignment, so rows share one memo:
     // each driver still charges its own budget through its private cache
     // (the per-row accounting below is untouched), but an assignment another
@@ -135,9 +131,7 @@ pub fn compare_optimizers<M: Model, E: AccuracyEvaluator>(
             if let Some(point) = memo.get(actions) {
                 return point.clone();
             }
-            let point = evaluate_assignment_with_reference(
-                model, backbone, space, config, evaluator, actions, true, reference,
-            );
+            let point = table.evaluate(evaluator, actions, true);
             memo.insert(actions.to_vec(), point.clone());
             point
         });

@@ -67,9 +67,8 @@ pub use pareto::{frontier_covers, pareto_front_indices, ObjectivePair, ParetoPoi
 pub use reward::{compute_reward, RewardBreakdown, RewardCase};
 pub use search::{
     build_search_space, candidate_sparsities, constraint_guided_sparsities, evaluate_assignment,
-    evaluate_assignment_with_reference, level2_assignment_space, level2_runs_reference, run_level1,
-    run_level1_random, run_level2_search, run_level2_search_with, BackboneResult, SearchOutcome,
-    SolutionPoint,
+    level2_assignment_space, run_level1, run_level1_random, run_level2_search,
+    run_level2_search_with, BackboneResult, CandidateTable, SearchOutcome, SolutionPoint,
 };
 // the optimizer vocabulary Level-2 callers need, re-exported so downstream
 // code can stay on the `rt3-core` facade

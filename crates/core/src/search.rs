@@ -18,7 +18,7 @@ use crate::pareto::{pareto_front_indices, ParetoPoint};
 use crate::reward::{compute_reward, RewardCase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rt3_hardware::{number_of_runs, ModelWorkload, PowerModel};
+use rt3_hardware::{number_of_runs, ModelWorkload, PowerModel, VfLevel};
 use rt3_pruning::{
     block_prune_model, combined_masks_for_model, generate_pattern_space, random_block_prune_model,
     PatternSpace,
@@ -27,6 +27,7 @@ use rt3_search::{AssignmentSpace, DriverConfig, Fitness, Optimizer, Reinforce, S
 use rt3_sparse::SparseFormat;
 use rt3_transformer::{MaskSet, Model};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 
 /// Output of Level 1: the frozen backbone masks and their evaluation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -167,112 +168,143 @@ impl SearchOutcome {
     }
 }
 
-/// Evaluates one assignment of candidate pattern sets to V/F levels.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_solution<M: Model, E: AccuracyEvaluator>(
-    model: &M,
-    backbone: &BackboneResult,
-    space: &PatternSpace,
-    config: &Rt3Config,
-    evaluator: &mut E,
-    actions: &[usize],
-    level2_guided: bool,
-    max_runs_reference: f64,
-) -> SolutionPoint {
-    let predictor = config.predictor;
-    let power = PowerModel::cortex_a7();
-    let prunable = model.prunable_parameter_names();
-    // levels ordered high frequency -> low frequency (M1 first, as in the paper)
-    let mut levels: Vec<_> = config.governor.levels().to_vec();
-    levels.reverse();
-    let mut sparsities = Vec::with_capacity(actions.len());
-    let mut latencies = Vec::with_capacity(actions.len());
-    let mut accuracies = Vec::with_capacity(actions.len());
-    let mut total_runs = 0.0;
-    let budget_per_level = config.energy_budget_j / actions.len() as f64;
-    for (slot, (&action, level)) in actions.iter().zip(levels.iter()).enumerate() {
-        let candidate = &space.candidates()[action];
-        let masks = combined_masks_for_model(model, &backbone.masks, &prunable, &candidate.set);
-        let sparsity = masks.overall_sparsity();
-        let workload = ModelWorkload::from_config(
-            &config.workload_config,
-            sparsity,
-            config.seq_len,
-            SparseFormat::BlockPruned,
-        );
-        let latency = predictor.latency_ms(&workload, level);
-        let energy = power.energy_per_inference_j(level, latency);
-        total_runs += number_of_runs(budget_per_level, energy);
-        let spec = PruningSpec {
-            sparsity,
-            level1_guided: backbone.guided,
-            level2: Some(level2_guided),
-        };
-        let accuracy = evaluator.evaluate(&masks, &spec);
-        let _ = slot;
-        sparsities.push(sparsity);
-        latencies.push(latency);
-        accuracies.push(accuracy);
-    }
-    let runs_term = if max_runs_reference > 0.0 {
-        total_runs / max_runs_reference
-    } else {
-        0.0
-    };
-    let breakdown = compute_reward(
-        &config.reward,
-        backbone.accuracy,
-        &accuracies,
-        &latencies,
-        runs_term,
-        config.timing_constraint_ms,
-    );
-    SolutionPoint {
-        actions: actions.to_vec(),
-        sparsities,
-        latencies_ms: latencies,
-        accuracies,
-        weighted_accuracy: breakdown.weighted_accuracy,
-        number_of_runs: total_runs,
-        reward: breakdown.reward,
-        meets_constraint: breakdown.case != RewardCase::DeadlineMiss,
-    }
+/// The per-search table of candidate lowerings: each candidate pattern
+/// set's combined (backbone ∧ pattern) masks and their overall sparsity,
+/// lowered at most once, the first time an assignment picks the candidate.
+///
+/// The masks are a fixed function of (model, backbone, candidate), so every
+/// Level-2 evaluation goes through one table per search instead of lowering
+/// each level's candidate again per evaluation. The evaluator is still
+/// called once per level per evaluation, in level order, with masks equal
+/// to a fresh [`combined_masks_for_model`] lowering, so stateful evaluators
+/// see the same call sequence either way.
+pub struct CandidateTable<'a, M: Model> {
+    model: &'a M,
+    backbone: &'a BackboneResult,
+    space: &'a PatternSpace,
+    config: &'a Rt3Config,
+    prunable: Vec<String>,
+    power: PowerModel,
+    /// V/F levels ordered high frequency -> low frequency (M1 first, as in
+    /// the paper).
+    levels: Vec<VfLevel>,
+    lowered: Vec<OnceCell<(MaskSet, f64)>>,
+    runs_reference: OnceCell<f64>,
 }
 
-/// Upper bound on the number of runs: every level uses the sparsest
-/// candidate. Used to normalise `R_runs` into `[0, 1]`.
-fn max_runs_reference<M: Model>(
-    model: &M,
-    backbone: &BackboneResult,
-    space: &PatternSpace,
-    config: &Rt3Config,
-) -> f64 {
-    let predictor = config.predictor;
-    let power = PowerModel::cortex_a7();
-    let prunable = model.prunable_parameter_names();
-    let sparsest = space
-        .candidates()
-        .last()
-        .expect("pattern space is never empty");
-    let masks = combined_masks_for_model(model, &backbone.masks, &prunable, &sparsest.set);
-    let sparsity = masks.overall_sparsity();
-    let mut levels: Vec<_> = config.governor.levels().to_vec();
-    levels.reverse();
-    let budget_per_level = config.energy_budget_j / levels.len() as f64;
-    levels
-        .iter()
-        .map(|level| {
-            let workload = ModelWorkload::from_config(
-                &config.workload_config,
-                sparsity,
-                config.seq_len,
-                SparseFormat::BlockPruned,
-            );
-            let latency = predictor.latency_ms(&workload, level);
-            let energy = power.energy_per_inference_j(level, latency);
-            number_of_runs(budget_per_level, energy)
+impl<'a, M: Model> CandidateTable<'a, M> {
+    /// An empty table over `space`; nothing is lowered until an evaluation
+    /// needs it.
+    pub fn new(
+        model: &'a M,
+        backbone: &'a BackboneResult,
+        space: &'a PatternSpace,
+        config: &'a Rt3Config,
+    ) -> Self {
+        let mut levels = config.governor.levels().to_vec();
+        levels.reverse();
+        Self {
+            model,
+            backbone,
+            space,
+            config,
+            prunable: model.prunable_parameter_names(),
+            power: PowerModel::cortex_a7(),
+            levels,
+            lowered: (0..space.len()).map(|_| OnceCell::new()).collect(),
+            runs_reference: OnceCell::new(),
+        }
+    }
+
+    /// The combined masks of one candidate and their overall sparsity.
+    fn lowered(&self, candidate: usize) -> &(MaskSet, f64) {
+        self.lowered[candidate].get_or_init(|| {
+            let set = &self.space.candidates()[candidate].set;
+            let masks =
+                combined_masks_for_model(self.model, &self.backbone.masks, &self.prunable, set);
+            let sparsity = masks.overall_sparsity();
+            (masks, sparsity)
         })
-        .sum()
+    }
+
+    /// Predicted latency of the model at `sparsity` on `level`, and the
+    /// number of runs `budget_j` buys there.
+    fn latency_and_runs(&self, sparsity: f64, level: &VfLevel, budget_j: f64) -> (f64, f64) {
+        let workload = ModelWorkload::from_config(
+            &self.config.workload_config,
+            sparsity,
+            self.config.seq_len,
+            SparseFormat::BlockPruned,
+        );
+        let latency = self.config.predictor.latency_ms(&workload, level);
+        let energy = self.power.energy_per_inference_j(level, latency);
+        (latency, number_of_runs(budget_j, energy))
+    }
+
+    /// Upper bound on the number of runs: every level uses the sparsest
+    /// candidate. Used to normalise `R_runs` into `[0, 1]`.
+    fn runs_reference(&self) -> f64 {
+        *self.runs_reference.get_or_init(|| {
+            let (_, sparsity) = *self.lowered(self.space.len() - 1);
+            let budget_per_level = self.config.energy_budget_j / self.levels.len() as f64;
+            self.levels
+                .iter()
+                .map(|level| self.latency_and_runs(sparsity, level, budget_per_level).1)
+                .sum()
+        })
+    }
+
+    /// Evaluates one assignment of candidate pattern sets to V/F levels;
+    /// `level2_guided = false` marks the rPP baseline.
+    pub fn evaluate<E: AccuracyEvaluator>(
+        &self,
+        evaluator: &mut E,
+        actions: &[usize],
+        level2_guided: bool,
+    ) -> SolutionPoint {
+        let mut sparsities = Vec::with_capacity(actions.len());
+        let mut latencies = Vec::with_capacity(actions.len());
+        let mut accuracies = Vec::with_capacity(actions.len());
+        let mut total_runs = 0.0;
+        let budget_per_level = self.config.energy_budget_j / actions.len() as f64;
+        for (&action, level) in actions.iter().zip(&self.levels) {
+            let (masks, sparsity) = self.lowered(action);
+            let (latency, runs) = self.latency_and_runs(*sparsity, level, budget_per_level);
+            total_runs += runs;
+            let spec = PruningSpec {
+                sparsity: *sparsity,
+                level1_guided: self.backbone.guided,
+                level2: Some(level2_guided),
+            };
+            accuracies.push(evaluator.evaluate(masks, &spec));
+            sparsities.push(*sparsity);
+            latencies.push(latency);
+        }
+        let reference = self.runs_reference();
+        let runs_term = if reference > 0.0 {
+            total_runs / reference
+        } else {
+            0.0
+        };
+        let breakdown = compute_reward(
+            &self.config.reward,
+            self.backbone.accuracy,
+            &accuracies,
+            &latencies,
+            runs_term,
+            self.config.timing_constraint_ms,
+        );
+        SolutionPoint {
+            actions: actions.to_vec(),
+            sparsities,
+            latencies_ms: latencies,
+            accuracies,
+            weighted_accuracy: breakdown.weighted_accuracy,
+            number_of_runs: total_runs,
+            reward: breakdown.reward,
+            meets_constraint: breakdown.case != RewardCase::DeadlineMiss,
+        }
+    }
 }
 
 /// Generates a uniform candidate sparsity grid between the backbone sparsity
@@ -356,7 +388,6 @@ pub fn build_search_space<M: Model>(
     config: &Rt3Config,
 ) -> PatternSpace {
     let sparsities = constraint_guided_sparsities(config);
-    let _ = backbone.sparsity;
     generate_pattern_space(model, &backbone.masks, &sparsities, &config.pattern_space)
 }
 
@@ -413,12 +444,19 @@ pub fn run_level2_search_with<M: Model, E: AccuracyEvaluator>(
         level2_assignment_space(space, config),
         "optimizer space does not match the pattern search space"
     );
-    let reference = max_runs_reference(model, backbone, space, config);
-    let driver = SearchDriver::new(DriverConfig::exact_proposals(config.episodes));
+    let table = CandidateTable::new(model, backbone, space, config);
+    search_through(optimizer, &table, evaluator)
+}
+
+/// The search loop of [`run_level2_search_with`] over an existing table.
+fn search_through<M: Model, E: AccuracyEvaluator>(
+    optimizer: &mut dyn Optimizer,
+    table: &CandidateTable<'_, M>,
+    evaluator: &mut E,
+) -> SearchOutcome {
+    let driver = SearchDriver::new(DriverConfig::exact_proposals(table.config.episodes));
     let outcome = driver.run(optimizer, |actions| {
-        evaluate_solution(
-            model, backbone, space, config, evaluator, actions, true, reference,
-        )
+        table.evaluate(evaluator, actions, true)
     });
     let history = outcome.history;
     let feasible: Vec<usize> = history
@@ -444,25 +482,20 @@ pub fn run_level2_search_with<M: Model, E: AccuracyEvaluator>(
         best,
         history,
         pareto_indices,
-        candidate_sparsities: space.candidates().iter().map(|c| c.sparsity).collect(),
+        candidate_sparsities: table
+            .space
+            .candidates()
+            .iter()
+            .map(|c| c.sparsity)
+            .collect(),
     }
-}
-
-/// The `R_runs` normalisation reference of a search space — invariant
-/// across assignments, so callers evaluating many assignments (the
-/// comparison harness, convergence benches) should compute it once and
-/// pass it to [`evaluate_assignment_with_reference`].
-pub fn level2_runs_reference<M: Model>(
-    model: &M,
-    backbone: &BackboneResult,
-    space: &PatternSpace,
-    config: &Rt3Config,
-) -> f64 {
-    max_runs_reference(model, backbone, space, config)
 }
 
 /// Evaluates a single externally chosen assignment (used by the heuristic and
 /// random baselines); `level2_guided = false` marks the rPP baseline.
+///
+/// Builds a one-off [`CandidateTable`]; callers evaluating many assignments
+/// should build the table once and call [`CandidateTable::evaluate`].
 pub fn evaluate_assignment<M: Model, E: AccuracyEvaluator>(
     model: &M,
     backbone: &BackboneResult,
@@ -472,43 +505,7 @@ pub fn evaluate_assignment<M: Model, E: AccuracyEvaluator>(
     actions: &[usize],
     level2_guided: bool,
 ) -> SolutionPoint {
-    let reference = max_runs_reference(model, backbone, space, config);
-    evaluate_assignment_with_reference(
-        model,
-        backbone,
-        space,
-        config,
-        evaluator,
-        actions,
-        level2_guided,
-        reference,
-    )
-}
-
-/// Like [`evaluate_assignment`], but with a hoisted
-/// [`level2_runs_reference`] so repeated evaluations skip the per-call
-/// reference recomputation.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_assignment_with_reference<M: Model, E: AccuracyEvaluator>(
-    model: &M,
-    backbone: &BackboneResult,
-    space: &PatternSpace,
-    config: &Rt3Config,
-    evaluator: &mut E,
-    actions: &[usize],
-    level2_guided: bool,
-    reference: f64,
-) -> SolutionPoint {
-    evaluate_solution(
-        model,
-        backbone,
-        space,
-        config,
-        evaluator,
-        actions,
-        level2_guided,
-        reference,
-    )
+    CandidateTable::new(model, backbone, space, config).evaluate(evaluator, actions, level2_guided)
 }
 
 #[cfg(test)]
@@ -567,6 +564,84 @@ mod tests {
         for p in outcome.pareto_front() {
             assert!(p.meets_constraint);
         }
+    }
+
+    /// Passes every call through to `inner` and records its masks and spec.
+    struct Recording<E> {
+        inner: E,
+        calls: Vec<(MaskSet, PruningSpec)>,
+    }
+
+    impl<E: AccuracyEvaluator> AccuracyEvaluator for Recording<E> {
+        fn unpruned_score(&mut self) -> f64 {
+            self.inner.unpruned_score()
+        }
+
+        fn evaluate(&mut self, masks: &MaskSet, spec: &PruningSpec) -> f64 {
+            self.calls.push((masks.clone(), *spec));
+            self.inner.evaluate(masks, spec)
+        }
+
+        fn task_name(&self) -> String {
+            self.inner.task_name()
+        }
+    }
+
+    #[test]
+    fn table_keeps_the_evaluator_sequence_and_lowers_each_candidate_once() {
+        let (model, mut config, mut evaluator) = setup();
+        // more candidates than the search picks, so an eager lowering of
+        // the whole space would show
+        config.candidate_sparsities = 8;
+        let backbone = run_level1(&model, &config, &mut evaluator);
+        let space = build_search_space(&model, &backbone, &config);
+        let mut recording = Recording {
+            inner: evaluator,
+            calls: Vec::new(),
+        };
+        let table = CandidateTable::new(&model, &backbone, &space, &config);
+        let mut optimizer =
+            Reinforce::for_space(level2_assignment_space(&space, &config), config.seed);
+        let outcome = search_through(&mut optimizer, &table, &mut recording);
+        // the driver evaluates each distinct assignment once, in the order
+        // it is first proposed: the unique evaluations, then the read-out
+        // when it was not already cached
+        let mut evaluated: Vec<&SolutionPoint> = Vec::new();
+        for point in &outcome.history {
+            if !evaluated.iter().any(|p| p.actions == point.actions) {
+                evaluated.push(point);
+            }
+        }
+        let levels = config.num_levels();
+        assert_eq!(recording.calls.len(), levels * evaluated.len());
+        let prunable = model.prunable_parameter_names();
+        for (point, calls) in evaluated.iter().zip(recording.calls.chunks(levels)) {
+            for (&action, (masks, spec)) in point.actions.iter().zip(calls) {
+                let set = &space.candidates()[action].set;
+                let fresh = combined_masks_for_model(&model, &backbone.masks, &prunable, set);
+                assert_eq!(masks, &fresh);
+                let want = PruningSpec {
+                    sparsity: fresh.overall_sparsity(),
+                    level1_guided: backbone.guided,
+                    level2: Some(true),
+                };
+                assert_eq!(spec, &want);
+            }
+        }
+        // one lowering per candidate some assignment picked, plus the
+        // sparsest one the runs reference uses
+        let mut used: Vec<usize> = evaluated
+            .iter()
+            .flat_map(|p| p.actions.iter().copied())
+            .chain([space.len() - 1])
+            .collect();
+        used.sort_unstable();
+        used.dedup();
+        let lowered: Vec<usize> = (0..space.len())
+            .filter(|&i| table.lowered[i].get().is_some())
+            .collect();
+        assert_eq!(lowered, used);
+        assert!(lowered.len() <= space.len());
     }
 
     #[test]

@@ -113,6 +113,10 @@ impl PatternSpace {
 /// Builds the per-position importance map by sampling blocks of the
 /// backbone-masked prunable weights and accumulating their absolute values
 /// (point-wise addition, as in the paper).
+///
+/// Every prunable weight and its backbone mask are resolved once per map;
+/// block origins are `(weight index, row, column)` triples, so the shuffle
+/// draws and the accumulation order depend only on the block grid.
 pub fn importance_map<M: Model>(
     model: &M,
     backbone: &MaskSet,
@@ -122,27 +126,27 @@ pub fn importance_map<M: Model>(
     let psize = config.pattern_size;
     let mut importance = Matrix::zeros(psize, psize);
     let prunable = model.prunable_parameter_names();
+    let weights: Vec<(&Matrix, Option<&Matrix>)> = model
+        .parameters()
+        .into_iter()
+        .filter(|(name, _)| prunable.contains(name))
+        .map(|(name, weight)| (weight, backbone.get(&name)))
+        .collect();
     // collect all block origins across prunable parameters
-    let mut origins: Vec<(String, usize, usize)> = Vec::new();
-    for (name, weight) in model.parameters() {
-        if !prunable.contains(&name) {
-            continue;
-        }
+    let mut origins: Vec<(usize, usize, usize)> = Vec::new();
+    for (k, (weight, _)) in weights.iter().enumerate() {
         let grid_rows = weight.rows() / psize;
         let grid_cols = weight.cols() / psize;
         for br in 0..grid_rows {
             for bc in 0..grid_cols {
-                origins.push((name.clone(), br * psize, bc * psize));
+                origins.push((k, br * psize, bc * psize));
             }
         }
     }
     if origins.is_empty() {
         // weights smaller than one pattern: fall back to accumulating the
         // top-left corner of every prunable weight
-        for (name, weight) in model.parameters() {
-            if !prunable.contains(&name) {
-                continue;
-            }
+        for (weight, _) in &weights {
             let block = weight.block(0, 0, psize, psize);
             for i in 0..block.rows() {
                 for j in 0..block.cols() {
@@ -155,17 +159,13 @@ pub fn importance_map<M: Model>(
     }
     origins.shuffle(rng);
     let sample = ((origins.len() as f64) * config.sample_fraction).ceil() as usize;
-    for (name, r0, c0) in origins.into_iter().take(sample.max(1)) {
-        let weight = model
-            .parameter(&name)
-            .expect("parameter listed but not found");
-        let mask = backbone.get(&name);
+    for (k, r0, c0) in origins.into_iter().take(sample.max(1)) {
+        let (weight, mask) = weights[k];
         for i in 0..psize {
-            for j in 0..psize {
-                let w = weight.get(r0 + i, c0 + j);
-                let kept = mask.map_or(1.0, |m| m.get(r0 + i, c0 + j));
-                let v = importance.get(i, j) + (w * kept).abs();
-                importance.set(i, j, v);
+            let w = &weight.row(r0 + i)[c0..c0 + psize];
+            let kept = mask.map(|m| &m.row(r0 + i)[c0..c0 + psize]);
+            for (j, acc) in importance.row_mut(i).iter_mut().enumerate() {
+                *acc += (w[j] * kept.map_or(1.0, |m| m[j])).abs();
             }
         }
     }
@@ -259,6 +259,98 @@ mod tests {
         assert_eq!(imp.shape(), (4, 4));
         assert!(imp.as_slice().iter().all(|&x| x >= 0.0));
         assert!(imp.sum() > 0.0);
+    }
+
+    /// The per-block lookup `importance_map` replaced: every sampled block
+    /// finds its weight by name through `Model::parameter` and its mask
+    /// through `MaskSet::get`.
+    fn per_block_lookup_importance_map<M: Model>(
+        model: &M,
+        backbone: &MaskSet,
+        config: &PatternSpaceConfig,
+        rng: &mut StdRng,
+    ) -> Matrix {
+        let psize = config.pattern_size;
+        let mut importance = Matrix::zeros(psize, psize);
+        let prunable = model.prunable_parameter_names();
+        let mut origins: Vec<(String, usize, usize)> = Vec::new();
+        for (name, weight) in model.parameters() {
+            if !prunable.contains(&name) {
+                continue;
+            }
+            for br in 0..weight.rows() / psize {
+                for bc in 0..weight.cols() / psize {
+                    origins.push((name.clone(), br * psize, bc * psize));
+                }
+            }
+        }
+        if origins.is_empty() {
+            for (name, weight) in model.parameters() {
+                if !prunable.contains(&name) {
+                    continue;
+                }
+                let block = weight.block(0, 0, psize, psize);
+                for i in 0..block.rows() {
+                    for j in 0..block.cols() {
+                        let v = importance.get(i, j) + block.get(i, j).abs();
+                        importance.set(i, j, v);
+                    }
+                }
+            }
+            return importance;
+        }
+        origins.shuffle(rng);
+        let sample = ((origins.len() as f64) * config.sample_fraction).ceil() as usize;
+        for (name, r0, c0) in origins.into_iter().take(sample.max(1)) {
+            let weight = model.parameter(&name).unwrap();
+            let mask = backbone.get(&name);
+            for i in 0..psize {
+                for j in 0..psize {
+                    let w = weight.get(r0 + i, c0 + j);
+                    let kept = mask.map_or(1.0, |m| m.get(r0 + i, c0 + j));
+                    let v = importance.get(i, j) + (w * kept).abs();
+                    importance.set(i, j, v);
+                }
+            }
+        }
+        importance
+    }
+
+    #[test]
+    fn importance_map_matches_the_per_block_lookup_bit_for_bit() {
+        let (model, full) = backbone();
+        // leave the first prunable weight unmasked so both the masked and
+        // the unmasked accumulation run
+        let prunable = model.prunable_parameter_names();
+        let mut masks = MaskSet::new();
+        for (name, mask) in full.iter().filter(|(name, _)| *name != prunable[0]) {
+            masks.insert(name, mask.clone());
+        }
+        assert!(masks.get(&prunable[0]).is_none());
+        assert!(masks.get(&prunable[1]).is_some());
+        // pattern side 64 exceeds every weight of the tiny model: the
+        // top-left-corner fallback
+        for (pattern_size, sample_fraction) in [(4, 0.5), (4, 1.0), (64, 0.5)] {
+            for seed in 0..3 {
+                let config = PatternSpaceConfig {
+                    pattern_size,
+                    patterns_per_set: 1,
+                    sample_fraction,
+                    seed,
+                };
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut reference_rng = StdRng::seed_from_u64(seed);
+                let got = importance_map(&model, &masks, &config, &mut rng);
+                let want =
+                    per_block_lookup_importance_map(&model, &masks, &config, &mut reference_rng);
+                assert_eq!(got.shape(), want.shape());
+                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "psize {pattern_size} seed {seed}");
+                }
+                // the same number of RNG draws was consumed
+                assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
+            }
+        }
     }
 
     #[test]

@@ -118,6 +118,11 @@ pub trait Model {
     }
 
     /// A named parameter, if it exists.
+    ///
+    /// The default implementation rebuilds the whole [`Model::parameters`]
+    /// list (one formatted name per parameter) on every call, so do not
+    /// call it per element or per block: resolve the weights once from
+    /// [`Model::parameters`] and index them instead.
     fn parameter(&self, name: &str) -> Option<&Matrix> {
         self.parameters()
             .into_iter()
