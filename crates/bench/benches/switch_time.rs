@@ -1,11 +1,17 @@
 //! Criterion bench: pattern-set switch vs full model reload (the Table III
-//! "Interrupt" comparison), measured as the cost-model evaluation plus the
-//! in-memory mask rebuild that a real switch performs.
+//! "Interrupt" comparison). The switch is what serving pays on a cold V/F
+//! change: a capacity-1 `ModelBank::get` of the evicted level, which
+//! gathers the level's kept values into the evicted variant's buffers under
+//! pack layouts scored once, offline. Beside it: the cost model's reload
+//! comparison, and the offline search's lowering of one candidate pattern
+//! set to its combined (backbone ∧ pattern) masks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rt3_core::switch_time_comparison;
+use rt3_hardware::MemoryModel;
 use rt3_pruning::{block_prune_model, BlockPruningConfig};
 use rt3_pruning::{combined_masks_for_model, generate_pattern_space, PatternSpaceConfig};
+use rt3_runtime::ModelBank;
 use rt3_transformer::{Model, TransformerConfig, TransformerLm};
 
 fn bench_switch(c: &mut Criterion) {
@@ -23,9 +29,29 @@ fn bench_switch(c: &mut Criterion) {
         },
     );
     let prunable = model.prunable_parameter_names();
+    let mut bank = ModelBank::new(
+        &model,
+        backbone.clone(),
+        &space,
+        &[0, 1],
+        MemoryModel::odroid_xu3(),
+        1,
+    );
+    // score both levels once, as the first build of each level does, so
+    // every timed access is a cold switch into the other level's buffers
+    for level in [0, 1] {
+        bank.get(level);
+    }
+    let mut level = 0;
     let mut group = c.benchmark_group("reconfiguration");
     group.sample_size(20);
-    group.bench_function("pattern_set_switch_mask_rebuild", |b| {
+    group.bench_function("pattern_set_switch_bank_get", |b| {
+        b.iter(|| {
+            level ^= 1;
+            bank.get(level).sparsity
+        })
+    });
+    group.bench_function("offline_candidate_lowering", |b| {
         b.iter(|| {
             combined_masks_for_model(&model, &backbone, &prunable, &space.candidates()[0].set)
         })
@@ -34,6 +60,11 @@ fn bench_switch(c: &mut Criterion) {
         b.iter(|| switch_time_comparison(100, 4, 66_000_000))
     });
     group.finish();
+    assert_eq!(
+        bank.stats().evictions + 1,
+        bank.stats().builds,
+        "every timed access must be a cold switch"
+    );
 }
 
 criterion_group!(benches, bench_switch);

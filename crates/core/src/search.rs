@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_hardware::{number_of_runs, ModelWorkload, PowerModel, VfLevel};
 use rt3_pruning::{
-    block_prune_model, combined_masks_for_model, generate_pattern_space, random_block_prune_model,
-    PatternSpace,
+    block_prune_model, combined_masks, generate_pattern_space, random_block_prune_model,
+    resolve_prunable, PatternSpace, PrunableWeight,
 };
 use rt3_search::{AssignmentSpace, DriverConfig, Fitness, Optimizer, Reinforce, SearchDriver};
 use rt3_sparse::SparseFormat;
@@ -174,16 +174,17 @@ impl SearchOutcome {
 ///
 /// The masks are a fixed function of (model, backbone, candidate), so every
 /// Level-2 evaluation goes through one table per search instead of lowering
-/// each level's candidate again per evaluation. The evaluator is still
+/// each level's candidate again per evaluation. The prunable weights and
+/// their backbone masks are resolved once, when the table is built, and a
+/// lowering reads only masks ([`combined_masks`]). The evaluator is still
 /// called once per level per evaluation, in level order, with masks equal
-/// to a fresh [`combined_masks_for_model`] lowering, so stateful evaluators
-/// see the same call sequence either way.
-pub struct CandidateTable<'a, M: Model> {
-    model: &'a M,
+/// to a fresh [`rt3_pruning::combined_masks_for_model`] lowering, so
+/// stateful evaluators see the same call sequence either way.
+pub struct CandidateTable<'a> {
     backbone: &'a BackboneResult,
     space: &'a PatternSpace,
     config: &'a Rt3Config,
-    prunable: Vec<String>,
+    weights: Vec<PrunableWeight<'a>>,
     power: PowerModel,
     /// V/F levels ordered high frequency -> low frequency (M1 first, as in
     /// the paper).
@@ -192,10 +193,11 @@ pub struct CandidateTable<'a, M: Model> {
     runs_reference: OnceCell<f64>,
 }
 
-impl<'a, M: Model> CandidateTable<'a, M> {
-    /// An empty table over `space`; nothing is lowered until an evaluation
+impl<'a> CandidateTable<'a> {
+    /// An empty table over `space`: resolves the model's prunable weights
+    /// and their backbone masks, and lowers nothing until an evaluation
     /// needs it.
-    pub fn new(
+    pub fn new<M: Model>(
         model: &'a M,
         backbone: &'a BackboneResult,
         space: &'a PatternSpace,
@@ -204,11 +206,10 @@ impl<'a, M: Model> CandidateTable<'a, M> {
         let mut levels = config.governor.levels().to_vec();
         levels.reverse();
         Self {
-            model,
             backbone,
             space,
             config,
-            prunable: model.prunable_parameter_names(),
+            weights: resolve_prunable(model, &backbone.masks, &model.prunable_parameter_names()),
             power: PowerModel::cortex_a7(),
             levels,
             lowered: (0..space.len()).map(|_| OnceCell::new()).collect(),
@@ -220,8 +221,7 @@ impl<'a, M: Model> CandidateTable<'a, M> {
     fn lowered(&self, candidate: usize) -> &(MaskSet, f64) {
         self.lowered[candidate].get_or_init(|| {
             let set = &self.space.candidates()[candidate].set;
-            let masks =
-                combined_masks_for_model(self.model, &self.backbone.masks, &self.prunable, set);
+            let masks = combined_masks(&self.weights, &self.backbone.masks, set);
             let sparsity = masks.overall_sparsity();
             (masks, sparsity)
         })
@@ -449,9 +449,9 @@ pub fn run_level2_search_with<M: Model, E: AccuracyEvaluator>(
 }
 
 /// The search loop of [`run_level2_search_with`] over an existing table.
-fn search_through<M: Model, E: AccuracyEvaluator>(
+fn search_through<E: AccuracyEvaluator>(
     optimizer: &mut dyn Optimizer,
-    table: &CandidateTable<'_, M>,
+    table: &CandidateTable<'_>,
     evaluator: &mut E,
 ) -> SearchOutcome {
     let driver = SearchDriver::new(DriverConfig::exact_proposals(table.config.episodes));
@@ -512,6 +512,7 @@ pub fn evaluate_assignment<M: Model, E: AccuracyEvaluator>(
 mod tests {
     use super::*;
     use crate::evaluator::{SurrogateEvaluator, TaskProfile};
+    use rt3_pruning::combined_masks_for_model;
     use rt3_transformer::{TransformerConfig, TransformerLm};
 
     fn setup() -> (TransformerLm, Rt3Config, SurrogateEvaluator) {

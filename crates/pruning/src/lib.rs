@@ -35,7 +35,9 @@ pub use block::{
     block_prune_matrix, block_prune_model, random_block_prune_matrix, random_block_prune_model,
     reweighted_group_lasso_penalty, BlockPruningConfig, PruneCriterion,
 };
-pub use pattern_apply::{combined_masks_for_model, effective_sparsity, pattern_masks_for_model};
+pub use pattern_apply::{
+    combined_masks, combined_masks_for_model, resolve_prunable, PrunableWeight,
+};
 pub use pattern_space::{
     generate_pattern_space, importance_map, random_pattern_set, CandidatePatternSet, PatternSpace,
     PatternSpaceConfig,

@@ -1,57 +1,88 @@
 //! Applying a pattern set to a model: builds the per-parameter masks that a
-//! chosen pattern set induces, optionally composed with the fixed Level-1
-//! backbone mask.
+//! chosen pattern set induces, composed with the fixed Level-1 backbone
+//! mask.
 
-use rt3_sparse::{PatternPrunedMatrix, PatternSet};
+use rt3_sparse::{Backend, CompiledSet, PackLayout, PatternSet};
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
+use std::sync::Arc;
 
-/// Builds the mask set induced by assigning, for every `psize x psize` block
-/// of each listed parameter, the pattern from `set` that preserves the
-/// largest l2 norm (the paper's block→pattern assignment rule).
-///
-/// Parameters not in `names` are left unmasked.
-pub fn pattern_masks_for_model<M: Model>(model: &M, names: &[String], set: &PatternSet) -> MaskSet {
-    let mut masks = MaskSet::new();
-    for (name, weight) in model.parameters() {
-        if !names.contains(&name) {
-            continue;
-        }
-        let pruned = PatternPrunedMatrix::from_dense(weight, set);
-        masks.insert(name, pruned.mask());
-    }
-    masks
+/// One prunable weight resolved once against the backbone: its name, the
+/// weight and its backbone mask, if any.
+#[derive(Debug, Clone)]
+pub struct PrunableWeight<'a> {
+    /// Parameter name.
+    pub name: String,
+    /// The model's weight.
+    pub weight: &'a Matrix,
+    /// The weight's backbone (Level-1) mask.
+    pub backbone: Option<&'a Matrix>,
 }
 
-/// Builds the combined Level-1 + Level-2 mask set: the pattern masks are
-/// computed on the *backbone-masked* weights and then intersected with the
-/// backbone mask, so a weight survives only if both levels keep it.
+/// Resolves every parameter of `model` listed in `names`, in model
+/// parameter order, with its `backbone` mask. Callers that lower many
+/// pattern sets over the same weights resolve them once and pass the
+/// result to [`combined_masks`].
+pub fn resolve_prunable<'a, M: Model>(
+    model: &'a M,
+    backbone: &'a MaskSet,
+    names: &[String],
+) -> Vec<PrunableWeight<'a>> {
+    model
+        .parameters()
+        .into_iter()
+        .filter(|(name, _)| names.contains(name))
+        .map(|(name, weight)| {
+            let backbone = backbone.get(&name);
+            PrunableWeight {
+                name,
+                weight,
+                backbone,
+            }
+        })
+        .collect()
+}
+
+/// Builds the combined Level-1 + Level-2 mask set: every `psize x psize`
+/// block of each listed parameter gets the pattern from `set` preserving
+/// the largest l2 norm of the *backbone-masked* weight (the paper's
+/// block→pattern assignment rule), and a weight survives only if both
+/// levels keep it. Parameters not in `names` keep their backbone mask, or
+/// stay unmasked.
 pub fn combined_masks_for_model<M: Model>(
     model: &M,
     backbone: &MaskSet,
     names: &[String],
     set: &PatternSet,
 ) -> MaskSet {
-    let mut pattern_masks = MaskSet::new();
-    for (name, weight) in model.parameters() {
-        if !names.contains(&name) {
-            continue;
-        }
-        // pattern assignment happens on the backbone-masked weight, exactly
-        // as the offline search evaluated it
-        let effective: Matrix = match backbone.get(&name) {
-            Some(mask) => weight.zip(mask, |w, m| w * m),
-            None => weight.clone(),
-        };
-        let lowered = PatternPrunedMatrix::from_dense(&effective, set);
-        pattern_masks.insert(name, lowered.mask());
-    }
-    backbone.intersect(&pattern_masks)
+    combined_masks(&resolve_prunable(model, backbone, names), backbone, set)
 }
 
-/// Sparsity the combined mask set achieves over the listed parameters.
-pub fn effective_sparsity(masks: &MaskSet) -> f64 {
-    masks.overall_sparsity()
+/// [`combined_masks_for_model`] over weights resolved by
+/// [`resolve_prunable`] against the same `backbone`. Each weight is scored
+/// through its backbone mask in place and read back as a keep-mask
+/// (backbone ∧ pattern), with no weight clone and no value gather; the
+/// backbone's other entries are copied as they are.
+pub fn combined_masks(
+    weights: &[PrunableWeight<'_>],
+    backbone: &MaskSet,
+    set: &PatternSet,
+) -> MaskSet {
+    let set = Arc::new(CompiledSet::new(set));
+    let backend = Backend::detect();
+    let mut masks: MaskSet = weights
+        .iter()
+        .map(|w| {
+            let layout = PackLayout::assign(w.weight, w.backbone, &set, backend);
+            (w.name.clone(), layout.keep_mask(w.backbone))
+        })
+        .collect();
+    for (name, mask) in backbone.iter() {
+        if masks.get(name).is_none() {
+            masks.insert(name, mask.clone());
+        }
+    }
+    masks
 }
 
 #[cfg(test)]
@@ -85,7 +116,7 @@ mod tests {
     fn pattern_masks_cover_only_requested_parameters() {
         let (model, _, set) = setup();
         let names = vec!["encoder.0.attn.wq".to_string()];
-        let masks = pattern_masks_for_model(&model, &names, &set);
+        let masks = combined_masks_for_model(&model, &MaskSet::new(), &names, &set);
         assert_eq!(masks.len(), 1);
         assert!(masks.get("encoder.0.attn.wq").is_some());
         let sparsity = masks.overall_sparsity();
@@ -97,9 +128,85 @@ mod tests {
         let (model, backbone, set) = setup();
         let names = model.prunable_parameter_names();
         let combined = combined_masks_for_model(&model, &backbone, &names, &set);
-        let pattern_only = pattern_masks_for_model(&model, &names, &set);
+        let pattern_only = combined_masks_for_model(&model, &MaskSet::new(), &names, &set);
         assert!(combined.overall_sparsity() >= backbone.overall_sparsity() - 1e-9);
         assert!(combined.overall_sparsity() >= pattern_only.overall_sparsity() - 1e-9);
+    }
+
+    /// The lowering `combined_masks_for_model` replaced: clone each
+    /// backbone-masked weight, compile it into a full pattern-pruned
+    /// matrix, read its kept positions back and intersect with the
+    /// backbone.
+    fn clone_and_compile_masks(
+        model: &TransformerLm,
+        backbone: &MaskSet,
+        names: &[String],
+        set: &PatternSet,
+    ) -> MaskSet {
+        let mut pattern_masks = MaskSet::new();
+        for (name, weight) in model.parameters() {
+            if !names.contains(&name) {
+                continue;
+            }
+            let effective = match backbone.get(&name) {
+                Some(mask) => weight.zip(mask, |w, m| w * m),
+                None => weight.clone(),
+            };
+            let lowered = rt3_sparse::PatternPrunedMatrix::from_dense(&effective, set);
+            pattern_masks.insert(name, lowered.mask());
+        }
+        backbone.intersect(&pattern_masks)
+    }
+
+    fn bits(masks: &MaskSet) -> Vec<(String, Vec<u32>)> {
+        masks
+            .iter()
+            .map(|(name, m)| {
+                (
+                    name.to_string(),
+                    m.as_slice().iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// Mask-only lowering equals the clone → compile → mask → intersect
+    /// path bit for bit, sparsity included: over every prunable weight and
+    /// over a subset of them (so backbone entries fall outside `names`),
+    /// with the backbone, with an empty one, and with a backbone entry no
+    /// model parameter has. Pattern size 3 leaves edge blocks.
+    #[test]
+    fn mask_only_lowering_matches_clone_and_compile() {
+        let model = TransformerLm::new(TransformerConfig::tiny(32), 11);
+        let mut backbone = block_prune_model(&model, &BlockPruningConfig::default());
+        backbone.insert(
+            "not.a.parameter",
+            Matrix::from_vec(1, 3, vec![1.0, 0.0, 2.0]),
+        );
+        let all = model.prunable_parameter_names();
+        let subset: Vec<String> = all.iter().step_by(2).cloned().collect();
+        for pattern_size in [3, 4, 8] {
+            let config = PatternSpaceConfig {
+                pattern_size,
+                patterns_per_set: 3,
+                sample_fraction: 0.5,
+                seed: 5,
+            };
+            let space = generate_pattern_space(&model, &backbone, &[0.3, 0.7], &config);
+            for candidate in space.candidates() {
+                for backbone in [&backbone, &MaskSet::new()] {
+                    for names in [&all, &subset] {
+                        let new = combined_masks_for_model(&model, backbone, names, &candidate.set);
+                        let old = clone_and_compile_masks(&model, backbone, names, &candidate.set);
+                        assert_eq!(bits(&new), bits(&old), "psize {pattern_size}");
+                        assert_eq!(
+                            new.overall_sparsity().to_bits(),
+                            old.overall_sparsity().to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! representative patterns per sparsity — a *candidate pattern set*. The RL
 //! controller later picks one candidate set per V/F level.
 
+use crate::pattern_apply::resolve_prunable;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -114,9 +115,10 @@ impl PatternSpace {
 /// backbone-masked prunable weights and accumulating their absolute values
 /// (point-wise addition, as in the paper).
 ///
-/// Every prunable weight and its backbone mask are resolved once per map;
-/// block origins are `(weight index, row, column)` triples, so the shuffle
-/// draws and the accumulation order depend only on the block grid.
+/// Every prunable weight and its backbone mask are resolved once per map
+/// ([`resolve_prunable`]); block origins are `(weight index, row, column)`
+/// triples, so the shuffle draws and the accumulation order depend only on
+/// the block grid.
 pub fn importance_map<M: Model>(
     model: &M,
     backbone: &MaskSet,
@@ -125,16 +127,10 @@ pub fn importance_map<M: Model>(
 ) -> Matrix {
     let psize = config.pattern_size;
     let mut importance = Matrix::zeros(psize, psize);
-    let prunable = model.prunable_parameter_names();
-    let weights: Vec<(&Matrix, Option<&Matrix>)> = model
-        .parameters()
-        .into_iter()
-        .filter(|(name, _)| prunable.contains(name))
-        .map(|(name, weight)| (weight, backbone.get(&name)))
-        .collect();
+    let weights = resolve_prunable(model, backbone, &model.prunable_parameter_names());
     // collect all block origins across prunable parameters
     let mut origins: Vec<(usize, usize, usize)> = Vec::new();
-    for (k, (weight, _)) in weights.iter().enumerate() {
+    for (k, weight) in weights.iter().map(|w| w.weight).enumerate() {
         let grid_rows = weight.rows() / psize;
         let grid_cols = weight.cols() / psize;
         for br in 0..grid_rows {
@@ -146,7 +142,7 @@ pub fn importance_map<M: Model>(
     if origins.is_empty() {
         // weights smaller than one pattern: fall back to accumulating the
         // top-left corner of every prunable weight
-        for (weight, _) in &weights {
+        for weight in weights.iter().map(|w| w.weight) {
             let block = weight.block(0, 0, psize, psize);
             for i in 0..block.rows() {
                 for j in 0..block.cols() {
@@ -160,7 +156,7 @@ pub fn importance_map<M: Model>(
     origins.shuffle(rng);
     let sample = ((origins.len() as f64) * config.sample_fraction).ceil() as usize;
     for (k, r0, c0) in origins.into_iter().take(sample.max(1)) {
-        let (weight, mask) = weights[k];
+        let (weight, mask) = (weights[k].weight, weights[k].backbone);
         for i in 0..psize {
             let w = &weight.row(r0 + i)[c0..c0 + psize];
             let kept = mask.map(|m| &m.row(r0 + i)[c0..c0 + psize]);

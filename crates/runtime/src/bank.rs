@@ -325,9 +325,9 @@ impl<'m, M: Model> ModelBank<'m, M> {
         }
     }
 
-    /// Scores every prunable weight under `set`, on the backbone-masked
-    /// weight exactly as the offline search evaluated it, and derives the
-    /// level's pack tables and sparsity.
+    /// Scores every prunable weight under `set` through its backbone mask,
+    /// with the same masked [`PackLayout::assign`] the offline search
+    /// runs, and derives the level's pack tables and sparsity.
     fn lower(&self, set: &PatternSet) -> LevelTables {
         let set = Arc::new(CompiledSet::new(set));
         let backend = Backend::detect();
@@ -337,12 +337,7 @@ impl<'m, M: Model> ModelBank<'m, M> {
             .iter()
             .map(|(name, weight)| {
                 let mask = self.backbone.get(name);
-                let layout = match mask {
-                    Some(mask) => {
-                        PackLayout::assign(&weight.zip(mask, |w, m| w * m), &set, backend)
-                    }
-                    None => PackLayout::assign(weight, &set, backend),
-                };
+                let layout = PackLayout::assign(weight, mask, &set, backend);
                 kept += layout.kept(mask);
                 Arc::new(layout)
             })

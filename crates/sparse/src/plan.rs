@@ -36,10 +36,14 @@
 //! output element is unchanged.
 //!
 //! Lowering itself has two halves. [`PackLayout::assign`] scores every
-//! block against the set (the expensive part) and keeps everything a pack
-//! needs that does not depend on the values: the block→pattern ids, the
-//! block offsets, and each pattern's kept positions as flat offsets for
-//! the weight's row stride. [`PatternPlan::pack_into`] — the one value
+//! block of a weight, optionally masked element-wise without materialising
+//! the product, against the set (the expensive part) and keeps everything
+//! a pack needs that does not depend on the values: the block→pattern ids,
+//! the block offsets, and each pattern's kept positions as flat offsets
+//! for the weight's row stride. A caller that only needs the kept
+//! positions — the offline search — reads them as a dense keep-mask
+//! through [`PackLayout::keep_mask`] and never gathers a value.
+//! [`PatternPlan::pack_into`] — the one value
 //! gather, which `compile` and [`PatternPlan::pack`] also run — then
 //! writes the kept values into a plan's existing arena. A plan is an
 //! `Arc`-shared layout plus its own arena, and every layout of one pattern
@@ -136,13 +140,15 @@ impl CompiledPattern {
     }
 }
 
-/// The single implementation of the paper's component-④ selection rule:
-/// index of the pattern preserving the largest l2 norm over one `h x w`
-/// block of row-major `data` (row `r` lives at `base + r * stride`).
-/// Accumulation is row-major over kept positions and ties keep the lowest
-/// index; both [`PackLayout::assign`] and
-/// [`PatternSet::best_pattern_for`] call this, so their assignments cannot
-/// drift apart.
+/// The paper's component-④ selection rule: index of the pattern preserving
+/// the largest l2 norm over one `h x w` block of row-major `data` (row `r`
+/// lives at `base + r * stride`). Accumulation is row-major over kept
+/// positions and ties keep the lowest index. [`PatternSet::best_pattern_for`]
+/// and the edge blocks of [`PackLayout::assign`] call this; the full blocks
+/// of `assign` apply the same rule through `best_full_block`, and
+/// `assign_then_pack_matches_single_pass_lowering` in
+/// `tests/proptest_formats.rs` holds every assignment equal to
+/// `best_pattern_for`.
 ///
 /// The element squares are computed **once per block** into the reusable
 /// `squares` scratch through the detected SIMD `backend` (they were
@@ -197,6 +203,43 @@ pub(crate) fn compile_set(set: &PatternSet) -> Vec<CompiledPattern> {
         .collect()
 }
 
+/// Per pattern, the offset of every kept position from its block's origin
+/// for row stride `stride`, in row-major kept order.
+fn kept_offsets(compiled: &[CompiledPattern], stride: usize) -> Vec<Vec<u32>> {
+    compiled
+        .iter()
+        .map(|cp| {
+            cp.rows
+                .iter()
+                .zip(&cp.cols)
+                .map(|(&r, &c)| {
+                    u32::try_from(r as usize * stride + c as usize)
+                        .expect("row stride exceeds u32 flat offsets")
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// [`best_pattern_for_block`]'s rule on a full block whose squares are
+/// already in `squares`, row-major: each pattern's score sums the squares
+/// at its `local` offsets (stride = pattern size), which is the row-major
+/// kept order the edge path adds them in, and ties keep the lowest index.
+fn best_full_block(local: &[Vec<u32>], squares: &[f32]) -> usize {
+    let mut best = 0;
+    let mut best_norm = f32::NEG_INFINITY;
+    for (pi, offsets) in local.iter().enumerate() {
+        let norm = offsets
+            .iter()
+            .fold(0.0f32, |norm, &o| norm + squares[o as usize]);
+        if norm > best_norm {
+            best_norm = norm;
+            best = pi;
+        }
+    }
+    best
+}
+
 /// A pattern set together with its compiled offset tables, one
 /// [`CompiledPattern`] per pattern in set order. Built once per set and
 /// shared behind an `Arc` by every [`PackLayout`] lowered against it, so
@@ -240,21 +283,33 @@ pub struct PackLayout {
 
 impl PackLayout {
     /// The scoring half of lowering: gives each `psize x psize` block of
-    /// `dense` the pattern preserving the largest l2 norm (the same
-    /// `best_pattern_for_block` implementation
-    /// [`PatternSet::best_pattern_for`] calls) and lays out the arena for
-    /// that assignment. The layout depends only on `dense` and the set, so
-    /// a caller that packs the same weight again — a model bank
-    /// re-materialising an evicted level — keeps it and gathers alone.
-    /// `backend` (clamped like [`PatternPlan::compile_with_backend`]) only
-    /// speeds up the squares; the assignment is bit-stable across
-    /// backends.
+    /// `weight`, masked element-wise by `mask` if given, the pattern
+    /// preserving the largest l2 norm, and lays out the arena for that
+    /// assignment. The masked weight is never materialised, only one block
+    /// of it at a time: each square is `(w * m) * (w * m)`, the same
+    /// single-rounded products as scoring `weight.zip(mask, |w, m| w * m)`,
+    /// so the assignment is bit-identical to assigning the masked weight. Full blocks sum a pattern's squares
+    /// through its local index table (row-major kept order, with no test
+    /// against the block's shape); edge blocks go through
+    /// `best_pattern_for_block`, the implementation
+    /// [`PatternSet::best_pattern_for`] calls. The layout depends only on
+    /// the masked weight and the set, so a caller that packs the same
+    /// weight again — a model bank re-materialising an evicted level —
+    /// keeps it and gathers alone. `backend` (clamped like
+    /// [`PatternPlan::compile_with_backend`]) only speeds up the squares;
+    /// the assignment is bit-stable across backends.
     ///
     /// # Panics
     ///
-    /// Panics if the set has more than `u16::MAX` patterns or the kept
-    /// values do not fit a `u32` arena offset.
-    pub fn assign(dense: &Matrix, set: &Arc<CompiledSet>, backend: Backend) -> Self {
+    /// Panics if `mask` is not shaped like `weight`, the set has more than
+    /// `u16::MAX` patterns or the kept values do not fit a `u32` arena
+    /// offset.
+    pub fn assign(
+        weight: &Matrix,
+        mask: Option<&Matrix>,
+        set: &Arc<CompiledSet>,
+        backend: Backend,
+    ) -> Self {
         let backend = backend.validated();
         let compiled = &set.patterns;
         assert!(
@@ -262,47 +317,48 @@ impl PackLayout {
             "pattern set too large for u16 assignment indices"
         );
         let psize = set.set.size();
-        let (rows, cols) = dense.shape();
+        let (rows, cols) = weight.shape();
+        let keep = mask.map(|mask| {
+            assert_eq!(mask.shape(), (rows, cols), "mask shape mismatch");
+            mask.as_slice()
+        });
         let grid = (rows.div_ceil(psize), cols.div_ceil(psize));
-        let data = dense.as_slice();
+        let data = weight.as_slice();
+        let local = kept_offsets(compiled, psize);
         let mut assignments = Vec::with_capacity(grid.0 * grid.1);
         let mut block_offsets = Vec::with_capacity(grid.0 * grid.1 + 1);
         block_offsets.push(0u32);
         let mut stored = 0usize;
+        let mut values = Vec::with_capacity(psize * psize);
         let mut squares = Vec::with_capacity(psize * psize);
         for base_r in (0..rows).step_by(psize) {
             let h = psize.min(rows - base_r);
             for base_c in (0..cols).step_by(psize) {
                 let w = psize.min(cols - base_c);
-                let best = best_pattern_for_block(
-                    compiled,
-                    data,
-                    cols,
-                    base_r * cols + base_c,
-                    h,
-                    w,
-                    backend,
-                    &mut squares,
-                );
+                // the block's (masked) values, row-major with stride `w`
+                values.clear();
+                for r in 0..h {
+                    let at = (base_r + r) * cols + base_c;
+                    let row = &data[at..at + w];
+                    match keep {
+                        None => values.extend_from_slice(row),
+                        Some(keep) => {
+                            values.extend(row.iter().zip(&keep[at..at + w]).map(|(&v, &m)| v * m))
+                        }
+                    }
+                }
+                let best = if h == psize && w == psize {
+                    squares.resize(psize * psize, 0.0);
+                    backend.square_into(&mut squares, &values);
+                    best_full_block(&local, &squares)
+                } else {
+                    best_pattern_for_block(compiled, &values, w, 0, h, w, backend, &mut squares)
+                };
                 assignments.push(best as u16);
                 stored += compiled[best].ones();
                 block_offsets.push(u32::try_from(stored).expect("arena exceeds u32 offsets"));
             }
         }
-        let flat = compiled
-            .iter()
-            .map(|cp| {
-                (0..psize)
-                    .flat_map(|r| {
-                        let (s, e) = cp.row_range(r);
-                        cp.cols[s..e].iter().map(move |&c| {
-                            u32::try_from(r * cols + c as usize)
-                                .expect("row stride exceeds u32 flat offsets")
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
         Self {
             set: Arc::clone(set),
             rows,
@@ -311,7 +367,7 @@ impl PackLayout {
             grid,
             assignments,
             block_offsets,
-            flat,
+            flat: kept_offsets(compiled, cols),
         }
     }
 
@@ -325,23 +381,74 @@ impl PackLayout {
 
     /// Number of kept in-shape positions whose `mask` value is non-zero
     /// (every kept in-shape position without a mask): the non-zero count
-    /// of the combined `mask ∧ pattern` keep-mask. Gathers the mask the way
-    /// a pack gathers values, so it pays one arena-sized allocation.
+    /// of [`PackLayout::keep_mask`]`(mask)`, counted without building it.
     ///
     /// # Panics
     ///
     /// Panics if `mask` is not shaped like the layout's weight.
     pub fn kept(&self, mask: Option<&Matrix>) -> usize {
-        let mut keeps = vec![0.0; self.stored_values()];
+        let mut kept = 0;
         match mask {
-            None => self.gather(&mut keeps, |_| 1.0),
+            None => self.for_each_kept_index(|_| kept += 1),
             Some(mask) => {
                 assert_eq!(mask.shape(), (self.rows, self.cols), "mask shape mismatch");
                 let mask = mask.as_slice();
-                self.gather(&mut keeps, |i| mask[i]);
+                self.for_each_kept_index(|i| kept += usize::from(mask[i] != 0.0));
             }
         }
-        keeps.iter().filter(|&&k| k != 0.0).count()
+        kept
+    }
+
+    /// The combined `and ∧ pattern` keep-mask: `1.0` at every kept
+    /// in-shape position whose `and` value is non-zero (every kept in-shape
+    /// position without `and`), `0.0` elsewhere. Reads only the layout and
+    /// `and`, never a weight value, and writes each kept position without
+    /// a branch on `and`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `and` is not shaped like the layout's weight.
+    pub fn keep_mask(&self, and: Option<&Matrix>) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        let keep = out.as_mut_slice();
+        match and {
+            None => self.for_each_kept_index(|i| keep[i] = 1.0),
+            Some(and) => {
+                assert_eq!(and.shape(), (self.rows, self.cols), "mask shape mismatch");
+                let and = and.as_slice();
+                self.for_each_kept_index(|i| keep[i] = f32::from(u8::from(and[i] != 0.0)));
+            }
+        }
+        out
+    }
+
+    /// Calls `f(i)` with the flat weight index of every kept in-shape
+    /// position, block-major and in each pattern's row-major kept order.
+    /// Full blocks walk the flat offsets; only edge blocks test bounds.
+    fn for_each_kept_index(&self, mut f: impl FnMut(usize)) {
+        let mut bi = 0;
+        for base_r in (0..self.rows).step_by(self.psize) {
+            let h = self.psize.min(self.rows - base_r);
+            for base_c in (0..self.cols).step_by(self.psize) {
+                let w = self.psize.min(self.cols - base_c);
+                let a = self.assignments[bi] as usize;
+                let base = base_r * self.cols + base_c;
+                if h == self.psize && w == self.psize {
+                    for &o in &self.flat[a] {
+                        f(base + o as usize);
+                    }
+                } else {
+                    let cp = &self.set.patterns[a];
+                    for r in 0..h {
+                        let (s, e) = cp.row_range(r);
+                        for &c in cp.cols[s..e].iter().filter(|&&c| (c as usize) < w) {
+                            f(base + r * self.cols + c as usize);
+                        }
+                    }
+                }
+                bi += 1;
+            }
+        }
     }
 
     /// Writes every block's kept values into `arena` (block-major, each
@@ -422,7 +529,7 @@ impl PatternPlan {
     /// proptest suite obtains the bit-exactness reference on SIMD hosts.
     pub fn compile_with_backend(dense: &Matrix, set: &PatternSet, backend: Backend) -> Self {
         let set = Arc::new(CompiledSet::new(set));
-        let layout = Arc::new(PackLayout::assign(dense, &set, backend));
+        let layout = Arc::new(PackLayout::assign(dense, None, &set, backend));
         Self::pack(&layout, dense, None, backend)
     }
 

@@ -95,7 +95,7 @@ proptest! {
         for backend in [Backend::Scalar, Backend::detect()] {
             for (dense, mask) in [(&m, None), (&masked, Some(&mask))] {
                 let (assignments, values) = single_pass_lowering(dense, &set);
-                let layout = Arc::new(PackLayout::assign(dense, &compiled, backend));
+                let layout = Arc::new(PackLayout::assign(dense, None, &compiled, backend));
                 let plan = PatternPlan::pack(&layout, &m, mask, backend);
                 prop_assert_eq!(plan.assignments(), &assignments[..]);
                 for (bi, expected) in values.iter().enumerate() {
@@ -113,6 +113,59 @@ proptest! {
                     None => pattern_mask,
                 };
                 prop_assert_eq!(layout.kept(mask), combined.count_nonzero());
+            }
+        }
+    }
+
+    /// Assigning through a mask equals assigning the masked weight, bit
+    /// for bit, on the scalar and the detected backend, for pattern sizes
+    /// 3, 4 and 8 over shapes that are not block multiples, with no mask
+    /// and with masks holding an all-zero row and an all-zero block. The
+    /// layout's keep-mask is the pattern mask of the masked weight ∧ the
+    /// mask, and its kept count is that mask's non-zero count.
+    #[test]
+    fn masked_assign_matches_assigning_the_masked_weight(
+        m in sparse_matrix(27),
+        psize in prop_oneof![Just(3usize), Just(4usize), Just(8usize)],
+        sparsity in 0.0f64..0.9,
+        patterns in 1usize..5,
+        seed in 0u64..1_000,
+        keep in proptest::collection::vec(
+            prop_oneof![2 => Just(0.0f32), 3 => Just(1.0f32), 1 => Just(0.5f32)],
+            27 * 27,
+        ),
+        zero_row in 0usize..27,
+        zero_block in (0usize..27, 0usize..27),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let set = PatternSet::new(
+            (0..patterns).map(|_| PatternMask::random(psize, sparsity, &mut rng)).collect(),
+        )
+        .expect("non-empty set");
+        let compiled = Arc::new(CompiledSet::new(&set));
+        let (rows, cols) = m.shape();
+        let (zr, zc) = (zero_block.0 % rows / psize * psize, zero_block.1 % cols / psize * psize);
+        let mask = Matrix::from_fn(rows, cols, |r, c| {
+            let in_block = (zr..zr + psize).contains(&r) && (zc..zc + psize).contains(&c);
+            if r == zero_row % rows || in_block {
+                0.0
+            } else {
+                keep[r * cols + c]
+            }
+        });
+        let masked = m.zip(&mask, |w, k| w * k);
+        for backend in [Backend::Scalar, Backend::detect()] {
+            for (mask, dense) in [(None, &m), (Some(&mask), &masked)] {
+                let layout = PackLayout::assign(&m, mask, &compiled, backend);
+                prop_assert!(layout == PackLayout::assign(dense, None, &compiled, backend));
+                let pattern_mask = PatternPrunedMatrix::from_dense(dense, &set).mask();
+                let combined = match mask {
+                    Some(mask) => pattern_mask.zip(mask, |p, k| f32::from(p * k != 0.0)),
+                    None => pattern_mask,
+                };
+                let keep_mask = layout.keep_mask(mask);
+                prop_assert_eq!(bits(keep_mask.as_slice()), bits(combined.as_slice()));
+                prop_assert_eq!(layout.kept(mask), keep_mask.count_nonzero());
             }
         }
     }

@@ -14,6 +14,11 @@ use std::collections::BTreeMap;
 
 /// A collection of named binary weight masks.
 ///
+/// The set keeps its pruned (zero) and covered element counts as masks are
+/// inserted, so [`MaskSet::overall_sparsity`] and the element counts are
+/// O(1); [`MaskSet::insert`] is the only place that updates them, and every
+/// other way of adding a mask goes through it.
+///
 /// # Examples
 ///
 /// ```
@@ -28,6 +33,15 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MaskSet {
     masks: BTreeMap<String, Matrix>,
+    /// Zero elements over all masks.
+    pruned: usize,
+    /// Elements over all masks.
+    covered: usize,
+}
+
+/// Zero elements of one mask.
+fn zeros(mask: &Matrix) -> usize {
+    mask.len() - mask.count_nonzero()
 }
 
 impl MaskSet {
@@ -37,9 +51,15 @@ impl MaskSet {
     }
 
     /// Inserts (or replaces) the mask for `name`. Values should be 0.0 or
-    /// 1.0; any non-zero value is treated as "keep" by consumers.
+    /// 1.0; any non-zero value is treated as "keep" by consumers. Counts
+    /// the new mask's zeros once (and a replaced mask's, to take them off).
     pub fn insert(&mut self, name: impl Into<String>, mask: Matrix) {
-        self.masks.insert(name.into(), mask);
+        self.pruned += zeros(&mask);
+        self.covered += mask.len();
+        if let Some(old) = self.masks.insert(name.into(), mask) {
+            self.pruned -= zeros(&old);
+            self.covered -= old.len();
+        }
     }
 
     /// The mask for `name`, if any.
@@ -69,8 +89,7 @@ impl MaskSet {
 
     /// Combines two mask sets by element-wise AND (a position survives only
     /// if it survives in both). Parameters masked in only one set keep that
-    /// set's mask. This is how Level-2 pattern masks compose with the fixed
-    /// Level-1 BP mask.
+    /// set's mask.
     ///
     /// # Panics
     ///
@@ -78,7 +97,7 @@ impl MaskSet {
     pub fn intersect(&self, other: &MaskSet) -> MaskSet {
         let mut out = self.clone();
         for (name, mask) in other.iter() {
-            match out.masks.get_mut(name) {
+            let combined = match self.masks.get(name) {
                 Some(existing) => {
                     assert_eq!(
                         existing.shape(),
@@ -86,13 +105,11 @@ impl MaskSet {
                         "mask shape mismatch for {}",
                         name
                     );
-                    *existing =
-                        existing.zip(mask, |a, b| if a != 0.0 && b != 0.0 { 1.0 } else { 0.0 });
+                    existing.zip(mask, |a, b| if a != 0.0 && b != 0.0 { 1.0 } else { 0.0 })
                 }
-                None => {
-                    out.masks.insert(name.to_string(), mask.clone());
-                }
-            }
+                None => mask.clone(),
+            };
+            out.insert(name, combined);
         }
         out
     }
@@ -100,43 +117,36 @@ impl MaskSet {
     /// Overall sparsity across all masked parameters (weighted by element
     /// count). Returns 0.0 for an empty set.
     pub fn overall_sparsity(&self) -> f64 {
-        let total: usize = self.masks.values().map(Matrix::len).sum();
-        if total == 0 {
+        if self.covered == 0 {
             return 0.0;
         }
-        let zeros: usize = self
-            .masks
-            .values()
-            .map(|m| m.len() - m.count_nonzero())
-            .sum();
-        zeros as f64 / total as f64
+        self.pruned as f64 / self.covered as f64
     }
 
     /// Total number of masked-out (pruned) weight elements.
     pub fn pruned_elements(&self) -> usize {
-        self.masks
-            .values()
-            .map(|m| m.len() - m.count_nonzero())
-            .sum()
+        self.pruned
     }
 
     /// Total number of elements covered by masks.
     pub fn covered_elements(&self) -> usize {
-        self.masks.values().map(Matrix::len).sum()
+        self.covered
     }
 }
 
 impl FromIterator<(String, Matrix)> for MaskSet {
     fn from_iter<T: IntoIterator<Item = (String, Matrix)>>(iter: T) -> Self {
-        Self {
-            masks: iter.into_iter().collect(),
-        }
+        let mut set = Self::new();
+        set.extend(iter);
+        set
     }
 }
 
 impl Extend<(String, Matrix)> for MaskSet {
     fn extend<T: IntoIterator<Item = (String, Matrix)>>(&mut self, iter: T) {
-        self.masks.extend(iter);
+        for (name, mask) in iter {
+            self.insert(name, mask);
+        }
     }
 }
 
@@ -176,6 +186,47 @@ mod tests {
     fn empty_set_reports_zero_sparsity() {
         assert_eq!(MaskSet::new().overall_sparsity(), 0.0);
         assert!(MaskSet::new().is_empty());
+    }
+
+    /// The kept counts against a recount of every mask's zeros.
+    fn assert_counts_match_a_recount(set: &MaskSet) {
+        let covered: usize = set.iter().map(|(_, m)| m.len()).sum();
+        let pruned: usize = set.iter().map(|(_, m)| m.len() - m.count_nonzero()).sum();
+        assert_eq!(set.covered_elements(), covered);
+        assert_eq!(set.pruned_elements(), pruned);
+        let sparsity = if covered == 0 {
+            0.0
+        } else {
+            pruned as f64 / covered as f64
+        };
+        assert_eq!(set.overall_sparsity().to_bits(), sparsity.to_bits());
+    }
+
+    #[test]
+    fn counts_follow_every_way_of_adding_a_mask() {
+        let mut a = MaskSet::new();
+        a.insert("w", mask(&[1.0, 0.0, 0.0, 1.0]));
+        a.insert("v", mask(&[0.0, 0.0, 1.0]));
+        assert_counts_match_a_recount(&a);
+        // replacing a mask takes the old one's counts off
+        a.insert("w", mask(&[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]));
+        assert_counts_match_a_recount(&a);
+        a.extend([
+            ("u".to_string(), mask(&[1.0, 1.0])),
+            ("v".to_string(), mask(&[1.0])),
+        ]);
+        assert_counts_match_a_recount(&a);
+        let b: MaskSet = [
+            ("w".to_string(), mask(&[1.0, 1.0, 0.0, 1.0, 1.0, 1.0])),
+            ("only_b".to_string(), mask(&[0.0, 1.0, 0.0])),
+            ("only_b".to_string(), mask(&[0.0, 0.0])),
+        ]
+        .into_iter()
+        .collect();
+        assert_counts_match_a_recount(&b);
+        let c = a.intersect(&b);
+        assert_counts_match_a_recount(&c);
+        assert_eq!(c.pruned_elements(), 5 + 2);
     }
 
     #[test]
