@@ -323,6 +323,7 @@ impl PatternSet {
         let mut squares = Vec::new();
         crate::plan::best_pattern_for_block(
             &compiled,
+            self.size(),
             block.as_slice(),
             block.cols(),
             0,
@@ -592,6 +593,37 @@ mod tests {
         let set = PatternSet::new(vec![left, right]).unwrap();
         let block = Matrix::from_rows(&[vec![0.0, 5.0], vec![0.0, 5.0]]);
         assert_eq!(set.best_pattern_for(&block), 1);
+    }
+
+    #[test]
+    fn edge_blocks_score_only_their_in_shape_positions() {
+        // reference: sum the squares of the in-shape kept positions alone,
+        // row-major, first strict maximum wins
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut patterns: Vec<PatternMask> = (0..6)
+            .map(|_| PatternMask::random(4, 0.5, &mut rng))
+            .collect();
+        // a duplicate, so every block has a tie the lower index must win
+        patterns.push(patterns[2].clone());
+        let set = PatternSet::new(patterns).unwrap();
+        for (h, w) in [(4, 4), (4, 1), (1, 4), (3, 2), (2, 3), (1, 1)] {
+            let block = Matrix::xavier(h, w, &mut rng);
+            let mut best = (0, f32::NEG_INFINITY);
+            for (pi, p) in set.patterns().iter().enumerate() {
+                let mut norm = 0.0f32;
+                for r in 0..h {
+                    for c in 0..w {
+                        if p.is_kept(r, c) {
+                            norm += block.get(r, c) * block.get(r, c);
+                        }
+                    }
+                }
+                if norm > best.1 {
+                    best = (pi, norm);
+                }
+            }
+            assert_eq!(set.best_pattern_for(&block), best.0, "{h}x{w} block");
+        }
     }
 
     #[test]

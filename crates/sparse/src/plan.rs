@@ -13,7 +13,8 @@
 //! * **Per-pattern offset tables.** Each pattern in the set is compiled
 //!   *once* into a [`CompiledPattern`]: its kept positions grouped by local
 //!   row (CSR-style `row_ptr` over `u32` column offsets), plus each kept
-//!   position's local row. Every block assigned to that pattern shares the
+//!   position's local row and its offset within a block (the index table
+//!   block scoring sums through). Every block assigned to that pattern shares the
 //!   table, so the per-block metadata is a single `u16` pattern id —
 //!   exactly the reuse the paper's Level-2 format is designed around.
 //! * **Full-block vs. edge-block dispatch.** Interior blocks (the common
@@ -92,7 +93,7 @@ const L1_BYTES: usize = 32 * 1024;
 
 /// One pattern lowered to flat offset tables: kept positions grouped by
 /// local row, CSR-style, plus each position's local row for the narrow-rhs
-/// kept-list kernel.
+/// kept-list kernel and its in-block offset for block scoring.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledPattern {
     /// `row_ptr[r]..row_ptr[r + 1]` indexes `cols` for local row `r`.
@@ -101,6 +102,10 @@ pub struct CompiledPattern {
     cols: Vec<u32>,
     /// Local row of each kept position, parallel to `cols`.
     rows: Vec<u32>,
+    /// Offset `row * size + col` of each kept position within a
+    /// `size x size` block, parallel to `cols`: block scoring's index
+    /// table.
+    local: Vec<u32>,
 }
 
 impl CompiledPattern {
@@ -111,12 +116,14 @@ impl CompiledPattern {
         let mut row_ptr = Vec::with_capacity(size + 1);
         let mut cols = Vec::with_capacity(mask.ones());
         let mut rows = Vec::with_capacity(mask.ones());
+        let mut local = Vec::with_capacity(mask.ones());
         row_ptr.push(0);
         for r in 0..size {
             for c in 0..size {
                 if mask.is_kept(r, c) {
                     cols.push(c as u32);
                     rows.push(r as u32);
+                    local.push((r * size + c) as u32);
                 }
             }
             row_ptr.push(cols.len() as u32);
@@ -125,6 +132,7 @@ impl CompiledPattern {
             row_ptr,
             cols,
             rows,
+            local,
         }
     }
 
@@ -141,25 +149,27 @@ impl CompiledPattern {
 }
 
 /// The paper's component-④ selection rule: index of the pattern preserving
-/// the largest l2 norm over one `h x w` block of row-major `data` (row `r`
-/// lives at `base + r * stride`). Accumulation is row-major over kept
-/// positions and ties keep the lowest index. [`PatternSet::best_pattern_for`]
-/// and the edge blocks of [`PackLayout::assign`] call this; the full blocks
-/// of `assign` apply the same rule through `best_full_block`, and
-/// `assign_then_pack_matches_single_pass_lowering` in
-/// `tests/proptest_formats.rs` holds every assignment equal to
-/// `best_pattern_for`.
+/// the largest l2 norm over one `h x w` block (`h, w <= psize`) of
+/// row-major `data` (row `r` lives at `base + r * stride`). Accumulation is
+/// row-major over kept positions and ties keep the lowest index. This is
+/// the single implementation: both [`PackLayout::assign`] (masked or not)
+/// and [`PatternSet::best_pattern_for`] call it, so their assignments
+/// cannot drift apart.
 ///
 /// The element squares are computed **once per block** into the reusable
-/// `squares` scratch through the detected SIMD `backend` (they were
-/// previously recomputed per candidate pattern); the per-pattern score is
-/// then the sum of the same single-rounded `v * v` products in the same
-/// row-major kept order as before, so the winning assignment is
-/// bit-identical to the scalar scoring — `lowering_backend_is_bit_stable`
-/// in `pattern.rs` pins this.
+/// `squares` scratch through the detected SIMD `backend`, laid out as a
+/// full `psize x psize` block with 0.0 outside the `h x w` region. Each
+/// pattern's score then sums the squares at its local offsets (every kept
+/// position, in row-major kept order) with no test against the block's
+/// shape: an edge block's out-of-shape positions add `+0.0`, which leaves
+/// a sum of non-negative squares bit-unchanged. So the winning assignment
+/// is bit-identical to summing the in-shape squares alone with scalar
+/// products — `edge_blocks_score_only_their_in_shape_positions` and
+/// `lowering_backend_is_bit_stable` in `pattern.rs` pin this.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn best_pattern_for_block(
     compiled: &[CompiledPattern],
+    psize: usize,
     data: &[f32],
     stride: usize,
     base: usize,
@@ -169,24 +179,23 @@ pub(crate) fn best_pattern_for_block(
     squares: &mut Vec<f32>,
 ) -> usize {
     squares.clear();
-    squares.resize(h * w, 0.0);
-    for r in 0..h {
-        let row = &data[base + r * stride..][..w];
-        backend.square_into(&mut squares[r * w..(r + 1) * w], row);
+    squares.resize(psize * psize, 0.0);
+    if w == psize && stride == psize {
+        // rows contiguous in both (a copied-out full block): one call
+        backend.square_into(&mut squares[..h * psize], &data[base..][..h * psize]);
+    } else {
+        for r in 0..h {
+            let row = &data[base + r * stride..][..w];
+            backend.square_into(&mut squares[r * psize..][..w], row);
+        }
     }
     let mut best = 0;
     let mut best_norm = f32::NEG_INFINITY;
     for (pi, cp) in compiled.iter().enumerate() {
-        let mut norm = 0.0f32;
-        for r in 0..h {
-            let sq_row = &squares[r * w..(r + 1) * w];
-            let (s, e) = cp.row_range(r);
-            for &c in &cp.cols[s..e] {
-                if (c as usize) < w {
-                    norm += sq_row[c as usize];
-                }
-            }
-        }
+        let norm = cp
+            .local
+            .iter()
+            .fold(0.0f32, |norm, &o| norm + squares[o as usize]);
         if norm > best_norm {
             best_norm = norm;
             best = pi;
@@ -219,25 +228,6 @@ fn kept_offsets(compiled: &[CompiledPattern], stride: usize) -> Vec<Vec<u32>> {
                 .collect()
         })
         .collect()
-}
-
-/// [`best_pattern_for_block`]'s rule on a full block whose squares are
-/// already in `squares`, row-major: each pattern's score sums the squares
-/// at its `local` offsets (stride = pattern size), which is the row-major
-/// kept order the edge path adds them in, and ties keep the lowest index.
-fn best_full_block(local: &[Vec<u32>], squares: &[f32]) -> usize {
-    let mut best = 0;
-    let mut best_norm = f32::NEG_INFINITY;
-    for (pi, offsets) in local.iter().enumerate() {
-        let norm = offsets
-            .iter()
-            .fold(0.0f32, |norm, &o| norm + squares[o as usize]);
-        if norm > best_norm {
-            best_norm = norm;
-            best = pi;
-        }
-    }
-    best
 }
 
 /// A pattern set together with its compiled offset tables, one
@@ -288,10 +278,9 @@ impl PackLayout {
     /// assignment. The masked weight is never materialised, only one block
     /// of it at a time: each square is `(w * m) * (w * m)`, the same
     /// single-rounded products as scoring `weight.zip(mask, |w, m| w * m)`,
-    /// so the assignment is bit-identical to assigning the masked weight. Full blocks sum a pattern's squares
-    /// through its local index table (row-major kept order, with no test
-    /// against the block's shape); edge blocks go through
-    /// `best_pattern_for_block`, the implementation
+    /// so the assignment is bit-identical to assigning the masked weight.
+    /// Without a mask, blocks are scored straight from `weight`. Every
+    /// block goes through `best_pattern_for_block`, the implementation
     /// [`PatternSet::best_pattern_for`] calls. The layout depends only on
     /// the masked weight and the set, so a caller that packs the same
     /// weight again — a model bank re-materialising an evicted level —
@@ -324,36 +313,46 @@ impl PackLayout {
         });
         let grid = (rows.div_ceil(psize), cols.div_ceil(psize));
         let data = weight.as_slice();
-        let local = kept_offsets(compiled, psize);
         let mut assignments = Vec::with_capacity(grid.0 * grid.1);
         let mut block_offsets = Vec::with_capacity(grid.0 * grid.1 + 1);
         block_offsets.push(0u32);
         let mut stored = 0usize;
-        let mut values = Vec::with_capacity(psize * psize);
+        let mut masked = Vec::with_capacity(psize * psize);
         let mut squares = Vec::with_capacity(psize * psize);
         for base_r in (0..rows).step_by(psize) {
             let h = psize.min(rows - base_r);
             for base_c in (0..cols).step_by(psize) {
                 let w = psize.min(cols - base_c);
-                // the block's (masked) values, row-major with stride `w`
-                values.clear();
-                for r in 0..h {
-                    let at = (base_r + r) * cols + base_c;
-                    let row = &data[at..at + w];
-                    match keep {
-                        None => values.extend_from_slice(row),
-                        Some(keep) => {
-                            values.extend(row.iter().zip(&keep[at..at + w]).map(|(&v, &m)| v * m))
+                let base = base_r * cols + base_c;
+                // unmasked blocks are scored in place; a masked block is
+                // first copied out, row-major with stride `w`
+                let (block, stride, at) = match keep {
+                    None => (data, cols, base),
+                    Some(keep) => {
+                        masked.clear();
+                        for r in 0..h {
+                            let at = base + r * cols;
+                            masked.extend(
+                                data[at..at + w]
+                                    .iter()
+                                    .zip(&keep[at..at + w])
+                                    .map(|(&v, &m)| v * m),
+                            );
                         }
+                        (&masked[..], w, 0)
                     }
-                }
-                let best = if h == psize && w == psize {
-                    squares.resize(psize * psize, 0.0);
-                    backend.square_into(&mut squares, &values);
-                    best_full_block(&local, &squares)
-                } else {
-                    best_pattern_for_block(compiled, &values, w, 0, h, w, backend, &mut squares)
                 };
+                let best = best_pattern_for_block(
+                    compiled,
+                    psize,
+                    block,
+                    stride,
+                    at,
+                    h,
+                    w,
+                    backend,
+                    &mut squares,
+                );
                 assignments.push(best as u16);
                 stored += compiled[best].ones();
                 block_offsets.push(u32::try_from(stored).expect("arena exceeds u32 offsets"));
@@ -648,7 +647,8 @@ impl PatternPlan {
             .compiled_patterns()
             .iter()
             .map(|cp| {
-                (cp.row_ptr.len() + cp.cols.len() + cp.rows.len()) * std::mem::size_of::<u32>()
+                (cp.row_ptr.len() + cp.cols.len() + cp.rows.len() + cp.local.len())
+                    * std::mem::size_of::<u32>()
             })
             .sum();
         self.layout.block_offsets.len() * std::mem::size_of::<u32>() + tables

@@ -17,7 +17,9 @@ use std::collections::BTreeMap;
 /// The set keeps its pruned (zero) and covered element counts as masks are
 /// inserted, so [`MaskSet::overall_sparsity`] and the element counts are
 /// O(1); [`MaskSet::insert`] is the only place that updates them, and every
-/// other way of adding a mask goes through it.
+/// other way of adding a mask goes through it. The counts are derived data:
+/// the serialised form is the name → mask map alone, and deserialising
+/// rebuilds the set through `From<BTreeMap<..>>`, which recounts them.
 ///
 /// # Examples
 ///
@@ -31,6 +33,7 @@ use std::collections::BTreeMap;
 /// assert!((masks.overall_sparsity() - 0.5).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(from = "BTreeMap<String, Matrix>", into = "BTreeMap<String, Matrix>")]
 pub struct MaskSet {
     masks: BTreeMap<String, Matrix>,
     /// Zero elements over all masks.
@@ -142,6 +145,18 @@ impl FromIterator<(String, Matrix)> for MaskSet {
     }
 }
 
+impl From<BTreeMap<String, Matrix>> for MaskSet {
+    fn from(masks: BTreeMap<String, Matrix>) -> Self {
+        masks.into_iter().collect()
+    }
+}
+
+impl From<MaskSet> for BTreeMap<String, Matrix> {
+    fn from(set: MaskSet) -> Self {
+        set.masks
+    }
+}
+
 impl Extend<(String, Matrix)> for MaskSet {
     fn extend<T: IntoIterator<Item = (String, Matrix)>>(&mut self, iter: T) {
         for (name, mask) in iter {
@@ -227,6 +242,11 @@ mod tests {
         let c = a.intersect(&b);
         assert_counts_match_a_recount(&c);
         assert_eq!(c.pruned_elements(), 5 + 2);
+        // the serde round trip: the map alone, counts rebuilt from it
+        let map: BTreeMap<String, Matrix> = c.clone().into();
+        let back = MaskSet::from(map);
+        assert_counts_match_a_recount(&back);
+        assert_eq!(back, c);
     }
 
     #[test]
