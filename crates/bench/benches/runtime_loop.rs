@@ -131,7 +131,7 @@ fn bench_runtime(c: &mut Criterion) {
         );
         let banked = bank.get(0).clone();
         let batches = vec![4usize; 32];
-        b.iter(|| pool::run_batches(&banked, &batches, 4))
+        b.iter(|| pool::run_batches(&banked, &batches, 4, None))
     });
     group.finish();
 

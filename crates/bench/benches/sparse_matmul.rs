@@ -459,13 +459,13 @@ fn bench_pool_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("pool_throughput");
     group.sample_size(if quick() { 5 } else { 10 });
     group.bench_function(format!("run_batches_{}x4_4workers", batches.len()), |b| {
-        b.iter(|| pool::run_batches(&banked, &batches, 4))
+        b.iter(|| pool::run_batches(&banked, &batches, 4, None))
     });
     group.bench_function(format!("run_batches_{}x4_1worker", batches.len()), |b| {
-        b.iter(|| pool::run_batches(&banked, &batches, 1))
+        b.iter(|| pool::run_batches(&banked, &batches, 1, None))
     });
     group.bench_function("run_batches_1x64_4workers_intra", |b| {
-        b.iter(|| pool::run_batches(&banked, &[64], 4))
+        b.iter(|| pool::run_batches(&banked, &[64], 4, None))
     });
     group.finish();
 }

@@ -169,8 +169,10 @@ impl SearchOutcome {
 }
 
 /// The per-search table of candidate lowerings: each candidate pattern
-/// set's combined (backbone ∧ pattern) masks and their overall sparsity,
-/// lowered at most once, the first time an assignment picks the candidate.
+/// set's combined (backbone ∧ pattern) masks, their overall sparsity and,
+/// per V/F level, the predicted latency and energy per inference at that
+/// sparsity — lowered at most once, the first time an assignment picks the
+/// candidate.
 ///
 /// The masks are a fixed function of (model, backbone, candidate), so every
 /// Level-2 evaluation goes through one table per search instead of lowering
@@ -189,8 +191,17 @@ pub struct CandidateTable<'a> {
     /// V/F levels ordered high frequency -> low frequency (M1 first, as in
     /// the paper).
     levels: Vec<VfLevel>,
-    lowered: Vec<OnceCell<(MaskSet, f64)>>,
+    lowered: Vec<OnceCell<Lowered>>,
     runs_reference: OnceCell<f64>,
+}
+
+/// One candidate's lowering.
+struct Lowered {
+    masks: MaskSet,
+    sparsity: f64,
+    /// Predicted latency (ms) and energy per inference (J) on each level,
+    /// in the table's level order.
+    per_level: Vec<(f64, f64)>,
 }
 
 impl<'a> CandidateTable<'a> {
@@ -217,39 +228,44 @@ impl<'a> CandidateTable<'a> {
         }
     }
 
-    /// The combined masks of one candidate and their overall sparsity.
-    fn lowered(&self, candidate: usize) -> &(MaskSet, f64) {
+    /// One candidate's combined masks, their overall sparsity and their
+    /// latency and energy on every level.
+    fn lowered(&self, candidate: usize) -> &Lowered {
         self.lowered[candidate].get_or_init(|| {
             let set = &self.space.candidates()[candidate].set;
             let masks = combined_masks(&self.weights, &self.backbone.masks, set);
             let sparsity = masks.overall_sparsity();
-            (masks, sparsity)
+            let workload = ModelWorkload::from_config(
+                &self.config.workload_config,
+                sparsity,
+                self.config.seq_len,
+                SparseFormat::BlockPruned,
+            );
+            let per_level = self
+                .levels
+                .iter()
+                .map(|level| {
+                    let latency = self.config.predictor.latency_ms(&workload, level);
+                    (latency, self.power.energy_per_inference_j(level, latency))
+                })
+                .collect();
+            Lowered {
+                masks,
+                sparsity,
+                per_level,
+            }
         })
-    }
-
-    /// Predicted latency of the model at `sparsity` on `level`, and the
-    /// number of runs `budget_j` buys there.
-    fn latency_and_runs(&self, sparsity: f64, level: &VfLevel, budget_j: f64) -> (f64, f64) {
-        let workload = ModelWorkload::from_config(
-            &self.config.workload_config,
-            sparsity,
-            self.config.seq_len,
-            SparseFormat::BlockPruned,
-        );
-        let latency = self.config.predictor.latency_ms(&workload, level);
-        let energy = self.power.energy_per_inference_j(level, latency);
-        (latency, number_of_runs(budget_j, energy))
     }
 
     /// Upper bound on the number of runs: every level uses the sparsest
     /// candidate. Used to normalise `R_runs` into `[0, 1]`.
     fn runs_reference(&self) -> f64 {
         *self.runs_reference.get_or_init(|| {
-            let (_, sparsity) = *self.lowered(self.space.len() - 1);
             let budget_per_level = self.config.energy_budget_j / self.levels.len() as f64;
-            self.levels
+            self.lowered(self.space.len() - 1)
+                .per_level
                 .iter()
-                .map(|level| self.latency_and_runs(sparsity, level, budget_per_level).1)
+                .map(|&(_, energy)| number_of_runs(budget_per_level, energy))
                 .sum()
         })
     }
@@ -267,17 +283,17 @@ impl<'a> CandidateTable<'a> {
         let mut accuracies = Vec::with_capacity(actions.len());
         let mut total_runs = 0.0;
         let budget_per_level = self.config.energy_budget_j / actions.len() as f64;
-        for (&action, level) in actions.iter().zip(&self.levels) {
-            let (masks, sparsity) = self.lowered(action);
-            let (latency, runs) = self.latency_and_runs(*sparsity, level, budget_per_level);
-            total_runs += runs;
+        for (level_pos, &action) in actions.iter().enumerate().take(self.levels.len()) {
+            let lowered = self.lowered(action);
+            let (latency, energy) = lowered.per_level[level_pos];
+            total_runs += number_of_runs(budget_per_level, energy);
             let spec = PruningSpec {
-                sparsity: *sparsity,
+                sparsity: lowered.sparsity,
                 level1_guided: self.backbone.guided,
                 level2: Some(level2_guided),
             };
-            accuracies.push(evaluator.evaluate(masks, &spec));
-            sparsities.push(*sparsity);
+            accuracies.push(evaluator.evaluate(&lowered.masks, &spec));
+            sparsities.push(lowered.sparsity);
             latencies.push(latency);
         }
         let reference = self.runs_reference();

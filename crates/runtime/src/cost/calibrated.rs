@@ -330,7 +330,7 @@ pub fn calibrate<M: Model>(
         let variant = bank.rebuild_cold(level_pos);
         // untimed warm-up: fault the weights in and warm the caches so the
         // first timed point (the batch-of-one anchor) is not the cold run
-        let _ = pool::run_batches(&variant, &[1, options.max_batch], options.workers);
+        let _ = pool::run_batches(&variant, &[1, options.max_batch], options.workers, None);
         let mut points = Vec::with_capacity(options.max_batch);
         let mut raw = Vec::with_capacity(options.max_batch);
         let mut single_ms = 0.0;
@@ -404,7 +404,7 @@ fn calibrate_switches<M: Model>(
             }
             let samples: Vec<f64> = (0..options.samples)
                 .map(|_| {
-                    let _ = pool::run_batches(spare.get(from_level), &[1], options.workers);
+                    let _ = pool::run_batches(spare.get(from_level), &[1], options.workers, None);
                     let start = std::time::Instant::now();
                     let built = spare.get(to_level);
                     let elapsed_ms = start.elapsed().as_secs_f64() * 1_000.0;

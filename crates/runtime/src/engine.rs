@@ -17,16 +17,14 @@ use crate::governor::DeviceGovernor;
 use crate::pool;
 use crate::report::{ServeReport, WindowReport};
 use crate::scenario::Scenario;
-use crate::scheduler::{Completion, DeadlineScheduler, RejectReason, Request, SchedulerConfig};
+use crate::scheduler::{batches, Completion, RejectReason, Request, SchedulerConfig};
 use crate::telemetry::DeviceTelemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_core::{Rt3Config, SearchOutcome};
 use rt3_hardware::{Battery, MemoryModel, PowerModel};
 use rt3_pruning::PatternSpace;
-use rt3_telemetry::{
-    DecisionRecord, StreamingHistogram, TelemetryConfig, TraceEvent, TraceEventKind, WallClock,
-};
+use rt3_telemetry::{StreamingHistogram, TelemetryConfig, TraceEvent, TraceEventKind, WallClock};
 use rt3_transformer::Model;
 use std::sync::Arc;
 
@@ -235,9 +233,8 @@ impl<'m, M: Model> ServeEngine<'m, M> {
                 self.config.policy,
                 Arc::clone(&self.cost),
                 PowerModel::cortex_a7(),
-                self.config.scheduler.workers,
+                self.config.scheduler,
             ),
-            DeadlineScheduler::new(self.config.scheduler),
             self.config.deadline_budget_ms,
             self.config.real_inference,
             scenario.duration_s(),
@@ -297,8 +294,8 @@ impl<'m, M: Model> ServeEngine<'m, M> {
 }
 
 /// One simulated device stepped window-by-window: its governor (battery,
-/// controller, active level), scheduler and model bank, plus the
-/// serve-report accumulators.
+/// controller, active level, scheduler) and model bank, plus the trace,
+/// audit, prediction and serve-report state.
 ///
 /// [`ServeEngine::run`] drives a single `DeviceSim` from a [`Scenario`];
 /// [`crate::Fleet`] drives several of them from a
@@ -306,10 +303,9 @@ impl<'m, M: Model> ServeEngine<'m, M> {
 /// taken straight from the trace.
 pub(crate) struct DeviceSim<'m, M: Model> {
     bank: ModelBank<'m, M>,
-    /// Battery, controller and active level; the fleet router reads its
-    /// state of charge and time to death.
+    /// Battery, controller, active level and scheduler; the fleet router
+    /// reads its state of charge, queue and time to death.
     pub(crate) governor: DeviceGovernor,
-    pub(crate) scheduler: DeadlineScheduler,
     pub(crate) deadline_budget_ms: f64,
     real_inference: bool,
     /// Whether the current window's [`DeviceSim::begin_window`] performed a
@@ -331,7 +327,6 @@ pub(crate) struct DeviceSim<'m, M: Model> {
     missed: u64,
     switches: u64,
     switch_time_ms: f64,
-    inference_energy_j: f64,
     background_energy_j: f64,
     died_at_s: Option<u32>,
     dropped_dead: u64,
@@ -345,7 +340,6 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     pub(crate) fn new(
         bank: ModelBank<'m, M>,
         governor: DeviceGovernor,
-        scheduler: DeadlineScheduler,
         deadline_budget_ms: f64,
         real_inference: bool,
         duration_hint_s: u32,
@@ -356,7 +350,6 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         Self {
             bank,
             governor,
-            scheduler,
             deadline_budget_ms,
             real_inference,
             last_switched: false,
@@ -370,7 +363,6 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             missed: 0,
             switches: 0,
             switch_time_ms: 0.0,
-            inference_energy_j: 0.0,
             background_energy_j: 0.0,
             died_at_s: None,
             dropped_dead: 0,
@@ -392,145 +384,113 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         charge_j: f64,
         thermal_cap: Option<usize>,
     ) -> bool {
-        // the dwell must be read *before* the decision (a switch resets it)
-        let dwell_ms = self.governor.ms_since_last_switch(now_ms);
-        let decision =
-            self.governor
-                .begin_window(now_ms, WINDOW_S, battery_cliff, charge_j, thermal_cap);
-        if let Some(t) = &mut self.telemetry {
-            self.governor.record_battery(&mut t.shard, &t.ids);
-        }
+        let from_level = self.governor.active_level();
+        let bank = &mut self.bank;
+        let (metrics, clock) = match &mut self.telemetry {
+            Some(t) => (Some((&mut t.shard, &t.ids)), Some(t.clock.as_ref())),
+            None => (None, None),
+        };
+        let (mut switch_time_ms, mut build_wall_ms) = (0.0, None);
+        // a switch is priced from the bank: its memory traffic, and the
+        // base latency at the banked variant's achieved sparsity (a lazy
+        // build the first time the level is used)
+        let decision = self.governor.begin_window(
+            now_ms,
+            WINDOW_S,
+            battery_cliff,
+            charge_j,
+            thermal_cap,
+            metrics,
+            |governor, level_pos| {
+                switch_time_ms = bank.switch_cost(level_pos).time_ms;
+                let (builds_before, begin_ms) = (bank.stats().builds, clock.map(|c| c.now_ms()));
+                let sparsity = bank.get(level_pos).sparsity;
+                if bank.stats().builds > builds_before {
+                    build_wall_ms = clock
+                        .zip(begin_ms)
+                        .map(|(c, begin_ms)| c.now_ms() - begin_ms);
+                }
+                (
+                    governor.base_latency_ms(sparsity, level_pos),
+                    switch_time_ms,
+                )
+            },
+        );
         let Some(decision) = decision else {
             self.died_at_s.get_or_insert(t_s);
             return false;
         };
-        // the audit records the battery the decision saw, before a switch
-        // drains its energy
-        let state_of_charge = self.governor.state_of_charge();
-        let time_to_death_ms = self.governor.time_to_death_ms();
-
-        // pattern-set switch: the governor charges time to the workers and
-        // energy to the battery (the very first activation is a model
-        // load, not a run-time switch, and is not counted). The base
-        // latency only changes on a switch, so the governor caches it
-        // rather than recomputing it per window/batch.
-        let level_pos = decision.level_pos;
-        let from_level = self.governor.active_level();
-        let mut counted_switch = false;
+        // `switched` is the *counted* switch (the first model activation is
+        // a load, not a switch), so the audited switch count reconciles
+        // exactly with the report's
+        self.last_switched = decision.switched;
         if decision.switched {
-            let switch_time_ms = self.bank.switch_cost(level_pos).time_ms;
-            let build_timer = self
-                .telemetry
-                .as_ref()
-                .map(|t| (self.bank.stats().builds, t.clock.now_ms()));
-            let sparsity = self.bank.get(level_pos).sparsity; // lazy build
-            if let (Some((builds_before, begin_ms)), Some(t)) =
-                (build_timer, self.telemetry.as_mut())
-            {
-                if self.bank.stats().builds > builds_before {
-                    t.shard
-                        .record(t.ids.bank_build_wall_ms, t.clock.now_ms() - begin_ms);
-                }
-            }
-            let base_ms = self.governor.base_latency_ms(sparsity, level_pos);
-            if let Some(energy_j) = self.governor.activate(
-                level_pos,
-                base_ms,
-                switch_time_ms,
-                now_ms,
-                &mut self.scheduler,
-            ) {
-                counted_switch = true;
-                self.switches += 1;
-                self.switch_time_ms += switch_time_ms;
-                self.inference_energy_j += energy_j;
-                if let Some(t) = &mut self.telemetry {
-                    t.shard.add(t.ids.switches, 1);
-                    t.shard.record(t.ids.switch_time_ms, switch_time_ms);
-                    // device-level span: the window [now, now+cost] blocks
-                    // every queued request, and the span analyzer charges
-                    // the overlap to them
-                    t.trace_event(TraceEvent {
-                        t_ms: now_ms,
-                        request_id: 0,
-                        kind: TraceEventKind::Switch {
-                            from_level: from_level.unwrap_or(level_pos),
-                            to_level: level_pos,
-                            duration_ms: switch_time_ms,
-                        },
-                    });
-                }
-            }
+            self.switches += 1;
+            self.switch_time_ms += switch_time_ms;
         }
-        self.last_switched = counted_switch;
         if let Some(t) = &mut self.telemetry {
-            t.shard.set(t.ids.active_level, level_pos as f64);
-        }
-        if let Some(t) = self.telemetry.as_mut().filter(|t| t.full()) {
-            // `switched` records the engine's *counted* switch (the first
-            // model activation is a load, not a switch), so the audited
-            // switch count reconciles exactly with the report's
-            t.audit_decision(DecisionRecord {
-                t_ms: now_ms,
-                state_of_charge,
-                thermal_cap,
-                raw_target: self.governor.raw_target(state_of_charge),
-                chosen_level: level_pos,
-                switched: counted_switch,
-                dwell_ms,
-                time_to_death_ms,
-                predicted_latency_ms: self.governor.active_base_ms(),
-            });
+            if let Some(wall_ms) = build_wall_ms {
+                t.shard.record(t.ids.bank_build_wall_ms, wall_ms);
+            }
+            if decision.switched {
+                // device-level span: the window [now, now+cost] blocks every
+                // queued request, and the span analyzer charges the overlap
+                // to them
+                t.trace_event(TraceEvent {
+                    t_ms: now_ms,
+                    request_id: 0,
+                    kind: TraceEventKind::Switch {
+                        from_level: from_level.unwrap_or(decision.chosen_level),
+                        to_level: decision.chosen_level,
+                        duration_ms: switch_time_ms,
+                    },
+                });
+            }
+            t.audit_decision(decision);
         }
         true
     }
 
-    /// Admission control for one routed/arriving request, using the active
-    /// level's base latency as the service estimate.
+    /// Admission control for one routed/arriving request at the active
+    /// level, through the governor.
     ///
     /// # Errors
     ///
     /// Returns the scheduler's [`RejectReason`] when the request is turned
     /// away (bounded queue full, or the deadline is already unmeetable).
     pub(crate) fn try_admit(&mut self, request: Request) -> Result<(), RejectReason> {
-        let arrival_ms = request.arrival_ms;
-        let result = self.scheduler.submit(request, self.governor.service());
+        let result = self.governor.admit(
+            request,
+            self.telemetry.as_mut().map(|t| (&mut t.shard, &t.ids)),
+        );
         if let Some(t) = &mut self.telemetry {
-            match result {
+            let kind = match result {
                 Ok(predicted_finish_ms) => {
                     // the admission-time prediction is what the residuals
                     // compare the actual completion latency against — the
                     // certain-miss check already replayed the backlog, so
                     // the audit reuses its answer instead of simulating the
                     // queue a second time
-                    let predicted_ms = predicted_finish_ms - arrival_ms;
-                    t.shard.add(t.ids.admitted, 1);
-                    t.shard
-                        .set(t.ids.queue_depth, self.scheduler.queue_len() as f64);
+                    let predicted_ms = predicted_finish_ms - request.arrival_ms;
                     t.note_prediction(request.id, predicted_ms);
-                    t.trace_event(TraceEvent {
-                        t_ms: request.arrival_ms,
-                        request_id: request.id,
-                        kind: TraceEventKind::Admit {
-                            deadline_ms: request.deadline_ms,
-                            queue_depth: self.scheduler.queue_len(),
-                            predicted_ms,
-                        },
-                    });
+                    TraceEventKind::Admit {
+                        deadline_ms: request.deadline_ms,
+                        queue_depth: self.governor.scheduler().queue_len(),
+                        predicted_ms,
+                    }
                 }
-                Err(reason) => {
-                    let (counter, label) = match reason {
-                        RejectReason::QueueFull => (t.ids.rejected_queue_full, "queue-full"),
-                        RejectReason::CertainMiss => (t.ids.rejected_certain_miss, "certain-miss"),
-                    };
-                    t.shard.add(counter, 1);
-                    t.trace_event(TraceEvent {
-                        t_ms: request.arrival_ms,
-                        request_id: request.id,
-                        kind: TraceEventKind::Reject { reason: label },
-                    });
-                }
-            }
+                Err(RejectReason::QueueFull) => TraceEventKind::Reject {
+                    reason: "queue-full",
+                },
+                Err(RejectReason::CertainMiss) => TraceEventKind::Reject {
+                    reason: "certain-miss",
+                },
+            };
+            t.trace_event(TraceEvent {
+                t_ms: request.arrival_ms,
+                request_id: request.id,
+                kind,
+            });
         }
         result.map(|_| ())
     }
@@ -541,15 +501,15 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     /// elsewhere; open-loop callers ignore the return.
     pub(crate) fn record_dead_window(&mut self, t_s: u32, arrivals: u64) -> Vec<Request> {
         self.arrivals_total += arrivals;
-        let dropped_requests = self.scheduler.drain_queue();
+        let dropped_requests = self
+            .governor
+            .drain_dead(self.telemetry.as_mut().map(|t| (&mut t.shard, &t.ids)));
         self.dropped_dead += dropped_requests.len() as u64 + arrivals;
         if let Some(t) = &mut self.telemetry {
             t.shard.add(t.ids.windows_dead, 1);
-            // the count includes this window's arrivals, which never became
-            // requests (no ids) and therefore leave no individual trace
-            t.shard
-                .add(t.ids.dropped_dead, dropped_requests.len() as u64 + arrivals);
-            t.shard.set(t.ids.queue_depth, 0.0);
+            // this window's arrivals never became requests (no ids), so
+            // they count as dropped but leave no individual trace
+            t.shard.add(t.ids.dropped_dead, arrivals);
             let now_ms = t_s as f64 * WINDOW_MS;
             for request in &dropped_requests {
                 t.settle_prediction(request.id, None);
@@ -592,21 +552,20 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         background_j: f64,
     ) -> Vec<Completion> {
         self.arrivals_total += arrivals;
+        // dispatch everything that can start inside this window, with batch
+        // service times from the shared cost model and energy charged per
+        // completion
+        let completions = self.governor.serve_until(
+            window_end_ms,
+            self.telemetry.as_mut().map(|t| (&mut t.shard, &t.ids)),
+        );
         let level_pos = self
             .governor
             .active_level()
             .expect("window began on a live device");
 
-        // 4. dispatch everything that can start inside this window, with
-        //    batch service times charged by the shared cost model
-        let completions =
-            self.scheduler
-                .dispatch(window_end_ms, level_pos, self.governor.service());
-
-        // 5. charge inference energy per completion through the governor
         let mut window_missed = 0u64;
         for completion in &completions {
-            self.inference_energy_j += self.governor.charge_completion(completion);
             self.completed += 1;
             self.runs_per_level[completion.level_pos] += 1;
             self.latency_hist.record(completion.latency_ms());
@@ -635,65 +594,45 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             }
         }
         self.missed += window_missed;
-        // one pool batch per dispatched micro-batch: the scheduler pushes
-        // a batch's completions consecutively and stamps each with the
-        // batch size, so stepping by that size recovers the batches even
-        // when several start at the same instant on different workers
+        // one pool batch per dispatched micro-batch
         let mut batch_sizes: Vec<usize> = Vec::new();
-        let mut i = 0;
-        while i < completions.len() {
-            let batch = completions[i].batch;
+        for batch in batches(&completions) {
             if let Some(t) = &mut self.telemetry {
-                t.shard.record(t.ids.batch_size, batch as f64);
                 // one Infer span per dispatched batch (stamped with the
                 // batch's first request) bounds trace volume
                 t.trace_event(TraceEvent {
-                    t_ms: completions[i].start_ms,
-                    request_id: completions[i].id,
+                    t_ms: batch[0].start_ms,
+                    request_id: batch[0].id,
                     kind: TraceEventKind::Infer {
-                        start_ms: completions[i].start_ms,
-                        batch,
+                        start_ms: batch[0].start_ms,
+                        batch: batch.len(),
                         level_pos,
                     },
                 });
             }
-            batch_sizes.push(batch);
-            i += batch;
+            batch_sizes.push(batch.len());
         }
 
-        // 6. replay the dispatched batches as real sparse inference; with
-        //    telemetry on, every worker times its batches and the timings
-        //    fold into the device shard after the join
+        // replay the dispatched batches as real sparse inference; with
+        // telemetry on, every worker times its batches and the timings fold
+        // into the device shard after the join
         if self.real_inference && !batch_sizes.is_empty() {
-            let outcome = match &mut self.telemetry {
-                Some(t) => {
-                    let (pool_telemetry, shard) = t.pool_view();
-                    pool::run_batches_instrumented(
-                        self.bank.get(level_pos),
-                        &batch_sizes,
-                        self.scheduler.workers(),
-                        &pool_telemetry,
-                        shard,
-                    )
-                }
-                None => pool::run_batches(
-                    self.bank.get(level_pos),
-                    &batch_sizes,
-                    self.scheduler.workers(),
-                ),
-            };
+            let outcome = pool::run_batches(
+                self.bank.get(level_pos),
+                &batch_sizes,
+                self.governor.scheduler().workers(),
+                self.telemetry.as_mut().map(DeviceTelemetry::pool_view),
+            );
             self.checksum += outcome.checksum;
             self.real_batches += outcome.batches;
         }
 
-        // 7. background drain
+        // background drain
         self.background_energy_j += background_j;
         self.governor.drain(background_j);
 
         if let Some(t) = &mut self.telemetry {
             t.shard.add(t.ids.windows_served, 1);
-            t.shard
-                .set(t.ids.queue_depth, self.scheduler.queue_len() as f64);
             // fold this window's bank activity (hits from pool lookups,
             // builds/evictions from switches) into the counters
             let stats = self.bank.stats();
@@ -744,7 +683,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     ) -> (ServeReport, ModelBank<'m, M>) {
         // requests still queued when the trace ends count as misses, but are
         // reported separately from admission rejections
-        let leftover_requests = self.scheduler.drain_queue();
+        let leftover_requests = self.governor.take_queue();
         let leftover = leftover_requests.len() as u64;
         let telemetry = self.telemetry.as_mut().map(|t| {
             t.shard.add(t.ids.dropped_trace_end, leftover);
@@ -764,8 +703,8 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             }
             t.snapshot()
         });
-        let rejected =
-            self.scheduler.rejected_queue_full() + self.scheduler.rejected_certain_miss();
+        let scheduler = self.governor.scheduler();
+        let rejected = scheduler.rejected_queue_full() + scheduler.rejected_certain_miss();
         let report = ServeReport {
             scenario,
             policy,
@@ -780,7 +719,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             latency_hist: self.latency_hist,
             switches: self.switches,
             switch_time_ms: self.switch_time_ms,
-            inference_energy_j: self.inference_energy_j,
+            inference_energy_j: self.governor.energy_j(),
             background_energy_j: self.background_energy_j,
             runs_per_level: self.runs_per_level,
             final_state_of_charge: self.governor.state_of_charge(),
@@ -844,9 +783,8 @@ mod tests {
                 RuntimePolicy::Adaptive,
                 cost,
                 PowerModel::cortex_a7(),
-                config.scheduler.workers,
+                config.scheduler,
             ),
-            DeadlineScheduler::new(config.scheduler),
             config.deadline_budget_ms,
             false,
             10,

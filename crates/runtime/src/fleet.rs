@@ -40,7 +40,7 @@ use crate::engine::{DeviceSim, RuntimePolicy, WINDOW_MS, WINDOW_S};
 use crate::governor::DeviceGovernor;
 use crate::report::FleetReport;
 use crate::scenario::{FleetScenario, Scenario};
-use crate::scheduler::{Completion, DeadlineScheduler, Request, SchedulerConfig};
+use crate::scheduler::{Completion, Request, SchedulerConfig};
 use crate::telemetry::{DeviceTelemetry, FleetTelemetry};
 use crate::ModelBank;
 use rand::rngs::StdRng;
@@ -515,9 +515,8 @@ impl<'m, M: Model> Fleet<'m, M> {
                         RuntimePolicy::Adaptive,
                         Arc::clone(&cost),
                         PowerModel::cortex_a7(),
-                        config.scheduler.workers,
+                        config.scheduler,
                     ),
-                    DeadlineScheduler::new(config.scheduler),
                     config.deadline_budget_ms,
                     config.real_inference,
                     duration_s,
@@ -699,14 +698,11 @@ impl<'m, M: Model> Fleet<'m, M> {
             state_of_charge: governor.state_of_charge(),
             level_pos: governor.active_level().unwrap_or(0),
             levels: governor.level_count(),
-            queue_len: device.scheduler.queue_len(),
-            queue_capacity: device.scheduler.queue_capacity(),
+            queue_len: governor.scheduler().queue_len(),
+            queue_capacity: governor.scheduler().queue_capacity(),
             // the newcomer's simulated completion after the queued backlog,
-            // replayed through the closure dispatch uses
-            predicted_latency_ms: device
-                .scheduler
-                .predicted_finish_ms(arrival_ms, &governor.service())
-                - arrival_ms,
+            // replayed through the batch step dispatch takes
+            predicted_latency_ms: governor.predicted_finish_ms(arrival_ms) - arrival_ms,
             deadline_budget_ms: device.deadline_budget_ms,
             time_to_death_ms: governor.time_to_death_ms(),
         }

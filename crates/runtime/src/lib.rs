@@ -12,10 +12,11 @@
 //!   switch-cost accounting from [`rt3_hardware::MemoryModel`].
 //! * [`RuntimeController`] — the paper's battery governor plus dwell-window
 //!   and state-of-charge hysteresis, with thermal-cap clamping.
-//! * [`DeviceGovernor`] — one device's battery, drain observer, controller
-//!   and active level: the window-boundary decision, switch charging and
-//!   inference energy that the simulated device and the socket server
-//!   share, together with the [`DeviceMetricIds`] schema.
+//! * [`DeviceGovernor`] — one device's battery, drain observer, controller,
+//!   active level and scheduler: the window-boundary decision and switch,
+//!   admission, dispatch with inference energy, and the death drain that
+//!   the simulated device and the socket server share, together with the
+//!   [`DeviceMetricIds`] schema.
 //! * [`cost`] — the unified cost-model layer behind every prediction:
 //!   the [`CostModel`] trait with the default fixed-α [`Analytic`] model
 //!   and the pool-measured [`Calibrated`] model (see [`calibrate`]).
@@ -101,7 +102,7 @@ pub use engine::{RuntimePolicy, ServeConfig, ServeEngine};
 pub use fleet::{
     DeviceSnapshot, Fleet, FleetConfig, Router, RouterConfig, RoutingPolicy, RoutingWeights,
 };
-pub use governor::DeviceGovernor;
+pub use governor::{DeviceGovernor, DeviceMetrics};
 pub use report::{FleetReport, ServeReport, WindowReport};
 pub use rt3_telemetry::{TelemetryConfig, TelemetryLevel, TelemetrySnapshot};
 pub use scenario::{DeviceProfile, FleetScenario, Scenario};

@@ -29,12 +29,16 @@ pub struct PoolOutcome {
 /// fixed amortisation α with a measured curve.
 pub fn time_batches(model: &BankedModel, batches: &[usize], workers: usize) -> (PoolOutcome, f64) {
     let start = std::time::Instant::now();
-    let outcome = run_batches(model, batches, workers);
+    let outcome = run_batches(model, batches, workers, None);
     (outcome, start.elapsed().as_secs_f64() * 1_000.0)
 }
 
 /// Runs each batch size in `batches` through `model` as a real sparse
-/// forward pass, using up to `workers` OS threads.
+/// forward pass, using up to `workers` OS threads. With `timing`, every
+/// batch is timed through its clock on the thread that runs it, and the
+/// timings fold into the caller's long-lived shard in batch order after the
+/// join (one count and one wall-time sample per batch); the checksum path
+/// is the same either way.
 ///
 /// When the window carries at least as many batches as workers, batches
 /// are split into contiguous chunks, one per thread; every thread returns
@@ -54,49 +58,69 @@ pub fn time_batches(model: &BankedModel, batches: &[usize], workers: usize) -> (
 /// window runs serially, exactly the pre-PR-10 behaviour). The parallel
 /// kernel is bit-identical to the serial one, so the checksum stays
 /// independent of the worker count either way.
-pub fn run_batches(model: &BankedModel, batches: &[usize], workers: usize) -> PoolOutcome {
+pub fn run_batches(
+    model: &BankedModel,
+    batches: &[usize],
+    workers: usize,
+    timing: Option<(PoolTelemetry<'_>, &mut MetricShard)>,
+) -> PoolOutcome {
     if batches.is_empty() {
         return PoolOutcome {
             batches: 0,
             checksum: 0.0,
         };
     }
+    let clock = timing.as_ref().map(|(telemetry, _)| telemetry.clock);
     let intra = intra_workers(workers, batches.len());
-    if intra > 1 {
+    // each batch's checksum and, when timed, its wall time, in batch order
+    let runs: Vec<(f64, Option<f64>)> = if intra > 1 {
         let mut scratch = InferScratch::new();
-        let checksum = batches
+        batches
             .iter()
-            .map(|&b| model.infer_par_with(b, &mut scratch, intra))
-            .sum();
-        return PoolOutcome {
-            batches: batches.len() as u64,
-            checksum,
-        };
-    }
-    let workers = workers.clamp(1, batches.len());
-    let chunk_len = batches.len().div_ceil(workers);
-    let checksum = thread::scope(|scope| {
-        let handles: Vec<_> = batches
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut scratch = InferScratch::new();
-                    chunk
-                        .iter()
-                        .map(|&b| model.infer_with(b, &mut scratch))
-                        .collect::<Vec<f64>>()
+            .map(|&b| timed(clock, || model.infer_par_with(b, &mut scratch, intra)))
+            .collect()
+    } else {
+        let workers = workers.clamp(1, batches.len());
+        let chunk_len = batches.len().div_ceil(workers);
+        thread::scope(|scope| {
+            let handles: Vec<_> = batches
+                .chunks(chunk_len)
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        let mut scratch = InferScratch::new();
+                        chunk
+                            .iter()
+                            .map(|&b| timed(clock, || model.infer_with(b, &mut scratch)))
+                            .collect::<Vec<_>>()
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("inference worker panicked"))
-            .sum::<f64>()
-    });
-    PoolOutcome {
-        batches: batches.len() as u64,
-        checksum,
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("inference worker panicked"))
+                .collect()
+        })
+    };
+    if let Some((telemetry, shard)) = timing {
+        shard.add(telemetry.batches, runs.len() as u64);
+        for (_, wall_ms) in &runs {
+            shard.record(telemetry.batch_wall_ms, wall_ms.expect("timed run"));
+        }
     }
+    PoolOutcome {
+        batches: runs.len() as u64,
+        checksum: runs.iter().map(|(checksum, _)| checksum).sum(),
+    }
+}
+
+/// Runs one batch's inference, timed through `clock` when there is one.
+fn timed(clock: Option<&dyn Clock>, infer: impl FnOnce() -> f64) -> (f64, Option<f64>) {
+    let Some(clock) = clock else {
+        return (infer(), None);
+    };
+    let begin_ms = clock.now_ms();
+    let checksum = infer();
+    (checksum, Some(clock.now_ms() - begin_ms))
 }
 
 /// Decides the intra-matmul fan-out of a scarce-batch window: the
@@ -120,7 +144,7 @@ fn intra_workers(workers: usize, batches: usize) -> usize {
     workers.min(available)
 }
 
-/// Telemetry hooks for an instrumented pool run: the clock that times each
+/// Telemetry hooks for a timed pool run: the clock that times each
 /// micro-batch and the metric ids the timings are recorded under.
 pub struct PoolTelemetry<'a> {
     /// Clock used to time each batch (a wall clock in production, a
@@ -130,84 +154,6 @@ pub struct PoolTelemetry<'a> {
     pub batches: CounterId,
     /// Histogram of per-batch kernel wall time in milliseconds.
     pub batch_wall_ms: HistogramId,
-}
-
-/// [`run_batches`] with per-batch timing: each OS thread times its batches
-/// through `telemetry.clock` into a plain local `Vec<f64>` (no locks or
-/// contention on the hot path), and the timings fold into `shard` in worker
-/// order after the join. Recording into the caller's long-lived shard —
-/// rather than minting per-worker shards and merging histogram bucket
-/// arrays every call — is what keeps the per-window overhead of `Counters`
-/// inside the bench gate. The checksum path is untouched — the outcome is
-/// bit-identical to [`run_batches`].
-pub fn run_batches_instrumented(
-    model: &BankedModel,
-    batches: &[usize],
-    workers: usize,
-    telemetry: &PoolTelemetry<'_>,
-    shard: &mut MetricShard,
-) -> PoolOutcome {
-    if batches.is_empty() {
-        return PoolOutcome {
-            batches: 0,
-            checksum: 0.0,
-        };
-    }
-    let intra = intra_workers(workers, batches.len());
-    if intra > 1 {
-        // scarce-batch window: same intra-matmul strategy as
-        // `run_batches`, timed batch by batch on the caller's thread
-        let mut scratch = InferScratch::new();
-        let mut checksum = 0.0;
-        for &b in batches {
-            let begin_ms = telemetry.clock.now_ms();
-            checksum += model.infer_par_with(b, &mut scratch, intra);
-            let wall_ms = telemetry.clock.now_ms() - begin_ms;
-            shard.add(telemetry.batches, 1);
-            shard.record(telemetry.batch_wall_ms, wall_ms);
-        }
-        return PoolOutcome {
-            batches: batches.len() as u64,
-            checksum,
-        };
-    }
-    let workers = workers.clamp(1, batches.len());
-    let chunk_len = batches.len().div_ceil(workers);
-    let checksum = thread::scope(|scope| {
-        let handles: Vec<_> = batches
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut scratch = InferScratch::new();
-                    let mut timings_ms = Vec::with_capacity(chunk.len());
-                    let checksums = chunk
-                        .iter()
-                        .map(|&b| {
-                            let begin_ms = telemetry.clock.now_ms();
-                            let checksum = model.infer_with(b, &mut scratch);
-                            timings_ms.push(telemetry.clock.now_ms() - begin_ms);
-                            checksum
-                        })
-                        .collect::<Vec<f64>>();
-                    (checksums, timings_ms)
-                })
-            })
-            .collect();
-        let mut checksum = 0.0;
-        for handle in handles {
-            let (checksums, timings_ms) = handle.join().expect("inference worker panicked");
-            checksum += checksums.into_iter().sum::<f64>();
-            shard.add(telemetry.batches, timings_ms.len() as u64);
-            for wall_ms in timings_ms {
-                shard.record(telemetry.batch_wall_ms, wall_ms);
-            }
-        }
-        checksum
-    });
-    PoolOutcome {
-        batches: batches.len() as u64,
-        checksum,
-    }
 }
 
 #[cfg(test)]
@@ -242,9 +188,9 @@ mod tests {
     fn pool_result_is_independent_of_worker_count() {
         let model = banked();
         let batches = vec![1, 2, 3, 4, 2, 1, 3];
-        let serial = run_batches(&model, &batches, 1);
-        let parallel = run_batches(&model, &batches, 4);
-        let oversubscribed = run_batches(&model, &batches, 32);
+        let serial = run_batches(&model, &batches, 1, None);
+        let parallel = run_batches(&model, &batches, 4, None);
+        let oversubscribed = run_batches(&model, &batches, 32, None);
         assert_eq!(serial.batches, 7);
         assert_eq!(serial.checksum, parallel.checksum);
         assert_eq!(serial.checksum, oversubscribed.checksum);
@@ -258,14 +204,14 @@ mod tests {
         // not move either way
         let model = banked();
         let batches = vec![4, 2];
-        let serial = run_batches(&model, &batches, 1);
+        let serial = run_batches(&model, &batches, 1, None);
         for workers in [3usize, 8, 32] {
-            let intra = run_batches(&model, &batches, workers);
+            let intra = run_batches(&model, &batches, workers, None);
             assert_eq!(serial.checksum, intra.checksum, "{workers} workers");
         }
         // single large inference against a multi-thread pool
-        let one = run_batches(&model, &[64], 4);
-        assert_eq!(one.checksum, run_batches(&model, &[64], 1).checksum);
+        let one = run_batches(&model, &[64], 4, None);
+        assert_eq!(one.checksum, run_batches(&model, &[64], 1, None).checksum);
         // pin the parallel kernel itself (not just the pool's routing, which
         // falls back to serial on a single-core host): infer_par_with must
         // be bit-identical to infer_with for every fan-out
@@ -283,7 +229,7 @@ mod tests {
     #[test]
     fn empty_batch_list_is_a_noop() {
         let model = banked();
-        let outcome = run_batches(&model, &[], 4);
+        let outcome = run_batches(&model, &[], 4, None);
         assert_eq!(outcome.batches, 0);
         assert_eq!(outcome.checksum, 0.0);
     }
@@ -305,8 +251,8 @@ mod tests {
             batch_wall_ms: hist,
         };
         let mut shard = registry.shard();
-        let outcome = run_batches_instrumented(&model, &batches, 1, &telemetry, &mut shard);
-        assert_eq!(outcome, run_batches(&model, &batches, 1));
+        let outcome = run_batches(&model, &batches, 1, Some((telemetry, &mut shard)));
+        assert_eq!(outcome, run_batches(&model, &batches, 1, None));
         let snap = registry.snapshot(&shard);
         assert_eq!(snap.counter("pool_batches"), Some(4));
         let timings = snap.histogram("pool_batch_wall_ms").unwrap();
@@ -330,8 +276,8 @@ mod tests {
             batch_wall_ms: hist,
         };
         let mut shard = registry.shard();
-        let outcome = run_batches_instrumented(&model, &batches, 4, &telemetry, &mut shard);
-        assert_eq!(outcome, run_batches(&model, &batches, 4));
+        let outcome = run_batches(&model, &batches, 4, Some((telemetry, &mut shard)));
+        assert_eq!(outcome, run_batches(&model, &batches, 4, None));
         assert_eq!(shard.counter(counter), 7, "one count per batch, merged");
         assert_eq!(shard.histogram(hist).count(), 7);
     }
@@ -341,7 +287,7 @@ mod tests {
         let model = banked();
         let batches = vec![2, 3, 1];
         let (timed, elapsed_ms) = time_batches(&model, &batches, 2);
-        assert_eq!(timed, run_batches(&model, &batches, 2));
+        assert_eq!(timed, run_batches(&model, &batches, 2, None));
         assert!(elapsed_ms.is_finite() && elapsed_ms >= 0.0);
     }
 }

@@ -10,7 +10,8 @@
 //! through the model's fixed-α or measured curve. The scheduler itself
 //! stays model-agnostic: [`DeadlineScheduler::dispatch`] takes a
 //! `batch → service time` closure, so there is exactly one place (the
-//! device simulation) where the cost model is consulted.
+//! [`crate::DeviceGovernor`], which owns a device's scheduler) where the
+//! cost model is consulted.
 
 use std::collections::VecDeque;
 
@@ -212,50 +213,36 @@ impl DeadlineScheduler {
 
     /// Predicted completion time of a request arriving at `arrival_ms`,
     /// accounting for every request already queued ahead of it: the queued
-    /// work is replayed across the workers with the same greedy
-    /// micro-batching [`DeadlineScheduler::dispatch`] uses (least-loaded
-    /// worker, batches fill with already-arrived requests up to
-    /// `max_batch`), and the newcomer's predicted batch rides at the back.
-    /// The estimate assumes continuous dispatching and no further arrivals —
-    /// requests admitted later can still grow the newcomer's batch, so this
-    /// is a lower bound, but unlike the bare `earliest_free_ms()` it can
-    /// never ignore the backlog.
+    /// work is replayed across the workers through the same batch step
+    /// [`DeadlineScheduler::dispatch`] takes, and the newcomer's predicted
+    /// batch rides at the back. The estimate assumes continuous dispatching
+    /// and no further arrivals — requests admitted later can still grow the
+    /// newcomer's batch, so this is a lower bound, but unlike the bare
+    /// `earliest_free_ms()` it can never ignore the backlog.
     pub fn predicted_finish_ms<F: Fn(usize) -> f64>(&self, arrival_ms: f64, service_ms: &F) -> f64 {
-        // arrival time of the k-th pending request, with the newcomer
-        // appended at the back of the queue
-        let pending = self.queue.len() + 1;
-        let arrival = |k: usize| {
-            if k < self.queue.len() {
-                self.queue[k].arrival_ms
-            } else {
-                arrival_ms
-            }
-        };
         let mut free = self.worker_free_at_ms.clone();
         let mut next = 0usize;
         loop {
-            let worker = free
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .expect("at least one worker");
-            let start = free[worker].max(arrival(next));
-            let first = next;
-            while next - first < self.config.max_batch && next < pending && arrival(next) <= start {
-                next += 1;
-            }
-            let service = service_ms(next - first);
-            debug_assert!(
-                service.is_finite() && service >= 0.0,
-                "service estimate for batch {} must be finite and non-negative, got {service}",
-                next - first
-            );
-            if next == pending {
+            // the pending queue from `next` on, with the newcomer at the back
+            let pending = self
+                .queue
+                .range(next..)
+                .map(|r| r.arrival_ms)
+                .chain(std::iter::once(arrival_ms));
+            let batch = next_batch(
+                &free,
+                self.config.max_batch,
+                pending,
+                f64::INFINITY,
+                service_ms,
+            )
+            .expect("the newcomer is always pending");
+            next += batch.len;
+            if next > self.queue.len() {
                 // the newcomer rides in this batch
-                return start + service;
+                return batch.finish_ms;
             }
-            free[worker] = start + service;
+            free[batch.worker] = batch.finish_ms;
         }
     }
 
@@ -272,54 +259,23 @@ impl DeadlineScheduler {
         service_ms: F,
     ) -> Vec<Completion> {
         let mut completions = Vec::new();
-        while let Some(head) = self.queue.front().copied() {
-            // the least-loaded worker takes the next batch; total_cmp gives
-            // a total order, so a NaN free-time (which the service-time
-            // guard below should make impossible) can never scramble the
-            // selection the way partial_cmp-with-Equal-fallback could
-            let worker = self
-                .worker_free_at_ms
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .expect("at least one worker");
-            let start = self.worker_free_at_ms[worker].max(head.arrival_ms);
-            if start >= until_ms {
-                break;
-            }
-            let mut batch = Vec::new();
-            while batch.len() < self.config.max_batch {
-                match self.queue.front() {
-                    Some(r) if r.arrival_ms <= start => {
-                        batch.push(self.queue.pop_front().expect("front checked"));
-                    }
-                    _ => break,
-                }
-            }
-            let service = service_ms(batch.len());
-            // a NaN or negative service time (a miscalibrated cost model)
-            // would silently corrupt `worker_free_at_ms` for the rest of
-            // the run: every later `max`/`min` comparison against NaN is
-            // false, so the poisoned worker looks permanently free
-            debug_assert!(
-                service.is_finite() && service >= 0.0,
-                "service time for batch {} must be finite and non-negative, got {service}",
-                batch.len()
-            );
-            let finish = start + service;
-            self.worker_free_at_ms[worker] = finish;
-            for request in batch.iter() {
-                completions.push(Completion {
-                    id: request.id,
-                    arrival_ms: request.arrival_ms,
-                    start_ms: start,
-                    finish_ms: finish,
-                    batch: batch.len(),
-                    level_pos,
-                    met_deadline: finish <= request.deadline_ms,
-                });
-            }
+        while let Some(batch) = next_batch(
+            &self.worker_free_at_ms,
+            self.config.max_batch,
+            self.queue.iter().map(|r| r.arrival_ms),
+            until_ms,
+            &service_ms,
+        ) {
+            self.worker_free_at_ms[batch.worker] = batch.finish_ms;
+            completions.extend(self.queue.drain(..batch.len).map(|request| Completion {
+                id: request.id,
+                arrival_ms: request.arrival_ms,
+                start_ms: batch.start_ms,
+                finish_ms: batch.finish_ms,
+                batch: batch.len,
+                level_pos,
+                met_deadline: batch.finish_ms <= request.deadline_ms,
+            }));
         }
         completions
     }
@@ -335,6 +291,78 @@ impl DeadlineScheduler {
     pub fn drain_queue(&mut self) -> Vec<Request> {
         self.queue.drain(..).collect()
     }
+}
+
+/// The micro-batches of one [`DeadlineScheduler::dispatch`], in order:
+/// dispatch pushes a batch's completions consecutively and stamps each with
+/// the batch size, so stepping by that size recovers the batches even when
+/// several start at the same instant on different workers.
+pub(crate) fn batches(mut completions: &[Completion]) -> impl Iterator<Item = &[Completion]> {
+    std::iter::from_fn(move || {
+        let (batch, rest) = completions.split_at_checked(completions.first()?.batch)?;
+        completions = rest;
+        Some(batch)
+    })
+}
+
+/// One greedy micro-batch: which worker serves it, when, how many
+/// requests ride in it and when it finishes.
+struct Batch {
+    worker: usize,
+    start_ms: f64,
+    len: usize,
+    finish_ms: f64,
+}
+
+/// The batch-formation step dispatch and its prediction share. The
+/// least-loaded worker takes the next batch and starts at the later of its
+/// free time and the head's arrival; the batch takes, from the head, every
+/// pending request (`pending` yields arrival times in queue order) that has
+/// already arrived by then, up to `max_batch`. `None` when nothing is
+/// pending or the batch could not start before `until_ms`.
+fn next_batch<I, F>(
+    worker_free_at_ms: &[f64],
+    max_batch: usize,
+    pending: I,
+    until_ms: f64,
+    service_ms: &F,
+) -> Option<Batch>
+where
+    I: Iterator<Item = f64> + Clone,
+    F: Fn(usize) -> f64,
+{
+    let head_ms = pending.clone().next()?;
+    // total_cmp gives a total order, so a NaN free time (which the service
+    // guard below should make impossible) can never scramble the selection
+    // the way partial_cmp-with-Equal-fallback could
+    let (worker, free_ms) = worker_free_at_ms
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(b.1))
+        .expect("at least one worker");
+    let start_ms = free_ms.max(head_ms);
+    if start_ms >= until_ms {
+        return None;
+    }
+    let len = pending
+        .take(max_batch)
+        .take_while(|&arrival_ms| arrival_ms <= start_ms)
+        .count();
+    let service = service_ms(len);
+    // a NaN or negative service time (a miscalibrated cost model) would
+    // silently corrupt the worker free times for the rest of the run: every
+    // later `max`/`min` comparison against NaN is false, so the poisoned
+    // worker looks permanently free
+    debug_assert!(
+        service.is_finite() && service >= 0.0,
+        "service time for batch {len} must be finite and non-negative, got {service}"
+    );
+    Some(Batch {
+        worker,
+        start_ms,
+        len,
+        finish_ms: start_ms + service,
+    })
 }
 
 #[cfg(test)]

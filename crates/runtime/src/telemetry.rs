@@ -216,7 +216,7 @@ impl DeviceTelemetry {
         predicted
     }
 
-    /// The hooks an instrumented [`crate::pool`] run needs — the clock and
+    /// The hooks a timed [`crate::pool`] run needs — the clock and
     /// the pool metric ids — plus the device shard the timings fold into
     /// after the workers join (split-borrowed so both can be held at once).
     pub(crate) fn pool_view(&mut self) -> (crate::pool::PoolTelemetry<'_>, &mut MetricShard) {

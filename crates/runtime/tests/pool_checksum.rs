@@ -44,7 +44,7 @@ fn pinned_model() -> BankedModel {
 fn pool_checksum_matches_pr2_scalar_kernel() {
     let model = pinned_model();
     let batches = vec![1, 2, 4, 8, 3, 5, 2, 1];
-    let outcome = pool::run_batches(&model, &batches, 4);
+    let outcome = pool::run_batches(&model, &batches, 4, None);
     if std::env::var("CHECKSUM_PRINT").is_ok() {
         println!("pool checksum = {:?}", outcome.checksum);
         return;

@@ -6,7 +6,9 @@
 //!    access sequence and cache capacity;
 //! 3. the scheduler's deadline accounting charges exactly the
 //!    `PerformancePredictor` latency for a single-request batch, and the
-//!    documented amortisation for micro-batches.
+//!    documented amortisation for micro-batches;
+//! 4. the finish time admission predicts for a newcomer is the one dispatch
+//!    then gives it.
 
 use proptest::prelude::*;
 use rt3_hardware::{DvfsGovernor, MemoryModel, ModelWorkload, PerformancePredictor, VfLevel};
@@ -174,5 +176,56 @@ proptest! {
             done[0].finish_ms, done[0].start_ms, predicted
         );
         prop_assert!(done[0].met_deadline);
+    }
+
+    /// For any backlog of non-decreasing arrivals, any worker free times
+    /// and any batch-amortising service curve, the completion time `submit`
+    /// predicts for a newcomer is bit for bit the `finish_ms` a following
+    /// `dispatch(∞)` gives it: the prediction replays the batch step
+    /// dispatch takes.
+    #[test]
+    fn admission_prediction_matches_dispatch(
+        free_ms in proptest::collection::vec(1.0f64..500.0, 1..5),
+        gaps_ms in proptest::collection::vec(0.0f64..40.0, 0..40),
+        newcomer_gap_ms in 0.0f64..40.0,
+        base_ms in 1.0f64..100.0,
+        batch_alpha in 0.0f64..1.0,
+        max_batch in 1usize..6,
+    ) {
+        let service = |b: usize| base_ms * (batch_alpha + (1.0 - batch_alpha) * b as f64);
+        let mut scheduler = DeadlineScheduler::new(SchedulerConfig {
+            queue_capacity: 64,
+            max_batch,
+            workers: free_ms.len(),
+        });
+        // one request per worker, each busy for its own time: the least
+        // loaded worker is always the next idle one, so worker i frees up
+        // at free_ms[i]
+        for (id, &busy_ms) in free_ms.iter().enumerate() {
+            let warm = Request { id: id as u64, arrival_ms: 0.0, deadline_ms: f64::INFINITY };
+            prop_assert!(scheduler.submit(warm, service).is_ok());
+            prop_assert_eq!(scheduler.dispatch(f64::INFINITY, 0, |_| busy_ms).len(), 1);
+        }
+        let mut arrival_ms = 0.0;
+        let mut next_id = free_ms.len() as u64;
+        for gap_ms in gaps_ms {
+            arrival_ms += gap_ms;
+            let request = Request { id: next_id, arrival_ms, deadline_ms: f64::INFINITY };
+            prop_assert!(scheduler.submit(request, service).is_ok());
+            next_id += 1;
+        }
+        let newcomer = Request {
+            id: next_id,
+            arrival_ms: arrival_ms + newcomer_gap_ms,
+            deadline_ms: f64::INFINITY,
+        };
+        let predicted = scheduler.submit(newcomer, service).expect("an infinite deadline is admitted");
+        let done = scheduler.dispatch(f64::INFINITY, 0, service);
+        let served = done.iter().find(|c| c.id == newcomer.id).expect("dispatch serves the newcomer");
+        prop_assert!(
+            served.finish_ms.to_bits() == predicted.to_bits(),
+            "predicted finish {} differs from the dispatched {}",
+            predicted, served.finish_ms
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! The real-socket serving front-end of the RT3 reproduction: a
 //! dependency-free `std::net::TcpListener` server speaking a small
 //! length-prefixed binary protocol, feeding the runtime's
-//! [`rt3_runtime::DeadlineScheduler`] through the same admission path the
-//! simulated device uses. Backpressure is mapped to explicit
+//! [`rt3_runtime::DeviceGovernor`] — the same admission, switch, dispatch
+//! and death-drain rules the simulated device runs. Backpressure is mapped to explicit
 //! [`protocol::Status`] response codes (clients see queue-full /
 //! certain-miss rejects, never a silent TCP stall), battery death drains
 //! gracefully (in-flight responses flushed, queued requests dropped with a
@@ -14,8 +14,8 @@
 //!
 //! * [`protocol`] — the wire format: frames, opcodes, status codes.
 //! * [`Server`] — the thread-per-connection server around one
-//!   mutex-guarded core (scheduler + the runtime's
-//!   [`rt3_runtime::DeviceGovernor`]).
+//!   mutex-guarded core (the runtime's [`rt3_runtime::DeviceGovernor`]
+//!   plus the pending map and the in-flight responses).
 //! * [`ServeClient`] — a blocking client for the protocol.
 //! * [`loadgen`] — the closed-loop multi-connection load generator:
 //!   wall-clock latency histograms plus a timeout-retry-abandon

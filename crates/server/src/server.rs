@@ -1,7 +1,10 @@
 //! The serving front-end: a thread-per-connection TCP acceptor feeding the
-//! runtime's [`DeadlineScheduler`] through the same admission path the
-//! simulated device uses, with wall-clock time as the scheduler's time
-//! axis.
+//! runtime's [`DeviceGovernor`] — the one type that owns admission, the
+//! window-boundary switch, dispatch and the death drain for the simulated
+//! device too — with wall-clock time as its time axis. The [`Core`] keeps
+//! only what the wire adds: the pending map from internal to client ids,
+//! the in-flight response heap, the wire statuses and the transport
+//! counters.
 //!
 //! Three kinds of thread cooperate around one mutex-guarded [`Core`]:
 //!
@@ -10,10 +13,10 @@
 //! * the **dispatch thread** sleeps on a condition variable until the
 //!   next due event — a window boundary, a worker freeing up for a queued
 //!   request, or an in-flight response's simulated finish time — or until
-//!   an admission wakes it. At window boundaries it steps the runtime's
-//!   [`DeviceGovernor`] on the wall clock — the simulated device's level
-//!   switches, battery drain and death detection; it then
-//!   dispatches due micro-batches and flushes each completion's response
+//!   an admission wakes it. At window boundaries it steps the governor on
+//!   the wall clock — the simulated device's level switches, battery drain
+//!   and death detection; it then has the governor
+//!   dispatch due micro-batches and flushes each completion's response
 //!   once the wall clock reaches its simulated finish time — so the
 //!   latency a client measures on the wire *is* the cost model's queue +
 //!   service prediction, plus real network and scheduling jitter;
@@ -30,9 +33,8 @@ use crate::protocol::{
 };
 use rt3_hardware::{Battery, DvfsGovernor, PowerModel};
 use rt3_runtime::{
-    Analytic, Completion, CostConfig, CostModel, DeadlineScheduler, DeviceGovernor,
-    DeviceMetricIds, HysteresisConfig, LatencyModel, RejectReason, Request, RuntimeController,
-    RuntimePolicy, SchedulerConfig,
+    Analytic, Completion, CostConfig, CostModel, DeviceGovernor, DeviceMetricIds, HysteresisConfig,
+    LatencyModel, RejectReason, Request, RuntimeController, RuntimePolicy, SchedulerConfig,
 };
 use rt3_telemetry::{
     CounterId, MetricRegistry, MetricShard, ObsPlane, ResidualStats, TelemetryLevel,
@@ -274,8 +276,7 @@ impl TransportIds {
 
 /// Everything the threads share under one lock.
 struct Core {
-    scheduler: DeadlineScheduler,
-    /// Battery, drain tracker, controller and active level.
+    /// Battery, drain tracker, controller, active level and scheduler.
     governor: DeviceGovernor,
     next_window_ms: f64,
     next_internal_id: u64,
@@ -307,17 +308,32 @@ impl Core {
         if let Some(Reverse(head)) = self.inflight.peek() {
             due = due.min(head.0.finish_ms);
         }
-        if self.scheduler.queue_len() > 0 {
-            due = due.min(self.scheduler.earliest_free_ms());
+        let scheduler = self.governor.scheduler();
+        if scheduler.queue_len() > 0 {
+            due = due.min(scheduler.earliest_free_ms());
         }
         due
     }
 
-    /// The active level position (the boot window activates one).
-    fn level_pos(&self) -> usize {
-        self.governor
-            .active_level()
-            .expect("the boot window activates a level")
+    /// Writes `response` to `conn`, counting a failed write.
+    fn respond(&mut self, conn: &ConnWriter, response: &InferResponse) {
+        if !conn.send(&response.encode()) {
+            self.shard.add(self.transport.responses_failed, 1);
+        }
+    }
+
+    /// Resolves client request `id` unserved with `status`, stamped with
+    /// the active level (the boot window activates one).
+    fn refuse(&mut self, conn: &ConnWriter, id: u64, status: Status) {
+        let level_pos = self.governor.active_level().expect("a level is active");
+        let response = InferResponse {
+            id,
+            status,
+            level_pos: level_pos as u32,
+            queue_ms: 0.0,
+            infer_ms: 0.0,
+        };
+        self.respond(conn, &response);
     }
 }
 
@@ -352,10 +368,9 @@ impl Shared {
             RuntimePolicy::Adaptive,
             Arc::clone(&spec.cost),
             spec.power,
-            config.scheduler.workers,
+            config.scheduler,
         );
         let core = Core {
-            scheduler: DeadlineScheduler::new(config.scheduler),
             governor,
             next_window_ms: config.window_ms,
             next_internal_id: 0,
@@ -415,34 +430,23 @@ impl Shared {
     /// spec's `switch_time_ms` and installs the level's `level_base_ms`.
     fn begin_window(&self, core: &mut Core, boundary: f64) {
         let window_s = self.config.window_ms / 1_000.0;
-        let decision = core
-            .governor
-            .begin_window(boundary, window_s, None, 0.0, None);
-        core.governor.record_battery(&mut core.shard, &core.ids);
-        let Some(decision) = decision else {
+        let spec = &self.spec;
+        let live = core.governor.begin_window(
+            boundary,
+            window_s,
+            None,
+            0.0,
+            None,
+            Some((&mut core.shard, &core.ids)),
+            |_, level_pos| (spec.level_base_ms[level_pos], spec.switch_time_ms),
+        );
+        if live.is_none() {
             // battery death: drain, and flip the acceptor into refuse mode;
             // connections stay open for draining responses and metrics
             self.dead.store(true, Ordering::Release);
-            let counter = core.ids.dropped_dead;
-            return Self::drain_pending(core, Status::DroppedDead, counter);
-        };
-        let (level_pos, ids) = (decision.level_pos, core.ids);
-        if decision.switched {
-            let switch_ms = self.spec.switch_time_ms;
-            let base_ms = self.spec.level_base_ms[level_pos];
-            let counted = core.governor.activate(
-                level_pos,
-                base_ms,
-                switch_ms,
-                boundary,
-                &mut core.scheduler,
-            );
-            if counted.is_some() {
-                core.shard.add(ids.switches, 1);
-                core.shard.record(ids.switch_time_ms, switch_ms);
-            }
+            let dropped = core.governor.drain_dead(Some((&mut core.shard, &core.ids)));
+            Self::drain_pending(core, Status::DroppedDead, dropped);
         }
-        core.shard.set(ids.active_level, level_pos as f64);
     }
 
     /// Scrapes one window boundary into the obs plane, evaluates the alert
@@ -468,31 +472,18 @@ impl Shared {
         });
     }
 
-    /// The one drain path of battery death and shutdown: every queued
-    /// request resolves with `status` (counted under `counter`), then every
-    /// in-flight response flushes at once.
-    fn drain_pending(core: &mut Core, status: Status, counter: CounterId) {
-        let level_pos = core.level_pos() as u32;
-        for request in core.scheduler.drain_queue() {
-            let Some(entry) = core.pending.remove(&request.id) else {
-                continue;
-            };
-            core.shard.add(counter, 1);
-            let response = InferResponse {
-                id: entry.client_id,
-                status,
-                level_pos,
-                queue_ms: 0.0,
-                infer_ms: 0.0,
-            };
-            if !entry.conn.send(&response.encode()) {
-                core.shard.add(core.transport.responses_failed, 1);
+    /// The one drain path of battery death and shutdown: every request
+    /// the governor dropped from its queue resolves with `status`, then
+    /// every in-flight response flushes at once.
+    fn drain_pending(core: &mut Core, status: Status, dropped: Vec<Request>) {
+        for request in dropped {
+            if let Some(entry) = core.pending.remove(&request.id) {
+                core.refuse(&entry.conn, entry.client_id, status);
             }
         }
         for Reverse(flight) in std::mem::take(&mut core.inflight) {
             Self::flush_completion(core, flight);
         }
-        core.shard.set(core.ids.queue_depth, 0.0);
     }
 
     /// Writes a completion response and records its telemetry.
@@ -512,9 +503,7 @@ impl Shared {
             infer_ms: completion.finish_ms - completion.start_ms,
         };
         core.ids.record_completion(&mut core.shard, &completion);
-        if !entry.conn.send(&response.encode()) {
-            core.shard.add(core.transport.responses_failed, 1);
-        }
+        core.respond(&entry.conn, &response);
     }
 
     /// The dispatch thread: holds the core lock while it ticks, then waits
@@ -540,23 +529,11 @@ impl Shared {
     fn tick(&self, core: &mut Core, now_ms: f64) {
         self.advance_windows(core, now_ms);
         if !self.dead.load(Ordering::Acquire) {
-            let level_pos = core.level_pos();
-            let service = core.governor.service();
-            let completions = core.scheduler.dispatch(now_ms, level_pos, service);
-            if !completions.is_empty() {
-                let mut i = 0;
-                while i < completions.len() {
-                    let batch = completions[i].batch;
-                    core.shard.record(core.ids.batch_size, batch as f64);
-                    i += batch;
-                }
-                for completion in completions {
-                    core.governor.charge_completion(&completion);
-                    core.inflight.push(Reverse(InFlight(completion)));
-                }
-                core.shard
-                    .set(core.ids.queue_depth, core.scheduler.queue_len() as f64);
-            }
+            let completions = core
+                .governor
+                .serve_until(now_ms, Some((&mut core.shard, &core.ids)));
+            core.inflight
+                .extend(completions.into_iter().map(|c| Reverse(InFlight(c))));
         }
         while let Some(Reverse(head)) = core.inflight.peek() {
             if head.0.finish_ms > now_ms {
@@ -668,8 +645,11 @@ impl Server {
                 return;
             }
             self.shared.wakeup.notify_one();
-            let counter = core.transport.dropped_shutdown;
-            Shared::drain_pending(&mut core, Status::DroppedShutdown, counter);
+            let dropped = core.governor.take_queue();
+            let (counter, queue_depth) = (core.transport.dropped_shutdown, core.ids.queue_depth);
+            core.shard.add(counter, dropped.len() as u64);
+            core.shard.set(queue_depth, 0.0);
+            Shared::drain_pending(&mut core, Status::DroppedShutdown, dropped);
             for conn in core.connections.drain(..) {
                 if let Some(conn) = conn.upgrade() {
                     conn.send(&ServerFrame::encode_terminal(TERMINAL_SHUTDOWN));
@@ -868,17 +848,8 @@ fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, budget_
     // so admission always sees the current level and battery state
     shared.advance_windows(core, now_ms);
     if shared.dead.load(Ordering::Acquire) {
-        let response = InferResponse {
-            id: client_id,
-            status: Status::Draining,
-            level_pos: core.level_pos() as u32,
-            queue_ms: 0.0,
-            infer_ms: 0.0,
-        };
         core.shard.add(core.transport.draining_refused, 1);
-        if !writer.send(&response.encode()) {
-            core.shard.add(core.transport.responses_failed, 1);
-        }
+        core.refuse(writer, client_id, Status::Draining);
         return false;
     }
     let internal_id = core.next_internal_id;
@@ -888,8 +859,10 @@ fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, budget_
         arrival_ms: now_ms,
         deadline_ms: now_ms + budget_ms,
     };
-    let result = core.scheduler.submit(request, core.governor.service());
-    match result {
+    match core
+        .governor
+        .admit(request, Some((&mut core.shard, &core.ids)))
+    {
         Ok(_) => {
             core.pending.insert(
                 internal_id,
@@ -898,32 +871,14 @@ fn admit(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, budget_
                     conn: Arc::clone(writer),
                 },
             );
-            let ids = &core.ids;
-            core.shard.add(ids.admitted, 1);
-            core.shard
-                .set(ids.queue_depth, core.scheduler.queue_len() as f64);
             true
         }
         Err(reason) => {
-            let (status, counter) = match reason {
-                RejectReason::QueueFull => {
-                    (Status::RejectedQueueFull, core.ids.rejected_queue_full)
-                }
-                RejectReason::CertainMiss => {
-                    (Status::RejectedCertainMiss, core.ids.rejected_certain_miss)
-                }
+            let status = match reason {
+                RejectReason::QueueFull => Status::RejectedQueueFull,
+                RejectReason::CertainMiss => Status::RejectedCertainMiss,
             };
-            core.shard.add(counter, 1);
-            let response = InferResponse {
-                id: client_id,
-                status,
-                level_pos: core.level_pos() as u32,
-                queue_ms: 0.0,
-                infer_ms: 0.0,
-            };
-            if !writer.send(&response.encode()) {
-                core.shard.add(core.transport.responses_failed, 1);
-            }
+            core.refuse(writer, client_id, status);
             false
         }
     }
