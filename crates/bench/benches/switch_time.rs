@@ -3,23 +3,31 @@
 //! change: a capacity-1 `ModelBank::get` of the evicted level, which
 //! gathers the level's kept values into the evicted variant's buffers under
 //! pack layouts scored once, offline. Beside it: the cost model's reload
-//! comparison, and the offline search's lowering of one candidate pattern
-//! set to its combined (backbone ∧ pattern) masks.
+//! comparison, the lowering of one candidate pattern set to its combined
+//! (backbone ∧ pattern) masks on its own (squaring the weights for it),
+//! and the offline search's lowering of every candidate of the space
+//! through one `CandidateTable`, which squares the weights once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rt3_core::switch_time_comparison;
+use rt3_core::{
+    run_level1, switch_time_comparison, CandidateTable, Rt3Config, SurrogateEvaluator, TaskProfile,
+};
 use rt3_hardware::MemoryModel;
-use rt3_pruning::{block_prune_model, BlockPruningConfig};
+use rt3_pruning::BlockPruningConfig;
 use rt3_pruning::{combined_masks_for_model, generate_pattern_space, PatternSpaceConfig};
 use rt3_runtime::ModelBank;
 use rt3_transformer::{Model, TransformerConfig, TransformerLm};
 
 fn bench_switch(c: &mut Criterion) {
     let model = TransformerLm::new(TransformerConfig::paper_transformer(256), 3);
-    let backbone = block_prune_model(&model, &BlockPruningConfig::default());
+    let mut config = Rt3Config::wikitext_default();
+    config.block_pruning = BlockPruningConfig::default();
+    let mut evaluator = SurrogateEvaluator::new(TaskProfile::wikitext2());
+    let level1 = run_level1(&model, &config, &mut evaluator);
+    let backbone = &level1.masks;
     let space = generate_pattern_space(
         &model,
-        &backbone,
+        backbone,
         &[0.5, 0.75],
         &PatternSpaceConfig {
             pattern_size: 8,
@@ -52,8 +60,21 @@ fn bench_switch(c: &mut Criterion) {
         })
     });
     group.bench_function("offline_candidate_lowering", |b| {
+        b.iter(|| combined_masks_for_model(&model, backbone, &prunable, &space.candidates()[0].set))
+    });
+    // one evaluation per candidate, every level on that candidate: the
+    // table lowers each candidate once, from squares built in `new`
+    let levels = config.num_levels();
+    group.bench_function("offline_search_lowering", |b| {
         b.iter(|| {
-            combined_masks_for_model(&model, &backbone, &prunable, &space.candidates()[0].set)
+            let table = CandidateTable::new(&model, &level1, &space, &config);
+            (0..space.len())
+                .map(|c| {
+                    table
+                        .evaluate(&mut evaluator, &vec![c; levels], true)
+                        .reward
+                })
+                .sum::<f64>()
         })
     });
     group.bench_function("switch_cost_model_distilbert_scale", |b| {

@@ -20,11 +20,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_hardware::{number_of_runs, ModelWorkload, PowerModel, VfLevel};
 use rt3_pruning::{
-    block_prune_model, combined_masks, generate_pattern_space, random_block_prune_model,
-    resolve_prunable, PatternSpace, PrunableWeight,
+    block_prune_model, block_squares, combined_masks, generate_pattern_space,
+    random_block_prune_model, resolve_prunable, PatternSpace, PrunableWeight,
 };
 use rt3_search::{AssignmentSpace, DriverConfig, Fitness, Optimizer, Reinforce, SearchDriver};
-use rt3_sparse::SparseFormat;
+use rt3_sparse::{BlockSquares, SparseFormat};
 use rt3_transformer::{MaskSet, Model};
 use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
@@ -177,8 +177,10 @@ impl SearchOutcome {
 /// The masks are a fixed function of (model, backbone, candidate), so every
 /// Level-2 evaluation goes through one table per search instead of lowering
 /// each level's candidate again per evaluation. The prunable weights and
-/// their backbone masks are resolved once, when the table is built, and a
-/// lowering reads only masks ([`combined_masks`]). The evaluator is still
+/// their backbone masks are resolved once, when the table is built, and so
+/// are their squares ([`block_squares`]), which do not depend on the
+/// candidate: a lowering scores from those squares and reads back only
+/// masks ([`combined_masks`]). The evaluator is still
 /// called once per level per evaluation, in level order, with masks equal
 /// to a fresh [`rt3_pruning::combined_masks_for_model`] lowering, so
 /// stateful evaluators see the same call sequence either way.
@@ -187,6 +189,8 @@ pub struct CandidateTable<'a> {
     space: &'a PatternSpace,
     config: &'a Rt3Config,
     weights: Vec<PrunableWeight<'a>>,
+    /// Each weight's backbone-masked squares for the space's pattern size.
+    squares: Vec<BlockSquares>,
     power: PowerModel,
     /// V/F levels ordered high frequency -> low frequency (M1 first, as in
     /// the paper).
@@ -206,8 +210,8 @@ struct Lowered {
 
 impl<'a> CandidateTable<'a> {
     /// An empty table over `space`: resolves the model's prunable weights
-    /// and their backbone masks, and lowers nothing until an evaluation
-    /// needs it.
+    /// and their backbone masks, squares them for the space's pattern size,
+    /// and lowers nothing until an evaluation needs it.
     pub fn new<M: Model>(
         model: &'a M,
         backbone: &'a BackboneResult,
@@ -216,11 +220,13 @@ impl<'a> CandidateTable<'a> {
     ) -> Self {
         let mut levels = config.governor.levels().to_vec();
         levels.reverse();
+        let weights = resolve_prunable(model, &backbone.masks, &model.prunable_parameter_names());
         Self {
             backbone,
             space,
             config,
-            weights: resolve_prunable(model, &backbone.masks, &model.prunable_parameter_names()),
+            squares: block_squares(&weights, space.pattern_size()),
+            weights,
             power: PowerModel::cortex_a7(),
             levels,
             lowered: (0..space.len()).map(|_| OnceCell::new()).collect(),
@@ -233,7 +239,7 @@ impl<'a> CandidateTable<'a> {
     fn lowered(&self, candidate: usize) -> &Lowered {
         self.lowered[candidate].get_or_init(|| {
             let set = &self.space.candidates()[candidate].set;
-            let masks = combined_masks(&self.weights, &self.backbone.masks, set);
+            let masks = combined_masks(&self.weights, &self.squares, &self.backbone.masks, set);
             let sparsity = masks.overall_sparsity();
             let workload = ModelWorkload::from_config(
                 &self.config.workload_config,
@@ -348,13 +354,15 @@ pub fn candidate_sparsities(backbone_sparsity: f64, count: usize) -> Vec<f64> {
 pub fn constraint_guided_sparsities(config: &Rt3Config) -> Vec<f64> {
     let predictor = config.predictor;
     let low = 0.05;
-    let latency_at = |sparsity: f64, level: &rt3_hardware::VfLevel| {
-        let workload = ModelWorkload::from_config(
-            &config.workload_config,
-            sparsity,
-            config.seq_len,
-            SparseFormat::BlockPruned,
-        );
+    // one workload, re-priced at each probe's sparsity
+    let mut workload = ModelWorkload::from_config(
+        &config.workload_config,
+        low,
+        config.seq_len,
+        SparseFormat::BlockPruned,
+    );
+    let mut latency_at = |sparsity: f64, level: &rt3_hardware::VfLevel| {
+        workload.set_sparsity(sparsity);
         predictor.latency_ms(&workload, level)
     };
     // minimal sparsity meeting T at each level (bisection over [low, 0.97])

@@ -36,6 +36,12 @@ impl LayerWorkload {
         self.name.contains("embedding")
     }
 
+    /// Returns `true` for an attention block's query projection; their
+    /// count and the first one's width price the quadratic attention terms.
+    fn is_attention_query(&self) -> bool {
+        self.name.contains("attn.wq")
+    }
+
     /// Multiply-accumulate operations for one token passing through this
     /// weight (surviving weights only). Embedding tables are lookups and
     /// contribute zero MACs.
@@ -43,6 +49,11 @@ impl LayerWorkload {
         if self.is_embedding() {
             return 0.0;
         }
+        self.kept()
+    }
+
+    /// Surviving weights (the non-embedding MACs per token).
+    fn kept(&self) -> f64 {
         (self.rows * self.cols) as f64 * (1.0 - self.sparsity)
     }
 
@@ -54,7 +65,12 @@ impl LayerWorkload {
         if self.is_embedding() {
             return 0.0;
         }
-        let nnz = (self.rows * self.cols) as f64 * (1.0 - self.sparsity);
+        self.streamed_bytes()
+    }
+
+    /// [`Self::weight_bytes`] of a non-embedding layer.
+    fn streamed_bytes(&self) -> f64 {
+        let nnz = self.kept();
         let index_overhead = match self.format {
             SparseFormat::Dense => 0.0,
             SparseFormat::Coo => 8.0 * nnz,
@@ -161,6 +177,18 @@ impl ModelWorkload {
         Self { layers, seq_len }
     }
 
+    /// Sets every layer not stored densely to `sparsity`. On a workload
+    /// [`Self::from_config`] built in a sparse format, the result equals
+    /// building it again at `sparsity`, without formatting its layer names
+    /// again.
+    pub fn set_sparsity(&mut self, sparsity: f64) {
+        for layer in &mut self.layers {
+            if layer.format != SparseFormat::Dense {
+                layer.sparsity = sparsity;
+            }
+        }
+    }
+
     /// Total multiply-accumulates per inference (weights applied to every
     /// token, plus the quadratic attention score/value products).
     pub fn total_macs(&self) -> f64 {
@@ -175,16 +203,20 @@ impl ModelWorkload {
         let attn_blocks = self
             .layers
             .iter()
-            .filter(|l| l.name.contains("attn.wq"))
-            .count() as f64;
+            .filter(|l| l.is_attention_query())
+            .count();
         let hidden = self
             .layers
             .iter()
-            .find(|l| l.name.contains("attn.wq"))
-            .map(|l| l.cols as f64)
-            .unwrap_or(0.0);
-        let attn_macs = attn_blocks * 2.0 * (self.seq_len as f64).powi(2) * hidden;
-        weight_macs + attn_macs
+            .find(|l| l.is_attention_query())
+            .map(|l| l.cols);
+        weight_macs + self.attention_macs(attn_blocks, hidden)
+    }
+
+    /// Quadratic attention MACs for `blocks` attention blocks whose first
+    /// query projection has `hidden` columns (0 without one).
+    fn attention_macs(&self, blocks: usize, hidden: Option<usize>) -> f64 {
+        blocks as f64 * 2.0 * (self.seq_len as f64).powi(2) * hidden.unwrap_or(0) as f64
     }
 
     /// Total weight bytes streamed per inference.
@@ -256,24 +288,33 @@ impl PerformancePredictor {
     }
 
     /// Estimated execution cycles for one inference of `workload`.
+    ///
+    /// One pass over the layers classifies each once and accumulates the
+    /// compute cycles, the weight MACs and the streamed bytes; every sum
+    /// runs in layer order, as [`ModelWorkload::total_macs`] and
+    /// [`ModelWorkload::total_weight_bytes`] sum. An embedding's zero terms
+    /// are skipped, which leaves a sum of non-negative terms bit-unchanged.
     pub fn cycles(&self, workload: &ModelWorkload) -> f64 {
-        let compute: f64 = workload
-            .layers
-            .iter()
-            .map(|l| {
-                l.macs_per_token() * workload.seq_len as f64
-                    / (self.macs_per_cycle * Self::format_efficiency(l.format))
-            })
-            .sum();
-        // quadratic attention terms run as dense kernels
-        let attn_macs = workload.total_macs()
-            - workload
-                .layers
-                .iter()
-                .map(|l| l.macs_per_token() * workload.seq_len as f64)
-                .sum::<f64>();
-        let attn_cycles = attn_macs / self.macs_per_cycle;
-        let memory = workload.total_weight_bytes() / self.bytes_per_cycle;
+        let seq_len = workload.seq_len as f64;
+        let (mut compute, mut weight_macs, mut bytes) = (0.0, 0.0, 0.0);
+        let (mut attn_blocks, mut hidden) = (0, None);
+        for l in &workload.layers {
+            if !l.is_embedding() {
+                let macs = l.kept() * seq_len;
+                compute += macs / (self.macs_per_cycle * Self::format_efficiency(l.format));
+                weight_macs += macs;
+                bytes += l.streamed_bytes();
+            }
+            if l.is_attention_query() {
+                attn_blocks += 1;
+                hidden.get_or_insert(l.cols);
+            }
+        }
+        // quadratic attention terms run as dense kernels; the difference
+        // is taken as `total_macs() - weight MACs`, rounding included
+        let total_macs = weight_macs + workload.attention_macs(attn_blocks, hidden);
+        let attn_cycles = (total_macs - weight_macs) / self.macs_per_cycle;
+        let memory = bytes / self.bytes_per_cycle;
         // compute and memory overlap imperfectly on an in-order core: take
         // the max plus a fraction of the smaller term
         let (hi, lo) = if compute + attn_cycles > memory {
@@ -366,6 +407,83 @@ mod tests {
         assert!(pruned.mean_sparsity() > 0.3);
         assert!(dense.mean_sparsity() < 1e-9);
         assert!(pruned.total_macs() < dense.total_macs());
+    }
+
+    /// `cycles` as five walks over the layers: compute cycles, then the
+    /// attention MACs as `total_macs()` minus the weight MACs summed
+    /// again, then the streamed bytes.
+    fn cycles_by_layer_walks(p: &PerformancePredictor, workload: &ModelWorkload) -> f64 {
+        let seq_len = workload.seq_len as f64;
+        let compute: f64 = workload
+            .layers
+            .iter()
+            .map(|l| {
+                l.macs_per_token() * seq_len
+                    / (p.macs_per_cycle * PerformancePredictor::format_efficiency(l.format))
+            })
+            .sum();
+        let attn_macs = workload.total_macs()
+            - workload
+                .layers
+                .iter()
+                .map(|l| l.macs_per_token() * seq_len)
+                .sum::<f64>();
+        let attn_cycles = attn_macs / p.macs_per_cycle;
+        let memory = workload.total_weight_bytes() / p.bytes_per_cycle;
+        let (hi, lo) = if compute + attn_cycles > memory {
+            (compute + attn_cycles, memory)
+        } else {
+            (memory, compute + attn_cycles)
+        };
+        hi + 0.3 * lo
+    }
+
+    /// The one-pass `cycles` equals the layer walks bit for bit, and
+    /// `set_sparsity` equals building the workload again, over two model
+    /// shapes, every format, sparsities from dense to fully pruned, both
+    /// predictors and a live model's workload.
+    #[test]
+    fn one_pass_cycles_match_the_layer_walks() {
+        let model = TransformerLm::new(TransformerConfig::tiny(32), 1);
+        let masks = block_prune_model(&model, &BlockPruningConfig::default());
+        let mut workloads = vec![ModelWorkload::from_model(
+            &model,
+            Some(&masks),
+            8,
+            SparseFormat::BlockPruned,
+        )];
+        for config in [
+            TransformerConfig::paper_transformer(512),
+            TransformerConfig::distilbert_full(30522),
+        ] {
+            for format in [
+                SparseFormat::Dense,
+                SparseFormat::BlockPruned,
+                SparseFormat::Csr,
+                SparseFormat::Coo,
+            ] {
+                let mut probe = ModelWorkload::from_config(&config, 0.05, 24, format);
+                for sparsity in [0.0, 0.05, 0.37, 0.8125, 0.97, 1.0] {
+                    let workload = ModelWorkload::from_config(&config, sparsity, 24, format);
+                    if format != SparseFormat::Dense {
+                        probe.set_sparsity(sparsity);
+                        assert_eq!(probe, workload);
+                    }
+                    workloads.push(workload);
+                }
+            }
+        }
+        for p in [
+            PerformancePredictor::cortex_a7(),
+            PerformancePredictor::cortex_a7_cluster(),
+        ] {
+            for workload in &workloads {
+                assert_eq!(
+                    p.cycles(workload).to_bits(),
+                    cycles_by_layer_walks(&p, workload).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! chosen pattern set induces, composed with the fixed Level-1 backbone
 //! mask.
 
-use rt3_sparse::{Backend, CompiledSet, PackLayout, PatternSet};
+use rt3_sparse::{Backend, BlockSquares, CompiledSet, PackLayout, PatternSet};
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
 use std::sync::Arc;
@@ -55,25 +55,46 @@ pub fn combined_masks_for_model<M: Model>(
     names: &[String],
     set: &PatternSet,
 ) -> MaskSet {
-    combined_masks(&resolve_prunable(model, backbone, names), backbone, set)
+    let weights = resolve_prunable(model, backbone, names);
+    let squares = block_squares(&weights, set.size());
+    combined_masks(&weights, &squares, backbone, set)
+}
+
+/// The squares of each backbone-masked weight, laid out for scoring
+/// pattern sets of size `psize` ([`BlockSquares`]), in `weights` order.
+/// They do not depend on the pattern set, so a search builds them once and
+/// scores every candidate of its space from them.
+pub fn block_squares(weights: &[PrunableWeight<'_>], psize: usize) -> Vec<BlockSquares> {
+    let backend = Backend::detect();
+    weights
+        .iter()
+        .map(|w| BlockSquares::new(w.weight, w.backbone, psize, backend))
+        .collect()
 }
 
 /// [`combined_masks_for_model`] over weights resolved by
-/// [`resolve_prunable`] against the same `backbone`. Each weight is scored
-/// through its backbone mask in place and read back as a keep-mask
-/// (backbone ∧ pattern), with no weight clone and no value gather; the
-/// backbone's other entries are copied as they are.
+/// [`resolve_prunable`] against the same `backbone`, scored from their
+/// [`block_squares`] for the set's pattern size. Each weight's layout is
+/// read back as a keep-mask (backbone ∧ pattern), with no weight clone and
+/// no value gather; the backbone's other entries are copied as they are.
+///
+/// # Panics
+///
+/// Panics if `squares` does not hold one table per weight, laid out for
+/// the set's pattern size.
 pub fn combined_masks(
     weights: &[PrunableWeight<'_>],
+    squares: &[BlockSquares],
     backbone: &MaskSet,
     set: &PatternSet,
 ) -> MaskSet {
+    assert_eq!(weights.len(), squares.len(), "one square table per weight");
     let set = Arc::new(CompiledSet::new(set));
-    let backend = Backend::detect();
     let mut masks: MaskSet = weights
         .iter()
-        .map(|w| {
-            let layout = PackLayout::assign(w.weight, w.backbone, &set, backend);
+        .zip(squares)
+        .map(|(w, squares)| {
+            let layout = PackLayout::assign(squares, &set);
             (w.name.clone(), layout.keep_mask(w.backbone))
         })
         .collect();
@@ -171,10 +192,13 @@ mod tests {
     }
 
     /// Mask-only lowering equals the clone → compile → mask → intersect
-    /// path bit for bit, sparsity included: over every prunable weight and
-    /// over a subset of them (so backbone entries fall outside `names`),
-    /// with the backbone, with an empty one, and with a backbone entry no
-    /// model parameter has. Pattern size 3 leaves edge blocks.
+    /// path bit for bit, sparsity included, both through
+    /// `combined_masks_for_model` and through one set of square tables
+    /// built before any candidate and shared by all of them (the search's
+    /// path): over every prunable weight and over a subset of them (so
+    /// backbone entries fall outside `names`), with the backbone, with an
+    /// empty one, and with a backbone entry no model parameter has.
+    /// Pattern size 3 leaves edge blocks.
     #[test]
     fn mask_only_lowering_matches_clone_and_compile() {
         let model = TransformerLm::new(TransformerConfig::tiny(32), 11);
@@ -193,16 +217,22 @@ mod tests {
                 seed: 5,
             };
             let space = generate_pattern_space(&model, &backbone, &[0.3, 0.7], &config);
-            for candidate in space.candidates() {
-                for backbone in [&backbone, &MaskSet::new()] {
-                    for names in [&all, &subset] {
-                        let new = combined_masks_for_model(&model, backbone, names, &candidate.set);
+            for backbone in [&backbone, &MaskSet::new()] {
+                for names in [&all, &subset] {
+                    let weights = resolve_prunable(&model, backbone, names);
+                    let squares = block_squares(&weights, pattern_size);
+                    for candidate in space.candidates() {
                         let old = clone_and_compile_masks(&model, backbone, names, &candidate.set);
-                        assert_eq!(bits(&new), bits(&old), "psize {pattern_size}");
-                        assert_eq!(
-                            new.overall_sparsity().to_bits(),
-                            old.overall_sparsity().to_bits()
-                        );
+                        for new in [
+                            combined_masks_for_model(&model, backbone, names, &candidate.set),
+                            combined_masks(&weights, &squares, backbone, &candidate.set),
+                        ] {
+                            assert_eq!(bits(&new), bits(&old), "psize {pattern_size}");
+                            assert_eq!(
+                                new.overall_sparsity().to_bits(),
+                                old.overall_sparsity().to_bits()
+                            );
+                        }
                     }
                 }
             }

@@ -148,9 +148,11 @@ impl Controller {
         self.baseline
     }
 
-    /// Action probabilities at every step given a fixed action history
-    /// (teacher-forced); used both for sampling and for the update.
-    fn rollout_logits(&self, g: &mut Graph, actions: &[Option<usize>]) -> (Vec<Var>, Vec<Var>) {
+    /// Logits at every step given a fixed action history (teacher-forced),
+    /// as a differentiable graph for the update. Step `t + 1`'s input is
+    /// `actions[t]`'s embedding row; a history shorter than the episode
+    /// feeds the start row after its end.
+    fn rollout_logits(&self, g: &mut Graph, actions: &[usize]) -> (Vec<Var>, Vec<Var>) {
         let embed = g.leaf(self.action_embedding.clone());
         let w_in = g.leaf(self.w_in.clone());
         let w_hidden = g.leaf(self.w_hidden.clone());
@@ -175,60 +177,65 @@ impl Controller {
             let logits = g.matmul(hidden, w_out);
             let logits = g.add_row_broadcast(logits, b_out);
             logits_per_step.push(logits);
-            previous_action = actions.get(step).copied().flatten();
+            previous_action = actions.get(step).copied();
         }
         (logits_per_step, params)
     }
 
-    /// Samples one episode from the current policy.
-    pub fn sample_episode(&mut self) -> Episode {
-        let mut actions: Vec<Option<usize>> = vec![None; self.config.steps];
-        let mut chosen = Vec::with_capacity(self.config.steps);
+    /// Runs the policy forward once, step by step: each step's action
+    /// probabilities go to `choose(step, probs)`, and its pick is the next
+    /// step's input. The cell runs the graph forward pass's own `Matrix`
+    /// operations in its order (row gather, input and hidden products,
+    /// their sum, bias, `tanh`, output product and bias, softmax), so the
+    /// probabilities are bit-identical to reading them off
+    /// [`Self::rollout_logits`] with the chosen history, without building
+    /// a graph or re-running earlier steps.
+    fn rollout(&self, mut choose: impl FnMut(usize, &Matrix) -> usize) -> Episode {
+        let h = self.config.hidden_dim;
+        let mut hidden = Matrix::zeros(1, h);
+        let mut input_row = 0;
+        let mut actions = Vec::with_capacity(self.config.steps);
         let mut probabilities = Vec::with_capacity(self.config.steps);
-        // sample step by step so each step conditions on the previous choice
         for step in 0..self.config.steps {
-            let mut g = Graph::new();
-            let (logits, _) = self.rollout_logits(&mut g, &actions);
-            let probs = softmax_rows_matrix(g.value(logits[step]));
-            let r: f64 = self.rng.gen();
-            let mut acc = 0.0;
-            let mut action = self.config.actions_per_step - 1;
-            for a in 0..self.config.actions_per_step {
-                acc += probs.get(0, a) as f64;
-                if r <= acc {
-                    action = a;
-                    break;
-                }
-            }
+            let input = Matrix::from_vec(1, h, self.action_embedding.row(input_row).to_vec());
+            let pre = input
+                .matmul(&self.w_in)
+                .zip(&hidden.matmul(&self.w_hidden), |x, y| x + y);
+            hidden = add_bias(pre, &self.b_hidden).map(|x| x.tanh());
+            let logits = add_bias(hidden.matmul(&self.w_out), &self.b_out);
+            let probs = softmax_rows_matrix(&logits);
+            let action = choose(step, &probs);
             probabilities.push(probs.get(0, action) as f64);
-            chosen.push(action);
-            actions[step] = Some(action);
+            actions.push(action);
+            input_row = action + 1;
         }
         Episode {
-            actions: chosen,
+            actions,
             probabilities,
         }
+    }
+
+    /// Samples one episode from the current policy: one uniform draw per
+    /// step, each step conditioned on the previous choice.
+    pub fn sample_episode(&mut self) -> Episode {
+        let draws: Vec<f64> = (0..self.config.steps).map(|_| self.rng.gen()).collect();
+        let last = self.config.actions_per_step - 1;
+        self.rollout(|step, probs| {
+            let mut acc = 0.0;
+            for a in 0..last {
+                acc += probs.get(0, a) as f64;
+                if draws[step] <= acc {
+                    return a;
+                }
+            }
+            last
+        })
     }
 
     /// Greedy (argmax) episode from the current policy, used to read out the
     /// best architecture after the search finishes.
     pub fn best_episode(&self) -> Episode {
-        let mut actions: Vec<Option<usize>> = vec![None; self.config.steps];
-        let mut chosen = Vec::with_capacity(self.config.steps);
-        let mut probabilities = Vec::with_capacity(self.config.steps);
-        for step in 0..self.config.steps {
-            let mut g = Graph::new();
-            let (logits, _) = self.rollout_logits(&mut g, &actions);
-            let probs = softmax_rows_matrix(g.value(logits[step]));
-            let action = probs.row_argmax(0);
-            probabilities.push(probs.get(0, action) as f64);
-            chosen.push(action);
-            actions[step] = Some(action);
-        }
-        Episode {
-            actions: chosen,
-            probabilities,
-        }
+        self.rollout(|_, probs| probs.row_argmax(0))
     }
 
     /// REINFORCE update: increases the probability of the episode's actions
@@ -256,9 +263,8 @@ impl Controller {
         if advantage == 0.0 {
             return;
         }
-        let actions: Vec<Option<usize>> = episode.actions.iter().map(|&a| Some(a)).collect();
         let mut g = Graph::new();
-        let (logits, params) = self.rollout_logits(&mut g, &actions);
+        let (logits, params) = self.rollout_logits(&mut g, &episode.actions);
         // loss = -advantage * sum_t log pi(a_t); cross_entropy gives -log pi
         let mut nll_total: Option<Var> = None;
         for (step, logit) in logits.iter().enumerate() {
@@ -287,18 +293,114 @@ impl Controller {
     /// Probability distribution over actions at the first step (useful for
     /// inspecting what the policy has learnt).
     pub fn first_step_distribution(&self) -> Vec<f64> {
-        let mut g = Graph::new();
-        let (logits, _) = self.rollout_logits(&mut g, &vec![None; self.config.steps]);
-        let probs = softmax_rows_matrix(g.value(logits[0]));
-        (0..self.config.actions_per_step)
-            .map(|a| probs.get(0, a) as f64)
-            .collect()
+        let mut first = Vec::new();
+        self.rollout(|step, probs| {
+            if step == 0 {
+                first = probs.row(0).iter().map(|&p| p as f64).collect();
+            }
+            0
+        });
+        first
     }
+}
+
+/// `m` plus the single-row `bias` on every row: the graph's
+/// `add_row_broadcast` forward value.
+fn add_bias(mut m: Matrix, bias: &Matrix) -> Matrix {
+    for i in 0..m.rows() {
+        for (v, &b) in m.row_mut(i).iter_mut().zip(bias.row(0)) {
+            *v += b;
+        }
+    }
+    m
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The graph-built rollout the one-pass cell replaced: a fresh graph
+    /// per step that re-runs every earlier step, reading the step's
+    /// probabilities off the teacher-forced logits. `draw` supplies the
+    /// step's uniform draw, or `None` for the greedy readout.
+    fn graph_episode(c: &Controller, mut draw: impl FnMut() -> Option<f64>) -> Episode {
+        let mut actions = Vec::new();
+        let mut probabilities = Vec::new();
+        for step in 0..c.config.steps {
+            let mut g = Graph::new();
+            let (logits, _) = c.rollout_logits(&mut g, &actions);
+            let probs = softmax_rows_matrix(g.value(logits[step]));
+            let action = match draw() {
+                Some(r) => {
+                    let mut acc = 0.0;
+                    let mut action = c.config.actions_per_step - 1;
+                    for a in 0..c.config.actions_per_step {
+                        acc += probs.get(0, a) as f64;
+                        if r <= acc {
+                            action = a;
+                            break;
+                        }
+                    }
+                    action
+                }
+                None => probs.row_argmax(0),
+            };
+            probabilities.push(probs.get(0, action) as f64);
+            actions.push(action);
+        }
+        Episode {
+            actions,
+            probabilities,
+        }
+    }
+
+    fn bits(p: &[f64]) -> Vec<u64> {
+        p.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Sampling, the greedy readout and the first-step distribution from
+    /// the one-pass rollout equal the graph-built reference — the same
+    /// actions, bit-equal probabilities, the same random draws — over 60
+    /// episodes with a policy update between them, for two shapes.
+    #[test]
+    fn one_pass_rollout_matches_the_graph_built_sampler() {
+        let shapes = [
+            ControllerConfig::default(),
+            ControllerConfig {
+                steps: 5,
+                actions_per_step: 7,
+                hidden_dim: 6,
+                seed: 9,
+                ..ControllerConfig::default()
+            },
+        ];
+        for config in shapes {
+            let mut fast = Controller::new(config);
+            let mut reference = fast.clone();
+            for _ in 0..60 {
+                let e = fast.sample_episode();
+                let mut rng = reference.rng.clone();
+                let r = graph_episode(&reference, || Some(rng.gen()));
+                reference.rng = rng;
+                assert_eq!(e.actions, r.actions);
+                assert_eq!(bits(&e.probabilities), bits(&r.probabilities));
+                let best = fast.best_episode();
+                let graph_best = graph_episode(&reference, || None);
+                assert_eq!(best.actions, graph_best.actions);
+                assert_eq!(bits(&best.probabilities), bits(&graph_best.probabilities));
+                let mut g = Graph::new();
+                let (logits, _) = reference.rollout_logits(&mut g, &[]);
+                let first = softmax_rows_matrix(g.value(logits[0]));
+                let first: Vec<f64> = first.row(0).iter().map(|&p| p as f64).collect();
+                assert_eq!(bits(&fast.first_step_distribution()), bits(&first));
+                // reward the episodes that pick action 1 most, so the
+                // policy keeps moving
+                let reward = e.actions.iter().filter(|&&a| a == 1).count() as f64;
+                fast.update(&e, reward);
+                reference.update(&r, reward);
+            }
+        }
+    }
 
     #[test]
     fn sampled_episodes_have_valid_actions_and_probabilities() {

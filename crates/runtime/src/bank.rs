@@ -16,7 +16,8 @@
 //! Lowering is split the way the paper splits its switch. Which pattern
 //! each block gets depends only on the model, the backbone and the pattern
 //! set, so the bank scores a level's blocks once — the first time the level
-//! is built — and keeps, for good and across evictions, everything a pack
+//! is built, from [`BlockSquares`] tables as the offline search scores its
+//! candidates — and keeps, for good and across evictions, everything a pack
 //! needs that does not depend on the values: per weight a [`PackLayout`]
 //! holding a `u16` pattern id and a `u32` arena offset per block (6 bytes
 //! per block) and each pattern's kept positions as `u32` flat offsets for
@@ -30,7 +31,7 @@
 
 use rt3_hardware::{MemoryModel, SwitchCost};
 use rt3_pruning::{CandidatePatternSet, PatternSpace};
-use rt3_sparse::{Backend, CompiledSet, PackLayout, PatternPrunedMatrix, PatternSet};
+use rt3_sparse::{Backend, BlockSquares, CompiledSet, PackLayout, PatternPrunedMatrix, PatternSet};
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
 use std::marker::PhantomData;
@@ -326,9 +327,11 @@ impl<'m, M: Model> ModelBank<'m, M> {
     }
 
     /// Scores every prunable weight under `set` through its backbone mask,
-    /// with the same masked [`PackLayout::assign`] the offline search
-    /// runs, and derives the level's pack tables and sparsity.
+    /// from the same [`BlockSquares`] table and [`PackLayout::assign`] the
+    /// offline search runs, and derives the level's pack tables and
+    /// sparsity.
     fn lower(&self, set: &PatternSet) -> LevelTables {
+        let psize = set.size();
         let set = Arc::new(CompiledSet::new(set));
         let backend = Backend::detect();
         let mut kept = self.unpatterned_kept;
@@ -337,7 +340,8 @@ impl<'m, M: Model> ModelBank<'m, M> {
             .iter()
             .map(|(name, weight)| {
                 let mask = self.backbone.get(name);
-                let layout = PackLayout::assign(weight, mask, &set, backend);
+                let squares = BlockSquares::new(weight, mask, psize, backend);
+                let layout = PackLayout::assign(&squares, &set);
                 kept += layout.kept(mask);
                 Arc::new(layout)
             })

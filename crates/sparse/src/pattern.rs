@@ -310,27 +310,18 @@ impl PatternSet {
     /// largest l2-norm for each block").
     ///
     /// `block` may be smaller than the pattern (partial edge block); only
-    /// the overlapping region is scored. Delegates to the same shared
-    /// scoring implementation [`crate::PatternPlan`] compiles with —
-    /// including the detected SIMD backend for the squared-element
-    /// precompute — so the two paths cannot diverge; bulk assignment
-    /// should go through `PatternPrunedMatrix::from_dense`, which
-    /// amortises the pattern compilation this method redoes per call.
+    /// the overlapping region is scored. This is the per-block reference:
+    /// each pattern's norm is a fold over the block's squares (computed
+    /// through the detected SIMD backend), and ties keep the lowest index.
+    /// Bulk assignment goes through [`crate::PackLayout::assign`], which
+    /// scores every block of a weight at once from a [`crate::BlockSquares`]
+    /// table and picks the same pattern for every block.
     pub fn best_pattern_for(&self, block: &Matrix) -> usize {
-        let compiled = crate::plan::compile_set(self);
-        let h = block.rows().min(self.size());
-        let w = block.cols().min(self.size());
-        let mut squares = Vec::new();
         crate::plan::best_pattern_for_block(
-            &compiled,
+            &crate::plan::compile_set(self),
             self.size(),
-            block.as_slice(),
-            block.cols(),
-            0,
-            h,
-            w,
+            block,
             crate::Backend::detect(),
-            &mut squares,
         )
     }
 

@@ -37,13 +37,18 @@
 //! output element is unchanged.
 //!
 //! Lowering itself has two halves. [`PackLayout::assign`] scores every
-//! block of a weight, optionally masked element-wise without materialising
-//! the product, against the set (the expensive part) and keeps everything
-//! a pack needs that does not depend on the values: the block→pattern ids,
-//! the block offsets, and each pattern's kept positions as flat offsets
-//! for the weight's row stride. A caller that only needs the kept
-//! positions — the offline search — reads them as a dense keep-mask
-//! through [`PackLayout::keep_mask`] and never gathers a value.
+//! block of a weight against the set (the expensive part) and keeps
+//! everything a pack needs that does not depend on the values: the
+//! block→pattern ids, the block offsets, and each pattern's kept positions
+//! as flat offsets for the weight's row stride. It scores from a
+//! [`BlockSquares`] table: the squares of the weight, optionally masked
+//! element-wise without materialising the product, laid out block-transposed
+//! so each pattern's norms for all blocks are a sum of contiguous table
+//! rows. The table depends only on the masked weight and the pattern size,
+//! so the offline search, which scores many candidate sets against the same
+//! backbone-masked weights, builds it once per search. A caller that only
+//! needs the kept positions — the offline search — reads them as a dense
+//! keep-mask through [`PackLayout::keep_mask`] and never gathers a value.
 //! [`PatternPlan::pack_into`] — the one value
 //! gather, which `compile` and [`PatternPlan::pack`] also run — then
 //! writes the kept values into a plan's existing arena. A plan is an
@@ -148,46 +153,30 @@ impl CompiledPattern {
     }
 }
 
-/// The paper's component-④ selection rule: index of the pattern preserving
-/// the largest l2 norm over one `h x w` block (`h, w <= psize`) of
-/// row-major `data` (row `r` lives at `base + r * stride`). Accumulation is
-/// row-major over kept positions and ties keep the lowest index. This is
-/// the single implementation: both [`PackLayout::assign`] (masked or not)
-/// and [`PatternSet::best_pattern_for`] call it, so their assignments
-/// cannot drift apart.
+/// The paper's component-④ selection rule on one block, pattern by
+/// pattern: index of the pattern preserving the largest l2 norm over the
+/// `h x w` top-left region (`h, w <= psize`) of `block`. Each pattern's
+/// norm is a fold over its kept squares in row-major kept order; ties keep
+/// the lowest index. [`PatternSet::best_pattern_for`] calls it, and it is
+/// the reference the table scorer of [`PackLayout::assign`] is tested
+/// against block for block.
 ///
-/// The element squares are computed **once per block** into the reusable
-/// `squares` scratch through the detected SIMD `backend`, laid out as a
-/// full `psize x psize` block with 0.0 outside the `h x w` region. Each
-/// pattern's score then sums the squares at its local offsets (every kept
-/// position, in row-major kept order) with no test against the block's
-/// shape: an edge block's out-of-shape positions add `+0.0`, which leaves
-/// a sum of non-negative squares bit-unchanged. So the winning assignment
-/// is bit-identical to summing the in-shape squares alone with scalar
-/// products — `edge_blocks_score_only_their_in_shape_positions` and
-/// `lowering_backend_is_bit_stable` in `pattern.rs` pin this.
-#[allow(clippy::too_many_arguments)]
+/// The squares go through `backend` into a zero-padded `psize x psize`
+/// scratch, so each pattern sums the squares at its local offsets with no
+/// test against the block's shape: an edge block's out-of-shape positions
+/// add `+0.0`, which leaves a sum of non-negative squares bit-unchanged
+/// (`edge_blocks_score_only_their_in_shape_positions` in `pattern.rs` pins
+/// this against summing the in-shape squares alone).
 pub(crate) fn best_pattern_for_block(
     compiled: &[CompiledPattern],
     psize: usize,
-    data: &[f32],
-    stride: usize,
-    base: usize,
-    h: usize,
-    w: usize,
+    block: &Matrix,
     backend: Backend,
-    squares: &mut Vec<f32>,
 ) -> usize {
-    squares.clear();
-    squares.resize(psize * psize, 0.0);
-    if w == psize && stride == psize {
-        // rows contiguous in both (a copied-out full block): one call
-        backend.square_into(&mut squares[..h * psize], &data[base..][..h * psize]);
-    } else {
-        for r in 0..h {
-            let row = &data[base + r * stride..][..w];
-            backend.square_into(&mut squares[r * psize..][..w], row);
-        }
+    let (h, w) = (block.rows().min(psize), block.cols().min(psize));
+    let mut squares = vec![0.0; psize * psize];
+    for r in 0..h {
+        backend.square_into(&mut squares[r * psize..][..w], &block.row(r)[..w]);
     }
     let mut best = 0;
     let mut best_norm = f32::NEG_INFINITY;
@@ -250,6 +239,90 @@ impl CompiledSet {
     }
 }
 
+/// The element squares of one weight, optionally masked, laid out so that
+/// [`PackLayout::assign`] scores every block against a pattern at once:
+/// entry `o * blocks + b` holds in-block offset `o = r * psize + c` of
+/// block `b` (row-major over the block grid), and is `0.0` outside the
+/// weight's shape. A pattern's norms for all blocks are then the sum of the
+/// table rows at its kept offsets, a vertical sum over contiguous rows.
+///
+/// The table depends only on the weight, the mask and the pattern size, so
+/// a caller scoring many pattern sets of one size against the same masked
+/// weight — the offline search, one set per candidate — builds it once.
+/// With a mask each square is `(w * m) * (w * m)`, the same single-rounded
+/// products as squaring `weight.zip(mask, |w, m| w * m)`; the squares go
+/// through `backend` (clamped like [`PatternPlan::compile_with_backend`]),
+/// and every backend writes the same bits.
+#[derive(Debug)]
+pub struct BlockSquares {
+    rows: usize,
+    cols: usize,
+    psize: usize,
+    grid: (usize, usize),
+    squares: Vec<f32>,
+}
+
+impl BlockSquares {
+    /// Squares every element of `weight`, masked element-wise by `mask` if
+    /// given, into the block-transposed table for pattern size `psize`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `psize` is zero or `mask` is not shaped like `weight`.
+    pub fn new(weight: &Matrix, mask: Option<&Matrix>, psize: usize, backend: Backend) -> Self {
+        assert!(psize > 0, "pattern size must be positive");
+        let backend = backend.validated();
+        let (rows, cols) = weight.shape();
+        let keep = mask.map(|mask| {
+            assert_eq!(mask.shape(), (rows, cols), "mask shape mismatch");
+            mask.as_slice()
+        });
+        let grid = (rows.div_ceil(psize), cols.div_ceil(psize));
+        let blocks = grid.0 * grid.1;
+        let mut squares = vec![0.0; psize * psize * blocks];
+        let mut masked = Vec::with_capacity(cols);
+        let mut row_squares = vec![0.0; cols];
+        for i in 0..rows {
+            let row = match keep {
+                None => weight.row(i),
+                Some(keep) => {
+                    masked.clear();
+                    let at = i * cols;
+                    masked.extend(
+                        weight
+                            .row(i)
+                            .iter()
+                            .zip(&keep[at..at + cols])
+                            .map(|(&v, &m)| v * m),
+                    );
+                    &masked[..]
+                }
+            };
+            backend.square_into(&mut row_squares, row);
+            // row `r` of block row `br`: offset `r * psize + c` of the
+            // row's blocks is one contiguous table run, read `psize` apart
+            let (br, r) = (i / psize, i % psize);
+            let full = cols / psize;
+            for c in 0..psize {
+                let dst = &mut squares[(r * psize + c) * blocks + br * grid.1..][..grid.1];
+                for (d, chunk) in dst.iter_mut().zip(row_squares.chunks_exact(psize)) {
+                    *d = chunk[c];
+                }
+                if let Some(&s) = row_squares.get(full * psize + c) {
+                    dst[full] = s;
+                }
+            }
+        }
+        Self {
+            rows,
+            cols,
+            psize,
+            grid,
+            squares,
+        }
+    }
+}
+
 /// Everything packing one weight needs that does not depend on its values:
 /// the block→pattern assignment, the arena offset of every block, and each
 /// pattern's kept positions as flat offsets for the weight's row stride.
@@ -273,100 +346,72 @@ pub struct PackLayout {
 
 impl PackLayout {
     /// The scoring half of lowering: gives each `psize x psize` block of
-    /// `weight`, masked element-wise by `mask` if given, the pattern
-    /// preserving the largest l2 norm, and lays out the arena for that
-    /// assignment. The masked weight is never materialised, only one block
-    /// of it at a time: each square is `(w * m) * (w * m)`, the same
-    /// single-rounded products as scoring `weight.zip(mask, |w, m| w * m)`,
-    /// so the assignment is bit-identical to assigning the masked weight.
-    /// Without a mask, blocks are scored straight from `weight`. Every
-    /// block goes through `best_pattern_for_block`, the implementation
-    /// [`PatternSet::best_pattern_for`] calls. The layout depends only on
-    /// the masked weight and the set, so a caller that packs the same
-    /// weight again — a model bank re-materialising an evicted level —
-    /// keeps it and gathers alone. `backend` (clamped like
-    /// [`PatternPlan::compile_with_backend`]) only speeds up the squares;
-    /// the assignment is bit-stable across backends.
+    /// the weight `squares` was built from the pattern of `set` preserving
+    /// the largest l2 norm, and lays out the arena for that assignment.
+    ///
+    /// All blocks are scored at once, pattern by pattern: one running norm
+    /// per block gains the table row at each of the pattern's in-block
+    /// offsets ([`CompiledPattern`]'s row-major kept order), so each
+    /// block's norm is the same left-to-right sum the per-block fold of
+    /// [`PatternSet::best_pattern_for`] computes, and an edge block's
+    /// out-of-shape `+0.0` entries leave it bit-unchanged. A block keeps
+    /// the first pattern whose norm is strictly greater than every earlier
+    /// one, starting from `-inf`, so ties go to the lowest index and a NaN
+    /// norm never wins. The layout depends only on the masked weight and
+    /// the set, so a caller that packs the same weight again — a model bank
+    /// re-materialising an evicted level — keeps it and gathers alone.
     ///
     /// # Panics
     ///
-    /// Panics if `mask` is not shaped like `weight`, the set has more than
-    /// `u16::MAX` patterns or the kept values do not fit a `u32` arena
-    /// offset.
-    pub fn assign(
-        weight: &Matrix,
-        mask: Option<&Matrix>,
-        set: &Arc<CompiledSet>,
-        backend: Backend,
-    ) -> Self {
-        let backend = backend.validated();
+    /// Panics if `squares` was built for another pattern size, the set has
+    /// more than `u16::MAX` patterns or the kept values do not fit a `u32`
+    /// arena offset.
+    pub fn assign(squares: &BlockSquares, set: &Arc<CompiledSet>) -> Self {
         let compiled = &set.patterns;
         assert!(
             compiled.len() <= u16::MAX as usize,
             "pattern set too large for u16 assignment indices"
         );
-        let psize = set.set.size();
-        let (rows, cols) = weight.shape();
-        let keep = mask.map(|mask| {
-            assert_eq!(mask.shape(), (rows, cols), "mask shape mismatch");
-            mask.as_slice()
-        });
-        let grid = (rows.div_ceil(psize), cols.div_ceil(psize));
-        let data = weight.as_slice();
-        let mut assignments = Vec::with_capacity(grid.0 * grid.1);
-        let mut block_offsets = Vec::with_capacity(grid.0 * grid.1 + 1);
+        assert_eq!(
+            squares.psize,
+            set.set.size(),
+            "square table laid out for another pattern size"
+        );
+        let blocks = squares.grid.0 * squares.grid.1;
+        let mut assignments = vec![0u16; blocks];
+        let mut best = vec![f32::NEG_INFINITY; blocks];
+        let mut norms = vec![0.0f32; blocks];
+        for (pi, cp) in compiled.iter().enumerate() {
+            norms.fill(0.0);
+            for &o in &cp.local {
+                let row = &squares.squares[o as usize * blocks..][..blocks];
+                for (norm, &s) in norms.iter_mut().zip(row) {
+                    *norm += s;
+                }
+            }
+            for ((a, best), &norm) in assignments.iter_mut().zip(&mut best).zip(&norms) {
+                if norm > *best {
+                    *best = norm;
+                    *a = pi as u16;
+                }
+            }
+        }
+        let mut block_offsets = Vec::with_capacity(blocks + 1);
         block_offsets.push(0u32);
         let mut stored = 0usize;
-        let mut masked = Vec::with_capacity(psize * psize);
-        let mut squares = Vec::with_capacity(psize * psize);
-        for base_r in (0..rows).step_by(psize) {
-            let h = psize.min(rows - base_r);
-            for base_c in (0..cols).step_by(psize) {
-                let w = psize.min(cols - base_c);
-                let base = base_r * cols + base_c;
-                // unmasked blocks are scored in place; a masked block is
-                // first copied out, row-major with stride `w`
-                let (block, stride, at) = match keep {
-                    None => (data, cols, base),
-                    Some(keep) => {
-                        masked.clear();
-                        for r in 0..h {
-                            let at = base + r * cols;
-                            masked.extend(
-                                data[at..at + w]
-                                    .iter()
-                                    .zip(&keep[at..at + w])
-                                    .map(|(&v, &m)| v * m),
-                            );
-                        }
-                        (&masked[..], w, 0)
-                    }
-                };
-                let best = best_pattern_for_block(
-                    compiled,
-                    psize,
-                    block,
-                    stride,
-                    at,
-                    h,
-                    w,
-                    backend,
-                    &mut squares,
-                );
-                assignments.push(best as u16);
-                stored += compiled[best].ones();
-                block_offsets.push(u32::try_from(stored).expect("arena exceeds u32 offsets"));
-            }
+        for &a in &assignments {
+            stored += compiled[a as usize].ones();
+            block_offsets.push(u32::try_from(stored).expect("arena exceeds u32 offsets"));
         }
         Self {
             set: Arc::clone(set),
-            rows,
-            cols,
-            psize,
-            grid,
+            rows: squares.rows,
+            cols: squares.cols,
+            psize: squares.psize,
+            grid: squares.grid,
             assignments,
             block_offsets,
-            flat: kept_offsets(compiled, cols),
+            flat: kept_offsets(compiled, squares.cols),
         }
     }
 
@@ -527,8 +572,9 @@ impl PatternPlan {
     /// (`Backend::validated`); forcing [`Backend::Scalar`] is how the
     /// proptest suite obtains the bit-exactness reference on SIMD hosts.
     pub fn compile_with_backend(dense: &Matrix, set: &PatternSet, backend: Backend) -> Self {
+        let squares = BlockSquares::new(dense, None, set.size(), backend);
         let set = Arc::new(CompiledSet::new(set));
-        let layout = Arc::new(PackLayout::assign(dense, None, &set, backend));
+        let layout = Arc::new(PackLayout::assign(&squares, &set));
         Self::pack(&layout, dense, None, backend)
     }
 

@@ -90,9 +90,10 @@ impl Backend {
     }
 
     /// Elementwise `dst[i] = src[i] * src[i]` through the backend — the
-    /// block-scoring primitive of plan lowering (`best_pattern_for_block`
-    /// precomputes the squares once per block). Each product is a single
-    /// f32 multiply in both backends, so the bytes written are identical.
+    /// block-scoring primitive of plan lowering (`BlockSquares::new`
+    /// squares each weight row once; `best_pattern_for_block` squares one
+    /// block). Each product is a single f32 multiply in both backends, so
+    /// the bytes written are identical.
     ///
     /// # Panics
     ///

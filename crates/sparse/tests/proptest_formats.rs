@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rt3_sparse::{
-    Backend, BlockPartition, BlockPrunedMatrix, CompiledSet, CooMatrix, CsrMatrix, PackLayout,
-    PatternMask, PatternPlan, PatternPrunedMatrix, PatternSet,
+    Backend, BlockPartition, BlockPrunedMatrix, BlockSquares, CompiledSet, CooMatrix, CsrMatrix,
+    PackLayout, PatternMask, PatternPlan, PatternPrunedMatrix, PatternSet,
 };
 use rt3_tensor::Matrix;
 use std::sync::Arc;
@@ -95,7 +95,8 @@ proptest! {
         for backend in [Backend::Scalar, Backend::detect()] {
             for (dense, mask) in [(&m, None), (&masked, Some(&mask))] {
                 let (assignments, values) = single_pass_lowering(dense, &set);
-                let layout = Arc::new(PackLayout::assign(dense, None, &compiled, backend));
+                let squares = BlockSquares::new(dense, None, psize, backend);
+                let layout = Arc::new(PackLayout::assign(&squares, &compiled));
                 let plan = PatternPlan::pack(&layout, &m, mask, backend);
                 prop_assert_eq!(plan.assignments(), &assignments[..]);
                 for (bi, expected) in values.iter().enumerate() {
@@ -156,8 +157,9 @@ proptest! {
         let masked = m.zip(&mask, |w, k| w * k);
         for backend in [Backend::Scalar, Backend::detect()] {
             for (mask, dense) in [(None, &m), (Some(&mask), &masked)] {
-                let layout = PackLayout::assign(&m, mask, &compiled, backend);
-                prop_assert!(layout == PackLayout::assign(dense, None, &compiled, backend));
+                let layout = PackLayout::assign(&BlockSquares::new(&m, mask, psize, backend), &compiled);
+                let squares = BlockSquares::new(dense, None, psize, backend);
+                prop_assert!(layout == PackLayout::assign(&squares, &compiled));
                 let pattern_mask = PatternPrunedMatrix::from_dense(dense, &set).mask();
                 let combined = match mask {
                     Some(mask) => pattern_mask.zip(mask, |p, k| f32::from(p * k != 0.0)),
@@ -166,6 +168,67 @@ proptest! {
                 let keep_mask = layout.keep_mask(mask);
                 prop_assert_eq!(bits(keep_mask.as_slice()), bits(combined.as_slice()));
                 prop_assert_eq!(layout.kept(mask), keep_mask.count_nonzero());
+            }
+        }
+    }
+
+    /// The table scorer of `PackLayout::assign` picks, block for block,
+    /// the pattern the per-block fold of `PatternSet::best_pattern_for`
+    /// picks on the masked block: pattern sizes 3, 4 and 8 over shapes
+    /// that are not block multiples, with no mask and with a mask, with an
+    /// all-zero block (every pattern ties at 0.0) and a duplicated pattern
+    /// (a tie the earlier copy must win), on the scalar and the detected
+    /// backend.
+    #[test]
+    fn table_scorer_matches_the_per_block_fold(
+        m in sparse_matrix(27),
+        psize in prop_oneof![Just(3usize), Just(4usize), Just(8usize)],
+        sparsity in 0.0f64..0.9,
+        patterns in 1usize..5,
+        duplicate in 0usize..5,
+        seed in 0u64..1_000,
+        keep in proptest::collection::vec(
+            prop_oneof![2 => Just(0.0f32), 3 => Just(1.0f32), 1 => Just(0.5f32)],
+            27 * 27,
+        ),
+        zero_block in (0usize..27, 0usize..27),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut masks: Vec<PatternMask> =
+            (0..patterns).map(|_| PatternMask::random(psize, sparsity, &mut rng)).collect();
+        masks.push(masks[duplicate % patterns].clone());
+        let set = PatternSet::new(masks).expect("non-empty set");
+        let compiled = Arc::new(CompiledSet::new(&set));
+        let (rows, cols) = m.shape();
+        let (zr, zc) = (zero_block.0 % rows / psize * psize, zero_block.1 % cols / psize * psize);
+        let weight = Matrix::from_fn(rows, cols, |r, c| {
+            let in_block = (zr..zr + psize).contains(&r) && (zc..zc + psize).contains(&c);
+            if in_block { 0.0 } else { m.get(r, c) }
+        });
+        let mask = Matrix::from_vec(rows, cols, keep[..rows * cols].to_vec());
+        for backend in [Backend::Scalar, Backend::detect()] {
+            for mask in [None, Some(&mask)] {
+                let squares = BlockSquares::new(&weight, mask, psize, backend);
+                let layout = Arc::new(PackLayout::assign(&squares, &compiled));
+                let assignments = PatternPlan::pack(&layout, &weight, mask, backend)
+                    .assignments()
+                    .to_vec();
+                let masked = mask.map_or_else(|| weight.clone(), |k| weight.zip(k, |w, k| w * k));
+                let mut bi = 0;
+                for base_r in (0..rows).step_by(psize) {
+                    for base_c in (0..cols).step_by(psize) {
+                        let block = masked.block(base_r, base_c, psize, psize);
+                        prop_assert_eq!(
+                            assignments[bi] as usize,
+                            set.best_pattern_for(&block),
+                            "block ({}, {})", base_r, base_c
+                        );
+                        bi += 1;
+                    }
+                }
+                prop_assert_eq!(bi, assignments.len());
+                // the duplicate ties its original on every block
+                prop_assert!(assignments.iter().all(|&a| a as usize != patterns));
             }
         }
     }
