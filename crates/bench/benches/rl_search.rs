@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rt3_core::{
     build_search_space, run_level1, CandidateTable, Rt3Config, SurrogateEvaluator, TaskProfile,
 };
-use rt3_rl::{Controller, ControllerConfig};
+use rt3_search::{Controller, ControllerConfig};
 use rt3_transformer::{TransformerConfig, TransformerLm};
 
 fn bench_rl(c: &mut Criterion) {

@@ -19,10 +19,9 @@ use rt3_hardware::{
 use rt3_pruning::{combined_masks_for_model, random_pattern_set, PatternSpace};
 use rt3_sparse::{PatternSet, SparseFormat};
 use rt3_transformer::Model;
-use serde::{Deserialize, Serialize};
 
 /// One row of the Table II motivation experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MotivationRow {
     /// Approach label (E1/E2/E3).
     pub approach: &'static str,
@@ -121,7 +120,7 @@ pub fn run_motivation_experiment(
 }
 
 /// The ablation variants of Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AblationVariant {
     /// Original model, no pruning, no reconfiguration.
     NoOpt,
@@ -164,7 +163,7 @@ impl AblationVariant {
 }
 
 /// One column of Table IV.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Which variant this row describes.
     pub variant: AblationVariant,
@@ -375,7 +374,7 @@ pub fn run_heuristic_baseline<M: Model, E: AccuracyEvaluator>(
 }
 
 /// One bar pair of the Fig. 5 BP evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BpEvaluationRow {
     /// Task label ("WikiText-2" or a GLUE task).
     pub task: String,
@@ -438,7 +437,7 @@ pub fn run_bp_evaluation() -> Vec<BpEvaluationRow> {
 
 /// Switch-time comparison behind the "Interrupt" rows of Table III: RT3 swaps
 /// a pattern set while the upper bound reloads a whole model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SwitchComparison {
     /// RT3 pattern-set switch time in milliseconds.
     pub rt3_switch_ms: f64,

@@ -10,11 +10,10 @@ use crate::Rt3Config;
 use rt3_pruning::PatternSpace;
 use rt3_search::{build_optimizer, DriverConfig, OptimizerKind, SearchDriver};
 use rt3_transformer::Model;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Configuration of one comparison run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ComparisonConfig {
     /// Distinct-evaluation budget every optimizer gets (cache hits are
     /// free).
@@ -49,7 +48,7 @@ impl ComparisonConfig {
 }
 
 /// One optimizer's results at budget.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OptimizerReport {
     /// Stable optimizer name (`reinforce`, `evolutionary`, …).
     pub name: String,
@@ -78,7 +77,7 @@ impl OptimizerReport {
 }
 
 /// The full Table III-style comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ComparisonReport {
     /// Task the accuracies refer to.
     pub task: String,

@@ -3,10 +3,9 @@
 use rt3_hardware::{DvfsGovernor, PerformancePredictor};
 use rt3_pruning::{BlockPruningConfig, PatternSpaceConfig};
 use rt3_transformer::TransformerConfig;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the reward function, Eq. (1) of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RewardParams {
     /// Per-level accuracy weights `α_i` (must sum to 1; one per V/F level,
     /// ordered from the highest-frequency level to the lowest).
@@ -54,7 +53,7 @@ impl RewardParams {
 /// Full configuration of an RT3 run: the problem definition of Section II-C
 /// (timing constraint `T`, energy budget `E`, V/F levels `L`) plus the
 /// hyper-parameters of both optimisation levels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rt3Config {
     /// Real-time latency constraint `T` in milliseconds.
     pub timing_constraint_ms: f64,

@@ -18,11 +18,10 @@ use rt3_transformer::{
     evaluate_classifier, evaluate_lm, train_classifier, train_lm, MaskSet, SequenceClassifier,
     TrainOptions, TransformerLm,
 };
-use serde::{Deserialize, Serialize};
 
 /// Describes how a mask set was produced, so surrogate evaluators can model
 /// the quality difference between guided and random pruning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PruningSpec {
     /// Overall sparsity of the evaluated masks, in `[0, 1]`.
     pub sparsity: f64,
@@ -64,7 +63,7 @@ pub trait AccuracyEvaluator {
 /// is 1 for fully guided pruning and grows when Level 1 and/or Level 2 are
 /// random. Constants are calibrated so the guided curve passes near the
 /// operating points reported in the paper (Tables III/IV, Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskProfile {
     /// Unpruned score.
     pub base_score: f64,
@@ -162,7 +161,7 @@ impl TaskProfile {
 }
 
 /// Surrogate evaluator built on a [`TaskProfile`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurrogateEvaluator {
     profile: TaskProfile,
 }

@@ -15,11 +15,10 @@ use rand::SeedableRng;
 use rt3_data::{lm_batches, MarkovCorpus};
 use rt3_tensor::{Adam, Graph, Matrix, Optimizer, Var};
 use rt3_transformer::{evaluate_lm, MaskSet, Model, TrainOptions, TransformerLm};
-use serde::{Deserialize, Serialize};
 
 /// Result of joint training: one score per level plus the final training
 /// loss.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JointTrainingReport {
     /// Validation score of the shared backbone under each level's masks.
     pub per_level_scores: Vec<f64>,

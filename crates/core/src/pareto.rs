@@ -1,7 +1,5 @@
 //! Pareto-frontier extraction over the explored solutions (Fig. 3a).
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the (weighted accuracy, number of runs) objective space.
 pub trait ParetoPoint {
     /// First objective (maximised): weighted accuracy.
@@ -11,7 +9,7 @@ pub trait ParetoPoint {
 }
 
 /// A plain objective pair, for callers that only have the two scalars.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectivePair {
     /// Weighted accuracy.
     pub accuracy: f64,

@@ -1,10 +1,9 @@
 //! The reward function of the RL search — Eq. (1) of the paper.
 
 use crate::config::RewardParams;
-use serde::{Deserialize, Serialize};
 
 /// Which branch of Eq. (1) produced the reward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewardCase {
     /// At least one sub-model missed the timing constraint: `R = -1 + R_runs`
     /// and no fine-tuning is performed.
@@ -18,7 +17,7 @@ pub enum RewardCase {
 }
 
 /// Result of evaluating Eq. (1) for one episode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardBreakdown {
     /// The scalar reward handed to the controller.
     pub reward: f64,

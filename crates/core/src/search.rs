@@ -26,11 +26,10 @@ use rt3_pruning::{
 use rt3_search::{AssignmentSpace, DriverConfig, Fitness, Optimizer, Reinforce, SearchDriver};
 use rt3_sparse::{BlockSquares, SparseFormat};
 use rt3_transformer::{MaskSet, Model};
-use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 
 /// Output of Level 1: the frozen backbone masks and their evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BackboneResult {
     /// Per-parameter keep masks of the backbone model `C`.
     pub masks: MaskSet,
@@ -102,7 +101,7 @@ pub fn run_level1_random<M: Model, E: AccuracyEvaluator>(
 }
 
 /// One explored solution: a full assignment of pattern sets to V/F levels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SolutionPoint {
     /// Chosen candidate index per level (ordered from the highest-frequency
     /// level, M1, to the lowest, Mn).
@@ -144,7 +143,7 @@ impl Fitness for SolutionPoint {
 }
 
 /// Outcome of the Level-2 RL search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// The best feasible solution found (highest reward among solutions that
     /// meet the timing constraint), if any.

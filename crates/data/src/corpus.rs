@@ -10,10 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic corpus generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusConfig {
     /// Vocabulary size (including the `<unk>` token at id 0).
     pub vocab_size: usize,
@@ -64,7 +63,7 @@ impl CorpusConfig {
 /// assert_eq!(corpus.train().len(), 2_000);
 /// assert!(corpus.train().iter().all(|&t| t < corpus.vocab_size()));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovCorpus {
     vocab_size: usize,
     train: Vec<usize>,
@@ -165,7 +164,7 @@ impl MarkovCorpus {
 }
 
 /// A batch of language-modelling sequences: inputs and next-token targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LmBatch {
     /// Input token sequences, each of the configured sequence length.
     pub inputs: Vec<Vec<usize>>,

@@ -19,13 +19,12 @@ use crate::metrics::MetricKind;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Token id reserved for the segment separator in sentence-pair tasks.
 pub const SEP_TOKEN: usize = 1;
 
 /// The nine GLUE tasks plus the WikiText-style LM task used in Fig. 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GlueTask {
     /// Multi-genre natural language inference (3-way classification).
     Mnli,
@@ -129,7 +128,7 @@ impl std::fmt::Display for GlueTask {
 }
 
 /// Label of a synthetic example.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Label {
     /// Classification target.
     Class(usize),
@@ -165,7 +164,7 @@ impl Label {
 
 /// One synthetic example: a token sequence (pair tasks contain a
 /// [`SEP_TOKEN`]) and its label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Example {
     /// Token ids of fixed length [`TaskConfig::seq_len`].
     pub tokens: Vec<usize>,
@@ -174,7 +173,7 @@ pub struct Example {
 }
 
 /// Configuration for synthetic task generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskConfig {
     /// Vocabulary size (ids `0` and [`SEP_TOKEN`] are reserved).
     pub vocab_size: usize,
@@ -225,7 +224,7 @@ impl TaskConfig {
 /// assert_eq!(ds.train().len(), 160);
 /// assert!(ds.dev().iter().all(|e| e.tokens.len() == 12));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskDataset {
     task: GlueTask,
     vocab_size: usize,

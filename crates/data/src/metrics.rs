@@ -3,10 +3,8 @@
 //! (CoLA) and Spearman correlation (STS-B), plus next-word prediction
 //! accuracy for the WikiText-style language-modelling task.
 
-use serde::{Deserialize, Serialize};
-
 /// Which scalar metric a task reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// Fraction of exactly correct predictions.
     Accuracy,

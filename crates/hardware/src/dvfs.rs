@@ -6,10 +6,8 @@
 //! level, mirroring the F-Mode / N-Mode / E-Mode setup of the motivation
 //! experiment (Table II).
 
-use serde::{Deserialize, Serialize};
-
 /// One voltage/frequency operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VfLevel {
     /// Level index `l1..l6` (1-based, as in the paper).
     pub index: usize,
@@ -57,7 +55,7 @@ impl VfLevel {
 }
 
 /// The three execution modes used in the motivation experiment (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DvfsMode {
     /// Fast execution (highest selected level).
     Fast,
@@ -93,7 +91,7 @@ impl std::fmt::Display for DvfsMode {
 /// assert_eq!(gov.mode_for_battery(0.9), DvfsMode::Fast);
 /// assert_eq!(gov.mode_for_battery(0.1), DvfsMode::EnergySaving);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsGovernor {
     levels: Vec<VfLevel>,
     /// Battery fraction below which the governor leaves Fast mode.
@@ -167,11 +165,6 @@ impl DvfsGovernor {
             DvfsMode::EnergySaving => self.levels[0],
             DvfsMode::Normal => self.levels[self.levels.len() / 2],
         }
-    }
-
-    /// Convenience: the level used at a given battery state of charge.
-    pub fn level_for_battery(&self, state_of_charge: f64) -> VfLevel {
-        self.level_for_mode(self.mode_for_battery(state_of_charge))
     }
 
     /// Index (into [`DvfsGovernor::levels`]) of the level used in `mode`.

@@ -11,10 +11,9 @@
 use crate::dvfs::VfLevel;
 use rt3_sparse::SparseFormat;
 use rt3_transformer::{MaskSet, Model, TransformerConfig};
-use serde::{Deserialize, Serialize};
 
 /// Workload of one weight matrix in the model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerWorkload {
     /// Parameter name (for reporting).
     pub name: String,
@@ -87,7 +86,7 @@ impl LayerWorkload {
 
 /// Full-model workload: per-layer weights plus the sequence length the model
 /// is run at.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelWorkload {
     /// Per-weight workloads.
     pub layers: Vec<LayerWorkload>,
@@ -245,7 +244,7 @@ impl ModelWorkload {
 }
 
 /// Analytical latency model for a mobile in-order core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerformancePredictor {
     /// Multiply-accumulates retired per cycle with a perfectly regular
     /// (dense) kernel.

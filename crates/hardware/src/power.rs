@@ -6,7 +6,6 @@
 //! `P = C_eff · V² · f + P_static` evaluated at the DVFS level in use.
 
 use crate::dvfs::VfLevel;
-use serde::{Deserialize, Serialize};
 
 /// Dynamic + static power model of the target core.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let high = power.power_w(&VfLevel::odroid_level(6));
 /// assert!(high > 2.0 * low, "high V/F level must cost much more power");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Effective switched capacitance in farads.
     pub switched_capacitance_f: f64,
@@ -63,7 +62,7 @@ pub fn number_of_runs(budget_j: f64, energy_per_inference_j: f64) -> f64 {
 }
 
 /// A battery with a fixed energy capacity that is drained by inferences.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity_j: f64,
     remaining_j: f64,

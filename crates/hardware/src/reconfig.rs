@@ -5,11 +5,10 @@
 use crate::dvfs::{DvfsGovernor, DvfsMode, VfLevel};
 use crate::power::Battery;
 use rt3_sparse::PatternSet;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Cost of one software reconfiguration event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchCost {
     /// Bytes moved between off-chip memory and the working set.
     pub bytes_moved: usize,
@@ -18,7 +17,7 @@ pub struct SwitchCost {
 }
 
 /// Memory-system model used to convert switch traffic into time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// Sustained off-chip DRAM bandwidth in bytes per millisecond (pattern
     /// sets are swapped between DRAM and the working set).
@@ -75,7 +74,7 @@ impl MemoryModel {
 }
 
 /// Execution profile of the model variant used at one governor level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionProfile {
     /// Inference latency in milliseconds at that level.
     pub latency_ms: f64,
@@ -84,7 +83,7 @@ pub struct ExecutionProfile {
 }
 
 /// Outcome of simulating a full battery discharge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationReport {
     /// Total inferences completed before the battery emptied.
     pub runs: u64,

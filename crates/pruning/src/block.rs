@@ -11,10 +11,9 @@ use rand::Rng;
 use rt3_sparse::BlockPartition;
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
-use serde::{Deserialize, Serialize};
 
 /// How columns are selected for removal inside each block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PruneCriterion {
     /// Remove every column whose in-block l2 norm is below this threshold
     /// (the paper's "pre-set threshold" variant).
@@ -25,7 +24,7 @@ pub enum PruneCriterion {
 }
 
 /// Configuration of the Level-1 block-structured pruning pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockPruningConfig {
     /// Number of row-wise blocks each weight matrix is divided into.
     pub num_blocks: usize,

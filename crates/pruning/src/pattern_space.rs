@@ -15,10 +15,9 @@ use rand::{Rng, SeedableRng};
 use rt3_sparse::{PatternMask, PatternSet};
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the pattern search-space generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternSpaceConfig {
     /// Pattern side length (the paper uses 100; experiments here use 4–10).
     pub pattern_size: usize,
@@ -63,7 +62,7 @@ impl PatternSpaceConfig {
 }
 
 /// One candidate pattern set with its target sparsity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidatePatternSet {
     /// Target sparsity of every pattern in the set.
     pub sparsity: f64,
@@ -73,7 +72,7 @@ pub struct CandidatePatternSet {
 
 /// The shrunken Level-2 search space: one candidate set per explored sparsity
 /// ratio.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternSpace {
     candidates: Vec<CandidatePatternSet>,
     pattern_size: usize,

@@ -280,12 +280,6 @@ impl DeadlineScheduler {
         completions
     }
 
-    /// Drops every queued request (device off); returns how many were
-    /// dropped.
-    pub fn drop_all(&mut self) -> u64 {
-        self.drain_queue().len() as u64
-    }
-
     /// Drops every queued request and hands them back, so the caller can
     /// trace each drop with its request id.
     pub fn drain_queue(&mut self) -> Vec<Request> {

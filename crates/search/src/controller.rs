@@ -4,15 +4,32 @@
 //! pattern set per V/F level — from a softmax head on top of a small
 //! recurrent cell, and is trained with REINFORCE (policy gradient with a
 //! moving-average baseline), following the NAS-style controller of Zoph &
-//! Le that the paper cites.
+//! Le that the paper cites. The Level-2 search drives it through
+//! [`Reinforce`](crate::Reinforce), the [`Optimizer`](crate::Optimizer)
+//! adapter that makes this controller one pluggable optimizer among
+//! several; the controller itself knows nothing about that boundary.
+//!
+//! # Examples
+//!
+//! ```
+//! use rt3_search::{Controller, ControllerConfig};
+//!
+//! let mut controller = Controller::new(ControllerConfig {
+//!     steps: 3,
+//!     actions_per_step: 6,
+//!     ..ControllerConfig::default()
+//! });
+//! let episode = controller.sample_episode();
+//! controller.update(&episode, 0.42);
+//! assert!(controller.baseline() > 0.0);
+//! ```
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rt3_tensor::{softmax_rows_matrix, Adam, Graph, Matrix, Optimizer, Var};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the RNN controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Number of decision steps per episode (one per V/F level).
     pub steps: usize,
@@ -64,7 +81,7 @@ impl ControllerConfig {
 
 /// One sampled episode: the chosen action per step and the policy
 /// probabilities they were drawn from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Episode {
     /// Chosen action index per step.
     pub actions: Vec<usize>,
@@ -84,7 +101,7 @@ impl Episode {
 /// # Examples
 ///
 /// ```
-/// use rt3_rl::{Controller, ControllerConfig};
+/// use rt3_search::{Controller, ControllerConfig};
 ///
 /// let mut controller = Controller::new(ControllerConfig::default());
 /// let episode = controller.sample_episode();

@@ -12,8 +12,9 @@
 //!   fixed number of *distinct* evaluations through a memoized
 //!   [`EvaluationCache`] (repeated proposals are free, so comparisons are
 //!   fair);
-//! * five implementations: [`Reinforce`] (the unchanged `rt3_rl`
-//!   controller, still the default of `rt3-core::run_level2_search`),
+//! * five implementations: [`Reinforce`] (the REINFORCE-trained RNN
+//!   [`Controller`] behind the trait, still the default of
+//!   `rt3-core::run_level2_search`),
 //!   [`Evolutionary`] (seeded μ+λ with per-level mutation and uniform
 //!   crossover), [`DecomposedBandit`] (per-level UCB1 / ε-greedy arms),
 //!   [`RandomSearch`] (the equal-budget baseline) and [`Exhaustive`]
@@ -47,6 +48,7 @@
 
 mod bandit;
 mod cache;
+mod controller;
 mod driver;
 mod evolutionary;
 mod exhaustive;
@@ -56,6 +58,7 @@ mod reinforce;
 
 pub use bandit::{BanditConfig, BanditPolicy, DecomposedBandit};
 pub use cache::EvaluationCache;
+pub use controller::{Controller, ControllerConfig, Episode};
 pub use driver::{DriverConfig, DriverOutcome, Fitness, SearchDriver};
 pub use evolutionary::{Evolutionary, EvolutionaryConfig};
 pub use exhaustive::Exhaustive;
@@ -63,11 +66,9 @@ pub use optimizer::{AssignmentSpace, BestTracker, Optimizer};
 pub use random::RandomSearch;
 pub use reinforce::Reinforce;
 
-use serde::Serialize;
-
 /// The optimizers this crate can build by name — the unit of the Table
 /// III-style comparison and of the `RT3_OPTIMIZER` environment selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptimizerKind {
     /// REINFORCE policy gradient (the paper's choice).
     Reinforce,

@@ -1,13 +1,11 @@
 //! The [`Optimizer`] trait and the [`AssignmentSpace`] it searches.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of the Level-2 assignment space: one decision per V/F level, each
 /// picking one of the shared candidate pattern sets. An assignment is a
 /// `Vec<usize>` of length [`num_levels`](Self::num_levels) whose entries are
 /// `< num_candidates`, ordered from the highest-frequency level (M1) to the
 /// lowest, exactly as `rt3-core` evaluates them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AssignmentSpace {
     /// Number of decisions per assignment (one per V/F level).
     pub num_levels: usize,

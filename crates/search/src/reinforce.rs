@@ -1,10 +1,10 @@
 //! [`Reinforce`]: the paper's RL search (component ②) behind the
-//! [`Optimizer`] trait — a thin adapter over the unchanged
-//! [`rt3_rl::Controller`], so `rt3-core::run_level2_search` routed through
-//! the driver stays bit-identical to the pre-trait implementation.
+//! [`Optimizer`] trait — a thin adapter over the RNN [`Controller`], so
+//! `rt3-core::run_level2_search` routed through the driver stays
+//! bit-identical to the pre-trait implementation.
 
+use crate::controller::{Controller, ControllerConfig, Episode};
 use crate::optimizer::{AssignmentSpace, Optimizer};
-use rt3_rl::{Controller, ControllerConfig, Episode};
 
 /// REINFORCE policy-gradient optimizer wrapping the RNN controller.
 #[derive(Debug, Clone)]

@@ -11,7 +11,6 @@
 //! callers that need it can transpose before and after.
 
 use rt3_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// An even partition of a dimension into contiguous blocks.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.ranges(), &[(0, 4), (4, 7), (7, 10)]);
 /// assert_eq!(p.len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockPartition {
     ranges: Vec<(usize, usize)>,
 }
@@ -100,7 +99,7 @@ impl BlockPartition {
 
 /// One row block of a [`BlockPrunedMatrix`]: the surviving columns and their
 /// packed values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrunedBlock {
     /// First row (inclusive) of the block in the logical matrix.
     pub row_start: usize,
@@ -126,7 +125,7 @@ pub struct PrunedBlock {
 /// assert_eq!(bp.nnz(), 4);
 /// assert!(bp.to_dense().approx_eq(&dense, 0.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockPrunedMatrix {
     rows: usize,
     cols: usize,

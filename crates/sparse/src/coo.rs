@@ -7,7 +7,6 @@
 //! be measured rather than asserted.
 
 use rt3_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Sparse matrix in coordinate format: one `(row, col, value)` triple per
 /// non-zero element.
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(coo.nnz(), 2);
 /// assert!(coo.to_dense().approx_eq(&dense, 0.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CooMatrix {
     rows: usize,
     cols: usize,

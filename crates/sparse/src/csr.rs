@@ -6,7 +6,6 @@
 //! kernel benchmarks (`sparse_matmul` bench).
 
 use rt3_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Sparse matrix in compressed sparse row format.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(csr.nnz(), 2);
 /// assert!(csr.to_dense().approx_eq(&dense, 0.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

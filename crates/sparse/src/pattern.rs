@@ -11,7 +11,6 @@ use crate::plan::{PackLayout, PatternPlan};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rt3_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A square binary mask applied to one block of a weight matrix.
@@ -29,7 +28,7 @@ use std::sync::Arc;
 /// assert_eq!(p.ones(), 2);
 /// assert!(p.is_kept(0, 0) && p.is_kept(1, 1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternMask {
     size: usize,
     bits: Vec<bool>,
@@ -222,7 +221,7 @@ impl PatternMask {
 /// assert_eq!(set.size(), 4);
 /// # Ok::<(), rt3_sparse::SparseError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternSet {
     patterns: Vec<PatternMask>,
 }
@@ -342,7 +341,7 @@ impl PatternSet {
 /// per-call layout or indexing work remains on the hot path. The seed's
 /// scalar kernel is retained in [`crate::reference`] for bit-level
 /// cross-checking.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternPrunedMatrix {
     plan: PatternPlan,
 }

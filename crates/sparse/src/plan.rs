@@ -81,7 +81,6 @@
 use crate::pattern::{PatternMask, PatternSet};
 use crate::simd::{self, Backend};
 use rt3_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -99,7 +98,7 @@ const L1_BYTES: usize = 32 * 1024;
 /// One pattern lowered to flat offset tables: kept positions grouped by
 /// local row, CSR-style, plus each position's local row for the narrow-rhs
 /// kept-list kernel and its in-block offset for block scoring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPattern {
     /// `row_ptr[r]..row_ptr[r + 1]` indexes `cols` for local row `r`.
     row_ptr: Vec<u32>,
@@ -223,7 +222,7 @@ fn kept_offsets(compiled: &[CompiledPattern], stride: usize) -> Vec<Vec<u32>> {
 /// [`CompiledPattern`] per pattern in set order. Built once per set and
 /// shared behind an `Arc` by every [`PackLayout`] lowered against it, so
 /// the weights of one model variant carry a single copy of the set.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct CompiledSet {
     set: PatternSet,
     patterns: Vec<CompiledPattern>,
@@ -328,7 +327,7 @@ impl BlockSquares {
 /// pattern's kept positions as flat offsets for the weight's row stride.
 /// [`PackLayout::assign`] builds it (the scoring half of lowering); after
 /// that, [`PatternPlan::pack_into`] only gathers values.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct PackLayout {
     set: Arc<CompiledSet>,
     rows: usize,
@@ -538,7 +537,7 @@ impl PackLayout {
 /// A pattern-pruned matrix lowered to its executable form: flat value
 /// arena, per-block `u32` offsets, shared per-pattern offset tables and a
 /// full/edge block split. See the module docs for the layout rationale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternPlan {
     /// The value-independent half of the plan (assignment, block offsets,
     /// compiled tables), shared with every plan packed under it.
@@ -547,10 +546,9 @@ pub struct PatternPlan {
     /// `arena[block_offsets[bi]..block_offsets[bi + 1]]` in its pattern's
     /// row-major kept order.
     arena: Vec<f32>,
-    /// Kernel backend the plan executes with. Process state, not model
-    /// data: it is skipped on serialization and re-detected for the host
-    /// CPU on deserialization ([`Backend::default`]).
-    #[serde(skip)]
+    /// Kernel backend the plan executes with: process state, not model
+    /// data, chosen (and validated) for the host CPU when the plan is
+    /// lowered.
     backend: Backend,
 }
 
@@ -639,14 +637,6 @@ impl PatternPlan {
     /// Kernel backend this plan executes with.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// Re-targets the plan to `backend` (clamped to what the CPU
-    /// supports). The lowered layout is backend-independent, so this only
-    /// swaps which kernels `matmul_into` dispatches.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend.validated();
-        self
     }
 
     /// The pattern set the plan was lowered against.

@@ -29,15 +29,13 @@
 // `#[target_feature]` kernel
 #![allow(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
-
 /// Kernel backend executing a [`crate::PatternPlan`].
 ///
 /// Detected once per process ([`Backend::detect`], cached) and stored in
 /// the plan at construction. `Scalar` is the portable fallback — the
 /// compiled kept-list and register-accumulator kernels — and the
 /// bit-exactness reference for every other backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Portable compiled-scalar kernels (auto-vectorized by the compiler).
     Scalar,
@@ -113,14 +111,6 @@ impl Backend {
                 square_into_scalar(dst, src)
             }
         }
-    }
-}
-
-impl Default for Backend {
-    /// Deserialized plans (the backend is `#[serde(skip)]`-ed — it is
-    /// process state, not model data) re-detect on this machine.
-    fn default() -> Self {
-        Self::detect()
     }
 }
 

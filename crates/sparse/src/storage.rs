@@ -9,10 +9,9 @@ use crate::block::{BlockPartition, BlockPrunedMatrix};
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use rt3_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a sparse storage format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SparseFormat {
     /// Dense row-major storage (no pruning benefit, no index overhead).
     Dense,
@@ -37,7 +36,7 @@ impl std::fmt::Display for SparseFormat {
 }
 
 /// Storage cost of one matrix in one format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FormatCost {
     /// The format being measured.
     pub format: SparseFormat,
@@ -55,7 +54,7 @@ impl FormatCost {
 }
 
 /// Side-by-side storage comparison of a pruned matrix in every format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageReport {
     /// Logical shape of the matrix.
     pub shape: (usize, usize),

@@ -1,6 +1,6 @@
-//! Tiny hand-rolled JSON encoding helpers (the workspace is offline; the
-//! vendored `serde` stand-in has no serializer, and the JSONL schema here
-//! is small enough that hand-assembly is the simpler dependency story).
+//! Tiny hand-rolled JSON encoding helpers: the workspace has no
+//! serialisation dependency, and the JSONL schema here is small enough
+//! that hand-assembly is the simpler dependency story.
 
 /// A JSON number for `v`, or `null` when `v` is not finite — `inf`/`NaN`
 /// must never leak into a JSONL file.

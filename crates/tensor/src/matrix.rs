@@ -5,7 +5,6 @@
 //! is layered on top of this type.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -20,7 +19,7 @@ use std::ops::{Add, Mul, Sub};
 /// assert_eq!(m.get(1, 0), 3.0);
 /// assert_eq!(m.shape(), (2, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -2,7 +2,6 @@
 //! backbone during RT3's joint training (component ④ of the framework).
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A gradient-based parameter update rule.
@@ -38,7 +37,7 @@ pub trait Optimizer {
 }
 
 /// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
@@ -98,7 +97,7 @@ impl Optimizer for Sgd {
 
 /// Adam optimizer (Kingma & Ba), the fine-tuning optimizer used for the
 /// Transformer experiments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
     beta1: f32,

@@ -1,7 +1,5 @@
 //! Model hyper-parameter configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyper-parameters of a Transformer model.
 ///
 /// Presets mirror the two models evaluated in the paper: a small Transformer
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// DistilBERT-style encoder stack (6 layers, H = 768, A = 12) for GLUE.
 /// Experiments in this reproduction default to reduced widths so training
 /// fits a CPU-only container (see DESIGN.md).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformerConfig {
     /// Vocabulary size.
     pub vocab_size: usize,

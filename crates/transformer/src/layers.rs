@@ -13,10 +13,9 @@
 use crate::model::ParamBindings;
 use rand::Rng;
 use rt3_tensor::{Graph, Matrix, Var};
-use serde::{Deserialize, Serialize};
 
 /// Multi-head attention with separate query/key/value/output projections.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiHeadAttention {
     /// Query projection, `hidden x hidden`.
     pub wq: Matrix,
@@ -161,7 +160,7 @@ fn causal_bias(seq_q: usize, seq_k: usize) -> Matrix {
 }
 
 /// Position-wise feed-forward network (two linear layers with GELU).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeedForward {
     /// First projection, `hidden x ffn_dim`.
     pub w1: Matrix,
@@ -215,7 +214,7 @@ impl FeedForward {
 }
 
 /// Learnable layer-normalisation parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerNormParams {
     /// Scale, `1 x hidden`.
     pub gamma: Matrix,
@@ -253,7 +252,7 @@ impl LayerNormParams {
 }
 
 /// One Transformer encoder layer (post-norm: `LN(x + Sublayer(x))`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncoderLayer {
     /// Self-attention block.
     pub attn: MultiHeadAttention,
@@ -318,7 +317,7 @@ impl EncoderLayer {
 
 /// One Transformer decoder layer: causal self-attention, cross-attention to
 /// the encoder output, then a feed-forward block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecoderLayer {
     /// Causal self-attention block.
     pub self_attn: MultiHeadAttention,

@@ -9,7 +9,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_data::{Example, Label, LmBatch};
 use rt3_tensor::{Graph, Matrix, Var};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Handles to the model parameters registered in a [`Graph`] for one forward
@@ -165,7 +164,7 @@ pub trait Model {
 /// assert!(model.num_parameters() > 0);
 /// assert!(!model.prunable_parameter_names().is_empty());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransformerLm {
     config: TransformerConfig,
     token_embedding: Matrix,
@@ -314,7 +313,7 @@ impl Model for TransformerLm {
 /// let model = SequenceClassifier::new(TransformerConfig::tiny(64), 2, 0);
 /// assert_eq!(model.num_outputs(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SequenceClassifier {
     config: TransformerConfig,
     token_embedding: Matrix,

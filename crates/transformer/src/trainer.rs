@@ -12,10 +12,9 @@ use rt3_data::{
     MarkovCorpus, MetricKind, TaskDataset,
 };
 use rt3_tensor::{Adam, Graph, Matrix, Optimizer};
-use serde::{Deserialize, Serialize};
 
 /// Options shared by the training loops.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainOptions {
     /// Number of passes over the training data.
     pub epochs: usize,
@@ -57,7 +56,7 @@ impl TrainOptions {
 }
 
 /// Outcome of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean loss over the final epoch.
     pub final_loss: f32,

@@ -11,10 +11,9 @@
 //! * [`transformer`] — the Transformer LM and DistilBERT-style classifier;
 //! * [`pruning`] — block-structured pruning and pattern-space generation;
 //! * [`hardware`] — DVFS, power/battery, latency prediction, reconfiguration;
-//! * [`rl`] — the RNN policy controller;
-//! * [`search`] — pluggable Level-2 optimizers (REINFORCE, evolutionary,
-//!   bandit, random, exhaustive) behind one trait, with a budget-matched
-//!   memoizing search driver;
+//! * [`search`] — pluggable Level-2 optimizers (REINFORCE over the RNN
+//!   policy controller, evolutionary, bandit, random, exhaustive) behind
+//!   one trait, with a budget-matched memoizing search driver;
 //! * [`core`] — the two-level RT3 framework, baselines and experiments;
 //! * [`runtime`] — the battery-aware online serving engine (model bank,
 //!   deadline scheduler, trace-driven scenarios), the fleet layer
@@ -76,7 +75,6 @@ pub mod env {
 pub use rt3_data as data;
 pub use rt3_hardware as hardware;
 pub use rt3_pruning as pruning;
-pub use rt3_rl as rl;
 pub use rt3_runtime as runtime;
 pub use rt3_search as search;
 pub use rt3_server as server;
