@@ -6,7 +6,9 @@
 //! comparison, the lowering of one candidate pattern set to its combined
 //! (backbone ∧ pattern) masks on its own (squaring the weights for it),
 //! and the offline search's lowering of every candidate of the space
-//! through one `CandidateTable`, which squares the weights once.
+//! through one `CandidateTable`, which squares the weights once and
+//! lowers each candidate to its pack layouts and a bit-counted sparsity
+//! (the surrogate evaluator reads no dense mask).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rt3_core::{
@@ -63,7 +65,8 @@ fn bench_switch(c: &mut Criterion) {
         b.iter(|| combined_masks_for_model(&model, backbone, &prunable, &space.candidates()[0].set))
     });
     // one evaluation per candidate, every level on that candidate: the
-    // table lowers each candidate once, from squares built in `new`
+    // table lowers each candidate once, from squares built in `new`, to
+    // layouts and a sparsity; the surrogate builds no mask
     let levels = config.num_levels();
     group.bench_function("offline_search_lowering", |b| {
         b.iter(|| {

@@ -4,7 +4,9 @@
 //! rows.
 
 use crate::config::Rt3Config;
-use crate::evaluator::{AccuracyEvaluator, PruningSpec, SurrogateEvaluator, TaskProfile};
+use crate::evaluator::{
+    AccuracyEvaluator, CandidateMasks, PruningSpec, SurrogateEvaluator, TaskProfile,
+};
 use crate::search::{
     build_search_space, evaluate_assignment, run_level1, run_level1_random, run_level2_search,
     BackboneResult, SolutionPoint,
@@ -293,7 +295,7 @@ pub fn run_ablation<M: Model>(
                 level1_guided: false,
                 level2: Some(guided_pp),
             };
-            accuracies.push(evaluator.evaluate(&masks, &spec));
+            accuracies.push(evaluator.evaluate(CandidateMasks::ready(&masks), &spec));
             sparsities.push(sparsity);
         }
         push_row(variant, sparsities, accuracies, &mut rows);

@@ -18,6 +18,7 @@ use rt3_transformer::{
     evaluate_classifier, evaluate_lm, train_classifier, train_lm, MaskSet, SequenceClassifier,
     TrainOptions, TransformerLm,
 };
+use std::cell::OnceCell;
 
 /// Describes how a mask set was produced, so surrogate evaluators can model
 /// the quality difference between guided and random pruning.
@@ -43,6 +44,60 @@ impl PruningSpec {
     }
 }
 
+/// The masks of one evaluated sub-model, as an [`AccuracyEvaluator`] reads
+/// them ([`CandidateMasks::masks`]); the [`PruningSpec`] carries their
+/// sparsity, and masks handed over built can also be measured without
+/// building lazy ones ([`CandidateMasks::ready_masks`]).
+///
+/// Level 1 and the baselines hand over masks they already built
+/// ([`CandidateMasks::ready`]). The Level-2 search lowers each candidate
+/// only to its pack layouts and a bit-counted sparsity, so its handles
+/// build the dense masks on the first `masks()` call and keep them in the
+/// candidate's cell of the search's table: an evaluator that reads only
+/// the spec — the [`SurrogateEvaluator`] — never builds one, and every
+/// later evaluation of the candidate reuses the first build.
+#[derive(Clone, Copy)]
+pub struct CandidateMasks<'a>(Source<'a>);
+
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Ready(&'a MaskSet),
+    Lazy {
+        cell: &'a OnceCell<MaskSet>,
+        build: &'a dyn Fn() -> MaskSet,
+    },
+}
+
+impl<'a> CandidateMasks<'a> {
+    /// A handle on masks that are already built.
+    pub fn ready(masks: &'a MaskSet) -> Self {
+        Self(Source::Ready(masks))
+    }
+
+    /// A handle on masks that `build` makes, into `cell`, the first time a
+    /// handle over `cell` is asked for them.
+    pub(crate) fn lazy(cell: &'a OnceCell<MaskSet>, build: &'a dyn Fn() -> MaskSet) -> Self {
+        Self(Source::Lazy { cell, build })
+    }
+
+    /// The masks if they were handed over built ([`CandidateMasks::ready`]),
+    /// without building lazy ones.
+    pub fn ready_masks(&self) -> Option<&'a MaskSet> {
+        match self.0 {
+            Source::Ready(masks) => Some(masks),
+            Source::Lazy { .. } => None,
+        }
+    }
+
+    /// The dense masks, built on the first call for a lazy handle.
+    pub fn masks(&self) -> &'a MaskSet {
+        match self.0 {
+            Source::Ready(masks) => masks,
+            Source::Lazy { cell, build } => cell.get_or_init(build),
+        }
+    }
+}
+
 /// Produces the task score of the backbone model under a candidate mask set.
 pub trait AccuracyEvaluator {
     /// Score of the unpruned model (`A_o`'s upper reference, "No-Opt").
@@ -50,8 +105,10 @@ pub trait AccuracyEvaluator {
 
     /// Score of the model under `masks`. `spec` carries the sparsity and
     /// pruning-quality information surrogate implementations need; trained
-    /// implementations may ignore it.
-    fn evaluate(&mut self, masks: &MaskSet, spec: &PruningSpec) -> f64;
+    /// implementations may ignore it. An implementation that does not call
+    /// [`CandidateMasks::masks`] keeps the search from building dense
+    /// masks.
+    fn evaluate(&mut self, masks: CandidateMasks<'_>, spec: &PruningSpec) -> f64;
 
     /// Human-readable name of the underlying task (for reports).
     fn task_name(&self) -> String;
@@ -183,12 +240,12 @@ impl AccuracyEvaluator for SurrogateEvaluator {
         self.profile.base_score
     }
 
-    fn evaluate(&mut self, masks: &MaskSet, spec: &PruningSpec) -> f64 {
-        // prefer the measured sparsity of the actual masks when available
-        let sparsity = if masks.is_empty() {
-            spec.sparsity
-        } else {
-            masks.overall_sparsity()
+    fn evaluate(&mut self, masks: CandidateMasks<'_>, spec: &PruningSpec) -> f64 {
+        // prefer the measured sparsity of masks handed over built; the
+        // search's lazy masks carry their bit-counted sparsity in the spec
+        let sparsity = match masks.ready_masks() {
+            Some(masks) if !masks.is_empty() => masks.overall_sparsity(),
+            _ => spec.sparsity,
         };
         self.profile.score(&PruningSpec { sparsity, ..*spec })
     }
@@ -223,9 +280,14 @@ impl AccuracyEvaluator for TrainedLmEvaluator {
         evaluate_lm(&self.model, &self.corpus, self.options.seq_len, None)
     }
 
-    fn evaluate(&mut self, masks: &MaskSet, _spec: &PruningSpec) -> f64 {
+    fn evaluate(&mut self, masks: CandidateMasks<'_>, _spec: &PruningSpec) -> f64 {
         let mut candidate = self.model.clone();
-        let report = train_lm(&mut candidate, &self.corpus, &self.options, Some(masks));
+        let report = train_lm(
+            &mut candidate,
+            &self.corpus,
+            &self.options,
+            Some(masks.masks()),
+        );
         report.metric
     }
 
@@ -260,9 +322,14 @@ impl AccuracyEvaluator for TrainedClassifierEvaluator {
         evaluate_classifier(&self.model, &self.dataset, None)
     }
 
-    fn evaluate(&mut self, masks: &MaskSet, _spec: &PruningSpec) -> f64 {
+    fn evaluate(&mut self, masks: CandidateMasks<'_>, _spec: &PruningSpec) -> f64 {
         let mut candidate = self.model.clone();
-        let report = train_classifier(&mut candidate, &self.dataset, &self.options, Some(masks));
+        let report = train_classifier(
+            &mut candidate,
+            &self.dataset,
+            &self.options,
+            Some(masks.masks()),
+        );
         report.metric
     }
 
@@ -360,7 +427,39 @@ mod tests {
             level1_guided: true,
             level2: None,
         };
-        let score = eval.evaluate(&masks, &spec);
+        let score = eval.evaluate(CandidateMasks::ready(&masks), &spec);
         assert!(score < eval.unpruned_score());
+    }
+
+    /// The surrogate scores a lazy handle from the spec's sparsity without
+    /// building the masks, and the masks are built once, on the first
+    /// `masks()` call, however many handles share the cell.
+    #[test]
+    fn lazy_masks_are_built_once_and_only_when_read() {
+        use rt3_tensor::Matrix;
+        use std::cell::Cell;
+        let builds = Cell::new(0);
+        let build = || {
+            builds.set(builds.get() + 1);
+            let mut masks = MaskSet::new();
+            masks.insert("w", Matrix::from_vec(1, 4, vec![1.0, 0.0, 0.0, 0.0]));
+            masks
+        };
+        let cell = OnceCell::new();
+        let masks = CandidateMasks::lazy(&cell, &build);
+        let mut eval = SurrogateEvaluator::new(TaskProfile::wikitext2());
+        let spec = PruningSpec {
+            sparsity: 0.75,
+            level1_guided: true,
+            level2: Some(true),
+        };
+        let score = eval.evaluate(masks, &spec);
+        assert_eq!(builds.get(), 0);
+        assert_eq!(score, eval.profile().score(&spec));
+        assert!(masks.ready_masks().is_none());
+        assert_eq!(masks.masks().overall_sparsity(), 0.75);
+        let again = CandidateMasks::lazy(&cell, &build);
+        assert!(std::ptr::eq(again.masks(), masks.masks()));
+        assert_eq!(builds.get(), 1);
     }
 }

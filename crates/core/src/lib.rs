@@ -59,8 +59,8 @@ pub use baselines::{
 pub use compare::{compare_optimizers, ComparisonConfig, ComparisonReport, OptimizerReport};
 pub use config::{RewardParams, Rt3Config};
 pub use evaluator::{
-    AccuracyEvaluator, PruningSpec, SurrogateEvaluator, TaskProfile, TrainedClassifierEvaluator,
-    TrainedLmEvaluator,
+    AccuracyEvaluator, CandidateMasks, PruningSpec, SurrogateEvaluator, TaskProfile,
+    TrainedClassifierEvaluator, TrainedLmEvaluator,
 };
 pub use joint::{individually_train_lm, joint_train_lm, JointTrainingReport};
 pub use pareto::{frontier_covers, pareto_front_indices, ObjectivePair, ParetoPoint};

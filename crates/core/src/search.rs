@@ -13,20 +13,21 @@
 //!   budget-matched memoizing [`rt3_search::SearchDriver`].
 
 use crate::config::Rt3Config;
-use crate::evaluator::{AccuracyEvaluator, PruningSpec};
+use crate::evaluator::{AccuracyEvaluator, CandidateMasks, PruningSpec};
 use crate::pareto::{pareto_front_indices, ParetoPoint};
 use crate::reward::{compute_reward, RewardCase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_hardware::{number_of_runs, ModelWorkload, PowerModel, VfLevel};
 use rt3_pruning::{
-    block_prune_model, block_squares, combined_masks, generate_pattern_space,
-    random_block_prune_model, resolve_prunable, PatternSpace, PrunableWeight,
+    block_prune_model, block_squares, combined_masks, generate_pattern_space, pattern_layouts,
+    random_block_prune_model, resolve_prunable, MaskCoverage, PatternSpace, PrunableWeight,
 };
 use rt3_search::{AssignmentSpace, DriverConfig, Fitness, Optimizer, Reinforce, SearchDriver};
-use rt3_sparse::{BlockSquares, SparseFormat};
+use rt3_sparse::{BlockSquares, MaskBits, PackLayout, SparseFormat};
 use rt3_transformer::{MaskSet, Model};
 use std::cell::OnceCell;
+use std::sync::Arc;
 
 /// Output of Level 1: the frozen backbone masks and their evaluation.
 #[derive(Debug, Clone)]
@@ -58,7 +59,7 @@ pub fn run_level1<M: Model, E: AccuracyEvaluator>(
         level1_guided: true,
         level2: None,
     };
-    let accuracy = evaluator.evaluate(&masks, &spec);
+    let accuracy = evaluator.evaluate(CandidateMasks::ready(&masks), &spec);
     BackboneResult {
         masks,
         sparsity,
@@ -90,7 +91,7 @@ pub fn run_level1_random<M: Model, E: AccuracyEvaluator>(
         level1_guided: false,
         level2: None,
     };
-    let accuracy = evaluator.evaluate(&masks, &spec);
+    let accuracy = evaluator.evaluate(CandidateMasks::ready(&masks), &spec);
     BackboneResult {
         masks,
         sparsity,
@@ -168,21 +169,26 @@ impl SearchOutcome {
 }
 
 /// The per-search table of candidate lowerings: each candidate pattern
-/// set's combined (backbone ∧ pattern) masks, their overall sparsity and,
-/// per V/F level, the predicted latency and energy per inference at that
-/// sparsity — lowered at most once, the first time an assignment picks the
-/// candidate.
+/// set's pack layouts (one per prunable weight), the overall sparsity of
+/// its combined (backbone ∧ pattern) masks and, per V/F level, the predicted latency and energy per inference at
+/// that sparsity — lowered at most once, the first time an assignment picks
+/// the candidate.
 ///
-/// The masks are a fixed function of (model, backbone, candidate), so every
-/// Level-2 evaluation goes through one table per search instead of lowering
-/// each level's candidate again per evaluation. The prunable weights and
-/// their backbone masks are resolved once, when the table is built, and so
-/// are their squares ([`block_squares`]), which do not depend on the
-/// candidate: a lowering scores from those squares and reads back only
-/// masks ([`combined_masks`]). The evaluator is still
-/// called once per level per evaluation, in level order, with masks equal
-/// to a fresh [`rt3_pruning::combined_masks_for_model`] lowering, so
-/// stateful evaluators see the same call sequence either way.
+/// The lowering is a fixed function of (model, backbone, candidate), so
+/// every Level-2 evaluation goes through one table per search instead of
+/// lowering each level's candidate again per evaluation. The prunable
+/// weights and their backbone masks are resolved once, when the table is
+/// built, and so are their squares ([`block_squares`]), the backbone
+/// masks' per-block bitmasks ([`MaskBits`]) and the mask coverage
+/// ([`MaskCoverage`]), which do not depend on the candidate: a lowering
+/// scores from those squares ([`pattern_layouts`]) and takes the sparsity
+/// from the layouts' kept positions, bit-counted against those bitmasks,
+/// building no mask. The dense masks are built from the layouts ([`combined_masks`])
+/// only when an evaluator reads them ([`CandidateMasks::masks`]), once per
+/// candidate. The evaluator is still called once per level per evaluation,
+/// in level order, with masks equal to a fresh
+/// [`rt3_pruning::combined_masks_for_model`] lowering, so stateful
+/// evaluators see the same call sequence either way.
 pub struct CandidateTable<'a> {
     backbone: &'a BackboneResult,
     space: &'a PatternSpace,
@@ -190,6 +196,9 @@ pub struct CandidateTable<'a> {
     weights: Vec<PrunableWeight<'a>>,
     /// Each weight's backbone-masked squares for the space's pattern size.
     squares: Vec<BlockSquares>,
+    /// Each weight's backbone mask as per-block bitmasks, for kept counts.
+    mask_bits: Vec<MaskBits>,
+    coverage: MaskCoverage,
     power: PowerModel,
     /// V/F levels ordered high frequency -> low frequency (M1 first, as in
     /// the paper).
@@ -200,17 +209,21 @@ pub struct CandidateTable<'a> {
 
 /// One candidate's lowering.
 struct Lowered {
-    masks: MaskSet,
+    /// One pack layout per prunable weight, in the table's weight order.
+    layouts: Vec<Arc<PackLayout>>,
     sparsity: f64,
     /// Predicted latency (ms) and energy per inference (J) on each level,
     /// in the table's level order.
     per_level: Vec<(f64, f64)>,
+    /// The combined masks, built the first time an evaluator reads them.
+    masks: OnceCell<MaskSet>,
 }
 
 impl<'a> CandidateTable<'a> {
     /// An empty table over `space`: resolves the model's prunable weights
-    /// and their backbone masks, squares them for the space's pattern size,
-    /// and lowers nothing until an evaluation needs it.
+    /// and their backbone masks, squares them and bitmasks the masks for
+    /// the space's pattern size, and lowers nothing until an evaluation
+    /// needs it.
     pub fn new<M: Model>(
         model: &'a M,
         backbone: &'a BackboneResult,
@@ -220,12 +233,22 @@ impl<'a> CandidateTable<'a> {
         let mut levels = config.governor.levels().to_vec();
         levels.reverse();
         let weights = resolve_prunable(model, &backbone.masks, &model.prunable_parameter_names());
+        let coverage = MaskCoverage::new(
+            weights.iter().map(|w| (w.name.as_str(), w.weight.len())),
+            &backbone.masks,
+        );
+        let psize = space.pattern_size();
         Self {
             backbone,
             space,
             config,
-            squares: block_squares(&weights, space.pattern_size()),
+            squares: block_squares(&weights, psize),
+            mask_bits: weights
+                .iter()
+                .map(|w| MaskBits::new(w.weight.shape(), w.backbone, psize))
+                .collect(),
             weights,
+            coverage,
             power: PowerModel::cortex_a7(),
             levels,
             lowered: (0..space.len()).map(|_| OnceCell::new()).collect(),
@@ -233,13 +256,16 @@ impl<'a> CandidateTable<'a> {
         }
     }
 
-    /// One candidate's combined masks, their overall sparsity and their
-    /// latency and energy on every level.
+    /// One candidate's layouts, the overall sparsity of its combined masks
+    /// and its latency and energy on every level.
     fn lowered(&self, candidate: usize) -> &Lowered {
         self.lowered[candidate].get_or_init(|| {
             let set = &self.space.candidates()[candidate].set;
-            let masks = combined_masks(&self.weights, &self.squares, &self.backbone.masks, set);
-            let sparsity = masks.overall_sparsity();
+            let layouts = pattern_layouts(&self.squares, set);
+            let kept = self.mask_bits.iter().zip(&layouts);
+            let sparsity = self
+                .coverage
+                .sparsity(kept.map(|(bits, layout)| bits.kept(layout)).sum());
             let workload = ModelWorkload::from_config(
                 &self.config.workload_config,
                 sparsity,
@@ -255,9 +281,10 @@ impl<'a> CandidateTable<'a> {
                 })
                 .collect();
             Lowered {
-                masks,
+                layouts,
                 sparsity,
                 per_level,
+                masks: OnceCell::new(),
             }
         })
     }
@@ -290,6 +317,8 @@ impl<'a> CandidateTable<'a> {
         let budget_per_level = self.config.energy_budget_j / actions.len() as f64;
         for (level_pos, &action) in actions.iter().enumerate().take(self.levels.len()) {
             let lowered = self.lowered(action);
+            let build = || combined_masks(&self.weights, &lowered.layouts, &self.backbone.masks);
+            let masks = CandidateMasks::lazy(&lowered.masks, &build);
             let (latency, energy) = lowered.per_level[level_pos];
             total_runs += number_of_runs(budget_per_level, energy);
             let spec = PruningSpec {
@@ -297,7 +326,7 @@ impl<'a> CandidateTable<'a> {
                 level1_guided: self.backbone.guided,
                 level2: Some(level2_guided),
             };
-            accuracies.push(evaluator.evaluate(&lowered.masks, &spec));
+            accuracies.push(evaluator.evaluate(masks, &spec));
             sparsities.push(lowered.sparsity);
             latencies.push(latency);
         }
@@ -601,8 +630,8 @@ mod tests {
             self.inner.unpruned_score()
         }
 
-        fn evaluate(&mut self, masks: &MaskSet, spec: &PruningSpec) -> f64 {
-            self.calls.push((masks.clone(), *spec));
+        fn evaluate(&mut self, masks: CandidateMasks<'_>, spec: &PruningSpec) -> f64 {
+            self.calls.push((masks.masks().clone(), *spec));
             self.inner.evaluate(masks, spec)
         }
 
@@ -666,6 +695,32 @@ mod tests {
             .collect();
         assert_eq!(lowered, used);
         assert!(lowered.len() <= space.len());
+        // the recording evaluator read the masks of every candidate an
+        // assignment picked, which built them once, in the candidate's cell
+        for &action in evaluated.iter().flat_map(|p| &p.actions) {
+            assert!(table.lowered[action].get().unwrap().masks.get().is_some());
+        }
+    }
+
+    /// A search under the surrogate, which reads only the sparsity, lowers
+    /// every candidate it picks to layouts and a bit-counted sparsity and
+    /// builds no dense mask.
+    #[test]
+    fn surrogate_search_builds_no_mask() {
+        let (model, config, mut evaluator) = setup();
+        let backbone = run_level1(&model, &config, &mut evaluator);
+        let space = build_search_space(&model, &backbone, &config);
+        let table = CandidateTable::new(&model, &backbone, &space, &config);
+        let mut optimizer =
+            Reinforce::for_space(level2_assignment_space(&space, &config), config.seed);
+        let outcome = search_through(&mut optimizer, &table, &mut evaluator);
+        assert_eq!(outcome.history.len(), config.episodes + 1);
+        let lowered: Vec<&Lowered> = table.lowered.iter().filter_map(OnceCell::get).collect();
+        assert!(!lowered.is_empty());
+        for lowered in lowered {
+            assert_eq!(lowered.layouts.len(), table.weights.len());
+            assert!(lowered.masks.get().is_none(), "a dense mask was built");
+        }
     }
 
     #[test]

@@ -89,38 +89,61 @@ pub fn block_prune_matrix(weight: &Matrix, config: &BlockPruningConfig) -> Matri
     config
         .validate()
         .expect("invalid block pruning configuration");
-    let blocks = config.num_blocks.min(weight.rows()).max(1);
-    let partition = BlockPartition::even(weight.rows(), blocks);
-    let mut mask = Matrix::zeros(weight.rows(), weight.cols());
+    let (rows, cols) = weight.shape();
+    let blocks = config.num_blocks.min(rows).max(1);
+    let partition = BlockPartition::even(rows, blocks);
+    let mut mask = Matrix::zeros(rows, cols);
+    let mut norms = vec![0.0; cols];
+    let mut order = Vec::with_capacity(cols);
+    let mut keep = vec![true; cols];
     for &(start, end) in partition.ranges() {
-        let block = weight.slice_rows(start, end);
-        let norms: Vec<f32> = (0..block.cols()).map(|c| block.col_l2_norm(c)).collect();
-        let keep: Vec<bool> = match config.criterion {
-            PruneCriterion::Threshold(t) => norms.iter().map(|&n| n >= t).collect(),
+        column_norms_into(&mut norms, weight, start, end);
+        match config.criterion {
+            PruneCriterion::Threshold(t) => {
+                for (k, &n) in keep.iter_mut().zip(&norms) {
+                    *k = n >= t;
+                }
+            }
             PruneCriterion::Fraction(f) => {
-                let prune_count = ((block.cols() as f64) * f).floor() as usize;
-                let mut order: Vec<usize> = (0..block.cols()).collect();
+                let prune_count = ((cols as f64) * f).floor() as usize;
+                order.clear();
+                order.extend(0..cols);
                 order.sort_by(|&a, &b| {
                     norms[a]
                         .partial_cmp(&norms[b])
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
-                let mut keep = vec![true; block.cols()];
+                keep.fill(true);
                 for &c in order.iter().take(prune_count) {
                     keep[c] = false;
                 }
-                keep
             }
-        };
+        }
         for r in start..end {
-            for (c, &k) in keep.iter().enumerate() {
+            for (m, &k) in mask.row_mut(r).iter_mut().zip(&keep) {
                 if k {
-                    mask.set(r, c, 1.0);
+                    *m = 1.0;
                 }
             }
         }
     }
     mask
+}
+
+/// The l2 norm of every column of rows `start..end` of `weight`, into
+/// `norms`: one row-major pass adds each row's squares to its columns'
+/// sums, so each column's squares are summed in row order, as
+/// `Matrix::col_l2_norm` sums them.
+fn column_norms_into(norms: &mut [f32], weight: &Matrix, start: usize, end: usize) {
+    norms.fill(0.0);
+    for r in start..end {
+        for (n, &v) in norms.iter_mut().zip(weight.row(r)) {
+            *n += v * v;
+        }
+    }
+    for n in norms.iter_mut() {
+        *n = n.sqrt();
+    }
 }
 
 /// Random block pruning (the "rBP" ablation baseline): removes the same
@@ -211,12 +234,10 @@ pub fn reweighted_group_lasso_penalty(
 ) -> (f32, Vec<f32>) {
     let blocks = num_blocks.min(weight.rows()).max(1);
     let partition = BlockPartition::even(weight.rows(), blocks);
-    let mut norms = Vec::with_capacity(blocks * weight.cols());
-    for &(start, end) in partition.ranges() {
-        let block = weight.slice_rows(start, end);
-        for c in 0..block.cols() {
-            norms.push(block.col_l2_norm(c));
-        }
+    let cols = weight.cols();
+    let mut norms = vec![0.0; blocks * cols];
+    for (k, &(start, end)) in partition.ranges().iter().enumerate() {
+        column_norms_into(&mut norms[k * cols..(k + 1) * cols], weight, start, end);
     }
     if let Some(prev) = previous_norms {
         assert_eq!(prev.len(), norms.len(), "previous norm count mismatch");
@@ -275,6 +296,98 @@ mod tests {
             assert_eq!(mask.get(7, c - 4), 0.0);
         }
         assert!((mask.sparsity() - 0.5).abs() < 1e-9);
+    }
+
+    /// Algorithm 1 as it was first written: copy each row block out and
+    /// take every column's norm with `Matrix::col_l2_norm`.
+    fn sliced_block_prune_matrix(weight: &Matrix, config: &BlockPruningConfig) -> Matrix {
+        let blocks = config.num_blocks.min(weight.rows()).max(1);
+        let partition = BlockPartition::even(weight.rows(), blocks);
+        let mut mask = Matrix::zeros(weight.rows(), weight.cols());
+        for &(start, end) in partition.ranges() {
+            let block = weight.slice_rows(start, end);
+            let norms: Vec<f32> = (0..block.cols()).map(|c| block.col_l2_norm(c)).collect();
+            let keep: Vec<bool> = match config.criterion {
+                PruneCriterion::Threshold(t) => norms.iter().map(|&n| n >= t).collect(),
+                PruneCriterion::Fraction(f) => {
+                    let prune_count = ((block.cols() as f64) * f).floor() as usize;
+                    let mut order: Vec<usize> = (0..block.cols()).collect();
+                    order.sort_by(|&a, &b| {
+                        norms[a]
+                            .partial_cmp(&norms[b])
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    });
+                    let mut keep = vec![true; block.cols()];
+                    for &c in order.iter().take(prune_count) {
+                        keep[c] = false;
+                    }
+                    keep
+                }
+            };
+            for r in start..end {
+                for (c, &k) in keep.iter().enumerate() {
+                    if k {
+                        mask.set(r, c, 1.0);
+                    }
+                }
+            }
+        }
+        mask
+    }
+
+    /// The one-pass column norms give the sliced `col_l2_norm` masks bit
+    /// for bit: random weights, weights whose columns tie in norm (equal
+    /// and sign-flipped columns, an all-zero column) so the stable sort's
+    /// tie order decides, a threshold equal to a column's norm, 1-row
+    /// blocks and more blocks than rows, under both criteria. The group
+    /// lasso norms match `col_l2_norm` too.
+    #[test]
+    fn one_pass_norms_match_the_sliced_column_norms() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let random = Matrix::xavier(13, 11, &mut rng);
+        // 48 columns in four tied classes, more than a small-slice sort
+        // takes in order
+        let tied = Matrix::from_fn(9, 48, |r, c| match c % 4 {
+            0 => 0.5 + r as f32 * 0.1,
+            1 => -(0.5 + r as f32 * 0.1),
+            2 => 0.0,
+            _ => random.get(r, c % 11),
+        });
+        let tied_norm = tied.slice_rows(0, 3).col_l2_norm(0);
+        for weight in [&random, &tied] {
+            for num_blocks in [1, 3, weight.rows(), weight.rows() + 4] {
+                for criterion in [
+                    PruneCriterion::Fraction(0.0),
+                    PruneCriterion::Fraction(0.5),
+                    PruneCriterion::Fraction(0.9),
+                    PruneCriterion::Threshold(0.3),
+                    PruneCriterion::Threshold(tied_norm),
+                ] {
+                    let config = BlockPruningConfig {
+                        num_blocks,
+                        criterion,
+                    };
+                    let got = block_prune_matrix(weight, &config);
+                    let want = sliced_block_prune_matrix(weight, &config);
+                    assert_eq!(got, want, "{num_blocks} blocks, {criterion:?}");
+                }
+                let (_, norms) = reweighted_group_lasso_penalty(weight, num_blocks, None);
+                let blocks = num_blocks.min(weight.rows());
+                let partition = BlockPartition::even(weight.rows(), blocks);
+                let want: Vec<u32> = partition
+                    .ranges()
+                    .iter()
+                    .flat_map(|&(start, end)| {
+                        let block = weight.slice_rows(start, end);
+                        (0..block.cols())
+                            .map(move |c| block.col_l2_norm(c).to_bits())
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                let got: Vec<u32> = norms.iter().map(|n| n.to_bits()).collect();
+                assert_eq!(got, want, "{num_blocks} blocks");
+            }
+        }
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub fn combined_masks_for_model<M: Model>(
     set: &PatternSet,
 ) -> MaskSet {
     let weights = resolve_prunable(model, backbone, names);
-    let squares = block_squares(&weights, set.size());
-    combined_masks(&weights, &squares, backbone, set)
+    let layouts = pattern_layouts(&block_squares(&weights, set.size()), set);
+    combined_masks(&weights, &layouts, backbone)
 }
 
 /// The squares of each backbone-masked weight, laid out for scoring
@@ -72,31 +72,43 @@ pub fn block_squares(weights: &[PrunableWeight<'_>], psize: usize) -> Vec<BlockS
         .collect()
 }
 
-/// [`combined_masks_for_model`] over weights resolved by
-/// [`resolve_prunable`] against the same `backbone`, scored from their
-/// [`block_squares`] for the set's pattern size. Each weight's layout is
-/// read back as a keep-mask (backbone ∧ pattern), with no weight clone and
-/// no value gather; the backbone's other entries are copied as they are.
+/// Scores every table of `squares` against `set`: one pack layout per
+/// weight, all sharing one compiled copy of the set. A caller that needs
+/// only the sparsity sums each layout's kept count under its weight's mask
+/// ([`rt3_sparse::MaskBits::kept`]) through a [`MaskCoverage`] and never
+/// builds a mask.
 ///
 /// # Panics
 ///
-/// Panics if `squares` does not hold one table per weight, laid out for
-/// the set's pattern size.
+/// Panics if a table was laid out for another pattern size than the
+/// set's.
+pub fn pattern_layouts(squares: &[BlockSquares], set: &PatternSet) -> Vec<Arc<PackLayout>> {
+    let set = Arc::new(CompiledSet::new(set));
+    squares
+        .iter()
+        .map(|squares| Arc::new(PackLayout::assign(squares, &set)))
+        .collect()
+}
+
+/// The combined masks of [`combined_masks_for_model`] over weights resolved
+/// by [`resolve_prunable`] against the same `backbone`, from their
+/// [`pattern_layouts`] (in `weights` order). Each weight's layout is read
+/// back as a keep-mask (backbone ∧ pattern), with no weight clone and no
+/// value gather; the backbone's other entries are copied as they are.
+///
+/// # Panics
+///
+/// Panics if `layouts` does not hold one layout per weight, shaped like it.
 pub fn combined_masks(
     weights: &[PrunableWeight<'_>],
-    squares: &[BlockSquares],
+    layouts: &[Arc<PackLayout>],
     backbone: &MaskSet,
-    set: &PatternSet,
 ) -> MaskSet {
-    assert_eq!(weights.len(), squares.len(), "one square table per weight");
-    let set = Arc::new(CompiledSet::new(set));
+    assert_eq!(weights.len(), layouts.len(), "one layout per weight");
     let mut masks: MaskSet = weights
         .iter()
-        .zip(squares)
-        .map(|(w, squares)| {
-            let layout = PackLayout::assign(squares, &set);
-            (w.name.clone(), layout.keep_mask(w.backbone))
-        })
+        .zip(layouts)
+        .map(|(w, layout)| (w.name.clone(), layout.keep_mask(w.backbone)))
         .collect();
     for (name, mask) in backbone.iter() {
         if masks.get(name).is_none() {
@@ -106,11 +118,62 @@ pub fn combined_masks(
     masks
 }
 
+/// The element counts of a combined (backbone ∧ pattern) mask set that do
+/// not depend on the pattern set: the elements it covers — every patterned
+/// weight plus every backbone mask of another parameter — and the
+/// non-zeros of those other backbone masks, which no pattern touches.
+/// With the patterned weights' kept count (the sum of
+/// [`rt3_sparse::MaskBits::kept`] over their layouts) it gives the set's
+/// overall sparsity without building it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MaskCoverage {
+    covered: usize,
+    unpatterned_kept: usize,
+}
+
+impl MaskCoverage {
+    /// The coverage of the combined masks of the `patterned` weights, given
+    /// as `(name, elements)`, over `backbone`.
+    pub fn new<'n>(
+        patterned: impl IntoIterator<Item = (&'n str, usize)>,
+        backbone: &MaskSet,
+    ) -> Self {
+        let mut names = Vec::new();
+        let mut covered = 0;
+        for (name, elements) in patterned {
+            names.push(name);
+            covered += elements;
+        }
+        let mut unpatterned_kept = 0;
+        for (_, mask) in backbone.iter().filter(|(name, _)| !names.contains(name)) {
+            covered += mask.len();
+            unpatterned_kept += mask.count_nonzero();
+        }
+        Self {
+            covered,
+            unpatterned_kept,
+        }
+    }
+
+    /// Overall sparsity of the combined masks whose patterned weights keep
+    /// `patterned_kept` positions: pruned over covered elements, both
+    /// integers until the one division, so it equals
+    /// `MaskSet::overall_sparsity` of the built masks bit for bit.
+    pub fn sparsity(&self, patterned_kept: usize) -> f64 {
+        if self.covered == 0 {
+            return 0.0;
+        }
+        let kept = patterned_kept + self.unpatterned_kept;
+        (self.covered - kept) as f64 / self.covered as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::{block_prune_model, BlockPruningConfig, PruneCriterion};
     use crate::pattern_space::{generate_pattern_space, PatternSpaceConfig};
+    use rt3_sparse::MaskBits;
     use rt3_transformer::{TransformerConfig, TransformerLm};
 
     fn setup() -> (TransformerLm, MaskSet, PatternSet) {
@@ -195,7 +258,9 @@ mod tests {
     /// path bit for bit, sparsity included, both through
     /// `combined_masks_for_model` and through one set of square tables
     /// built before any candidate and shared by all of them (the search's
-    /// path): over every prunable weight and over a subset of them (so
+    /// path), and the layouts' bit-counted kept positions give that
+    /// sparsity through `MaskCoverage` without the masks: over every
+    /// prunable weight and over a subset of them (so
     /// backbone entries fall outside `names`), with the backbone, with an
     /// empty one, and with a backbone entry no model parameter has.
     /// Pattern size 3 leaves edge blocks.
@@ -221,11 +286,16 @@ mod tests {
                 for names in [&all, &subset] {
                     let weights = resolve_prunable(&model, backbone, names);
                     let squares = block_squares(&weights, pattern_size);
+                    let coverage = MaskCoverage::new(
+                        weights.iter().map(|w| (w.name.as_str(), w.weight.len())),
+                        backbone,
+                    );
                     for candidate in space.candidates() {
                         let old = clone_and_compile_masks(&model, backbone, names, &candidate.set);
+                        let layouts = pattern_layouts(&squares, &candidate.set);
                         for new in [
                             combined_masks_for_model(&model, backbone, names, &candidate.set),
-                            combined_masks(&weights, &squares, backbone, &candidate.set),
+                            combined_masks(&weights, &layouts, backbone),
                         ] {
                             assert_eq!(bits(&new), bits(&old), "psize {pattern_size}");
                             assert_eq!(
@@ -233,6 +303,17 @@ mod tests {
                                 old.overall_sparsity().to_bits()
                             );
                         }
+                        let kept = weights
+                            .iter()
+                            .zip(&layouts)
+                            .map(|(w, l)| {
+                                MaskBits::new(w.weight.shape(), w.backbone, pattern_size).kept(l)
+                            })
+                            .sum();
+                        assert_eq!(
+                            coverage.sparsity(kept).to_bits(),
+                            old.overall_sparsity().to_bits()
+                        );
                     }
                 }
             }

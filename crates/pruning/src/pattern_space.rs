@@ -8,7 +8,7 @@
 //! representative patterns per sparsity — a *candidate pattern set*. The RL
 //! controller later picks one candidate set per V/F level.
 
-use crate::pattern_apply::resolve_prunable;
+use crate::pattern_apply::{resolve_prunable, PrunableWeight};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -111,22 +111,19 @@ impl PatternSpace {
 }
 
 /// Builds the per-position importance map by sampling blocks of the
-/// backbone-masked prunable weights and accumulating their absolute values
+/// backbone-masked prunable `weights` (resolved by [`resolve_prunable`],
+/// once for all maps of a space) and accumulating their absolute values
 /// (point-wise addition, as in the paper).
 ///
-/// Every prunable weight and its backbone mask are resolved once per map
-/// ([`resolve_prunable`]); block origins are `(weight index, row, column)`
-/// triples, so the shuffle draws and the accumulation order depend only on
-/// the block grid.
-pub fn importance_map<M: Model>(
-    model: &M,
-    backbone: &MaskSet,
+/// Block origins are `(weight index, row, column)` triples, so the shuffle
+/// draws and the accumulation order depend only on the block grid.
+pub fn importance_map(
+    weights: &[PrunableWeight<'_>],
     config: &PatternSpaceConfig,
     rng: &mut StdRng,
 ) -> Matrix {
     let psize = config.pattern_size;
     let mut importance = Matrix::zeros(psize, psize);
-    let weights = resolve_prunable(model, backbone, &model.prunable_parameter_names());
     // collect all block origins across prunable parameters
     let mut origins: Vec<(usize, usize, usize)> = Vec::new();
     for (k, weight) in weights.iter().map(|w| w.weight).enumerate() {
@@ -187,6 +184,7 @@ pub fn generate_pattern_space<M: Model>(
         "at least one target sparsity is required"
     );
     let mut rng = StdRng::seed_from_u64(config.seed);
+    let weights = resolve_prunable(model, backbone, &model.prunable_parameter_names());
     let mut sorted: Vec<f64> = sparsities.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     // a fresh block sample per pattern gives m distinct but correlated
@@ -195,7 +193,7 @@ pub fn generate_pattern_space<M: Model>(
     // denser candidate's patterns and combined sparsity grows monotonically
     // with the target (which keeps predicted latency monotone as well)
     let maps: Vec<Matrix> = (0..config.patterns_per_set)
-        .map(|_| importance_map(model, backbone, config, &mut rng))
+        .map(|_| importance_map(&weights, config, &mut rng))
         .collect();
     let mut candidates = Vec::with_capacity(sorted.len());
     for &sparsity in &sorted {
@@ -250,7 +248,8 @@ mod tests {
             ..PatternSpaceConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(1);
-        let imp = importance_map(&model, &masks, &config, &mut rng);
+        let weights = resolve_prunable(&model, &masks, &model.prunable_parameter_names());
+        let imp = importance_map(&weights, &config, &mut rng);
         assert_eq!(imp.shape(), (4, 4));
         assert!(imp.as_slice().iter().all(|&x| x >= 0.0));
         assert!(imp.sum() > 0.0);
@@ -335,7 +334,8 @@ mod tests {
                 };
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut reference_rng = StdRng::seed_from_u64(seed);
-                let got = importance_map(&model, &masks, &config, &mut rng);
+                let weights = resolve_prunable(&model, &masks, &model.prunable_parameter_names());
+                let got = importance_map(&weights, &config, &mut rng);
                 let want =
                     per_block_lookup_importance_map(&model, &masks, &config, &mut reference_rng);
                 assert_eq!(got.shape(), want.shape());

@@ -30,8 +30,10 @@
 //! level, a switch allocates nothing.
 
 use rt3_hardware::{MemoryModel, SwitchCost};
-use rt3_pruning::{CandidatePatternSet, PatternSpace};
-use rt3_sparse::{Backend, BlockSquares, CompiledSet, PackLayout, PatternPrunedMatrix, PatternSet};
+use rt3_pruning::{CandidatePatternSet, MaskCoverage, PatternSpace};
+use rt3_sparse::{
+    Backend, BlockSquares, CompiledSet, MaskBits, PackLayout, PatternPrunedMatrix, PatternSet,
+};
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
 use std::marker::PhantomData;
@@ -172,11 +174,8 @@ pub struct ModelBank<'m, M: Model> {
     capacity: usize,
     memory: MemoryModel,
     total_blocks: usize,
-    /// Elements the combined masks cover: every prunable weight plus any
-    /// backbone mask of another parameter.
-    covered_elements: usize,
-    /// Non-zeros of those other backbone masks, which no pattern touches.
-    unpatterned_kept: usize,
+    /// What the combined masks cover besides the patterns' kept positions.
+    coverage: MaskCoverage,
     stats: BankStats,
 }
 
@@ -226,14 +225,10 @@ impl<'m, M: Model> ModelBank<'m, M> {
             .iter()
             .map(|(_, w)| w.rows().div_ceil(psize) * w.cols().div_ceil(psize))
             .sum();
-        let unpatterned: Vec<&Matrix> = backbone
-            .iter()
-            .filter(|(name, _)| !prunable.iter().any(|(n, _)| n == name))
-            .map(|(_, mask)| mask)
-            .collect();
-        let covered_elements = prunable.iter().map(|(_, w)| w.len()).sum::<usize>()
-            + unpatterned.iter().map(|m| m.len()).sum::<usize>();
-        let unpatterned_kept = unpatterned.iter().map(|m| m.count_nonzero()).sum();
+        let coverage = MaskCoverage::new(
+            prunable.iter().map(|(name, w)| (name.as_str(), w.len())),
+            &backbone,
+        );
         let levels = assignments.len();
         Self {
             model: PhantomData,
@@ -246,8 +241,7 @@ impl<'m, M: Model> ModelBank<'m, M> {
             capacity,
             memory,
             total_blocks,
-            covered_elements,
-            unpatterned_kept,
+            coverage,
             stats: BankStats::default(),
         }
     }
@@ -328,13 +322,14 @@ impl<'m, M: Model> ModelBank<'m, M> {
 
     /// Scores every prunable weight under `set` through its backbone mask,
     /// from the same [`BlockSquares`] table and [`PackLayout::assign`] the
-    /// offline search runs, and derives the level's pack tables and
-    /// sparsity.
+    /// offline search runs, and derives the level's pack tables and, from
+    /// the layouts' kept positions bit-counted against the masks
+    /// ([`MaskBits::kept`]), its sparsity.
     fn lower(&self, set: &PatternSet) -> LevelTables {
         let psize = set.size();
         let set = Arc::new(CompiledSet::new(set));
         let backend = Backend::detect();
-        let mut kept = self.unpatterned_kept;
+        let mut kept = 0;
         let layouts = self
             .prunable
             .iter()
@@ -342,23 +337,14 @@ impl<'m, M: Model> ModelBank<'m, M> {
                 let mask = self.backbone.get(name);
                 let squares = BlockSquares::new(weight, mask, psize, backend);
                 let layout = PackLayout::assign(&squares, &set);
-                kept += layout.kept(mask);
+                kept += MaskBits::new(weight.shape(), mask, psize).kept(&layout);
                 Arc::new(layout)
             })
             .collect();
         LevelTables {
             layouts,
-            sparsity: self.sparsity_of(kept),
+            sparsity: self.coverage.sparsity(kept),
         }
-    }
-
-    /// Overall sparsity of the combined masks with `kept` non-zeros, in the
-    /// same integer-then-divide form as `MaskSet::overall_sparsity`.
-    fn sparsity_of(&self, kept: usize) -> f64 {
-        if self.covered_elements == 0 {
-            return 0.0;
-        }
-        (self.covered_elements - kept) as f64 / self.covered_elements as f64
     }
 
     /// The variant for `level_pos`. On a cache miss a full bank first

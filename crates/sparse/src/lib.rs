@@ -61,6 +61,6 @@ pub use block::{BlockPartition, BlockPrunedMatrix, PrunedBlock};
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use pattern::{PatternMask, PatternPrunedMatrix, PatternSet, SparseError};
-pub use plan::{BlockSquares, CompiledPattern, CompiledSet, PackLayout, PatternPlan};
+pub use plan::{BlockSquares, CompiledPattern, CompiledSet, MaskBits, PackLayout, PatternPlan};
 pub use simd::Backend;
 pub use storage::{FormatCost, SparseFormat, StorageReport};

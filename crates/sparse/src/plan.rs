@@ -46,16 +46,19 @@
 //! so each pattern's norms for all blocks are a sum of contiguous table
 //! rows. The table depends only on the masked weight and the pattern size,
 //! so the offline search, which scores many candidate sets against the same
-//! backbone-masked weights, builds it once per search. A caller that only
-//! needs the kept positions — the offline search — reads them as a dense
-//! keep-mask through [`PackLayout::keep_mask`] and never gathers a value.
-//! [`PatternPlan::pack_into`] — the one value
-//! gather, which `compile` and [`PatternPlan::pack`] also run — then
-//! writes the kept values into a plan's existing arena. A plan is an
-//! `Arc`-shared layout plus its own arena, and every layout of one pattern
-//! set shares a single [`CompiledSet`], so a caller that re-lowers the same
-//! weight — the runtime's model bank after an eviction — keeps the layout
-//! and only gathers, into buffers it already owns.
+//! backbone-masked weights, builds it once per search. A caller that needs
+//! only how many positions a layout keeps under a mask — the offline
+//! search's sparsity — counts them from the mask's per-block bitmasks
+//! ([`MaskBits::kept`], a popcount per block); a caller that needs the
+//! kept positions themselves reads them as a dense keep-mask through
+//! [`PackLayout::keep_mask`], and neither gathers a value.
+//! [`PatternPlan::pack_into`] — the one value gather, which `compile` and
+//! [`PatternPlan::pack`] also run — then writes the kept values into a
+//! plan's existing arena. A plan is an `Arc`-shared layout plus its own
+//! arena, and every layout of one pattern set shares a single
+//! [`CompiledSet`], so a caller that re-lowers the same weight — the
+//! runtime's model bank after an eviction — keeps the layout and only
+//! gathers, into buffers it already owns.
 //!
 //! On top of the compiled layout the plan carries three execution-time
 //! strategies (PR 10):
@@ -95,9 +98,16 @@ const LANES: usize = 8;
 /// harmless because the tiling is bit-exact.
 const L1_BYTES: usize = 32 * 1024;
 
+/// Words of a `psize x psize` in-block bitmask, bit `o % 64` of word
+/// `o / 64` standing for in-block offset `o = r * psize + c`.
+fn bitmask_words(psize: usize) -> usize {
+    (psize * psize).div_ceil(64)
+}
+
 /// One pattern lowered to flat offset tables: kept positions grouped by
 /// local row, CSR-style, plus each position's local row for the narrow-rhs
-/// kept-list kernel and its in-block offset for block scoring.
+/// kept-list kernel, its in-block offset for block scoring, and the kept
+/// offsets as a bitmask for counting kept positions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPattern {
     /// `row_ptr[r]..row_ptr[r + 1]` indexes `cols` for local row `r`.
@@ -110,6 +120,10 @@ pub struct CompiledPattern {
     /// `size x size` block, parallel to `cols`: block scoring's index
     /// table.
     local: Vec<u32>,
+    /// The in-block offsets of `local` as a bitmask ([`bitmask_words`]
+    /// words), ANDed with a block's [`MaskBits`] to count the positions
+    /// both keep.
+    bits: Vec<u64>,
 }
 
 impl CompiledPattern {
@@ -121,6 +135,7 @@ impl CompiledPattern {
         let mut cols = Vec::with_capacity(mask.ones());
         let mut rows = Vec::with_capacity(mask.ones());
         let mut local = Vec::with_capacity(mask.ones());
+        let mut bits = vec![0u64; bitmask_words(size)];
         row_ptr.push(0);
         for r in 0..size {
             for c in 0..size {
@@ -128,6 +143,7 @@ impl CompiledPattern {
                     cols.push(c as u32);
                     rows.push(r as u32);
                     local.push((r * size + c) as u32);
+                    bits[(r * size + c) / 64] |= 1 << ((r * size + c) % 64);
                 }
             }
             row_ptr.push(cols.len() as u32);
@@ -137,6 +153,7 @@ impl CompiledPattern {
             cols,
             rows,
             local,
+            bits,
         }
     }
 
@@ -322,6 +339,109 @@ impl BlockSquares {
     }
 }
 
+/// The kept positions of one mask, as bitmasks over the `psize x psize`
+/// block grid [`BlockSquares`] uses: per block, `ceil(psize² / 64)` words
+/// whose bit `o % 64` of word `o / 64` is set when in-block offset
+/// `o = r * psize + c` is in the shape and its mask value is non-zero
+/// (every in-shape offset without a mask).
+///
+/// A layout assigned for the same shape and pattern size has, as its kept
+/// count under the mask ([`MaskBits::kept`]), one popcount of its pattern's
+/// bitmask ∧ the block's per block: the non-zero count of
+/// [`PackLayout::keep_mask`] under the mask, without building it. The bits
+/// depend only on the mask and the pattern size, so a caller that needs
+/// the sparsity of many pattern sets over the same mask — the offline
+/// search, one set per candidate — builds them once, and lowering a plan,
+/// which reads no count, never builds them.
+#[derive(Debug)]
+pub struct MaskBits {
+    rows: usize,
+    cols: usize,
+    psize: usize,
+    bits: Vec<u64>,
+}
+
+impl MaskBits {
+    /// The bitmasks of `mask` (every in-shape position without one) over a
+    /// weight of `shape`, for pattern size `psize`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `psize` is zero or `mask` is not of `shape`.
+    pub fn new(shape: (usize, usize), mask: Option<&Matrix>, psize: usize) -> Self {
+        assert!(psize > 0, "pattern size must be positive");
+        let (rows, cols) = shape;
+        let grid_cols = cols.div_ceil(psize);
+        let words = bitmask_words(psize);
+        let mut bits = vec![0u64; words * rows.div_ceil(psize) * grid_cols];
+        // one mask row padded to whole blocks: an edge block's missing
+        // columns keep nothing
+        let mut row = vec![0.0; grid_cols * psize];
+        match mask {
+            Some(mask) => assert_eq!(mask.shape(), shape, "mask shape mismatch"),
+            None => row[..cols].fill(1.0),
+        }
+        for i in 0..rows {
+            if let Some(mask) = mask {
+                row[..cols].copy_from_slice(mask.row(i));
+            }
+            let (br, r) = (i / psize, i % psize);
+            let block_row =
+                bits[br * grid_cols * words..][..grid_cols * words].chunks_exact_mut(words);
+            for (bits, keep) in block_row.zip(row.chunks_exact(psize)) {
+                // up to 64 of the row's offsets folded into one line, then
+                // shifted into the word(s) that hold offset `r * psize + c0`
+                for (c0, keep) in (0..psize).step_by(64).zip(keep.chunks(64)) {
+                    let line = keep
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |line, (c, &m)| line | u64::from(m != 0.0) << c);
+                    let (word, shift) = ((r * psize + c0) / 64, (r * psize + c0) % 64);
+                    bits[word] |= line << shift;
+                    if shift + keep.len() > 64 {
+                        bits[word + 1] |= line >> (64 - shift);
+                    }
+                }
+            }
+        }
+        Self {
+            rows,
+            cols,
+            psize,
+            bits,
+        }
+    }
+
+    /// Number of positions `layout` keeps whose mask value is non-zero
+    /// (every kept in-shape position without a mask): per block, the
+    /// popcount of its pattern's bitmask ∧ the block's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` was not laid out for this shape and pattern size.
+    pub fn kept(&self, layout: &PackLayout) -> usize {
+        assert_eq!(
+            (layout.rows, layout.cols, layout.psize),
+            (self.rows, self.cols, self.psize),
+            "layout of another shape or pattern size"
+        );
+        let words = bitmask_words(self.psize);
+        layout
+            .assignments
+            .iter()
+            .zip(self.bits.chunks_exact(words))
+            .map(|(&a, block)| {
+                let pattern = &layout.set.patterns[a as usize].bits;
+                pattern
+                    .iter()
+                    .zip(block)
+                    .map(|(p, b)| (p & b).count_ones() as usize)
+                    .sum::<usize>()
+            })
+            .sum()
+    }
+}
+
 /// Everything packing one weight needs that does not depend on its values:
 /// the block→pattern assignment, the arena offset of every block, and each
 /// pattern's kept positions as flat offsets for the weight's row stride.
@@ -420,26 +540,6 @@ impl PackLayout {
             .block_offsets
             .last()
             .expect("offsets carry a terminator") as usize
-    }
-
-    /// Number of kept in-shape positions whose `mask` value is non-zero
-    /// (every kept in-shape position without a mask): the non-zero count
-    /// of [`PackLayout::keep_mask`]`(mask)`, counted without building it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask` is not shaped like the layout's weight.
-    pub fn kept(&self, mask: Option<&Matrix>) -> usize {
-        let mut kept = 0;
-        match mask {
-            None => self.for_each_kept_index(|_| kept += 1),
-            Some(mask) => {
-                assert_eq!(mask.shape(), (self.rows, self.cols), "mask shape mismatch");
-                let mask = mask.as_slice();
-                self.for_each_kept_index(|i| kept += usize::from(mask[i] != 0.0));
-            }
-        }
-        kept
     }
 
     /// The combined `and ∧ pattern` keep-mask: `1.0` at every kept
@@ -1134,6 +1234,40 @@ mod tests {
         assert_eq!(cp.row_range(2), (2, 5));
         assert_eq!(cp.cols, vec![0, 2, 0, 1, 2]);
         assert_eq!(cp.rows, vec![0, 0, 2, 2, 2]);
+    }
+
+    /// The mask bitmasks equal an entry-by-entry reference — bit `o` of
+    /// block `b` set for an in-shape position of offset `o` whose mask
+    /// value is non-zero — for pattern sizes 3, 4, 8, 9 and 70 (a block row
+    /// wider than one bitmask word), over shapes narrower than one block,
+    /// with and without edge blocks, masked and unmasked.
+    #[test]
+    fn mask_bits_match_an_entrywise_reference() {
+        for (rows, cols) in [(5, 3), (13, 27), (16, 64), (17, 70), (70, 17), (9, 130)] {
+            let mask = Matrix::from_fn(rows, cols, |r, c| match (r * 7 + c * 13) % 5 {
+                0 => 0.0,
+                1 => 0.5,
+                _ => 1.0,
+            });
+            for psize in [3, 4, 8, 9, 70] {
+                let grid = (rows.div_ceil(psize), cols.div_ceil(psize));
+                let words = bitmask_words(psize);
+                for mask in [None, Some(&mask)] {
+                    let mut bits = vec![0u64; words * grid.0 * grid.1];
+                    for b in 0..grid.0 * grid.1 {
+                        let (br, bc) = (b / grid.1, b % grid.1);
+                        for o in 0..psize * psize {
+                            let (i, j) = (br * psize + o / psize, bc * psize + o % psize);
+                            if i < rows && j < cols && mask.map_or(1.0, |m| m.get(i, j)) != 0.0 {
+                                bits[b * words + o / 64] |= 1 << (o % 64);
+                            }
+                        }
+                    }
+                    let got = MaskBits::new((rows, cols), mask, psize);
+                    assert_eq!(got.bits, bits, "{rows}x{cols} psize {psize}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rt3_sparse::{
     Backend, BlockPartition, BlockPrunedMatrix, BlockSquares, CompiledSet, CooMatrix, CsrMatrix,
-    PackLayout, PatternMask, PatternPlan, PatternPrunedMatrix, PatternSet,
+    MaskBits, PackLayout, PatternMask, PatternPlan, PatternPrunedMatrix, PatternSet,
 };
 use rt3_tensor::Matrix;
 use std::sync::Arc;
@@ -70,8 +70,8 @@ proptest! {
     /// detected backend, over shapes with partial edge blocks. Packing
     /// with a mask equals lowering the masked weight, packing into a plan
     /// whose arena held a larger layout equals a fresh pack (no stale
-    /// value survives), and the layout's kept count is the non-zero count
-    /// of `mask ∧ pattern mask`.
+    /// value survives), and the layout's kept count, bit-counted against
+    /// the mask's bitmasks, is the non-zero count of `mask ∧ pattern mask`.
     #[test]
     fn assign_then_pack_matches_single_pass_lowering(
         m in sparse_matrix(19),
@@ -113,21 +113,25 @@ proptest! {
                     Some(mask) => pattern_mask.zip(mask, |p, k| p * k),
                     None => pattern_mask,
                 };
-                prop_assert_eq!(layout.kept(mask), combined.count_nonzero());
+                let kept = MaskBits::new(m.shape(), mask, psize).kept(&layout);
+                prop_assert_eq!(kept, combined.count_nonzero());
             }
         }
     }
 
     /// Assigning through a mask equals assigning the masked weight, bit
     /// for bit, on the scalar and the detected backend, for pattern sizes
-    /// 3, 4 and 8 over shapes that are not block multiples, with no mask
-    /// and with masks holding an all-zero row and an all-zero block. The
-    /// layout's keep-mask is the pattern mask of the masked weight ∧ the
-    /// mask, and its kept count is that mask's non-zero count.
+    /// 3, 4 and 8 (one bitmask word per block) and 9 and 12 (two and three
+    /// words, a block row's bits crossing a word boundary) over shapes that
+    /// are not block multiples, with no mask and with masks holding `0.5`
+    /// entries, an all-zero row and an all-zero block. The layout's
+    /// keep-mask is the pattern mask of the masked weight ∧ the mask, and
+    /// its kept count, bit-counted against the mask's bitmasks, is that
+    /// mask's non-zero count.
     #[test]
     fn masked_assign_matches_assigning_the_masked_weight(
         m in sparse_matrix(27),
-        psize in prop_oneof![Just(3usize), Just(4usize), Just(8usize)],
+        psize in prop_oneof![Just(3usize), Just(4usize), Just(8usize), Just(9usize), Just(12usize)],
         sparsity in 0.0f64..0.9,
         patterns in 1usize..5,
         seed in 0u64..1_000,
@@ -167,7 +171,8 @@ proptest! {
                 };
                 let keep_mask = layout.keep_mask(mask);
                 prop_assert_eq!(bits(keep_mask.as_slice()), bits(combined.as_slice()));
-                prop_assert_eq!(layout.kept(mask), keep_mask.count_nonzero());
+                let kept = MaskBits::new(m.shape(), mask, psize).kept(&layout);
+                prop_assert_eq!(kept, keep_mask.count_nonzero());
             }
         }
     }

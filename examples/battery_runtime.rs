@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --example battery_runtime`.
 
-use rt3::core::{run_level1, AccuracyEvaluator, PruningSpec};
+use rt3::core::{run_level1, AccuracyEvaluator, CandidateMasks, PruningSpec};
 use rt3::core::{Rt3Config, SurrogateEvaluator, TaskProfile};
 use rt3::hardware::{
     number_of_runs, simulate_battery_lifetime, simulate_fixed_level, ExecutionProfile,
@@ -107,7 +107,7 @@ fn main() {
     println!("accuracy per E3 sub-model (surrogate):");
     for (level, s) in governor.levels().iter().zip(per_level_sparsity) {
         let acc = evaluator.evaluate(
-            &rt3::transformer::MaskSet::new(),
+            CandidateMasks::ready(&rt3::transformer::MaskSet::new()),
             &PruningSpec {
                 sparsity: s,
                 level1_guided: true,

@@ -3,8 +3,8 @@
 
 use rt3::core::{
     build_search_space, compute_reward, joint_train_lm, run_level1, run_level2_search,
-    AccuracyEvaluator, PruningSpec, RewardParams, Rt3Config, SurrogateEvaluator, TaskProfile,
-    TrainedLmEvaluator,
+    AccuracyEvaluator, CandidateMasks, PruningSpec, RewardParams, Rt3Config, SurrogateEvaluator,
+    TaskProfile, TrainedLmEvaluator,
 };
 use rt3::data::{CorpusConfig, MarkovCorpus};
 use rt3::hardware::{ModelWorkload, PerformancePredictor, VfLevel};
@@ -144,7 +144,7 @@ fn surrogate_evaluator_is_consistent_with_its_profile() {
     let mut evaluator = SurrogateEvaluator::new(TaskProfile::rte());
     let unpruned = evaluator.unpruned_score();
     let pruned = evaluator.evaluate(
-        &rt3::transformer::MaskSet::new(),
+        CandidateMasks::ready(&rt3::transformer::MaskSet::new()),
         &PruningSpec {
             sparsity: 0.6,
             level1_guided: true,
