@@ -110,7 +110,6 @@ impl Rt3Config {
                 num_encoder_layers: 2,
                 num_decoder_layers: 1,
                 max_seq_len: 64,
-                dropout: 0.0,
             },
             predictor: PerformancePredictor::cortex_a7(),
             seed: 0x52_54_33,

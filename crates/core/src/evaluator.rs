@@ -3,9 +3,9 @@
 //!
 //! Two interchangeable implementations stand behind the same trait:
 //!
-//! * [`TrainedLmEvaluator`] / [`TrainedClassifierEvaluator`] really fine-tune
-//!   the (small) model under the candidate masks — the faithful but slow
-//!   path, used by the examples and integration tests;
+//! * [`TrainedLmEvaluator`] really fine-tunes the (small) language model
+//!   under the candidate masks — the faithful but slow path, used by the
+//!   examples and integration tests;
 //! * [`SurrogateEvaluator`] uses an analytic accuracy-vs-sparsity curve per
 //!   task, calibrated to the operating points reported in the paper, so the
 //!   full table sweeps finish in seconds on a CPU (see DESIGN.md for the
@@ -13,11 +13,8 @@
 //!   pruning from the random baselines, which is what the ablation study
 //!   needs.
 
-use rt3_data::{GlueTask, MarkovCorpus, TaskDataset};
-use rt3_transformer::{
-    evaluate_classifier, evaluate_lm, train_classifier, train_lm, MaskSet, SequenceClassifier,
-    TrainOptions, TransformerLm,
-};
+use rt3_data::{GlueTask, MarkovCorpus};
+use rt3_transformer::{evaluate_lm, train_lm, MaskSet, TrainOptions, TransformerLm};
 use std::cell::OnceCell;
 
 /// Describes how a mask set was produced, so surrogate evaluators can model
@@ -159,7 +156,7 @@ impl TaskProfile {
             exponent: 5.9,
             random_level1_factor: 2.0,
             random_level2_factor: 2.5,
-            name: "RTE",
+            name: GlueTask::Rte.name(),
         }
     }
 
@@ -172,7 +169,7 @@ impl TaskProfile {
             exponent: 6.0,
             random_level1_factor: 3.0,
             random_level2_factor: 2.0,
-            name: "STS-B",
+            name: GlueTask::StsB.name(),
         }
     }
 
@@ -182,24 +179,24 @@ impl TaskProfile {
         match task {
             GlueTask::Rte => Self::rte(),
             GlueTask::StsB => Self::stsb(),
-            GlueTask::Mnli => Self::generic("MNLI", 0.82, 0.10, 3.0),
-            GlueTask::Qqp => Self::generic("QQP", 0.88, 0.08, 3.0),
-            GlueTask::Qnli => Self::generic("QNLI", 0.89, 0.09, 3.0),
-            GlueTask::Sst2 => Self::generic("SST-2", 0.91, 0.07, 3.0),
-            GlueTask::Cola => Self::generic("CoLA", 0.51, 0.30, 3.5),
-            GlueTask::Mrpc => Self::generic("MRPC", 0.89, 0.12, 3.2),
-            GlueTask::Wnli => Self::generic("WNLI", 0.56, 0.20, 4.0),
+            GlueTask::Mnli => Self::generic(task, 0.82, 0.10, 3.0),
+            GlueTask::Qqp => Self::generic(task, 0.88, 0.08, 3.0),
+            GlueTask::Qnli => Self::generic(task, 0.89, 0.09, 3.0),
+            GlueTask::Sst2 => Self::generic(task, 0.91, 0.07, 3.0),
+            GlueTask::Cola => Self::generic(task, 0.51, 0.30, 3.5),
+            GlueTask::Mrpc => Self::generic(task, 0.89, 0.12, 3.2),
+            GlueTask::Wnli => Self::generic(task, 0.56, 0.20, 4.0),
         }
     }
 
-    fn generic(name: &'static str, base: f64, sensitivity: f64, exponent: f64) -> Self {
+    fn generic(task: GlueTask, base: f64, sensitivity: f64, exponent: f64) -> Self {
         Self {
             base_score: base,
             sensitivity,
             exponent,
             random_level1_factor: 2.5,
             random_level2_factor: 3.0,
-            name,
+            name: task.name(),
         }
     }
 
@@ -296,48 +293,6 @@ impl AccuracyEvaluator for TrainedLmEvaluator {
     }
 }
 
-/// Evaluator that really fine-tunes the sequence classifier on a synthetic
-/// GLUE-style task under each mask set.
-#[derive(Debug, Clone)]
-pub struct TrainedClassifierEvaluator {
-    model: SequenceClassifier,
-    dataset: TaskDataset,
-    options: TrainOptions,
-}
-
-impl TrainedClassifierEvaluator {
-    /// Creates an evaluator that fine-tunes a copy of `model` on `dataset`
-    /// for every candidate mask set.
-    pub fn new(model: SequenceClassifier, dataset: TaskDataset, options: TrainOptions) -> Self {
-        Self {
-            model,
-            dataset,
-            options,
-        }
-    }
-}
-
-impl AccuracyEvaluator for TrainedClassifierEvaluator {
-    fn unpruned_score(&mut self) -> f64 {
-        evaluate_classifier(&self.model, &self.dataset, None)
-    }
-
-    fn evaluate(&mut self, masks: CandidateMasks<'_>, _spec: &PruningSpec) -> f64 {
-        let mut candidate = self.model.clone();
-        let report = train_classifier(
-            &mut candidate,
-            &self.dataset,
-            &self.options,
-            Some(masks.masks()),
-        );
-        report.metric
-    }
-
-    fn task_name(&self) -> String {
-        format!("{} (trained)", self.dataset.task())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,6 +367,7 @@ mod tests {
     fn glue_profiles_exist_for_all_tasks() {
         for task in GlueTask::all() {
             let p = TaskProfile::glue(task);
+            assert_eq!(p.name, task.name());
             assert!(p.base_score > 0.3 && p.base_score <= 1.0, "{}", p.name);
         }
     }

@@ -60,7 +60,7 @@ pub use compare::{compare_optimizers, ComparisonConfig, ComparisonReport, Optimi
 pub use config::{RewardParams, Rt3Config};
 pub use evaluator::{
     AccuracyEvaluator, CandidateMasks, PruningSpec, SurrogateEvaluator, TaskProfile,
-    TrainedClassifierEvaluator, TrainedLmEvaluator,
+    TrainedLmEvaluator,
 };
 pub use joint::{individually_train_lm, joint_train_lm, JointTrainingReport};
 pub use pareto::{frontier_covers, pareto_front_indices, ObjectivePair, ParetoPoint};

@@ -4,16 +4,14 @@
 //!
 //! The paper's experiments use WikiText-2 (next-word prediction for the
 //! small Transformer) and the GLUE benchmark (DistilBERT). Neither dataset
-//! is bundled here; instead this crate generates deterministic synthetic
-//! counterparts with planted, learnable structure (see DESIGN.md for the
-//! substitution rationale):
+//! is bundled here (see DESIGN.md for the substitution rationale):
 //!
-//! * [`MarkovCorpus`] — a "WikiText-like" language-modelling corpus drawn
-//!   from a sparse Markov chain, batched with [`lm_batches`].
-//! * [`TaskDataset`] / [`GlueTask`] — GLUE-style synthetic tasks (single
-//!   sentence, sentence pair and similarity regression).
-//! * Metrics following the GLUE conventions: [`accuracy`], [`f1_score`],
-//!   [`matthews_correlation`], [`spearman_correlation`].
+//! * [`MarkovCorpus`] — a deterministic "WikiText-like" language-modelling
+//!   corpus drawn from a sparse Markov chain with planted, learnable
+//!   structure, batched with [`lm_batches`]. The LM is trained on it.
+//! * [`GlueTask`] — the names of the nine GLUE tasks. No GLUE-style data
+//!   is generated: their accuracies come from surrogate profiles in
+//!   `rt3-core`.
 //!
 //! # Examples
 //!
@@ -30,10 +28,6 @@
 
 mod corpus;
 mod glue;
-mod metrics;
 
 pub use corpus::{lm_batches, CorpusConfig, LmBatch, MarkovCorpus};
-pub use glue::{Example, GlueTask, Label, TaskConfig, TaskDataset, SEP_TOKEN};
-pub use metrics::{
-    accuracy, f1_score, matthews_correlation, pearson_correlation, spearman_correlation, MetricKind,
-};
+pub use glue::GlueTask;

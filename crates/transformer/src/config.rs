@@ -3,10 +3,9 @@
 /// Hyper-parameters of a Transformer model.
 ///
 /// Presets mirror the two models evaluated in the paper: a small Transformer
-/// with two encoder and one decoder layer for WikiText-2, and a
-/// DistilBERT-style encoder stack (6 layers, H = 768, A = 12) for GLUE.
-/// Experiments in this reproduction default to reduced widths so training
-/// fits a CPU-only container (see DESIGN.md).
+/// with two encoder and one decoder layer for WikiText-2 (at reduced width,
+/// so training fits a CPU-only container; see DESIGN.md), and the
+/// DistilBERT shape (6 layers, H = 768, A = 12) for latency accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransformerConfig {
     /// Vocabulary size.
@@ -23,8 +22,6 @@ pub struct TransformerConfig {
     pub num_decoder_layers: usize,
     /// Maximum sequence length (size of the learned positional table).
     pub max_seq_len: usize,
-    /// Dropout probability used during training.
-    pub dropout: f32,
 }
 
 impl TransformerConfig {
@@ -52,9 +49,6 @@ impl TransformerConfig {
         if self.max_seq_len == 0 {
             return Err("max_seq_len must be positive".into());
         }
-        if !(0.0..1.0).contains(&self.dropout) {
-            return Err("dropout must be in [0, 1)".into());
-        }
         Ok(())
     }
 
@@ -74,23 +68,6 @@ impl TransformerConfig {
             num_encoder_layers: 2,
             num_decoder_layers: 1,
             max_seq_len: 64,
-            dropout: 0.0,
-        }
-    }
-
-    /// DistilBERT-style encoder stack at reduced width (the paper uses 6
-    /// layers, H = 768, A = 12; this preset keeps 6 layers and 12 heads but
-    /// shrinks the hidden size).
-    pub fn distilbert_like(vocab_size: usize) -> Self {
-        Self {
-            vocab_size,
-            hidden_dim: 48,
-            num_heads: 12,
-            ffn_dim: 96,
-            num_encoder_layers: 6,
-            num_decoder_layers: 0,
-            max_seq_len: 64,
-            dropout: 0.0,
         }
     }
 
@@ -105,7 +82,6 @@ impl TransformerConfig {
             num_encoder_layers: 6,
             num_decoder_layers: 0,
             max_seq_len: 512,
-            dropout: 0.1,
         }
     }
 
@@ -119,7 +95,6 @@ impl TransformerConfig {
             num_encoder_layers: 1,
             num_decoder_layers: 1,
             max_seq_len: 32,
-            dropout: 0.0,
         }
     }
 }
@@ -131,7 +106,6 @@ mod tests {
     #[test]
     fn presets_are_valid() {
         assert!(TransformerConfig::paper_transformer(256).validate().is_ok());
-        assert!(TransformerConfig::distilbert_like(128).validate().is_ok());
         assert!(TransformerConfig::distilbert_full(30522).validate().is_ok());
         assert!(TransformerConfig::tiny(32).validate().is_ok());
     }

@@ -91,9 +91,9 @@ impl MultiHeadAttention {
         out.push((format!("{prefix}.bo"), &mut self.bo));
     }
 
-    /// Runs attention with `query` attending over `memory` (self-attention
-    /// when they are the same variable). With `causal` set, position `i` may
-    /// only attend to positions `<= i`.
+    /// Runs causal attention with `query` attending over `memory`
+    /// (self-attention when they are the same variable): query position `i`
+    /// may only attend to memory positions `<= i`.
     pub fn forward(
         &self,
         g: &mut Graph,
@@ -101,7 +101,6 @@ impl MultiHeadAttention {
         prefix: &str,
         query: Var,
         memory: Var,
-        causal: bool,
     ) -> Var {
         let hidden = g.value(query).cols();
         let head_dim = hidden / self.num_heads;
@@ -123,11 +122,7 @@ impl MultiHeadAttention {
 
         let seq_q = g.value(q_proj).rows();
         let seq_k = g.value(k_proj).rows();
-        let causal_mask = if causal {
-            Some(g.constant(causal_bias(seq_q, seq_k)))
-        } else {
-            None
-        };
+        let causal_mask = g.constant(causal_bias(seq_q, seq_k));
 
         let mut head_outputs = Vec::with_capacity(self.num_heads);
         for h in 0..self.num_heads {
@@ -139,10 +134,7 @@ impl MultiHeadAttention {
             let kht = g.transpose(kh);
             let scores = g.matmul(qh, kht);
             let scaled = g.scale(scores, 1.0 / (head_dim as f32).sqrt());
-            let biased = match causal_mask {
-                Some(mask) => g.add(scaled, mask),
-                None => scaled,
-            };
+            let biased = g.add(scaled, causal_mask);
             let attn = g.softmax_rows(biased);
             let out = g.matmul(attn, vh);
             head_outputs.push(out);
@@ -291,19 +283,12 @@ impl EncoderLayer {
         self.norm2.collect_mut(&format!("{prefix}.norm2"), out);
     }
 
-    /// Runs the encoder layer on `x` (`causal` restricts self-attention to
-    /// previous positions, as needed for language modelling).
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        bindings: &ParamBindings,
-        prefix: &str,
-        x: Var,
-        causal: bool,
-    ) -> Var {
+    /// Runs the encoder layer on `x` with causal self-attention, as needed
+    /// for language modelling.
+    pub fn forward(&self, g: &mut Graph, bindings: &ParamBindings, prefix: &str, x: Var) -> Var {
         let attn_out = self
             .attn
-            .forward(g, bindings, &format!("{prefix}.attn"), x, x, causal);
+            .forward(g, bindings, &format!("{prefix}.attn"), x, x);
         let residual1 = g.add(x, attn_out);
         let x1 = self
             .norm1
@@ -315,15 +300,15 @@ impl EncoderLayer {
     }
 }
 
-/// One Transformer decoder layer: causal self-attention, cross-attention to
-/// the encoder output, then a feed-forward block.
+/// One Transformer decoder layer: causal self-attention, causal
+/// cross-attention to the encoder output, then a feed-forward block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecoderLayer {
     /// Causal self-attention block.
     pub self_attn: MultiHeadAttention,
     /// Normalisation after self-attention.
     pub norm1: LayerNormParams,
-    /// Cross-attention block over the encoder memory.
+    /// Causal cross-attention block over the encoder memory.
     pub cross_attn: MultiHeadAttention,
     /// Normalisation after cross-attention.
     pub norm2: LayerNormParams,
@@ -370,6 +355,9 @@ impl DecoderLayer {
     }
 
     /// Runs the decoder layer on `x` with cross-attention over `memory`.
+    /// The language model's memory encodes the same sequence, so the
+    /// cross-attention is causal too: without it, position `i` would read
+    /// the encoding of the token it is trained to predict.
     pub fn forward(
         &self,
         g: &mut Graph,
@@ -378,21 +366,16 @@ impl DecoderLayer {
         x: Var,
         memory: Var,
     ) -> Var {
-        let self_out =
-            self.self_attn
-                .forward(g, bindings, &format!("{prefix}.self_attn"), x, x, true);
+        let self_out = self
+            .self_attn
+            .forward(g, bindings, &format!("{prefix}.self_attn"), x, x);
         let residual1 = g.add(x, self_out);
         let x1 = self
             .norm1
             .forward(g, bindings, &format!("{prefix}.norm1"), residual1);
-        let cross_out = self.cross_attn.forward(
-            g,
-            bindings,
-            &format!("{prefix}.cross_attn"),
-            x1,
-            memory,
-            false,
-        );
+        let cross_out =
+            self.cross_attn
+                .forward(g, bindings, &format!("{prefix}.cross_attn"), x1, memory);
         let residual2 = g.add(x1, cross_out);
         let x2 = self
             .norm2

@@ -1,13 +1,13 @@
-//! The two models the paper prunes: a small encoder–decoder Transformer
-//! language model (WikiText-2 experiments) and a DistilBERT-style sequence
-//! classifier/regressor (GLUE experiments).
+//! The model the paper prunes in its WikiText-2 experiments: a small
+//! encoder–decoder Transformer language model, and the [`Model`] interface
+//! the pruning, search and serving layers see it through.
 
 use crate::config::TransformerConfig;
 use crate::layers::{DecoderLayer, EncoderLayer};
 use crate::masks::MaskSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rt3_data::{Example, Label, LmBatch};
+use rt3_data::LmBatch;
 use rt3_tensor::{Graph, Matrix, Var};
 use std::collections::HashMap;
 
@@ -83,7 +83,7 @@ impl ParamBindings {
     }
 }
 
-/// Common interface of the prunable models.
+/// Common interface of a prunable model.
 pub trait Model {
     /// The model's configuration.
     fn config(&self) -> &TransformerConfig;
@@ -225,7 +225,7 @@ impl TransformerLm {
         let pos = g.gather_rows(pos_table, &positions);
         let mut x = g.add(tok, pos);
         for (i, enc) in self.encoders.iter().enumerate() {
-            x = enc.forward(g, bindings, &format!("encoder.{i}"), x, true);
+            x = enc.forward(g, bindings, &format!("encoder.{i}"), x);
         }
         let memory = x;
         for (i, dec) in self.decoders.iter().enumerate() {
@@ -302,166 +302,6 @@ impl Model for TransformerLm {
     }
 }
 
-/// DistilBERT-style encoder-only model with a pooled classification or
-/// regression head, used for the GLUE-style tasks.
-///
-/// # Examples
-///
-/// ```
-/// use rt3_transformer::{Model, SequenceClassifier, TransformerConfig};
-///
-/// let model = SequenceClassifier::new(TransformerConfig::tiny(64), 2, 0);
-/// assert_eq!(model.num_outputs(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SequenceClassifier {
-    config: TransformerConfig,
-    token_embedding: Matrix,
-    pos_embedding: Matrix,
-    encoders: Vec<EncoderLayer>,
-    head_w: Matrix,
-    head_b: Matrix,
-    num_outputs: usize,
-}
-
-impl SequenceClassifier {
-    /// Creates a randomly initialised classifier with `num_outputs` outputs
-    /// (use `1` for regression tasks such as STS-B).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or `num_outputs == 0`.
-    pub fn new(config: TransformerConfig, num_outputs: usize, seed: u64) -> Self {
-        config
-            .validate()
-            .expect("invalid transformer configuration");
-        assert!(num_outputs > 0, "at least one output is required");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let h = config.hidden_dim;
-        let encoders = (0..config.num_encoder_layers.max(1))
-            .map(|_| EncoderLayer::new(h, config.num_heads, config.ffn_dim, &mut rng))
-            .collect();
-        Self {
-            token_embedding: Matrix::xavier(config.vocab_size, h, &mut rng),
-            pos_embedding: Matrix::xavier(config.max_seq_len, h, &mut rng),
-            head_w: Matrix::xavier(h, num_outputs, &mut rng),
-            head_b: Matrix::zeros(1, num_outputs),
-            encoders,
-            config,
-            num_outputs,
-        }
-    }
-
-    /// Number of output logits (1 for regression).
-    pub fn num_outputs(&self) -> usize {
-        self.num_outputs
-    }
-
-    /// Pooled output logits (`1 x num_outputs`) for one token sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sequence is empty or too long.
-    pub fn logits(&self, g: &mut Graph, bindings: &ParamBindings, tokens: &[usize]) -> Var {
-        assert!(!tokens.is_empty(), "token sequence must not be empty");
-        assert!(
-            tokens.len() <= self.config.max_seq_len,
-            "sequence length {} exceeds max_seq_len {}",
-            tokens.len(),
-            self.config.max_seq_len
-        );
-        let tok_table = bindings.var("token_embedding");
-        let pos_table = bindings.var("pos_embedding");
-        let tok = g.gather_rows(tok_table, tokens);
-        let positions: Vec<usize> = (0..tokens.len()).collect();
-        let pos = g.gather_rows(pos_table, &positions);
-        let mut x = g.add(tok, pos);
-        for (i, enc) in self.encoders.iter().enumerate() {
-            x = enc.forward(g, bindings, &format!("encoder.{i}"), x, false);
-        }
-        // mean pooling over positions
-        let pool = g.constant(Matrix::filled(1, tokens.len(), 1.0 / tokens.len() as f32));
-        let pooled = g.matmul(pool, x);
-        let head_w = bindings.var("head.w");
-        let head_b = bindings.var("head.b");
-        let logits = g.matmul(pooled, head_w);
-        g.add_row_broadcast(logits, head_b)
-    }
-
-    /// Mean loss over a batch of examples: cross-entropy for classification,
-    /// mean-squared error (on scores scaled to `[0, 1]`) for regression.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `examples` is empty.
-    pub fn batch_loss(&self, g: &mut Graph, bindings: &ParamBindings, examples: &[Example]) -> Var {
-        assert!(!examples.is_empty(), "batch must not be empty");
-        let mut losses = Vec::with_capacity(examples.len());
-        for example in examples {
-            let logits = self.logits(g, bindings, &example.tokens);
-            let loss = match example.label {
-                Label::Class(c) => g.cross_entropy_logits(logits, &[c]),
-                Label::Score(s) => {
-                    let target = Matrix::from_rows(&[vec![s / 5.0]]);
-                    g.mse_loss(logits, &target)
-                }
-            };
-            losses.push(loss);
-        }
-        let mut total = losses[0];
-        for &l in &losses[1..] {
-            total = g.add(total, l);
-        }
-        g.scale(total, 1.0 / losses.len() as f32)
-    }
-
-    /// Predicted class (argmax of the logits) for one sequence.
-    pub fn predict_class(&self, tokens: &[usize], masks: Option<&MaskSet>) -> usize {
-        let mut g = Graph::new();
-        let bindings = self.bind(&mut g, masks);
-        let logits = self.logits(&mut g, &bindings, tokens);
-        g.value(logits).row_argmax(0)
-    }
-
-    /// Predicted regression score (rescaled back to `[0, 5]`).
-    pub fn predict_score(&self, tokens: &[usize], masks: Option<&MaskSet>) -> f32 {
-        let mut g = Graph::new();
-        let bindings = self.bind(&mut g, masks);
-        let logits = self.logits(&mut g, &bindings, tokens);
-        g.value(logits).get(0, 0) * 5.0
-    }
-}
-
-impl Model for SequenceClassifier {
-    fn config(&self) -> &TransformerConfig {
-        &self.config
-    }
-
-    fn parameters(&self) -> Vec<(String, &Matrix)> {
-        let mut out = Vec::new();
-        out.push(("token_embedding".to_string(), &self.token_embedding));
-        out.push(("pos_embedding".to_string(), &self.pos_embedding));
-        for (i, enc) in self.encoders.iter().enumerate() {
-            enc.collect(&format!("encoder.{i}"), &mut out);
-        }
-        out.push(("head.w".to_string(), &self.head_w));
-        out.push(("head.b".to_string(), &self.head_b));
-        out
-    }
-
-    fn parameters_mut(&mut self) -> Vec<(String, &mut Matrix)> {
-        let mut out = Vec::new();
-        out.push(("token_embedding".to_string(), &mut self.token_embedding));
-        out.push(("pos_embedding".to_string(), &mut self.pos_embedding));
-        for (i, enc) in self.encoders.iter_mut().enumerate() {
-            enc.collect_mut(&format!("encoder.{i}"), &mut out);
-        }
-        out.push(("head.w".to_string(), &mut self.head_w));
-        out.push(("head.b".to_string(), &mut self.head_b));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,6 +347,29 @@ mod tests {
         let bindings = model.bind(&mut g, None);
         let logits = model.logits(&mut g, &bindings, &[1, 2, 3, 4]);
         assert_eq!(g.value(logits).shape(), (4, 32));
+    }
+
+    /// Every attention is causal, the decoder's cross-attention over the
+    /// encoder memory included, so a later token cannot move an earlier
+    /// position's logits by even one bit.
+    #[test]
+    fn earlier_logits_ignore_later_tokens() {
+        let paper = TransformerLm::new(TransformerConfig::paper_transformer(64), 7);
+        for model in [tiny_lm(), paper] {
+            let logits = |tokens: &[usize]| {
+                let mut g = Graph::new();
+                let bindings = model.bind(&mut g, None);
+                let out = model.logits(&mut g, &bindings, tokens);
+                g.value(out).clone()
+            };
+            let before = logits(&[1, 2, 3, 4, 5, 6]);
+            let after = logits(&[1, 2, 3, 4, 5, 17]);
+            let earlier = 5 * before.cols();
+            let bits =
+                |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&before)[..earlier], bits(&after)[..earlier]);
+            assert_ne!(bits(&before)[earlier..], bits(&after)[earlier..]);
+        }
     }
 
     #[test]
@@ -581,30 +444,6 @@ mod tests {
         model.apply_masks_permanently(&masks);
         let w = model.parameter("encoder.0.attn.wq").unwrap();
         assert_eq!(w.count_nonzero(), 1);
-    }
-
-    #[test]
-    fn classifier_logits_shape_and_prediction_range() {
-        let model = SequenceClassifier::new(TransformerConfig::tiny(64), 3, 7);
-        let mut g = Graph::new();
-        let bindings = model.bind(&mut g, None);
-        let logits = model.logits(&mut g, &bindings, &[5, 6, 7, 8, 9]);
-        assert_eq!(g.value(logits).shape(), (1, 3));
-        let class = model.predict_class(&[5, 6, 7, 8, 9], None);
-        assert!(class < 3);
-    }
-
-    #[test]
-    fn classifier_regression_loss_uses_scaled_score() {
-        let model = SequenceClassifier::new(TransformerConfig::tiny(64), 1, 7);
-        let mut g = Graph::new();
-        let bindings = model.bind(&mut g, None);
-        let examples = vec![Example {
-            tokens: vec![2, 3, 4, 5],
-            label: Label::Score(2.5),
-        }];
-        let loss = model.batch_loss(&mut g, &bindings, &examples);
-        assert!(g.scalar(loss).is_finite());
     }
 
     #[test]

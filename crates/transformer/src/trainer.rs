@@ -1,26 +1,23 @@
-//! Training and evaluation loops for the language model and the sequence
-//! classifier, with optional weight masks (masked fine-tuning is how both
-//! the Level-1 BP decision and the Level-2 pattern sets are trained).
+//! Training and evaluation loops for the language model, with optional
+//! weight masks (masked fine-tuning is how both the Level-1 BP decision and
+//! the Level-2 pattern sets are trained).
 
 use crate::masks::MaskSet;
-use crate::model::{Model, SequenceClassifier, TransformerLm};
+use crate::model::{Model, TransformerLm};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rt3_data::{
-    accuracy, f1_score, lm_batches, matthews_correlation, spearman_correlation, Label,
-    MarkovCorpus, MetricKind, TaskDataset,
-};
+use rt3_data::{lm_batches, MarkovCorpus};
 use rt3_tensor::{Adam, Graph, Matrix, Optimizer};
 
-/// Options shared by the training loops.
+/// Options of the language-model training loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainOptions {
     /// Number of passes over the training data.
     pub epochs: usize,
     /// Adam learning rate.
     pub learning_rate: f32,
-    /// Sequences (or examples) per gradient step.
+    /// Sequences per gradient step.
     pub batch_size: usize,
     /// Sequence length for language-model batching.
     pub seq_len: usize,
@@ -60,8 +57,7 @@ impl TrainOptions {
 pub struct TrainReport {
     /// Mean loss over the final epoch.
     pub final_loss: f32,
-    /// Evaluation metric after training (next-token accuracy for the LM,
-    /// task metric for the classifier).
+    /// Validation next-token accuracy after training.
     pub metric: f64,
     /// Number of gradient steps taken.
     pub steps: usize,
@@ -156,103 +152,11 @@ pub fn evaluate_lm(
     }
 }
 
-/// Trains the sequence classifier on a synthetic GLUE-style task and returns
-/// the final loss and development-set metric.
-///
-/// # Panics
-///
-/// Panics if the dataset has no training examples.
-pub fn train_classifier(
-    model: &mut SequenceClassifier,
-    dataset: &TaskDataset,
-    options: &TrainOptions,
-    masks: Option<&MaskSet>,
-) -> TrainReport {
-    assert!(
-        !dataset.train().is_empty(),
-        "dataset has no training examples"
-    );
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let mut optimizer = Adam::new(options.learning_rate);
-    let mut order: Vec<usize> = (0..dataset.train().len()).collect();
-    let mut final_loss = f32::NAN;
-    let mut steps = 0;
-    for _ in 0..options.epochs {
-        order.shuffle(&mut rng);
-        let limit = options
-            .max_batches_per_epoch
-            .map(|b| b * options.batch_size)
-            .unwrap_or(order.len())
-            .min(order.len());
-        let mut epoch_loss = 0.0;
-        let mut used = 0;
-        for chunk in order[..limit].chunks(options.batch_size) {
-            let examples: Vec<_> = chunk.iter().map(|&i| dataset.train()[i].clone()).collect();
-            let mut g = Graph::new();
-            let bindings = model.bind(&mut g, masks);
-            let loss = model.batch_loss(&mut g, &bindings, &examples);
-            epoch_loss += g.scalar(loss);
-            g.backward(loss);
-            apply_gradients(model, &g, &bindings, &mut optimizer);
-            used += 1;
-            steps += 1;
-        }
-        final_loss = epoch_loss / used.max(1) as f32;
-    }
-    let metric = evaluate_classifier(model, dataset, masks);
-    TrainReport {
-        final_loss,
-        metric,
-        steps,
-    }
-}
-
-/// Evaluates the classifier on the development split with the task's own
-/// metric (accuracy, F1, Matthews correlation or Spearman correlation).
-pub fn evaluate_classifier(
-    model: &SequenceClassifier,
-    dataset: &TaskDataset,
-    masks: Option<&MaskSet>,
-) -> f64 {
-    let metric = dataset.task().metric();
-    if dataset.dev().is_empty() {
-        return 0.0;
-    }
-    match metric {
-        MetricKind::SpearmanCorrelation => {
-            let mut predicted = Vec::with_capacity(dataset.dev().len());
-            let mut actual = Vec::with_capacity(dataset.dev().len());
-            for e in dataset.dev() {
-                predicted.push(model.predict_score(&e.tokens, masks) as f64);
-                actual.push(match e.label {
-                    Label::Score(s) => s as f64,
-                    Label::Class(c) => c as f64,
-                });
-            }
-            spearman_correlation(&predicted, &actual)
-        }
-        _ => {
-            let mut predictions = Vec::with_capacity(dataset.dev().len());
-            let mut labels = Vec::with_capacity(dataset.dev().len());
-            for e in dataset.dev() {
-                predictions.push(model.predict_class(&e.tokens, masks));
-                labels.push(e.label.class());
-            }
-            match metric {
-                MetricKind::Accuracy => accuracy(&predictions, &labels),
-                MetricKind::F1 => f1_score(&predictions, &labels),
-                MetricKind::MatthewsCorrelation => matthews_correlation(&predictions, &labels),
-                MetricKind::SpearmanCorrelation => unreachable!("handled above"),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TransformerConfig;
-    use rt3_data::{CorpusConfig, GlueTask, TaskConfig};
+    use rt3_data::CorpusConfig;
 
     #[test]
     fn lm_training_beats_unigram_baseline() {
@@ -283,34 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn classifier_training_beats_majority_baseline() {
-        let config = TaskConfig {
-            vocab_size: 48,
-            seq_len: 10,
-            train_examples: 120,
-            dev_examples: 60,
-            seed: 5,
-        };
-        let dataset = TaskDataset::generate(GlueTask::Sst2, &config);
-        let mut model = SequenceClassifier::new(TransformerConfig::tiny(48), 2, 2);
-        let options = TrainOptions {
-            epochs: 3,
-            learning_rate: 8e-3,
-            batch_size: 8,
-            seq_len: 10,
-            max_batches_per_epoch: None,
-            seed: 2,
-        };
-        let report = train_classifier(&mut model, &dataset, &options, None);
-        assert!(
-            report.metric > dataset.majority_baseline(),
-            "trained metric {:.3} should beat majority baseline {:.3}",
-            report.metric,
-            dataset.majority_baseline()
-        );
-    }
-
-    #[test]
     fn masked_training_keeps_pruned_weights_at_zero() {
         let corpus = MarkovCorpus::generate(&CorpusConfig::tiny());
         let mut model = TransformerLm::new(TransformerConfig::tiny(48), 4);
@@ -328,14 +204,5 @@ mod tests {
         let _ = train_lm(&mut model, &corpus, &options, Some(&masks));
         let w = model.parameter("encoder.0.ffn.w1").unwrap();
         assert_eq!(w.count_nonzero(), 0, "pruned weights must stay zero");
-    }
-
-    #[test]
-    fn regression_task_reports_spearman() {
-        let config = TaskConfig::tiny();
-        let dataset = TaskDataset::generate(GlueTask::StsB, &config);
-        let model = SequenceClassifier::new(TransformerConfig::tiny(64), 1, 3);
-        let metric = evaluate_classifier(&model, &dataset, None);
-        assert!((-1.0..=1.0).contains(&metric));
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`tensor`] — matrices, autograd and optimizers;
 //! * [`sparse`] — COO/CSR/block/pattern sparse formats and storage reports;
-//! * [`data`] — synthetic WikiText-like and GLUE-like datasets and metrics;
-//! * [`transformer`] — the Transformer LM and DistilBERT-style classifier;
+//! * [`data`] — the synthetic WikiText-like corpus and the GLUE task names;
+//! * [`transformer`] — the Transformer language model and its training loop;
 //! * [`pruning`] — block-structured pruning and pattern-space generation;
 //! * [`hardware`] — DVFS, power/battery, latency prediction, reconfiguration;
 //! * [`search`] — pluggable Level-2 optimizers (REINFORCE over the RNN
