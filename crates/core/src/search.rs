@@ -20,11 +20,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_hardware::{number_of_runs, ModelWorkload, PowerModel, VfLevel};
 use rt3_pruning::{
-    block_prune_model, block_squares, combined_masks, generate_pattern_space, pattern_layouts,
-    random_block_prune_model, resolve_prunable, MaskCoverage, PatternSpace, PrunableWeight,
+    block_prune_model, combined_masks, generate_pattern_space, random_block_prune_model,
+    resolve_prunable, Lowering, PatternScorer, PatternSpace, PrunableWeight,
 };
 use rt3_search::{AssignmentSpace, DriverConfig, Fitness, Optimizer, Reinforce, SearchDriver};
-use rt3_sparse::{BlockSquares, MaskBits, PackLayout, SparseFormat};
+use rt3_sparse::{PackLayout, SparseFormat};
 use rt3_transformer::{MaskSet, Model};
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -178,12 +178,11 @@ impl SearchOutcome {
 /// every Level-2 evaluation goes through one table per search instead of
 /// lowering each level's candidate again per evaluation. The prunable
 /// weights and their backbone masks are resolved once, when the table is
-/// built, and so are their squares ([`block_squares`]), the backbone
-/// masks' per-block bitmasks ([`MaskBits`]) and the mask coverage
-/// ([`MaskCoverage`]), which do not depend on the candidate: a lowering
-/// scores from those squares ([`pattern_layouts`]) and takes the sparsity
-/// from the layouts' kept positions, bit-counted against those bitmasks,
-/// building no mask. The dense masks are built from the layouts ([`combined_masks`])
+/// built, and so is the [`PatternScorer`] over them, which holds what
+/// does not depend on the candidate: a lowering ([`PatternScorer::lower`])
+/// scores from its squares and bit-counts the sparsity, building no mask
+/// — the same rule the model bank lowers its levels with. The dense masks
+/// are built from the layouts ([`combined_masks`])
 /// only when an evaluator reads them ([`CandidateMasks::masks`]), once per
 /// candidate. The evaluator is still called once per level per evaluation,
 /// in level order, with masks equal to a fresh
@@ -194,11 +193,7 @@ pub struct CandidateTable<'a> {
     space: &'a PatternSpace,
     config: &'a Rt3Config,
     weights: Vec<PrunableWeight<'a>>,
-    /// Each weight's backbone-masked squares for the space's pattern size.
-    squares: Vec<BlockSquares>,
-    /// Each weight's backbone mask as per-block bitmasks, for kept counts.
-    mask_bits: Vec<MaskBits>,
-    coverage: MaskCoverage,
+    scorer: PatternScorer,
     power: PowerModel,
     /// V/F levels ordered high frequency -> low frequency (M1 first, as in
     /// the paper).
@@ -221,9 +216,8 @@ struct Lowered {
 
 impl<'a> CandidateTable<'a> {
     /// An empty table over `space`: resolves the model's prunable weights
-    /// and their backbone masks, squares them and bitmasks the masks for
-    /// the space's pattern size, and lowers nothing until an evaluation
-    /// needs it.
+    /// and their backbone masks, builds their scorer for the space's
+    /// pattern size, and lowers nothing until an evaluation needs it.
     pub fn new<M: Model>(
         model: &'a M,
         backbone: &'a BackboneResult,
@@ -233,22 +227,12 @@ impl<'a> CandidateTable<'a> {
         let mut levels = config.governor.levels().to_vec();
         levels.reverse();
         let weights = resolve_prunable(model, &backbone.masks, &model.prunable_parameter_names());
-        let coverage = MaskCoverage::new(
-            weights.iter().map(|w| (w.name.as_str(), w.weight.len())),
-            &backbone.masks,
-        );
-        let psize = space.pattern_size();
         Self {
             backbone,
             space,
             config,
-            squares: block_squares(&weights, psize),
-            mask_bits: weights
-                .iter()
-                .map(|w| MaskBits::new(w.weight.shape(), w.backbone, psize))
-                .collect(),
+            scorer: PatternScorer::new(&weights, &backbone.masks, space.pattern_size()),
             weights,
-            coverage,
             power: PowerModel::cortex_a7(),
             levels,
             lowered: (0..space.len()).map(|_| OnceCell::new()).collect(),
@@ -260,12 +244,8 @@ impl<'a> CandidateTable<'a> {
     /// and its latency and energy on every level.
     fn lowered(&self, candidate: usize) -> &Lowered {
         self.lowered[candidate].get_or_init(|| {
-            let set = &self.space.candidates()[candidate].set;
-            let layouts = pattern_layouts(&self.squares, set);
-            let kept = self.mask_bits.iter().zip(&layouts);
-            let sparsity = self
-                .coverage
-                .sparsity(kept.map(|(bits, layout)| bits.kept(layout)).sum());
+            let Lowering { layouts, sparsity } =
+                self.scorer.lower(&self.space.candidates()[candidate].set);
             let workload = ModelWorkload::from_config(
                 &self.config.workload_config,
                 sparsity,

@@ -36,8 +36,8 @@ pub use block::{
     reweighted_group_lasso_penalty, BlockPruningConfig, PruneCriterion,
 };
 pub use pattern_apply::{
-    block_squares, combined_masks, combined_masks_for_model, pattern_layouts, resolve_prunable,
-    MaskCoverage, PrunableWeight,
+    combined_masks, combined_masks_for_model, resolve_prunable, Lowering, PatternScorer,
+    PrunableWeight,
 };
 pub use pattern_space::{
     generate_pattern_space, importance_map, random_pattern_set, CandidatePatternSet, PatternSpace,

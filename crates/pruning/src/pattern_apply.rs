@@ -1,8 +1,9 @@
-//! Applying a pattern set to a model: builds the per-parameter masks that a
-//! chosen pattern set induces, composed with the fixed Level-1 backbone
-//! mask.
+//! Applying a pattern set to a model: lowers a chosen pattern set over the
+//! backbone-masked prunable weights ([`PatternScorer`]) and builds the
+//! per-parameter masks it induces, composed with the fixed Level-1
+//! backbone mask.
 
-use rt3_sparse::{Backend, BlockSquares, CompiledSet, PackLayout, PatternSet};
+use rt3_sparse::{Backend, BlockSquares, CompiledSet, MaskBits, PackLayout, PatternSet};
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
 use std::sync::Arc;
@@ -22,7 +23,7 @@ pub struct PrunableWeight<'a> {
 /// Resolves every parameter of `model` listed in `names`, in model
 /// parameter order, with its `backbone` mask. Callers that lower many
 /// pattern sets over the same weights resolve them once and pass the
-/// result to [`combined_masks`].
+/// result to [`PatternScorer::new`] and [`combined_masks`].
 pub fn resolve_prunable<'a, M: Model>(
     model: &'a M,
     backbone: &'a MaskSet,
@@ -60,11 +61,70 @@ pub fn combined_masks_for_model<M: Model>(
     combined_masks(&weights, &layouts, backbone)
 }
 
+/// One pattern set lowered over a list of prunable weights.
+#[derive(Debug, Clone)]
+pub struct Lowering {
+    /// One pack layout per weight, in the weights' order, all sharing one
+    /// compiled copy of the set.
+    pub layouts: Vec<Arc<PackLayout>>,
+    /// Overall sparsity of the combined (backbone ∧ pattern) masks; equals
+    /// `MaskSet::overall_sparsity` of [`combined_masks`] bit for bit.
+    pub sparsity: f64,
+}
+
+/// The lowering rule of RT3's Level 2, shared by the offline search and the
+/// model bank: what lowering a pattern set over a fixed list of
+/// backbone-masked prunable weights needs that does not depend on the set.
+/// Per weight it holds the squares of the backbone-masked weight, laid out
+/// for scoring ([`BlockSquares`]), and the backbone mask as per-block
+/// bitmasks ([`MaskBits`]); it also holds what the combined masks cover
+/// besides the patterns' kept positions. [`Self::lower`] then scores every
+/// block of every weight against a set and counts the kept positions, and
+/// builds no mask.
+#[derive(Debug)]
+pub struct PatternScorer {
+    squares: Vec<BlockSquares>,
+    mask_bits: Vec<MaskBits>,
+    coverage: MaskCoverage,
+}
+
+impl PatternScorer {
+    /// The scorer of pattern sets of size `psize` over `weights`, resolved
+    /// by [`resolve_prunable`] against `backbone`.
+    pub fn new(weights: &[PrunableWeight<'_>], backbone: &MaskSet, psize: usize) -> Self {
+        Self {
+            squares: block_squares(weights, psize),
+            mask_bits: weights
+                .iter()
+                .map(|w| MaskBits::new(w.weight.shape(), w.backbone, psize))
+                .collect(),
+            coverage: MaskCoverage::new(
+                weights.iter().map(|w| (w.name.as_str(), w.weight.len())),
+                backbone,
+            ),
+        }
+    }
+
+    /// Lowers `set`: one pack layout per weight and the overall sparsity,
+    /// from the layouts' kept positions bit-counted against the backbone
+    /// masks ([`MaskBits::kept`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set`'s pattern size is not the scorer's.
+    pub fn lower(&self, set: &PatternSet) -> Lowering {
+        let layouts = pattern_layouts(&self.squares, set);
+        let kept = self.mask_bits.iter().zip(&layouts);
+        let sparsity = self
+            .coverage
+            .sparsity(kept.map(|(bits, layout)| bits.kept(layout)).sum());
+        Lowering { layouts, sparsity }
+    }
+}
+
 /// The squares of each backbone-masked weight, laid out for scoring
-/// pattern sets of size `psize` ([`BlockSquares`]), in `weights` order.
-/// They do not depend on the pattern set, so a search builds them once and
-/// scores every candidate of its space from them.
-pub fn block_squares(weights: &[PrunableWeight<'_>], psize: usize) -> Vec<BlockSquares> {
+/// pattern sets of size `psize`, in `weights` order.
+fn block_squares(weights: &[PrunableWeight<'_>], psize: usize) -> Vec<BlockSquares> {
     let backend = Backend::detect();
     weights
         .iter()
@@ -73,16 +133,13 @@ pub fn block_squares(weights: &[PrunableWeight<'_>], psize: usize) -> Vec<BlockS
 }
 
 /// Scores every table of `squares` against `set`: one pack layout per
-/// weight, all sharing one compiled copy of the set. A caller that needs
-/// only the sparsity sums each layout's kept count under its weight's mask
-/// ([`rt3_sparse::MaskBits::kept`]) through a [`MaskCoverage`] and never
-/// builds a mask.
+/// weight, all sharing one compiled copy of the set.
 ///
 /// # Panics
 ///
 /// Panics if a table was laid out for another pattern size than the
 /// set's.
-pub fn pattern_layouts(squares: &[BlockSquares], set: &PatternSet) -> Vec<Arc<PackLayout>> {
+fn pattern_layouts(squares: &[BlockSquares], set: &PatternSet) -> Vec<Arc<PackLayout>> {
     let set = Arc::new(CompiledSet::new(set));
     squares
         .iter()
@@ -92,7 +149,7 @@ pub fn pattern_layouts(squares: &[BlockSquares], set: &PatternSet) -> Vec<Arc<Pa
 
 /// The combined masks of [`combined_masks_for_model`] over weights resolved
 /// by [`resolve_prunable`] against the same `backbone`, from their
-/// [`pattern_layouts`] (in `weights` order). Each weight's layout is read
+/// [`Lowering::layouts`] (in `weights` order). Each weight's layout is read
 /// back as a keep-mask (backbone ∧ pattern), with no weight clone and no
 /// value gather; the backbone's other entries are copied as they are.
 ///
@@ -122,11 +179,11 @@ pub fn combined_masks(
 /// not depend on the pattern set: the elements it covers — every patterned
 /// weight plus every backbone mask of another parameter — and the
 /// non-zeros of those other backbone masks, which no pattern touches.
-/// With the patterned weights' kept count (the sum of
-/// [`rt3_sparse::MaskBits::kept`] over their layouts) it gives the set's
-/// overall sparsity without building it.
+/// With the patterned weights' kept count (the sum of [`MaskBits::kept`]
+/// over their layouts) it gives the set's overall sparsity without
+/// building it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaskCoverage {
+struct MaskCoverage {
     covered: usize,
     unpatterned_kept: usize,
 }
@@ -134,10 +191,7 @@ pub struct MaskCoverage {
 impl MaskCoverage {
     /// The coverage of the combined masks of the `patterned` weights, given
     /// as `(name, elements)`, over `backbone`.
-    pub fn new<'n>(
-        patterned: impl IntoIterator<Item = (&'n str, usize)>,
-        backbone: &MaskSet,
-    ) -> Self {
+    fn new<'n>(patterned: impl IntoIterator<Item = (&'n str, usize)>, backbone: &MaskSet) -> Self {
         let mut names = Vec::new();
         let mut covered = 0;
         for (name, elements) in patterned {
@@ -159,7 +213,7 @@ impl MaskCoverage {
     /// `patterned_kept` positions: pruned over covered elements, both
     /// integers until the one division, so it equals
     /// `MaskSet::overall_sparsity` of the built masks bit for bit.
-    pub fn sparsity(&self, patterned_kept: usize) -> f64 {
+    fn sparsity(&self, patterned_kept: usize) -> f64 {
         if self.covered == 0 {
             return 0.0;
         }

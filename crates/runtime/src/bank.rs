@@ -15,25 +15,26 @@
 //!
 //! Lowering is split the way the paper splits its switch. Which pattern
 //! each block gets depends only on the model, the backbone and the pattern
-//! set, so the bank scores a level's blocks once — the first time the level
-//! is built, from [`BlockSquares`] tables as the offline search scores its
-//! candidates — and keeps, for good and across evictions, everything a pack
-//! needs that does not depend on the values: per weight a [`PackLayout`]
-//! holding a `u16` pattern id and a `u32` arena offset per block (6 bytes
-//! per block) and each pattern's kept positions as `u32` flat offsets for
-//! the weight's row stride, all sharing one compiled copy of the level's
-//! pattern set; and the level's achieved sparsity. Every later build of
-//! the level, which is what a cold V/F switch pays, is a pure gather: the
-//! bank first evicts the least-recently-used variant, so it never holds
-//! more than its capacity, then refills that variant's own arenas in place
-//! with the new level's kept values. Once every arena has held its largest
+//! set, so a level is lowered once — the first time any bank over the same
+//! assignment builds it, by the [`PatternScorer`] the offline search lowers
+//! its candidates with, whose squares are dropped with it — and the
+//! lowering is kept, for good and across evictions: per weight a
+//! [`PackLayout`] holding a `u16` pattern id and a `u32` arena offset per
+//! block (6 bytes per block) and each pattern's kept positions as `u32`
+//! flat offsets for the weight's row stride, all sharing one compiled copy
+//! of the level's pattern set; and the level's achieved sparsity. A bank
+//! and its spares ([`ModelBank::spare`], one per fleet device) share those
+//! lowerings, the backbone and the assignment behind one `Arc`, so a level
+//! is lowered once however many banks serve it. Every later build of the
+//! level, which is what a cold V/F switch pays, is a pure gather: the bank
+//! first evicts the least-recently-used variant, so it never holds more
+//! than its capacity, then refills that variant's own arenas in place with
+//! the new level's kept values. Once every arena has held its largest
 //! level, a switch allocates nothing.
 
 use rt3_hardware::{MemoryModel, SwitchCost};
-use rt3_pruning::{CandidatePatternSet, MaskCoverage, PatternSpace};
-use rt3_sparse::{
-    Backend, BlockSquares, CompiledSet, MaskBits, PackLayout, PatternPrunedMatrix, PatternSet,
-};
+use rt3_pruning::{CandidatePatternSet, Lowering, PatternScorer, PatternSpace, PrunableWeight};
+use rt3_sparse::{PatternPrunedMatrix, PatternSet};
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
 use std::marker::PhantomData;
@@ -159,24 +160,48 @@ pub struct BankStats {
 /// eviction.
 pub struct ModelBank<'m, M: Model> {
     model: PhantomData<&'m M>,
+    /// What every bank over this assignment shares.
+    shared: Arc<Assignment<'m>>,
+    entries: Vec<Option<BankedModel>>,
+    /// Level positions ordered least- to most-recently used.
+    recency: Vec<usize>,
+    capacity: usize,
+    stats: BankStats,
+}
+
+/// The state of a bank that does not depend on what it holds resident,
+/// shared by a bank and its spares.
+struct Assignment<'m> {
     backbone: MaskSet,
     /// The prunable weights, in model parameter order.
     prunable: Vec<(String, &'m Matrix)>,
     /// One chosen candidate per governor level position (0 = lowest
     /// frequency).
-    assignments: Vec<CandidatePatternSet>,
-    /// Per level, the pack tables of every prunable weight and the achieved
-    /// sparsity; built on the level's first build and kept across evictions.
-    tables: Vec<OnceLock<LevelTables>>,
-    entries: Vec<Option<BankedModel>>,
-    /// Level positions ordered least- to most-recently used.
-    recency: Vec<usize>,
-    capacity: usize,
+    levels: Vec<CandidatePatternSet>,
+    /// Per level, the layouts of every prunable weight and the achieved
+    /// sparsity; filled on the level's first build by any sharing bank.
+    lowered: Vec<OnceLock<Lowering>>,
     memory: MemoryModel,
     total_blocks: usize,
-    /// What the combined masks cover besides the patterns' kept positions.
-    coverage: MaskCoverage,
-    stats: BankStats,
+}
+
+impl Assignment<'_> {
+    /// The level's lowering, lowered on first use (see the module docs).
+    fn lowering(&self, level_pos: usize) -> &Lowering {
+        self.lowered[level_pos].get_or_init(|| {
+            let weights: Vec<PrunableWeight<'_>> = self
+                .prunable
+                .iter()
+                .map(|(name, weight)| PrunableWeight {
+                    name: name.clone(),
+                    weight,
+                    backbone: self.backbone.get(name),
+                })
+                .collect();
+            let set = &self.levels[level_pos].set;
+            PatternScorer::new(&weights, &self.backbone, set.size()).lower(set)
+        })
+    }
 }
 
 impl<'m, M: Model> ModelBank<'m, M> {
@@ -206,7 +231,7 @@ impl<'m, M: Model> ModelBank<'m, M> {
             "at least one level assignment is required"
         );
         assert!(capacity > 0, "bank capacity must be positive");
-        let assignments: Vec<CandidatePatternSet> = actions
+        let levels: Vec<CandidatePatternSet> = actions
             .iter()
             .rev()
             .map(|&a| {
@@ -225,40 +250,43 @@ impl<'m, M: Model> ModelBank<'m, M> {
             .iter()
             .map(|(_, w)| w.rows().div_ceil(psize) * w.cols().div_ceil(psize))
             .sum();
-        let coverage = MaskCoverage::new(
-            prunable.iter().map(|(name, w)| (name.as_str(), w.len())),
-            &backbone,
-        );
-        let levels = assignments.len();
-        Self {
-            model: PhantomData,
+        let shared = Arc::new(Assignment {
             backbone,
             prunable,
-            assignments,
-            tables: (0..levels).map(|_| OnceLock::new()).collect(),
+            lowered: levels.iter().map(|_| OnceLock::new()).collect(),
+            levels,
+            memory,
+            total_blocks,
+        });
+        Self::over(shared, capacity)
+    }
+
+    /// An empty bank of `capacity` over `shared`.
+    fn over(shared: Arc<Assignment<'m>>, capacity: usize) -> Self {
+        let levels = shared.levels.len();
+        Self {
+            model: PhantomData,
+            shared,
             entries: (0..levels).map(|_| None).collect(),
             recency: Vec::with_capacity(levels),
             capacity,
-            memory,
-            total_blocks,
-            coverage,
             stats: BankStats::default(),
         }
     }
 
     /// Number of governor levels the bank serves.
     pub fn levels(&self) -> usize {
-        self.assignments.len()
+        self.shared.levels.len()
     }
 
     /// The candidate pattern set assigned to a level position.
     pub fn pattern_set(&self, level_pos: usize) -> &PatternSet {
-        &self.assignments[level_pos].set
+        &self.shared.levels[level_pos].set
     }
 
     /// Target sparsity assigned to a level position.
     pub fn target_sparsity(&self, level_pos: usize) -> f64 {
-        self.assignments[level_pos].sparsity
+        self.shared.levels[level_pos].sparsity
     }
 
     /// Cache statistics so far.
@@ -269,13 +297,15 @@ impl<'m, M: Model> ModelBank<'m, M> {
     /// Total `psize × psize` blocks across the prunable weights (the unit of
     /// the switch-cost model).
     pub fn total_blocks(&self) -> usize {
-        self.total_blocks
+        self.shared.total_blocks
     }
 
     /// Cost of swapping the pattern set of `level_pos` into the working set.
     pub fn switch_cost(&self, level_pos: usize) -> SwitchCost {
-        self.memory
-            .pattern_switch_cost(&self.assignments[level_pos].set, self.total_blocks)
+        let shared = &self.shared;
+        shared
+            .memory
+            .pattern_switch_cost(&shared.levels[level_pos].set, shared.total_blocks)
     }
 
     /// Builds the variant for a level from scratch, bypassing the cache.
@@ -285,12 +315,13 @@ impl<'m, M: Model> ModelBank<'m, M> {
     /// per-level timing probes through here, so measuring leaves the
     /// serving bank's residency and LRU statistics untouched.
     ///
-    /// The level's first build scores every block of the backbone-masked
-    /// weights against its pattern set and keeps the resulting pack tables;
-    /// every build — the first included — then gathers each prunable
-    /// weight straight from the model weight and its backbone mask under
-    /// those tables ([`PatternPrunedMatrix::pack_into`]), the same gather a
-    /// cold switch in [`Self::get`] runs into an evicted variant's arenas.
+    /// The level's first build by this bank or any bank sharing its
+    /// lowerings scores every block of the backbone-masked weights against
+    /// its pattern set and keeps the resulting layouts; every build — the
+    /// first included — then gathers each prunable weight straight from the
+    /// model weight and its backbone mask under those layouts
+    /// ([`PatternPrunedMatrix::pack_into`]), the same gather a cold switch
+    /// in [`Self::get`] runs into an evicted variant's arenas.
     /// The achieved sparsity equals the `overall_sparsity` of
     /// `rt3_pruning::combined_masks_for_model`'s masks bit for bit.
     pub fn rebuild_cold(&self, level_pos: usize) -> BankedModel {
@@ -303,13 +334,14 @@ impl<'m, M: Model> ModelBank<'m, M> {
     /// A non-empty `variant` must come from this bank: every variant lists
     /// the same weights in the same order, so names stay as they are.
     fn refill(&self, level_pos: usize, variant: &mut BankedModel) {
-        let candidate = &self.assignments[level_pos];
-        let tables = self.tables[level_pos].get_or_init(|| self.lower(&candidate.set));
+        let shared = &*self.shared;
+        let lowering = shared.lowering(level_pos);
         variant.level_pos = level_pos;
-        variant.target_sparsity = candidate.sparsity;
-        variant.sparsity = tables.sparsity;
-        for (k, ((name, weight), layout)) in self.prunable.iter().zip(&tables.layouts).enumerate() {
-            let mask = self.backbone.get(name);
+        variant.target_sparsity = shared.levels[level_pos].sparsity;
+        variant.sparsity = lowering.sparsity;
+        let layouts = &lowering.layouts;
+        for (k, ((name, weight), layout)) in shared.prunable.iter().zip(layouts).enumerate() {
+            let mask = shared.backbone.get(name);
             match variant.weights.get_mut(k) {
                 Some((_, packed)) => packed.pack_into(layout, weight, mask),
                 None => variant.weights.push((
@@ -317,33 +349,6 @@ impl<'m, M: Model> ModelBank<'m, M> {
                     PatternPrunedMatrix::pack(layout, weight, mask),
                 )),
             }
-        }
-    }
-
-    /// Scores every prunable weight under `set` through its backbone mask,
-    /// from the same [`BlockSquares`] table and [`PackLayout::assign`] the
-    /// offline search runs, and derives the level's pack tables and, from
-    /// the layouts' kept positions bit-counted against the masks
-    /// ([`MaskBits::kept`]), its sparsity.
-    fn lower(&self, set: &PatternSet) -> LevelTables {
-        let psize = set.size();
-        let set = Arc::new(CompiledSet::new(set));
-        let backend = Backend::detect();
-        let mut kept = 0;
-        let layouts = self
-            .prunable
-            .iter()
-            .map(|(name, weight)| {
-                let mask = self.backbone.get(name);
-                let squares = BlockSquares::new(weight, mask, psize, backend);
-                let layout = PackLayout::assign(&squares, &set);
-                kept += MaskBits::new(weight.shape(), mask, psize).kept(&layout);
-                Arc::new(layout)
-            })
-            .collect();
-        LevelTables {
-            layouts,
-            sparsity: self.coverage.sparsity(kept),
         }
     }
 
@@ -372,22 +377,12 @@ impl<'m, M: Model> ModelBank<'m, M> {
     }
 
     /// An empty bank of `capacity` over the same levels that shares this
-    /// bank's kept pack tables, so none of its builds scores a block.
+    /// bank's lowerings, those still to come included: a level either bank
+    /// lowers, the other builds without scoring a block. It keeps its own
+    /// residency and [`BankStats`].
     pub(crate) fn spare(&self, capacity: usize) -> Self {
         assert!(capacity > 0, "bank capacity must be positive");
-        let levels = self.levels();
-        Self {
-            model: PhantomData,
-            backbone: self.backbone.clone(),
-            prunable: self.prunable.clone(),
-            assignments: self.assignments.clone(),
-            tables: self.tables.clone(),
-            entries: (0..levels).map(|_| None).collect(),
-            recency: Vec::with_capacity(levels),
-            capacity,
-            stats: BankStats::default(),
-            ..*self
-        }
+        Self::over(Arc::clone(&self.shared), capacity)
     }
 
     /// Whether the variant for `level_pos` is currently materialised.
@@ -404,15 +399,6 @@ impl<'m, M: Model> ModelBank<'m, M> {
         self.stats.evictions += 1;
         self.entries[victim].take()
     }
-}
-
-/// What every build of one level reuses (see the module docs).
-#[derive(Debug, Clone)]
-struct LevelTables {
-    /// One pack layout per prunable weight, in model parameter order.
-    layouts: Vec<Arc<PackLayout>>,
-    /// Achieved overall sparsity of the combined backbone ∧ pattern masks.
-    sparsity: f64,
 }
 
 #[cfg(test)]
@@ -580,6 +566,44 @@ mod tests {
             assert_eq!(stats.hits + stats.builds, accesses);
             assert_eq!(stats.evictions, stats.builds - 1);
         }
+    }
+
+    /// A spare taken before any build shares the lowerings still to come:
+    /// a level it lowers is the level its parent builds from, and both
+    /// build what a cold rebuild does, while each bank keeps its own
+    /// statistics.
+    #[test]
+    fn spares_share_levels_lowered_after_they_were_taken() {
+        let (model, backbone, space) = setup();
+        let mut bank = ModelBank::new(
+            &model,
+            backbone,
+            &space,
+            &[0, 1, 2],
+            MemoryModel::odroid_xu3(),
+            3,
+        );
+        let mut spare = bank.spare(1);
+        let from_spare = spare.get(1).clone();
+        let _ = spare.get(1);
+        let from_bank = bank.get(1).clone();
+        let first_layout = |bank: &ModelBank<'_, TransformerLm>| {
+            let lowering = bank.shared.lowered[1].get().expect("level 1 is lowered");
+            Arc::clone(&lowering.layouts[0])
+        };
+        assert!(Arc::ptr_eq(&first_layout(&bank), &first_layout(&spare)));
+        let cold = bank.rebuild_cold(1);
+        for variant in [&from_spare, &from_bank] {
+            assert!(variant.weights == cold.weights);
+            assert_eq!(variant.sparsity.to_bits(), cold.sparsity.to_bits());
+        }
+        let stats = |hits, builds| BankStats {
+            hits,
+            builds,
+            evictions: 0,
+        };
+        assert_eq!(spare.stats(), stats(1, 1));
+        assert_eq!(bank.stats(), stats(0, 1));
     }
 
     #[test]

@@ -195,7 +195,7 @@ pub struct LevelCalibration {
 /// Measured cost of one V/F switch: in a capacity-1 bank holding the warm
 /// `from` variant, the wall-clock cost of [`ModelBank::get`] on `to` —
 /// evicting `from` and refilling its buffers with every prunable weight's
-/// kept values under `to`'s kept pack tables — which is exactly what a
+/// kept values under `to`'s kept layouts — which is exactly what a
 /// governor transition to a non-resident level pays before it can serve.
 /// The one-off block scoring of a level's first build is not part of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -383,7 +383,7 @@ pub fn calibrate<M: Model>(
 }
 
 /// Times every ordered V/F level pair on a throwaway capacity-1 bank that
-/// shares `bank`'s kept tables: each sample makes the `from` variant
+/// shares `bank`'s lowerings: each sample makes the `from` variant
 /// resident and warm (one batch-of-one inference) so the machine state
 /// resembles steady serving at that level, then times the `get` of `to`,
 /// best-of-samples. [`calibrate`] has built every level once before this

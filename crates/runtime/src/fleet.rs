@@ -438,7 +438,8 @@ impl FleetConfig {
 /// A fleet of simulated devices serving one arrival stream through a
 /// [`Router`]. Every device runs the battery-aware adaptive policy on its
 /// own battery, controller, bank and scheduler; the fleet shares only the
-/// offline artifacts (model, masks, pattern space, search outcome).
+/// offline artifacts (model, masks, pattern space, search outcome) and the
+/// banks' level lowerings.
 pub struct Fleet<'m, M: Model> {
     devices: Vec<DeviceSim<'m, M>>,
     router: Router,
@@ -451,7 +452,8 @@ pub struct Fleet<'m, M: Model> {
 impl<'m, M: Model> Fleet<'m, M> {
     /// Builds one simulated device per profile in `scenario`, each with its
     /// own model bank over the search's best solution and a battery
-    /// pre-drained to the profile's initial state of charge.
+    /// pre-drained to the profile's initial state of charge. The banks are
+    /// spares of one bank, so each level is lowered once for the fleet.
     ///
     /// # Panics
     ///
@@ -489,18 +491,20 @@ impl<'m, M: Model> Fleet<'m, M> {
         let duration_s = scenario.duration_s();
         // one wall clock shared by every device's kernel/build timings
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+        // every device's bank shares this one's lowerings
+        let bank = ModelBank::new(
+            model,
+            backbone_masks,
+            space,
+            &best.actions,
+            MemoryModel::odroid_xu3(),
+            level_count,
+        );
         let devices = scenario
             .devices
             .iter()
             .map(|profile| {
-                let bank = ModelBank::new(
-                    model,
-                    backbone_masks.clone(),
-                    space,
-                    &best.actions,
-                    MemoryModel::odroid_xu3(),
-                    level_count,
-                );
+                let bank = bank.spare(level_count);
                 let mut battery = Battery::new(profile.battery_capacity_j);
                 let deficit = profile.battery_capacity_j * (1.0 - profile.initial_soc);
                 if deficit > 0.0 {

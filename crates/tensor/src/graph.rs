@@ -26,25 +26,16 @@
 //! ```
 
 use crate::matrix::Matrix;
-use rand::Rng;
 
 /// Handle to a node in a [`Graph`] tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
-
-impl Var {
-    /// Raw index of the node in the tape (useful for debugging).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Op {
     /// Leaf parameter or constant input; no backward propagation beyond it.
     Leaf,
     Add(Var, Var),
-    Sub(Var, Var),
     Mul(Var, Var),
     MulConst(Var, Matrix),
     Scale(Var, f32),
@@ -78,10 +69,6 @@ enum Op {
     },
     SumAll(Var),
     MeanAll(Var),
-    Dropout {
-        input: Var,
-        mask: Matrix,
-    },
     CrossEntropyLogits {
         logits: Var,
         targets: Vec<usize>,
@@ -167,19 +154,6 @@ impl Graph {
             .zip(&self.nodes[b.0].value, |x, y| x + y);
         let rg = self.requires(a) || self.requires(b);
         self.push(value, Op::Add(a, b), rg)
-    }
-
-    /// Element-wise difference `a - b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.nodes[a.0]
-            .value
-            .zip(&self.nodes[b.0].value, |x, y| x - y);
-        let rg = self.requires(a) || self.requires(b);
-        self.push(value, Op::Sub(a, b), rg)
     }
 
     /// Element-wise (Hadamard) product of two variables.
@@ -404,26 +378,6 @@ impl Graph {
         self.push(value, Op::MeanAll(a), rg)
     }
 
-    /// Inverted dropout with keep-probability `1 - p`; active only when
-    /// `training` is `true`, otherwise the identity.
-    pub fn dropout<R: Rng + ?Sized>(&mut self, a: Var, p: f32, training: bool, rng: &mut R) -> Var {
-        if !training || p <= 0.0 {
-            return a;
-        }
-        let keep = 1.0 - p;
-        let src = &self.nodes[a.0].value;
-        let mask = Matrix::from_fn(src.rows(), src.cols(), |_, _| {
-            if rng.gen::<f32>() < keep {
-                1.0 / keep
-            } else {
-                0.0
-            }
-        });
-        let value = src.zip(&mask, |x, m| x * m);
-        let rg = self.requires(a);
-        self.push(value, Op::Dropout { input: a, mask }, rg)
-    }
-
     /// Softmax cross-entropy between `logits` (one row per example) and the
     /// target class indices; returns the mean loss as a `1 x 1` matrix.
     ///
@@ -535,11 +489,6 @@ impl Graph {
                 Op::Add(a, b) => {
                     self.accumulate(a, &grad);
                     self.accumulate(b, &grad);
-                }
-                Op::Sub(a, b) => {
-                    self.accumulate(a, &grad);
-                    let neg = grad.map(|x| -x);
-                    self.accumulate(b, &neg);
                 }
                 Op::Mul(a, b) => {
                     let ga = grad.zip(&self.nodes[b.0].value, |g, y| g * y);
@@ -689,10 +638,6 @@ impl Graph {
                     let ga = Matrix::filled(shape.0, shape.1, g);
                     self.accumulate(a, &ga);
                 }
-                Op::Dropout { input, mask } => {
-                    let gi = grad.zip(&mask, |g, m| g * m);
-                    self.accumulate(input, &gi);
-                }
                 Op::CrossEntropyLogits {
                     logits,
                     targets,
@@ -760,8 +705,6 @@ fn gelu_grad_scalar(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn add_and_mul_gradients() {
@@ -867,15 +810,6 @@ mod tests {
         let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-4);
         assert!((var - 1.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn dropout_disabled_in_eval_mode() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut g = Graph::new();
-        let x = g.leaf(Matrix::filled(4, 4, 1.0));
-        let y = g.dropout(x, 0.5, false, &mut rng);
-        assert_eq!(x.index(), y.index());
     }
 
     #[test]
