@@ -22,7 +22,9 @@
 //!
 //! Set `BENCH_QUICK=1` (CI) to shrink the sample counts. The `{"bench":
 //! "telemetry_overhead/...", ...}` JSON line feeds the perf trajectory
-//! (`BENCH_telemetry.json`).
+//! (`BENCH_telemetry.json`). Beside each gated median it reports the first
+//! and third quartiles of the same per-cycle paired ratios (`*_q1`,
+//! `*_q3`), so a gate flip can be read against the spread it came from.
 
 use rt3_core::{
     build_search_space, run_level1, run_level2_search, Rt3Config, SearchOutcome,
@@ -61,17 +63,24 @@ fn offline() -> (
     (model, backbone.masks, space, outcome, config)
 }
 
-fn median(samples: &[f64]) -> f64 {
+/// The `q`-quantile of `samples` by nearest rank below: the sorted
+/// sample at index `⌊q · n⌋` (the median is the one at `n / 2`).
+fn quantile(samples: &[f64], q: f64) -> f64 {
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    sorted[sorted.len() / 2]
+    sorted[(q * sorted.len() as f64) as usize]
 }
 
-/// Median of the element-wise `numer[i] / denom[i]` ratios — the paired
-/// overhead estimate (each index is one interleaved cycle).
-fn paired_ratio(numer: &[f64], denom: &[f64]) -> f64 {
+fn median(samples: &[f64]) -> f64 {
+    quantile(samples, 0.5)
+}
+
+/// First quartile, median and third quartile of the element-wise
+/// `numer[i] / denom[i]` ratios as overhead percentages; the median is the
+/// paired overhead estimate (each index is one interleaved cycle).
+fn paired_overhead_pct(numer: &[f64], denom: &[f64]) -> [f64; 3] {
     let ratios: Vec<f64> = numer.iter().zip(denom).map(|(n, d)| n / d).collect();
-    median(&ratios)
+    [0.25, 0.5, 0.75].map(|q| 100.0 * (quantile(&ratios, q) - 1.0))
 }
 
 fn main() {
@@ -124,14 +133,17 @@ fn main() {
     let off = median(&off_ms);
     let counters = median(&counters_ms);
     let full = median(&full_ms);
-    let counters_pct = 100.0 * (paired_ratio(&counters_ms, &off_ms) - 1.0);
-    let full_pct = 100.0 * (paired_ratio(&full_ms, &off_ms) - 1.0);
+    let [counters_q1, counters_pct, counters_q3] = paired_overhead_pct(&counters_ms, &off_ms);
+    let [full_q1, full_pct, full_q3] = paired_overhead_pct(&full_ms, &off_ms);
 
     println!(
         "{{\"bench\": \"telemetry_overhead/bursty_90s_real_inference\", \
          \"samples\": {samples}, \"repeats\": {repeats}, \
          \"off_ms\": {off:.3}, \"counters_ms\": {counters:.3}, \"full_ms\": {full:.3}, \
-         \"counters_overhead_pct\": {counters_pct:.3}, \"full_overhead_pct\": {full_pct:.3}, \
+         \"counters_overhead_pct\": {counters_pct:.3}, \
+         \"counters_overhead_pct_q1\": {counters_q1:.3}, \"counters_overhead_pct_q3\": {counters_q3:.3}, \
+         \"full_overhead_pct\": {full_pct:.3}, \
+         \"full_overhead_pct_q1\": {full_q1:.3}, \"full_overhead_pct_q3\": {full_q3:.3}, \
          \"gate_pct\": {GATE_PCT:.1}, \"full_gate_pct\": {FULL_GATE_PCT:.1}}}"
     );
     assert!(

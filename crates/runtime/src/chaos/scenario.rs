@@ -8,12 +8,12 @@
 //! profile has one slot per event kind, a later overlay touching the same
 //! slot of the same device wins — compositions read top-to-bottom.
 
-use crate::fleet::{FleetConfig, RouterConfig, RoutingPolicy};
+use crate::fleet::{FleetConfig, RoutingPolicy};
 use crate::scenario::{DeviceProfile, FleetScenario, Scenario};
 use crate::scheduler::SchedulerConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rt3_telemetry::{TelemetryConfig, TelemetryLevel};
+use rt3_telemetry::TelemetryConfig;
 
 use super::clients::ClientPolicy;
 
@@ -245,10 +245,7 @@ impl ChaosScenario {
     /// being absorbed by slack capacity.
     pub fn storm_fleet_config(policy: RoutingPolicy, seed: u64) -> FleetConfig {
         FleetConfig {
-            router: RouterConfig {
-                policy,
-                ..RouterConfig::default()
-            },
+            routing: policy,
             deadline_budget_ms: 200.0,
             scheduler: SchedulerConfig {
                 workers: 1,
@@ -257,11 +254,7 @@ impl ChaosScenario {
             },
             real_inference: false,
             seed,
-            telemetry: TelemetryConfig {
-                level: TelemetryLevel::Counters,
-                ..TelemetryConfig::default()
-            },
-            ..FleetConfig::default()
+            telemetry: TelemetryConfig::counters(),
         }
     }
 

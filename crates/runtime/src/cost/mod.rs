@@ -17,9 +17,10 @@
 //!   [`AmortisationCurve`], closing the loop between the simulated batching
 //!   model and what the compiled sparse kernels actually do.
 //!
-//! The shared [`CostConfig`] is the single source of truth for the
-//! batch-amortisation knob that `EngineConfig` and the fleet config used to
-//! duplicate (field, default *and* validation message).
+//! [`CostConfig`] holds [`Analytic`]'s batch-amortisation α. The serving
+//! engine, the fleet and the socket server all build their analytic model
+//! from its default; a different model is swapped in whole
+//! (`ServeEngine::set_cost_model`, `Fleet::with_cost_model`).
 
 mod analytic;
 mod calibrated;
@@ -30,13 +31,12 @@ pub use calibrated::{
     CalibrationReport, LevelCalibration, SwitchCalibration,
 };
 
+use rt3_core::Rt3Config;
 use rt3_hardware::{PerformancePredictor, VfLevel};
 use rt3_sparse::SparseFormat;
 use rt3_transformer::TransformerConfig;
 
-/// Shared cost-model configuration — the single home of the
-/// batch-amortisation α that was previously copy-pasted (field and
-/// validation) between the engine and fleet configs.
+/// The analytic cost model's configuration: its batch-amortisation α.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConfig {
     /// Fraction of a single-request inference that is amortised across a
@@ -80,6 +80,16 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
+    /// The latency model of an RT3 configuration: its predictor on its
+    /// workload shape and sequence length.
+    pub fn of(rt3: &Rt3Config) -> Self {
+        Self {
+            predictor: rt3.predictor,
+            workload_config: rt3.workload_config.clone(),
+            seq_len: rt3.seq_len,
+        }
+    }
+
     /// Predicted latency of a single request at `sparsity` on `level`.
     pub fn base_latency_ms(&self, sparsity: f64, level: &VfLevel) -> f64 {
         let workload = rt3_hardware::ModelWorkload::from_config(

@@ -11,7 +11,6 @@
 //! replayed as real sparse inference on the [`crate::pool`] worker pool.
 
 use crate::bank::{BankStats, ModelBank};
-use crate::controller::{HysteresisConfig, RuntimeController};
 use crate::cost::{Analytic, CostConfig, CostModel, LatencyModel};
 use crate::governor::DeviceGovernor;
 use crate::pool;
@@ -22,7 +21,7 @@ use crate::telemetry::DeviceTelemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_core::{Rt3Config, SearchOutcome};
-use rt3_hardware::{Battery, MemoryModel, PowerModel};
+use rt3_hardware::{Battery, MemoryModel};
 use rt3_pruning::PatternSpace;
 use rt3_telemetry::{StreamingHistogram, TelemetryConfig, TraceEvent, TraceEventKind, WallClock};
 use rt3_transformer::Model;
@@ -63,7 +62,10 @@ impl RuntimePolicy {
     }
 }
 
-/// Serving-engine parameters.
+/// Serving-engine parameters. The controller hysteresis and the power
+/// model are the ones [`DeviceGovernor::new`] builds, and every prediction
+/// goes through the default [`Analytic`] model until
+/// [`ServeEngine::set_cost_model`] replaces it.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Battery capacity for the trace, joules.
@@ -73,12 +75,6 @@ pub struct ServeConfig {
     pub deadline_budget_ms: f64,
     /// Scheduler parameters.
     pub scheduler: SchedulerConfig,
-    /// Controller hysteresis.
-    pub hysteresis: HysteresisConfig,
-    /// Shared cost-model configuration (batch amortisation) used to build
-    /// the default [`Analytic`] model; swap the whole model with
-    /// [`ServeEngine::set_cost_model`].
-    pub cost: CostConfig,
     /// Level-selection policy.
     pub policy: RuntimePolicy,
     /// Replay every dispatched micro-batch as real sparse inference on the
@@ -97,8 +93,6 @@ impl Default for ServeConfig {
             battery_capacity_j: 60.0,
             deadline_budget_ms: 400.0,
             scheduler: SchedulerConfig::default(),
-            hysteresis: HysteresisConfig::default(),
-            cost: CostConfig::default(),
             policy: RuntimePolicy::Adaptive,
             real_inference: true,
             seed: 0x7233,
@@ -120,11 +114,7 @@ impl ServeConfig {
         if self.deadline_budget_ms <= 0.0 || self.deadline_budget_ms.is_nan() {
             return Err("deadline_budget_ms must be positive".into());
         }
-        self.cost.validate()?;
-        self.scheduler.validate()?;
-        self.hysteresis.validate()?;
-        self.telemetry.validate()?;
-        Ok(())
+        self.scheduler.validate()
     }
 }
 
@@ -157,15 +147,6 @@ impl<'m, M: Model> ServeEngine<'m, M> {
         config: ServeConfig,
     ) -> Self {
         config.validate().expect("invalid serve configuration");
-        let best = outcome
-            .best
-            .as_ref()
-            .expect("search outcome has no feasible solution to serve");
-        assert_eq!(
-            best.actions.len(),
-            rt3.governor.levels().len(),
-            "one action per governor level is required"
-        );
         if let RuntimePolicy::FixedLevel(pos) = config.policy {
             assert!(
                 pos < rt3.governor.levels().len(),
@@ -173,22 +154,8 @@ impl<'m, M: Model> ServeEngine<'m, M> {
                 rt3.governor.levels().len()
             );
         }
-        let bank = ModelBank::new(
-            model,
-            backbone_masks,
-            space,
-            &best.actions,
-            MemoryModel::odroid_xu3(),
-            rt3.governor.levels().len(),
-        );
-        let cost = Arc::new(Analytic::new(
-            LatencyModel {
-                predictor: rt3.predictor,
-                workload_config: rt3.workload_config.clone(),
-                seq_len: rt3.seq_len,
-            },
-            config.cost,
-        ));
+        let bank = level_bank(model, backbone_masks, space, outcome, &rt3);
+        let cost = analytic_cost(&rt3);
         Self {
             bank: Some(bank),
             rt3,
@@ -228,11 +195,10 @@ impl<'m, M: Model> ServeEngine<'m, M> {
         let mut device = DeviceSim::new(
             self.bank.take().expect("bank is restored after each run"),
             DeviceGovernor::new(
-                RuntimeController::new(self.rt3.governor.clone(), self.config.hysteresis),
+                self.rt3.governor.clone(),
                 Battery::new(self.config.battery_capacity_j),
                 self.config.policy,
                 Arc::clone(&self.cost),
-                PowerModel::cortex_a7(),
                 self.config.scheduler,
             ),
             self.config.deadline_budget_ms,
@@ -291,6 +257,45 @@ impl<'m, M: Model> ServeEngine<'m, M> {
         self.bank = Some(bank);
         report
     }
+}
+
+/// A bank over the search's best solution that holds every governor level.
+///
+/// # Panics
+///
+/// Panics if the search outcome has no feasible best solution, or its
+/// action count differs from the governor's level count.
+pub(crate) fn level_bank<'m, M: Model>(
+    model: &'m M,
+    backbone_masks: rt3_transformer::MaskSet,
+    space: &PatternSpace,
+    outcome: &SearchOutcome,
+    rt3: &Rt3Config,
+) -> ModelBank<'m, M> {
+    let best = outcome
+        .best
+        .as_ref()
+        .expect("search outcome has no feasible solution to serve");
+    let levels = rt3.governor.levels().len();
+    assert_eq!(
+        best.actions.len(),
+        levels,
+        "one action per governor level is required"
+    );
+    ModelBank::new(
+        model,
+        backbone_masks,
+        space,
+        &best.actions,
+        MemoryModel::odroid_xu3(),
+        levels,
+    )
+}
+
+/// The default cost model of `rt3`: its latency model with the default
+/// batch amortisation.
+pub(crate) fn analytic_cost(rt3: &Rt3Config) -> Arc<dyn CostModel> {
+    Arc::new(Analytic::new(LatencyModel::of(rt3), CostConfig::default()))
 }
 
 /// One simulated device stepped window-by-window: its governor (battery,
@@ -752,37 +757,19 @@ mod tests {
         let backbone = run_level1(&model, &rt3, &mut evaluator);
         let space = build_search_space(&model, &backbone, &rt3);
         let outcome = run_level2_search(&model, &backbone, &space, &rt3, &mut evaluator);
-        let best = outcome.best.as_ref().expect("feasible solution");
-
-        let bank = ModelBank::new(
-            &model,
-            backbone.masks.clone(),
-            &space,
-            &best.actions,
-            MemoryModel::odroid_xu3(),
-            rt3.governor.levels().len(),
-        );
+        let bank = level_bank(&model, backbone.masks.clone(), &space, &outcome, &rt3);
         let config = ServeConfig {
             battery_capacity_j: 30.0,
             real_inference: false,
             ..ServeConfig::default()
         };
-        let cost: Arc<dyn CostModel> = Arc::new(Analytic::new(
-            LatencyModel {
-                predictor: rt3.predictor,
-                workload_config: rt3.workload_config.clone(),
-                seq_len: rt3.seq_len,
-            },
-            config.cost,
-        ));
         let mut device = DeviceSim::new(
             bank,
             DeviceGovernor::new(
-                RuntimeController::new(rt3.governor.clone(), config.hysteresis),
+                rt3.governor.clone(),
                 Battery::new(config.battery_capacity_j),
                 RuntimePolicy::Adaptive,
-                cost,
-                PowerModel::cortex_a7(),
+                analytic_cost(&rt3),
                 config.scheduler,
             ),
             config.deadline_budget_ms,

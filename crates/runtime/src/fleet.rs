@@ -1,21 +1,25 @@
 //! Fleet-scale sharded serving: N simulated devices — each with its own
-//! battery, [`RuntimeController`], [`ModelBank`] and
+//! battery, [`crate::RuntimeController`], [`crate::ModelBank`] and
 //! [`crate::DeadlineScheduler`] — fronted by a [`Router`] that assigns every
 //! arriving request to the device with the most *serving headroom*.
 //!
 //! The battery-aware score of an alive device is
 //!
 //! ```text
-//! score = w_headroom · soc
-//!       + w_level    · (level_pos + 1) / levels
-//!       − w_queue    · queue_len / queue_capacity
-//!       − w_latency  · predicted_latency / deadline_budget
+//! score = 2    · soc
+//!       + 0.25 · (level_pos + 1) / levels
+//!       − queue_len / queue_capacity
+//!       − predicted_latency / deadline_budget
 //! ```
 //!
 //! where `soc` is the state of charge, `level_pos` the active governor
 //! level (higher = faster V/F point = more service capacity) and
 //! `predicted_latency` the newcomer's completion time after the device's
-//! queued backlog is replayed through its cost model.
+//! queued backlog is replayed through its cost model. Headroom dominates —
+//! the fleet exists to dance along the weakest battery — with latency and
+//! queue pressure breaking headroom ties and the level term nudging
+//! traffic towards devices already clocked up. The weights are constants
+//! of the [`Router`].
 //! Requests try devices in descending score order, so a device whose
 //! admission control rejects (queue full, certain miss) fails over to the
 //! next-best one; a request is unroutable only when *every* device is dead
@@ -25,7 +29,9 @@
 //! [`RoutingPolicy::Predictive`] keeps the same formula but swaps the raw
 //! state-of-charge term for *predicted time to death*: each device's EWMA
 //! [`rt3_hardware::DrainRateTracker`] turns its battery trajectory into a
-//! drain rate, and the router ranks by `min(time_to_death / horizon, 1)`.
+//! drain rate, and the router ranks by `min(time_to_death / horizon, 1)`
+//! with a two-minute horizon: on the mobile traces here a device with
+//! minutes of predicted life left is, for routing purposes, healthy.
 //! That is what distinguishes "full battery draining fast" from "half
 //! battery on a charger" — the CloneCloud-style offline-profiled cost model
 //! steering online placement.
@@ -34,19 +40,17 @@
 //! differ only in the preference order, which keeps the comparison in
 //! `examples/serve_fleet.rs` honest: battery awareness is the only delta.
 
-use crate::controller::{HysteresisConfig, RuntimeController};
-use crate::cost::{Analytic, CostConfig, CostModel, LatencyModel};
-use crate::engine::{DeviceSim, RuntimePolicy, WINDOW_MS, WINDOW_S};
+use crate::cost::CostModel;
+use crate::engine::{analytic_cost, level_bank, DeviceSim, RuntimePolicy, WINDOW_MS, WINDOW_S};
 use crate::governor::DeviceGovernor;
 use crate::report::FleetReport;
 use crate::scenario::{FleetScenario, Scenario};
 use crate::scheduler::{Completion, Request, SchedulerConfig};
 use crate::telemetry::{DeviceTelemetry, FleetTelemetry};
-use crate::ModelBank;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_core::{Rt3Config, SearchOutcome};
-use rt3_hardware::{Battery, MemoryModel, PowerModel};
+use rt3_hardware::Battery;
 use rt3_pruning::PatternSpace;
 use rt3_telemetry::{Clock, TelemetryConfig, WallClock};
 use rt3_transformer::Model;
@@ -60,8 +64,8 @@ pub enum RoutingPolicy {
     BatteryAware,
     /// Like [`RoutingPolicy::BatteryAware`] but the headroom term is the
     /// *predicted time to death* from the device's EWMA drain rate,
-    /// normalised by [`RouterConfig::ttd_horizon_ms`] — a charging device
-    /// outranks a full one that is burning down.
+    /// normalised by a two-minute horizon — a charging device outranks a
+    /// full one that is burning down.
     Predictive,
     /// Cycle through alive devices request by request, ignoring state.
     RoundRobin,
@@ -79,94 +83,6 @@ impl RoutingPolicy {
             RoutingPolicy::RoundRobin => "round-robin",
             RoutingPolicy::Sticky => "sticky",
         }
-    }
-}
-
-/// Weights of the battery-aware routing score.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoutingWeights {
-    /// Reward per unit of battery state of charge.
-    pub headroom: f64,
-    /// Reward for running at a higher (faster) governor level.
-    pub level: f64,
-    /// Penalty per unit of queue occupancy.
-    pub queue: f64,
-    /// Penalty per deadline-budget of predicted service latency.
-    pub latency: f64,
-}
-
-impl Default for RoutingWeights {
-    fn default() -> Self {
-        // headroom dominates — the fleet exists to dance along the weakest
-        // battery — with latency/queue pressure breaking headroom ties and
-        // the level term nudging traffic towards devices already clocked up
-        Self {
-            headroom: 2.0,
-            level: 0.25,
-            queue: 1.0,
-            latency: 1.0,
-        }
-    }
-}
-
-impl RoutingWeights {
-    /// Validates the weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, w) in [
-            ("headroom", self.headroom),
-            ("level", self.level),
-            ("queue", self.queue),
-            ("latency", self.latency),
-        ] {
-            if !(w.is_finite() && w >= 0.0) {
-                return Err(format!("routing weight {name} must be non-negative"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Router parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouterConfig {
-    /// Preference-order policy.
-    pub policy: RoutingPolicy,
-    /// Score weights (used by [`RoutingPolicy::BatteryAware`] and
-    /// [`RoutingPolicy::Predictive`]).
-    pub weights: RoutingWeights,
-    /// Horizon normalising the predictive policy's time-to-death term: a
-    /// device predicted to survive at least this long counts as full
-    /// headroom. Must be positive.
-    pub ttd_horizon_ms: f64,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        Self {
-            policy: RoutingPolicy::BatteryAware,
-            weights: RoutingWeights::default(),
-            // two minutes: on the mobile traces here a device with minutes
-            // of predicted life left is, for routing purposes, healthy
-            ttd_horizon_ms: 120_000.0,
-        }
-    }
-}
-
-impl RouterConfig {
-    /// Validates the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.ttd_horizon_ms.is_finite() && self.ttd_horizon_ms > 0.0) {
-            return Err("ttd_horizon_ms must be positive and finite".into());
-        }
-        self.weights.validate()
     }
 }
 
@@ -202,7 +118,7 @@ pub struct DeviceSnapshot {
 /// of snapshots (ties break on the lower device index).
 #[derive(Debug, Clone)]
 pub struct Router {
-    config: RouterConfig,
+    policy: RoutingPolicy,
     /// Next device position for round-robin.
     rr_next: usize,
     /// Home device for sticky routing.
@@ -210,15 +126,22 @@ pub struct Router {
 }
 
 impl Router {
+    /// Reward per unit of battery headroom.
+    const HEADROOM_WEIGHT: f64 = 2.0;
+    /// Reward for running at a higher (faster) governor level.
+    const LEVEL_WEIGHT: f64 = 0.25;
+    /// Penalty per unit of queue occupancy.
+    const QUEUE_WEIGHT: f64 = 1.0;
+    /// Penalty per deadline budget of predicted service latency.
+    const LATENCY_WEIGHT: f64 = 1.0;
+    /// Predicted time to death that counts as full headroom under
+    /// [`RoutingPolicy::Predictive`].
+    const TTD_HORIZON_MS: f64 = 120_000.0;
+
     /// Creates a router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(config: RouterConfig) -> Self {
-        config.validate().expect("invalid router configuration");
+    pub fn new(policy: RoutingPolicy) -> Self {
         Self {
-            config,
+            policy,
             rr_next: 0,
             sticky_home: 0,
         }
@@ -226,7 +149,7 @@ impl Router {
 
     /// The configured policy.
     pub fn policy(&self) -> RoutingPolicy {
-        self.config.policy
+        self.policy
     }
 
     /// Score of one device (higher = preferred). The headroom term is the
@@ -234,10 +157,9 @@ impl Router {
     /// horizon-normalised time to death for [`RoutingPolicy::Predictive`];
     /// every other term is shared.
     pub fn score(&self, snapshot: &DeviceSnapshot) -> f64 {
-        let w = self.config.weights;
-        let headroom_share = match self.config.policy {
+        let headroom_share = match self.policy {
             RoutingPolicy::Predictive => {
-                (snapshot.time_to_death_ms / self.config.ttd_horizon_ms).min(1.0)
+                (snapshot.time_to_death_ms / Self::TTD_HORIZON_MS).min(1.0)
             }
             _ => snapshot.state_of_charge,
         };
@@ -256,9 +178,9 @@ impl Router {
         } else {
             0.0
         };
-        w.headroom * headroom_share + w.level * level_share
-            - w.queue * queue_share
-            - w.latency * latency_share
+        Self::HEADROOM_WEIGHT * headroom_share + Self::LEVEL_WEIGHT * level_share
+            - Self::QUEUE_WEIGHT * queue_share
+            - Self::LATENCY_WEIGHT * latency_share
     }
 
     /// Preference order for one request: every *alive* device exactly once,
@@ -275,7 +197,7 @@ impl Router {
         if alive.is_empty() {
             return alive;
         }
-        match self.config.policy {
+        match self.policy {
             RoutingPolicy::BatteryAware | RoutingPolicy::Predictive => {
                 let mut scored: Vec<(f64, usize)> = alive
                     .into_iter()
@@ -299,7 +221,7 @@ impl Router {
     /// `device` is `None`), letting the round-robin cursor advance and the
     /// sticky home follow failovers.
     pub fn commit(&mut self, device: Option<usize>, device_count: usize) {
-        match self.config.policy {
+        match self.policy {
             RoutingPolicy::RoundRobin => {
                 if device_count > 0 {
                     self.rr_next = (self.rr_next + 1) % device_count;
@@ -376,21 +298,17 @@ impl TrafficSource for OpenLoop {
     }
 }
 
-/// Fleet-serving parameters: the per-device serving knobs plus the router.
+/// Fleet-serving parameters: the per-device serving knobs plus the
+/// routing policy. Every device runs the default analytic cost model (swap
+/// it with [`Fleet::with_cost_model`]).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Request routing.
-    pub router: RouterConfig,
+    /// How the router orders devices for each request.
+    pub routing: RoutingPolicy,
     /// Per-request deadline: arrival + this budget, milliseconds.
     pub deadline_budget_ms: f64,
     /// Scheduler parameters of every device.
     pub scheduler: SchedulerConfig,
-    /// Controller hysteresis of every device.
-    pub hysteresis: HysteresisConfig,
-    /// Shared cost-model configuration (batch amortisation) used to build
-    /// the default [`Analytic`] model for every device; swap the whole
-    /// model with [`Fleet::with_cost_model`].
-    pub cost: CostConfig,
     /// Replay dispatched micro-batches as real sparse inference on every
     /// device's worker pool.
     pub real_inference: bool,
@@ -404,11 +322,9 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         Self {
-            router: RouterConfig::default(),
+            routing: RoutingPolicy::BatteryAware,
             deadline_budget_ms: 400.0,
             scheduler: SchedulerConfig::default(),
-            hysteresis: HysteresisConfig::default(),
-            cost: CostConfig::default(),
             real_inference: true,
             seed: 0x7233,
             telemetry: TelemetryConfig::default(),
@@ -426,12 +342,7 @@ impl FleetConfig {
         if self.deadline_budget_ms <= 0.0 || self.deadline_budget_ms.is_nan() {
             return Err("deadline_budget_ms must be positive".into());
         }
-        self.cost.validate()?;
-        self.router.validate()?;
-        self.scheduler.validate()?;
-        self.hysteresis.validate()?;
-        self.telemetry.validate()?;
-        Ok(())
+        self.scheduler.validate()
     }
 }
 
@@ -470,36 +381,13 @@ impl<'m, M: Model> Fleet<'m, M> {
     ) -> Self {
         scenario.validate().expect("invalid fleet scenario");
         config.validate().expect("invalid fleet configuration");
-        let best = outcome
-            .best
-            .as_ref()
-            .expect("search outcome has no feasible solution to serve");
-        assert_eq!(
-            best.actions.len(),
-            rt3.governor.levels().len(),
-            "one action per governor level is required"
-        );
-        let cost: Arc<dyn CostModel> = Arc::new(Analytic::new(
-            LatencyModel {
-                predictor: rt3.predictor,
-                workload_config: rt3.workload_config.clone(),
-                seq_len: rt3.seq_len,
-            },
-            config.cost,
-        ));
+        let cost = analytic_cost(rt3);
         let level_count = rt3.governor.levels().len();
         let duration_s = scenario.duration_s();
         // one wall clock shared by every device's kernel/build timings
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
         // every device's bank shares this one's lowerings
-        let bank = ModelBank::new(
-            model,
-            backbone_masks,
-            space,
-            &best.actions,
-            MemoryModel::odroid_xu3(),
-            level_count,
-        );
+        let bank = level_bank(model, backbone_masks, space, outcome, rt3);
         let devices = scenario
             .devices
             .iter()
@@ -514,11 +402,10 @@ impl<'m, M: Model> Fleet<'m, M> {
                 DeviceSim::new(
                     bank,
                     DeviceGovernor::new(
-                        RuntimeController::new(rt3.governor.clone(), config.hysteresis),
+                        rt3.governor.clone(),
                         battery,
                         RuntimePolicy::Adaptive,
                         Arc::clone(&cost),
-                        PowerModel::cortex_a7(),
                         config.scheduler,
                     ),
                     config.deadline_budget_ms,
@@ -530,7 +417,7 @@ impl<'m, M: Model> Fleet<'m, M> {
             .collect();
         Self {
             devices,
-            router: Router::new(config.router),
+            router: Router::new(config.routing),
             config,
             scenario: scenario.clone(),
         }
@@ -731,16 +618,9 @@ mod tests {
         }
     }
 
-    fn router_config(policy: RoutingPolicy) -> RouterConfig {
-        RouterConfig {
-            policy,
-            ..RouterConfig::default()
-        }
-    }
-
     #[test]
     fn battery_aware_prefers_headroom_and_skips_the_dead() {
-        let router = Router::new(RouterConfig::default());
+        let router = Router::new(RoutingPolicy::BatteryAware);
         let snapshots = vec![
             snap(true, 0.2, 0, 50.0),
             snap(false, 1.0, 0, 50.0), // dead: best battery but never ranked
@@ -753,7 +633,7 @@ mod tests {
 
     #[test]
     fn predictive_ranks_by_time_to_death_not_state_of_charge() {
-        let router = Router::new(router_config(RoutingPolicy::Predictive));
+        let router = Router::new(RoutingPolicy::Predictive);
         // full battery draining fast vs half battery on a charger: raw
         // headroom prefers the first, predictive routing the second
         let mut fast_drain = snap(true, 1.0, 0, 50.0);
@@ -762,13 +642,13 @@ mod tests {
         charging.time_to_death_ms = f64::INFINITY;
         let snapshots = vec![fast_drain, charging];
         assert_eq!(router.order(&snapshots), vec![1, 0]);
-        let headroom = Router::new(RouterConfig::default());
+        let headroom = Router::new(RoutingPolicy::BatteryAware);
         assert_eq!(headroom.order(&snapshots), vec![0, 1], "soc ranks inverse");
     }
 
     #[test]
     fn predictive_headroom_saturates_at_the_horizon() {
-        let router = Router::new(router_config(RoutingPolicy::Predictive));
+        let router = Router::new(RoutingPolicy::Predictive);
         let mut at_horizon = snap(true, 0.3, 0, 50.0);
         at_horizon.time_to_death_ms = 120_000.0;
         let mut beyond = snap(true, 0.3, 0, 50.0);
@@ -785,18 +665,50 @@ mod tests {
         );
     }
 
+    /// The score is the module doc's formula: `2·soc + 0.25·(level+1)/levels
+    /// − queue/capacity − latency/budget`, with `min(ttd / 120 000 ms, 1)`
+    /// in place of `soc` under [`RoutingPolicy::Predictive`].
     #[test]
-    fn router_rejects_a_non_positive_horizon() {
-        let config = RouterConfig {
-            ttd_horizon_ms: 0.0,
-            ..RouterConfig::default()
-        };
-        assert!(config.validate().is_err());
+    fn score_is_the_documented_formula() {
+        let battery_aware = Router::new(RoutingPolicy::BatteryAware);
+        let predictive = Router::new(RoutingPolicy::Predictive);
+        let mut mid = snap(true, 0.6, 16, 100.0);
+        mid.time_to_death_ms = 30_000.0;
+        let mut top_level = snap(true, 0.2, 0, 20.0);
+        top_level.level_pos = 2;
+        top_level.time_to_death_ms = 90_000.0;
+        let mut charging = snap(true, 0.9, 64, 400.0);
+        charging.level_pos = 0;
+        charging.time_to_death_ms = f64::INFINITY;
+        let cases = [
+            // (snapshot, BatteryAware score, Predictive score)
+            (
+                mid,
+                2.0 * 0.6 + 0.25 * 2.0 / 3.0 - 16.0 / 64.0 - 100.0 / 400.0,
+                2.0 * 0.25 + 0.25 * 2.0 / 3.0 - 16.0 / 64.0 - 100.0 / 400.0,
+            ),
+            (
+                top_level,
+                2.0 * 0.2 + 0.25 * 3.0 / 3.0 - 0.0 - 20.0 / 400.0,
+                2.0 * 0.75 + 0.25 * 3.0 / 3.0 - 0.0 - 20.0 / 400.0,
+            ),
+            (
+                charging,
+                2.0 * 0.9 + 0.25 * 1.0 / 3.0 - 64.0 / 64.0 - 400.0 / 400.0,
+                2.0 * 1.0 + 0.25 * 1.0 / 3.0 - 64.0 / 64.0 - 400.0 / 400.0,
+            ),
+        ];
+        for (k, (snapshot, by_soc, by_ttd)) in cases.into_iter().enumerate() {
+            let got = battery_aware.score(&snapshot);
+            assert!((got - by_soc).abs() < 1e-12, "case {k}: {got} vs {by_soc}");
+            let got = predictive.score(&snapshot);
+            assert!((got - by_ttd).abs() < 1e-12, "case {k}: {got} vs {by_ttd}");
+        }
     }
 
     #[test]
     fn queue_and_latency_pressure_override_equal_headroom() {
-        let router = Router::new(RouterConfig::default());
+        let router = Router::new(RoutingPolicy::BatteryAware);
         let snapshots = vec![
             snap(true, 0.8, 60, 350.0), // nearly full queue, slow
             snap(true, 0.8, 2, 60.0),
@@ -806,7 +718,7 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_and_skips_dead_devices() {
-        let mut router = Router::new(router_config(RoutingPolicy::RoundRobin));
+        let mut router = Router::new(RoutingPolicy::RoundRobin);
         let snapshots = vec![
             snap(true, 0.9, 0, 50.0),
             snap(false, 0.9, 0, 50.0),
@@ -827,7 +739,7 @@ mod tests {
 
     #[test]
     fn sticky_holds_its_home_until_it_fails_over() {
-        let mut router = Router::new(router_config(RoutingPolicy::Sticky));
+        let mut router = Router::new(RoutingPolicy::Sticky);
         let all_alive = vec![
             snap(true, 0.9, 0, 50.0),
             snap(true, 0.9, 0, 50.0),
@@ -849,7 +761,7 @@ mod tests {
 
     #[test]
     fn order_is_empty_only_when_every_device_is_dead() {
-        let router = Router::new(RouterConfig::default());
+        let router = Router::new(RoutingPolicy::BatteryAware);
         let dead = vec![snap(false, 0.5, 0, 50.0); 3];
         assert!(router.order(&dead).is_empty());
         let mut one_alive = dead.clone();

@@ -4,14 +4,14 @@
 //! serving paths run it — the simulated device on a virtual clock, the
 //! socket server on the wall clock — so the two cannot drift.
 
-use crate::controller::{RuntimeController, Telemetry};
+use crate::controller::{HysteresisConfig, RuntimeController, Telemetry};
 use crate::cost::CostModel;
 use crate::engine::RuntimePolicy;
 use crate::scheduler::{
     batches, Completion, DeadlineScheduler, RejectReason, Request, SchedulerConfig,
 };
 use crate::telemetry::DeviceMetricIds;
-use rt3_hardware::{Battery, DrainRateTracker, PowerModel, VfLevel};
+use rt3_hardware::{Battery, DrainRateTracker, DvfsGovernor, PowerModel, VfLevel};
 use rt3_telemetry::{DecisionRecord, MetricShard};
 use std::sync::Arc;
 
@@ -41,22 +41,23 @@ pub struct DeviceGovernor {
 }
 
 impl DeviceGovernor {
-    /// A governor over `controller`'s levels; `battery` may be partially
-    /// drained and each of the scheduler's workers is one cluster core.
+    /// A governor over `governor`'s levels, with the default controller
+    /// hysteresis and the Cortex-A7 cluster power model; `battery` may be
+    /// partially drained and each of the scheduler's workers is one
+    /// cluster core.
     pub fn new(
-        controller: RuntimeController,
+        governor: DvfsGovernor,
         battery: Battery,
         policy: RuntimePolicy,
         cost: Arc<dyn CostModel>,
-        power: PowerModel,
         scheduler: SchedulerConfig,
     ) -> Self {
         Self {
-            levels: controller.governor().levels().to_vec(),
-            controller,
+            levels: governor.levels().to_vec(),
+            controller: RuntimeController::new(governor, HysteresisConfig::default()),
             battery,
             drain: DrainRateTracker::default(),
-            power,
+            power: PowerModel::cortex_a7(),
             policy,
             cost,
             scheduler: DeadlineScheduler::new(scheduler),

@@ -99,9 +99,7 @@ pub use cost::{
     CostConfig, CostModel, LatencyModel, SwitchCalibration,
 };
 pub use engine::{RuntimePolicy, ServeConfig, ServeEngine};
-pub use fleet::{
-    DeviceSnapshot, Fleet, FleetConfig, Router, RouterConfig, RoutingPolicy, RoutingWeights,
-};
+pub use fleet::{DeviceSnapshot, Fleet, FleetConfig, Router, RoutingPolicy};
 pub use governor::{DeviceGovernor, DeviceMetrics};
 pub use report::{FleetReport, ServeReport, WindowReport};
 pub use rt3_telemetry::{TelemetryConfig, TelemetryLevel, TelemetrySnapshot};
@@ -291,10 +289,7 @@ mod tests {
     fn run_fleet(policy: RoutingPolicy, scenario: &FleetScenario) -> FleetReport {
         let (model, masks, space, outcome, config) = offline_artifacts();
         let fleet_cfg = FleetConfig {
-            router: RouterConfig {
-                policy,
-                ..RouterConfig::default()
-            },
+            routing: policy,
             ..fleet_config()
         };
         let fleet = Fleet::new(

@@ -118,6 +118,12 @@ impl DeviceMetricIds {
     }
 }
 
+/// Trace events a `Full` device retains before it overwrites the oldest:
+/// at ~5 events per request, every event of the canned acceptance traces.
+const TRACE_CAPACITY: usize = 65_536;
+/// Controller decisions a `Full` device retains, one per governor window.
+const AUDIT_CAPACITY: usize = 8_192;
+
 /// Live telemetry state of one serving device.
 pub(crate) struct DeviceTelemetry {
     level: TelemetryLevel,
@@ -145,17 +151,16 @@ impl DeviceTelemetry {
         if !config.level.counters_enabled() {
             return None;
         }
-        config.validate().expect("invalid telemetry configuration");
         let mut registry = MetricRegistry::new();
         let ids = DeviceMetricIds::register(&mut registry);
         let shard = registry.shard();
         let (trace, audit, obs) = if config.level.full_enabled() {
             (
-                Some(TraceRecorder::new(config.trace_capacity)),
-                Some(DecisionAudit::new(config.audit_capacity)),
+                Some(TraceRecorder::new(TRACE_CAPACITY)),
+                Some(DecisionAudit::new(AUDIT_CAPACITY)),
                 Some(ObsPlane::standard(
                     crate::engine::WINDOW_MS,
-                    config.series_capacity,
+                    ObsPlane::SERIES_CAPACITY,
                 )),
             )
         } else {
@@ -316,16 +321,7 @@ impl FleetTelemetry {
 
     /// Detaches the router metrics into a snapshot for the fleet report.
     pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            level: self.level,
-            metrics: self.registry.snapshot(&self.shard),
-            trace: Vec::new(),
-            trace_overwritten: 0,
-            decisions: Vec::new(),
-            decisions_overwritten: 0,
-            residuals: Default::default(),
-            obs: None,
-        }
+        TelemetrySnapshot::metrics_only(self.level, self.registry.snapshot(&self.shard))
     }
 }
 
@@ -406,15 +402,6 @@ impl ChaosTelemetry {
 
     /// Detaches the client metrics into a snapshot for the chaos report.
     pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            level: self.level,
-            metrics: self.registry.snapshot(&self.shard),
-            trace: Vec::new(),
-            trace_overwritten: 0,
-            decisions: Vec::new(),
-            decisions_overwritten: 0,
-            residuals: Default::default(),
-            obs: None,
-        }
+        TelemetrySnapshot::metrics_only(self.level, self.registry.snapshot(&self.shard))
     }
 }

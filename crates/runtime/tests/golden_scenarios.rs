@@ -20,8 +20,8 @@ use rt3_core::{
 };
 use rt3_pruning::PatternSpace;
 use rt3_runtime::{
-    ChaosScenario, ClientReport, Fleet, FleetConfig, FleetReport, FleetScenario, RouterConfig,
-    RoutingPolicy, Scenario, SchedulerConfig, ServeConfig, ServeEngine, ServeReport,
+    ChaosScenario, ClientReport, Fleet, FleetConfig, FleetReport, FleetScenario, RoutingPolicy,
+    Scenario, SchedulerConfig, ServeConfig, ServeEngine, ServeReport,
 };
 use rt3_transformer::{MaskSet, TransformerConfig, TransformerLm};
 use std::fmt::Debug;
@@ -319,10 +319,7 @@ fn fleet_runs_match_their_golden_aggregates() {
         .into_iter()
         .map(|policy| {
             let fleet_config = FleetConfig {
-                router: RouterConfig {
-                    policy,
-                    ..RouterConfig::default()
-                },
+                routing: policy,
                 deadline_budget_ms: 250.0,
                 scheduler: SchedulerConfig {
                     queue_capacity: 64,

@@ -10,7 +10,7 @@
 //!    published score.
 
 use proptest::prelude::*;
-use rt3_runtime::{DeviceSnapshot, Router, RouterConfig, RoutingPolicy};
+use rt3_runtime::{DeviceSnapshot, Router, RoutingPolicy};
 
 fn policy_of(index: usize) -> RoutingPolicy {
     match index % 4 {
@@ -57,10 +57,7 @@ proptest! {
         advance in 0usize..7,
     ) {
         let snapshots: Vec<DeviceSnapshot> = raw.into_iter().map(snapshot_of).collect();
-        let mut router = Router::new(RouterConfig {
-            policy: policy_of(policy_index),
-            ..RouterConfig::default()
-        });
+        let mut router = Router::new(policy_of(policy_index));
         // move the round-robin / sticky cursors to an arbitrary position
         for step in 0..advance {
             router.commit(Some(step % snapshots.len()), snapshots.len());
@@ -93,10 +90,7 @@ proptest! {
         policy_index in 0usize..4,
     ) {
         let snapshots: Vec<DeviceSnapshot> = raw.into_iter().map(snapshot_of).collect();
-        let router = Router::new(RouterConfig {
-            policy: policy_of(policy_index),
-            ..RouterConfig::default()
-        });
+        let router = Router::new(policy_of(policy_index));
         let first = router.order(&snapshots);
         let second = router.order(&snapshots);
         prop_assert_eq!(first, second, "order must be a pure function of state");
@@ -114,10 +108,7 @@ proptest! {
         scored_policy in 0usize..2,
     ) {
         let snapshots: Vec<DeviceSnapshot> = raw.into_iter().map(snapshot_of).collect();
-        let router = Router::new(RouterConfig {
-            policy: policy_of(scored_policy),
-            ..RouterConfig::default()
-        });
+        let router = Router::new(policy_of(scored_policy));
         let order = router.order(&snapshots);
         for pair in order.windows(2) {
             let (a, b) = (

@@ -3,7 +3,7 @@
 //! to the server without hand-rolling frames.
 
 use crate::protocol::{
-    read_frame, write_frame, ClientFrame, InferResponse, ProtocolError, ServerFrame,
+    read_frame, write_frame, ClientFrame, InferResponse, ProtocolError, ServerFrame, MAX_FRAME_LEN,
 };
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -22,7 +22,6 @@ pub enum InferOutcome {
 /// A blocking connection to an rt3-serve server.
 pub struct ServeClient {
     stream: TcpStream,
-    max_frame_len: u32,
 }
 
 impl ServeClient {
@@ -34,10 +33,7 @@ impl ServeClient {
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self {
-            stream,
-            max_frame_len: 1 << 20,
-        })
+        Ok(Self { stream })
     }
 
     /// Sets the socket's read and write deadlines (`None` waits forever).
@@ -149,7 +145,7 @@ impl ServeClient {
     }
 
     fn read_server_frame(&mut self) -> Result<ServerFrame, ProtocolError> {
-        let body = read_frame(&mut self.stream, self.max_frame_len)?.ok_or_else(|| {
+        let body = read_frame(&mut self.stream, MAX_FRAME_LEN)?.ok_or_else(|| {
             ProtocolError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection without a response",

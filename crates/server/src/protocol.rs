@@ -39,6 +39,10 @@ pub const OP_OBS: u8 = 0x83;
 /// Server→client terminal frame: the server is closing this connection.
 pub const OP_TERMINAL: u8 = 0x8F;
 
+/// Largest frame body the server and [`crate::ServeClient`] accept: it
+/// bounds each connection's read buffer.
+pub const MAX_FRAME_LEN: u32 = 1 << 20;
+
 /// Terminal code: the battery died — the server drains and refuses new
 /// connections.
 pub const TERMINAL_BATTERY_DEAD: u8 = 1;

@@ -29,16 +29,16 @@
 
 use crate::protocol::{
     read_frame, write_frame, ClientFrame, InferResponse, ProtocolError, ServerFrame, Status,
-    TERMINAL_BATTERY_DEAD, TERMINAL_IDLE_TIMEOUT, TERMINAL_PROTOCOL_ERROR, TERMINAL_SHUTDOWN,
+    MAX_FRAME_LEN, TERMINAL_BATTERY_DEAD, TERMINAL_IDLE_TIMEOUT, TERMINAL_PROTOCOL_ERROR,
+    TERMINAL_SHUTDOWN,
 };
-use rt3_hardware::{Battery, DvfsGovernor, PowerModel};
+use rt3_hardware::{Battery, DvfsGovernor};
 use rt3_runtime::{
-    Analytic, Completion, CostConfig, CostModel, DeviceGovernor, DeviceMetricIds, HysteresisConfig,
-    LatencyModel, RejectReason, Request, RuntimeController, RuntimePolicy, SchedulerConfig,
+    Analytic, Completion, CostConfig, CostModel, DeviceGovernor, DeviceMetricIds, LatencyModel,
+    RejectReason, Request, RuntimePolicy, SchedulerConfig,
 };
 use rt3_telemetry::{
-    CounterId, MetricRegistry, MetricShard, ObsPlane, ResidualStats, TelemetryLevel,
-    TelemetrySnapshot,
+    CounterId, MetricRegistry, MetricShard, ObsPlane, TelemetryLevel, TelemetrySnapshot,
 };
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -50,17 +50,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// What the server serves: the cost model, the governor and the battery,
-/// played by the simulated engine's [`DeviceGovernor`]. There is no model
-/// bank (the server paces responses by the cost model; it does not run
-/// tensor math on the request path), so the spec supplies the figures a
-/// bank would: each level's base latency and the switch time.
+/// played by the simulated engine's [`DeviceGovernor`] (with its default
+/// hysteresis and cluster power model, as on the simulated device). There
+/// is no model bank (the server paces responses by the cost model; it does
+/// not run tensor math on the request path), so the spec supplies the
+/// figures a bank would: each level's base latency and the switch time.
 pub struct ServerSpec {
     /// Prediction surface for admission and service times.
     pub cost: Arc<dyn CostModel>,
     /// Battery governor (levels + thresholds).
     pub governor: DvfsGovernor,
-    /// Controller hysteresis.
-    pub hysteresis: HysteresisConfig,
     /// Single-request latency per governor level position (what the
     /// engine derives from the banked variant's sparsity at each switch).
     pub level_base_ms: Vec<f64>,
@@ -69,8 +68,6 @@ pub struct ServerSpec {
     pub switch_time_ms: f64,
     /// Battery capacity at startup, joules.
     pub battery_capacity_j: f64,
-    /// Cluster power model for energy accounting.
-    pub power: PowerModel,
 }
 
 impl ServerSpec {
@@ -95,11 +92,9 @@ impl ServerSpec {
         Self {
             cost,
             governor,
-            hysteresis: HysteresisConfig::default(),
             level_base_ms,
             switch_time_ms: 8.0,
             battery_capacity_j,
-            power: PowerModel::cortex_a7(),
         }
     }
 
@@ -120,11 +115,12 @@ impl ServerSpec {
         if !(self.battery_capacity_j > 0.0 && self.battery_capacity_j.is_finite()) {
             return Err("battery_capacity_j must be positive and finite".into());
         }
-        self.hysteresis.validate()
+        Ok(())
     }
 }
 
-/// Serving parameters.
+/// Serving parameters. The frame bound is not one of them: both sides of
+/// the wire read [`MAX_FRAME_LEN`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Scheduler shape (queue bound, micro-batch cap, worker count).
@@ -136,8 +132,6 @@ pub struct ServerConfig {
     pub tick_ms: u64,
     /// Always-on background drain charged per window.
     pub background_w: f64,
-    /// Largest accepted frame (bounds per-connection memory).
-    pub max_frame_len: u32,
     /// Per-connection read timeout (`SO_RCVTIMEO`, set once at accept). A
     /// peer that connects and then hangs — idle or mid-frame — is reaped
     /// with a [`TERMINAL_IDLE_TIMEOUT`] frame when it expires, instead of
@@ -157,7 +151,6 @@ impl Default for ServerConfig {
             window_ms: 1_000.0,
             tick_ms: 2,
             background_w: 0.1,
-            max_frame_len: 1 << 20,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(10)),
         }
@@ -175,9 +168,6 @@ impl ServerConfig {
         }
         if !(self.background_w >= 0.0 && self.background_w.is_finite()) {
             return Err("background_w must be non-negative and finite".into());
-        }
-        if self.max_frame_len < 64 {
-            return Err("max_frame_len must hold at least a header frame".into());
         }
         for timeout in [self.read_timeout, self.write_timeout]
             .into_iter()
@@ -363,11 +353,10 @@ impl Shared {
         let transport = TransportIds::register(&mut registry);
         let shard = registry.shard();
         let governor = DeviceGovernor::new(
-            RuntimeController::new(spec.governor.clone(), spec.hysteresis),
+            spec.governor.clone(),
             Battery::new(spec.battery_capacity_j),
             RuntimePolicy::Adaptive,
             Arc::clone(&spec.cost),
-            spec.power,
             config.scheduler,
         );
         let core = Core {
@@ -381,7 +370,7 @@ impl Shared {
             ids,
             transport,
             connections: Vec::new(),
-            obs: ObsPlane::standard(config.window_ms, 1_024),
+            obs: ObsPlane::standard(config.window_ms, ObsPlane::SERIES_CAPACITY),
             window_index: 0,
             subscribers: Vec::new(),
         };
@@ -549,14 +538,11 @@ impl Shared {
     fn snapshot(&self) -> TelemetrySnapshot {
         let core = self.core.lock().expect("core lock");
         TelemetrySnapshot {
-            level: TelemetryLevel::Counters,
-            metrics: core.registry.snapshot(&core.shard),
-            trace: Vec::new(),
-            trace_overwritten: 0,
-            decisions: Vec::new(),
-            decisions_overwritten: 0,
-            residuals: ResidualStats::default(),
             obs: Some(core.obs.snapshot()),
+            ..TelemetrySnapshot::metrics_only(
+                TelemetryLevel::Counters,
+                core.registry.snapshot(&core.shard),
+            )
         }
     }
 }
@@ -741,7 +727,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
     let mut reader = std::io::BufReader::new(reader);
     loop {
-        let frame = match read_frame(&mut reader, shared.config.max_frame_len) {
+        let frame = match read_frame(&mut reader, MAX_FRAME_LEN) {
             Ok(Some(body)) => body,
             Ok(None) => break,
             Err(error) if error.is_timeout() => {
@@ -914,7 +900,6 @@ mod tests {
             telemetry: TelemetryConfig::full(),
             ..ServeConfig::default()
         };
-        let hysteresis = config.hysteresis;
         let mut engine = ServeEngine::new(
             &model,
             backbone.masks.clone(),
@@ -939,13 +924,11 @@ mod tests {
         let spec = ServerSpec {
             cost: Arc::clone(engine.cost_model()),
             governor: rt3.governor.clone(),
-            hysteresis,
             level_base_ms: (0..levels)
                 .map(|pos| engine.level_latency_ms(pos))
                 .collect(),
             switch_time_ms,
             battery_capacity_j: 13.0,
-            power: PowerModel::cortex_a7(),
         };
 
         let report = engine.run(&Scenario::ConstantDrain {

@@ -417,6 +417,10 @@ pub struct ObsPlane {
 }
 
 impl ObsPlane {
+    /// Windows and alert transitions a serving device's standard plane
+    /// retains: one window per second, so about 17 minutes of history.
+    pub const SERIES_CAPACITY: usize = 1_024;
+
     /// A plane from explicit parts.
     pub fn new(scraper: Scraper, engine: AlertEngine) -> Self {
         Self { scraper, engine }

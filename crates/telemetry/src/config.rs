@@ -1,5 +1,4 @@
-//! Telemetry configuration: the Off/Counters/Full dial and the ring-buffer
-//! capacities of the full level.
+//! Telemetry configuration: the Off/Counters/Full dial.
 
 use std::str::FromStr;
 
@@ -55,32 +54,10 @@ impl FromStr for TelemetryLevel {
 }
 
 /// Telemetry parameters of a serve/fleet run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Recording level.
     pub level: TelemetryLevel,
-    /// Ring-buffer bound on retained trace events (per device). Once full,
-    /// the oldest events are overwritten and counted.
-    pub trace_capacity: usize,
-    /// Ring-buffer bound on retained controller decisions (per device).
-    pub audit_capacity: usize,
-    /// Ring-buffer bound on retained scrape windows and alert transitions
-    /// of the observability plane (per device, full level only).
-    pub series_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            level: TelemetryLevel::Off,
-            // ~5 events per request: enough to hold every event of the
-            // canned acceptance traces without overwriting
-            trace_capacity: 65_536,
-            audit_capacity: 8_192,
-            // one window per simulated second: ~17 minutes of history
-            series_capacity: 1_024,
-        }
-    }
 }
 
 impl TelemetryConfig {
@@ -88,30 +65,14 @@ impl TelemetryConfig {
     pub fn counters() -> Self {
         Self {
             level: TelemetryLevel::Counters,
-            ..Self::default()
         }
     }
 
-    /// Full-level configuration with the default ring-buffer bounds.
+    /// Full-level configuration.
     pub fn full() -> Self {
         Self {
             level: TelemetryLevel::Full,
-            ..Self::default()
         }
-    }
-
-    /// Validates the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.level.full_enabled()
-            && (self.trace_capacity == 0 || self.audit_capacity == 0 || self.series_capacity == 0)
-        {
-            return Err("full telemetry requires positive trace/audit/series capacities".into());
-        }
-        Ok(())
     }
 }
 
@@ -133,23 +94,5 @@ mod tests {
         assert!(!TelemetryLevel::Counters.full_enabled());
         assert!(TelemetryLevel::Full.full_enabled());
         assert_eq!(TelemetryLevel::default(), TelemetryLevel::Off);
-    }
-
-    #[test]
-    fn full_level_rejects_zero_capacities() {
-        let mut config = TelemetryConfig::full();
-        assert!(config.validate().is_ok());
-        config.trace_capacity = 0;
-        assert!(config.validate().is_err());
-        let no_series = TelemetryConfig {
-            series_capacity: 0,
-            ..TelemetryConfig::full()
-        };
-        assert!(no_series.validate().is_err());
-        let off = TelemetryConfig {
-            trace_capacity: 0,
-            ..TelemetryConfig::default()
-        };
-        assert!(off.validate().is_ok(), "capacities are moot when off");
     }
 }

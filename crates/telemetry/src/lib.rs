@@ -93,6 +93,23 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
+    /// A snapshot of `metrics` alone, recorded at `level`: no trace, no
+    /// decision audit, no residuals and no observability plane — what a
+    /// source that only counts (the fleet router, the chaos clients, the
+    /// socket server's core) reports.
+    pub fn metrics_only(level: TelemetryLevel, metrics: MetricsSnapshot) -> Self {
+        Self {
+            level,
+            metrics,
+            trace: Vec::new(),
+            trace_overwritten: 0,
+            decisions: Vec::new(),
+            decisions_overwritten: 0,
+            residuals: ResidualStats::default(),
+            obs: None,
+        }
+    }
+
     /// Merges another device's snapshot into this one to build a fleet-wide
     /// aggregate: metrics merge by name ([`MetricsSnapshot::merge`] —
     /// counters add, histograms bucket-merge, gauges last-wins), traces and

@@ -31,8 +31,8 @@ use rt3::core::{
 };
 use rt3::hardware::MemoryModel;
 use rt3::runtime::{
-    calibrate, AmortisationCurve, CalibrationOptions, CostModel, Fleet, FleetConfig, FleetReport,
-    FleetScenario, LatencyModel, ModelBank, RouterConfig, RoutingPolicy, Scenario, ServeConfig,
+    calibrate, AmortisationCurve, CalibrationOptions, CostConfig, CostModel, Fleet, FleetConfig,
+    FleetReport, FleetScenario, LatencyModel, ModelBank, RoutingPolicy, Scenario, ServeConfig,
     ServeEngine,
 };
 use rt3::transformer::{TransformerConfig, TransformerLm};
@@ -69,11 +69,7 @@ fn main() {
         MemoryModel::odroid_xu3(),
         levels,
     );
-    let latency = LatencyModel {
-        predictor: config.predictor,
-        workload_config: config.workload_config.clone(),
-        seq_len: config.seq_len,
-    };
+    let latency = LatencyModel::of(&config);
     let options = if quick {
         CalibrationOptions::quick()
     } else {
@@ -84,7 +80,7 @@ fn main() {
         levels, options.max_batch, options.repetitions, options.samples
     );
     let (calibrated, report) = calibrate(latency, &bank, options);
-    let alpha = ServeConfig::default().cost.batch_alpha;
+    let alpha = CostConfig::default().batch_alpha;
     for level in &report.levels {
         let fixed = AmortisationCurve::fixed_alpha(alpha, level.curve.len());
         println!(
@@ -162,10 +158,7 @@ fn main() {
     let fleet_scenario = FleetScenario::heterogeneous_cliff();
     let fleet_run = |policy: RoutingPolicy, cost: Option<Arc<dyn CostModel>>| -> FleetReport {
         let fleet_config = FleetConfig {
-            router: RouterConfig {
-                policy,
-                ..RouterConfig::default()
-            },
+            routing: policy,
             deadline_budget_ms: 250.0,
             scheduler: rt3::runtime::SchedulerConfig {
                 queue_capacity: 64,

@@ -31,26 +31,14 @@ use rt3::core::{
     build_search_space, run_level1, run_level2_search, Rt3Config, SurrogateEvaluator, TaskProfile,
 };
 use rt3::runtime::{
-    Fleet, FleetConfig, FleetReport, FleetScenario, RouterConfig, RoutingPolicy, TelemetryConfig,
+    Fleet, FleetConfig, FleetReport, FleetScenario, RoutingPolicy, TelemetryConfig,
 };
 use rt3::transformer::{TransformerConfig, TransformerLm};
-
-/// Parses `RT3_TELEMETRY=jsonl:<path>` into the JSONL sink path, `None`
-/// when the variable is unset.
-fn telemetry_sink() -> Option<std::path::PathBuf> {
-    match std::env::var("RT3_TELEMETRY") {
-        Ok(raw) => match raw.strip_prefix("jsonl:") {
-            Some(path) if !path.is_empty() => Some(path.into()),
-            _ => panic!("RT3_TELEMETRY={raw:?} (expected jsonl:<path>)"),
-        },
-        Err(_) => None,
-    }
-}
 
 fn main() {
     let seed = rt3::env::parsed("RT3_SEED", FleetConfig::default().seed);
     let scenario_name: String = rt3::env::parsed("RT3_SCENARIO", "cliff".to_string());
-    let sink = telemetry_sink();
+    let sink = rt3::env::jsonl_sink();
     let default_run = seed == FleetConfig::default().seed && scenario_name == "cliff";
 
     // ---- offline: the two-level RT3 search (shared by every device) ------
@@ -110,10 +98,7 @@ fn main() {
 
     let serve = |policy: RoutingPolicy| -> FleetReport {
         let fleet_config = FleetConfig {
-            router: RouterConfig {
-                policy,
-                ..RouterConfig::default()
-            },
+            routing: policy,
             // two cores per device and a tight deadline: the fleet only has
             // headroom while most devices are alive, so routing that burns a
             // battery down early pays for it in misses later

@@ -29,8 +29,7 @@ use rt3::core::{
     build_search_space, run_level1, run_level2_search, Rt3Config, SurrogateEvaluator, TaskProfile,
 };
 use rt3::runtime::{
-    Fleet, FleetConfig, FleetReport, FleetScenario, RouterConfig, RoutingPolicy, SchedulerConfig,
-    TelemetryConfig,
+    Fleet, FleetConfig, FleetReport, FleetScenario, RoutingPolicy, SchedulerConfig, TelemetryConfig,
 };
 use rt3::telemetry::SpanForest;
 use rt3::transformer::{TransformerConfig, TransformerLm};
@@ -50,10 +49,7 @@ fn main() {
     let scenario = FleetScenario::heterogeneous_cliff();
     let serve = |policy: RoutingPolicy| -> FleetReport {
         let fleet_cfg = FleetConfig {
-            router: RouterConfig {
-                policy,
-                ..RouterConfig::default()
-            },
+            routing: policy,
             real_inference: false,
             // tight budget: greedy micro-batching produces genuine misses
             deadline_budget_ms: 16.0,

@@ -28,18 +28,6 @@ use rt3::runtime::{
 };
 use rt3::transformer::{TransformerConfig, TransformerLm};
 
-/// Parses `RT3_TELEMETRY=jsonl:<path>` into the JSONL sink path, `None`
-/// when the variable is unset.
-fn telemetry_sink() -> Option<std::path::PathBuf> {
-    match std::env::var("RT3_TELEMETRY") {
-        Ok(raw) => match raw.strip_prefix("jsonl:") {
-            Some(path) if !path.is_empty() => Some(path.into()),
-            _ => panic!("RT3_TELEMETRY={raw:?} (expected jsonl:<path>)"),
-        },
-        Err(_) => None,
-    }
-}
-
 /// Compact per-window level timeline, e.g. `l6 ×34 → l4 ×21 → l3 ×35`.
 fn timeline(report: &ServeReport, config: &Rt3Config) -> String {
     let mut spans: Vec<(String, u32)> = Vec::new();
@@ -99,7 +87,7 @@ fn main() {
     let seed = rt3::env::parsed("RT3_SEED", ServeConfig::default().seed);
     let scenario_name: String = rt3::env::parsed("RT3_SCENARIO", "bursty".to_string());
     let battery_j = rt3::env::parsed("RT3_BATTERY_J", 29.0);
-    let sink = telemetry_sink();
+    let sink = rt3::env::jsonl_sink();
     let default_run =
         seed == ServeConfig::default().seed && scenario_name == "bursty" && battery_j == 29.0;
 

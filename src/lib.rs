@@ -54,7 +54,7 @@
 pub use rt3_core as core;
 
 /// Environment-variable helpers shared by the runnable examples (the
-/// `RT3_BUDGET` / `RT3_SEED` / `RT3_OPTIMIZER` knobs).
+/// `RT3_BUDGET` / `RT3_SEED` / `RT3_OPTIMIZER` / `RT3_TELEMETRY` knobs).
 pub mod env {
     /// Reads `name` from the process environment, parsed into `T`;
     /// returns `default` when the variable is unset.
@@ -68,6 +68,22 @@ pub mod env {
                 .parse()
                 .unwrap_or_else(|_| panic!("{name}={raw:?} could not be parsed")),
             Err(_) => default,
+        }
+    }
+
+    /// Parses `RT3_TELEMETRY=jsonl:<path>` into the JSONL sink path, `None`
+    /// when the variable is unset.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the variable is set but is not `jsonl:<path>`.
+    pub fn jsonl_sink() -> Option<std::path::PathBuf> {
+        match std::env::var("RT3_TELEMETRY") {
+            Ok(raw) => match raw.strip_prefix("jsonl:") {
+                Some(path) if !path.is_empty() => Some(path.into()),
+                _ => panic!("RT3_TELEMETRY={raw:?} (expected jsonl:<path>)"),
+            },
+            Err(_) => None,
         }
     }
 }
