@@ -35,6 +35,14 @@
 //!   the host actually has ≥ 4 hardware threads (the committed JSON
 //!   records `workers_available` so single-core runs stay honest).
 //!
+//! A `{"bench": "sparse_matmul/restricted_*"}` line per point records,
+//! with no gate, the served widths 1–4 at the narrow group's sizes and
+//! sparsities under a BP-style column mask: a layout assigned under the
+//! mask, packed as is (storing `w * 0` at every masked position its
+//! patterns keep) beside the same layout narrowed by
+//! [`rt3_sparse::PackLayout::restrict`] to the positions both keep, which
+//! is what the model bank serves.
+//!
 //! Set `BENCH_QUICK=1` (CI) to shrink the sweep and sample counts.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -46,11 +54,12 @@ use rt3_pruning::{
 };
 use rt3_runtime::{pool, ModelBank};
 use rt3_sparse::{
-    reference, Backend, BlockPartition, BlockPrunedMatrix, CooMatrix, CsrMatrix, PatternMask,
-    PatternPrunedMatrix, PatternSet,
+    reference, Backend, BlockPartition, BlockPrunedMatrix, BlockSquares, CompiledSet, CooMatrix,
+    CsrMatrix, MaskBits, PackLayout, PatternMask, PatternPlan, PatternPrunedMatrix, PatternSet,
 };
 use rt3_tensor::Matrix;
 use rt3_transformer::{TransformerConfig, TransformerLm};
+use std::sync::Arc;
 use std::time::Instant;
 
 const PSIZE: usize = 8;
@@ -433,6 +442,56 @@ fn bench_narrow(c: &mut Criterion) {
     );
 }
 
+/// The served widths 1–4 at the narrow group's sizes and sparsities,
+/// under a BP-style column mask that keeps columns in runs of 3 out of
+/// every 5 (60%), so its runs cut across the 8-wide pattern blocks the way
+/// a backbone's pruned columns do. One layout is assigned under the mask
+/// and packed twice: as is, which stores `w * 0` at the masked positions
+/// its patterns keep, and restricted to the positions both keep. Both
+/// multiply to the same bits; the JSON line records their stored counts
+/// and times, with no gate.
+fn bench_restricted(_c: &mut Criterion) {
+    let samples = if quick() { 10 } else { 20 };
+    let backend = Backend::detect();
+    for sparsity in [0.75f64, 0.90] {
+        let s_tag = (sparsity * 100.0).round() as usize;
+        for n in [96, 256] {
+            let mut rng = StdRng::seed_from_u64(1);
+            let dense = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0f32));
+            let mask = Matrix::from_fn(n, n, |_, c| f32::from(u8::from((c / 3) % 5 < 3)));
+            let set = Arc::new(CompiledSet::new(&pattern_set(2, sparsity)));
+            let squares = BlockSquares::new(&dense, Some(&mask), PSIZE, backend);
+            let layout = PackLayout::assign(&squares, &set);
+            let bits = MaskBits::new(dense.shape(), Some(&mask), PSIZE);
+            let restricted = PackLayout::restrict([(&layout, &bits)]);
+            let restricted = Arc::new(restricted.into_iter().next().expect("one layout"));
+            let layout = Arc::new(layout);
+            let full = PatternPlan::pack(&layout, &dense, Some(&mask), backend);
+            let narrow = PatternPlan::pack(&restricted, &dense, Some(&mask), backend);
+            for width in 1..=4 {
+                let rhs = Matrix::from_fn(n, width, |i, j| ((i * 3 + j) as f32).sin());
+                let mut out = Matrix::zeros(n, width);
+                let iters = 10 * samples as u32;
+                let (full_ns, full_min_ns) = time_ns(iters, || full.matmul_into(&rhs, &mut out));
+                let (narrow_ns, narrow_min_ns) =
+                    time_ns(iters, || narrow.matmul_into(&rhs, &mut out));
+                println!(
+                    "{{\"bench\": \"sparse_matmul/restricted_n{n}_s{s_tag}_w{width}\", \
+                     \"sparsity\": {sparsity}, \"backend\": \"{}\", \"mask_kept\": 0.6, \
+                     \"stored\": {}, \"restricted_stored\": {}, \
+                     \"unrestricted_ns\": {full_ns:.1}, \"restricted_ns\": {narrow_ns:.1}, \
+                     \"unrestricted_min_ns\": {full_min_ns:.1}, \
+                     \"restricted_min_ns\": {narrow_min_ns:.1}, \"speedup\": {:.2}}}",
+                    backend.label(),
+                    full.stored_values(),
+                    narrow.stored_values(),
+                    full_min_ns / narrow_min_ns,
+                );
+            }
+        }
+    }
+}
+
 /// Real serving-path throughput: `pool::run_batches` wall-clock over a
 /// banked model (the level-0 variant of a paper-shaped transformer), i.e.
 /// what every micro-batch of the single-device and fleet engines executes.
@@ -470,5 +529,11 @@ fn bench_pool_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_narrow, bench_pool_throughput);
+criterion_group!(
+    benches,
+    bench_kernels,
+    bench_narrow,
+    bench_restricted,
+    bench_pool_throughput
+);
 criterion_main!(benches);

@@ -65,7 +65,8 @@ pub fn combined_masks_for_model<M: Model>(
 #[derive(Debug, Clone)]
 pub struct Lowering {
     /// One pack layout per weight, in the weights' order, all sharing one
-    /// compiled copy of the set.
+    /// compiled copy of the set (of the restricted patterns, from
+    /// [`PatternScorer::lower_restricted`]).
     pub layouts: Vec<Arc<PackLayout>>,
     /// Overall sparsity of the combined (backbone ∧ pattern) masks; equals
     /// `MaskSet::overall_sparsity` of [`combined_masks`] bit for bit.
@@ -119,6 +120,27 @@ impl PatternScorer {
             .coverage
             .sparsity(kept.map(|(bits, layout)| bits.kept(layout)).sum());
         Lowering { layouts, sparsity }
+    }
+
+    /// [`Self::lower`] with every layout narrowed to the positions its
+    /// weight's backbone mask keeps too ([`PackLayout::restrict`]), all
+    /// sharing one compiled set of the restricted patterns: the layouts a
+    /// plan packs, which store and multiply only the values both levels
+    /// keep. The sparsity is [`Self::lower`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Self::lower`], and if the scorer holds no weight.
+    pub fn lower_restricted(&self, set: &PatternSet) -> Lowering {
+        let Lowering { layouts, sparsity } = self.lower(set);
+        let pairs = layouts.iter().map(|layout| &**layout).zip(&self.mask_bits);
+        Lowering {
+            layouts: PackLayout::restrict(pairs)
+                .into_iter()
+                .map(Arc::new)
+                .collect(),
+            sparsity,
+        }
     }
 }
 

@@ -17,20 +17,28 @@
 //! each block gets depends only on the model, the backbone and the pattern
 //! set, so a level is lowered once — the first time any bank over the same
 //! assignment builds it, by the [`PatternScorer`] the offline search lowers
-//! its candidates with, whose squares are dropped with it — and the
-//! lowering is kept, for good and across evictions: per weight a
-//! [`PackLayout`] holding a `u16` pattern id and a `u32` arena offset per
-//! block (6 bytes per block) and each pattern's kept positions as `u32`
-//! flat offsets for the weight's row stride, all sharing one compiled copy
-//! of the level's pattern set; and the level's achieved sparsity. A bank
-//! and its spares ([`ModelBank::spare`], one per fleet device) share those
+//! its candidates with, built once per assignment and kept for every level
+//! — and the lowering is kept, for good and across evictions. Per weight it
+//! is a [`PackLayout`] narrowed to the positions both pruning levels keep
+//! ([`PackLayout::restrict`]: each block's pattern ∧ its backbone bits), so
+//! a switch gathers, and a kernel multiplies, only the values the cost
+//! model prices — Level 1 ∧ Level 2 — and none of the `w * 0` a layout
+//! over the pattern alone would store. The layout holds a `u16` pattern id
+//! and a `u32` arena offset per block (6 bytes per block) and, from the
+//! first gather on, a `u32` index stream entry per stored value; the
+//! level's layouts share one compiled copy of the distinct restricted
+//! patterns their blocks use, and the level also keeps its achieved
+//! sparsity. A bank and its spares
+//! ([`ModelBank::spare`], one per fleet device) share the scorer, those
 //! lowerings, the backbone and the assignment behind one `Arc`, so a level
 //! is lowered once however many banks serve it. Every later build of the
 //! level, which is what a cold V/F switch pays, is a pure gather: the bank
 //! first evicts the least-recently-used variant, so it never holds more
 //! than its capacity, then refills that variant's own arenas in place with
 //! the new level's kept values. Once every arena has held its largest
-//! level, a switch allocates nothing.
+//! level, a switch allocates nothing. For finite activations the
+//! restricted weights multiply to the same bits as weights that also store
+//! the masked zeros (see `rt3_sparse::PatternPlan`).
 
 use rt3_hardware::{MemoryModel, SwitchCost};
 use rt3_pruning::{CandidatePatternSet, Lowering, PatternScorer, PatternSpace, PrunableWeight};
@@ -178,8 +186,12 @@ struct Assignment<'m> {
     /// One chosen candidate per governor level position (0 = lowest
     /// frequency).
     levels: Vec<CandidatePatternSet>,
-    /// Per level, the layouts of every prunable weight and the achieved
-    /// sparsity; filled on the level's first build by any sharing bank.
+    /// The lowering rule over the backbone-masked prunable weights; built
+    /// on the first level's first build, then kept for every other level.
+    scorer: OnceLock<PatternScorer>,
+    /// Per level, the restricted layouts of every prunable weight and the
+    /// achieved sparsity; filled on the level's first build by any sharing
+    /// bank.
     lowered: Vec<OnceLock<Lowering>>,
     memory: MemoryModel,
     total_blocks: usize,
@@ -189,17 +201,20 @@ impl Assignment<'_> {
     /// The level's lowering, lowered on first use (see the module docs).
     fn lowering(&self, level_pos: usize) -> &Lowering {
         self.lowered[level_pos].get_or_init(|| {
-            let weights: Vec<PrunableWeight<'_>> = self
-                .prunable
-                .iter()
-                .map(|(name, weight)| PrunableWeight {
-                    name: name.clone(),
-                    weight,
-                    backbone: self.backbone.get(name),
-                })
-                .collect();
-            let set = &self.levels[level_pos].set;
-            PatternScorer::new(&weights, &self.backbone, set.size()).lower(set)
+            let scorer = self.scorer.get_or_init(|| {
+                let weights: Vec<PrunableWeight<'_>> = self
+                    .prunable
+                    .iter()
+                    .map(|(name, weight)| PrunableWeight {
+                        name: name.clone(),
+                        weight,
+                        backbone: self.backbone.get(name),
+                    })
+                    .collect();
+                // every level of one pattern space shares a pattern size
+                PatternScorer::new(&weights, &self.backbone, self.levels[0].set.size())
+            });
+            scorer.lower_restricted(&self.levels[level_pos].set)
         })
     }
 }
@@ -253,6 +268,7 @@ impl<'m, M: Model> ModelBank<'m, M> {
         let shared = Arc::new(Assignment {
             backbone,
             prunable,
+            scorer: OnceLock::new(),
             lowered: levels.iter().map(|_| OnceLock::new()).collect(),
             levels,
             memory,
@@ -317,13 +333,15 @@ impl<'m, M: Model> ModelBank<'m, M> {
     ///
     /// The level's first build by this bank or any bank sharing its
     /// lowerings scores every block of the backbone-masked weights against
-    /// its pattern set and keeps the resulting layouts; every build — the
-    /// first included — then gathers each prunable weight straight from the
-    /// model weight and its backbone mask under those layouts
+    /// its pattern set and keeps the resulting layouts, narrowed to the
+    /// backbone's kept positions; every build — the first included — then
+    /// gathers each prunable weight straight from the model weight and its
+    /// backbone mask under those layouts
     /// ([`PatternPrunedMatrix::pack_into`]), the same gather a cold switch
-    /// in [`Self::get`] runs into an evicted variant's arenas.
-    /// The achieved sparsity equals the `overall_sparsity` of
-    /// `rt3_pruning::combined_masks_for_model`'s masks bit for bit.
+    /// in [`Self::get`] runs into an evicted variant's arenas. Each weight
+    /// keeps exactly its combined mask of
+    /// `rt3_pruning::combined_masks_for_model`, and the achieved sparsity
+    /// equals those masks' `overall_sparsity` bit for bit.
     pub fn rebuild_cold(&self, level_pos: usize) -> BankedModel {
         let mut variant = BankedModel::default();
         self.refill(level_pos, &mut variant);
@@ -498,14 +516,41 @@ mod tests {
         assert!(!bank.is_resident(1));
     }
 
+    /// Per level, the combined backbone ∧ pattern masks of the prunable
+    /// weights, in model parameter order, and their overall sparsity.
+    fn combined_masks_by_level(
+        model: &TransformerLm,
+        backbone: &MaskSet,
+        bank: &ModelBank<'_, TransformerLm>,
+    ) -> Vec<(Vec<Matrix>, f64)> {
+        let prunable = model.prunable_parameter_names();
+        (0..bank.levels())
+            .map(|level| {
+                let masks =
+                    combined_masks_for_model(model, backbone, &prunable, bank.pattern_set(level));
+                let weights = model
+                    .parameters()
+                    .into_iter()
+                    .filter(|(name, _)| prunable.contains(name))
+                    .map(|(name, _)| masks.get(&name).expect("a mask per weight").clone())
+                    .collect();
+                (weights, masks.overall_sparsity())
+            })
+            .collect()
+    }
+
     /// The oracle for the kept tables and the buffer reuse: a capacity-1
     /// bank is switched across every ordered level pair, so each level is
     /// built first from scratch and then refilled into every other level's
-    /// evicted buffers, and each must equal a from-scratch lowering of the
-    /// backbone-masked weights, with sparsity equal to the combined masks'
-    /// bit for bit. The walk includes a step from a larger to a smaller
-    /// arena, where stale tail values would show. Pattern size 3 leaves
-    /// partial edge blocks on the 16- and 32-wide weights.
+    /// evicted buffers. Each banked weight must keep exactly the combined
+    /// backbone ∧ pattern mask, and hold, as numbers, the values of a
+    /// from-scratch lowering of the backbone-masked weight, which also
+    /// stores the `w * 0` the bank's restricted layouts drop; its products
+    /// at widths 1–4 must equal that lowering's bit for bit, and the
+    /// sparsity must equal the combined masks' bit for bit. The walk
+    /// includes a step from a larger to a smaller arena, where stale tail
+    /// values would show. Pattern size 3 leaves partial edge blocks on the
+    /// 16- and 32-wide weights.
     #[test]
     fn banked_levels_match_a_from_scratch_lowering() {
         for pattern_size in [4, 3] {
@@ -519,32 +564,26 @@ mod tests {
                 MemoryModel::odroid_xu3(),
                 1,
             );
-            let expected: Vec<(Vec<(String, PatternPrunedMatrix)>, f64)> = (0..bank.levels())
+            let combined = combined_masks_by_level(&model, &backbone, &bank);
+            let from_scratch: Vec<Vec<PatternPrunedMatrix>> = (0..bank.levels())
                 .map(|level| {
                     let set = bank.pattern_set(level);
-                    let weights = model
+                    model
                         .parameters()
                         .into_iter()
                         .filter(|(name, _)| prunable.contains(name))
                         .map(|(name, w)| {
                             let mask = backbone.get(&name).expect("backbone masks every weight");
-                            let effective = w.zip(mask, |a, b| a * b);
-                            let lowered = PatternPrunedMatrix::from_dense(&effective, set);
-                            (name, lowered)
+                            PatternPrunedMatrix::from_dense(&w.zip(mask, |a, b| a * b), set)
                         })
-                        .collect();
-                    let sparsity = combined_masks_for_model(&model, &backbone, &prunable, set)
-                        .overall_sparsity();
-                    (weights, sparsity)
+                        .collect()
                 })
                 .collect();
             let stored = |level: usize| -> usize {
-                expected[level]
-                    .0
-                    .iter()
-                    .map(|(_, w)| w.stored_values())
-                    .sum()
+                combined[level].0.iter().map(Matrix::count_nonzero).sum()
             };
+            let bits =
+                |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
             let mut shrinks = false;
             let mut accesses = 0;
             for from in 0..bank.levels() {
@@ -553,11 +592,24 @@ mod tests {
                     for level in [from, to] {
                         let banked = bank.get(level);
                         accesses += 1;
-                        assert!(
-                            banked.weights == expected[level].0,
-                            "psize {pattern_size} {from} -> {to}: level {level} weights differ"
-                        );
-                        assert_eq!(banked.sparsity.to_bits(), expected[level].1.to_bits());
+                        let what = format!("psize {pattern_size} {from} -> {to}: level {level}");
+                        assert_eq!(banked.weights.len(), from_scratch[level].len());
+                        let expected = from_scratch[level].iter().zip(&combined[level].0);
+                        for ((name, got), (want, mask)) in banked.weights.iter().zip(expected) {
+                            assert_eq!(bits(&got.mask()), bits(mask), "{what} {name} mask");
+                            assert!(got.to_dense() == want.to_dense(), "{what} {name} values");
+                            for width in 1..=4 {
+                                let rhs = Matrix::from_fn(got.cols(), width, |i, j| {
+                                    ((i * 7 + j * 3) % 11) as f32 / 11.0 - 0.5
+                                });
+                                assert_eq!(
+                                    bits(&got.matmul_dense(&rhs)),
+                                    bits(&want.matmul_dense(&rhs)),
+                                    "{what} {name} width {width}"
+                                );
+                            }
+                        }
+                        assert_eq!(banked.sparsity.to_bits(), combined[level].1.to_bits());
                     }
                 }
             }
@@ -565,6 +617,30 @@ mod tests {
             let stats = bank.stats();
             assert_eq!(stats.hits + stats.builds, accesses);
             assert_eq!(stats.evictions, stats.builds - 1);
+        }
+    }
+
+    /// A banked level stores exactly the values both pruning levels keep:
+    /// its stored count is the non-zero count of the combined backbone ∧
+    /// pattern masks over the patterned weights, with and without edge
+    /// blocks.
+    #[test]
+    fn banked_levels_store_only_what_both_levels_keep() {
+        for pattern_size in [4, 3] {
+            let (model, backbone, space) = setup_with(pattern_size);
+            let mut bank = ModelBank::new(
+                &model,
+                backbone.clone(),
+                &space,
+                &[0, 1, 2],
+                MemoryModel::odroid_xu3(),
+                3,
+            );
+            let combined = combined_masks_by_level(&model, &backbone, &bank);
+            for (level, (masks, _)) in combined.iter().enumerate() {
+                let kept: usize = masks.iter().map(Matrix::count_nonzero).sum();
+                assert_eq!(bank.get(level).stored_values(), kept, "level {level}");
+            }
         }
     }
 

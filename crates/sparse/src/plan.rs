@@ -13,22 +13,31 @@
 //! * **Per-pattern offset tables.** Each pattern in the set is compiled
 //!   *once* into a [`CompiledPattern`]: its kept positions grouped by local
 //!   row (CSR-style `row_ptr` over `u32` column offsets), plus each kept
-//!   position's local row and its offset within a block (the index table
-//!   block scoring sums through). Every block assigned to that pattern shares the
-//!   table, so the per-block metadata is a single `u16` pattern id —
-//!   exactly the reuse the paper's Level-2 format is designed around.
+//!   position's offset within a block (the index table block scoring sums
+//!   through). Every block assigned to that pattern shares the table, so
+//!   the per-block metadata is a single `u16` pattern id — exactly the
+//!   reuse the paper's Level-2 format is designed around.
+//! * **One index stream.** Parallel to the arena, one `u32` per stored
+//!   value holds its position `col << 4 | r`: its row `r` within its block
+//!   row (so a plan's pattern size is at most 16) and its column `col` in
+//!   the weight. A block row's values are one contiguous run of the arena,
+//!   so with the stream a walk over a block row is one loop, however many
+//!   values each of its blocks keeps. The stream is built once per layout,
+//!   when a plan is first packed under it; the value gather, the
+//!   narrow-width kernel and the kept-position walk read it and look up no
+//!   pattern table.
 //! * **Full-block vs. edge-block dispatch.** Interior blocks (the common
 //!   case) run a branch-free loop monomorphized on the rhs width for the
 //!   widths the serving engines dispatch (1, 2, 3, 4, 8, 16, 32, 64). At
-//!   the narrow widths 1–4 the kernel is one loop over the block's kept
-//!   values (the *kept list*: local row, local column, value), each
-//!   running `W` unrolled f32 multiply-adds into its output row; its trip
-//!   count is the pattern's kept count, so it carries no per-row branches,
-//!   which is what a row of a few kept values is bound by. At widths 8 and
-//!   up the portable kernel holds each output row in a `[f32; W]`
-//!   register accumulator across all of the row's kept values. Other
-//!   widths take a chunked general path. Only the (at most one) partial
-//!   row/column strip of edge blocks takes the checked path.
+//!   the narrow widths 1–4 the kernel is one loop over the stored values
+//!   of a block row's full blocks and their index stream, each value
+//!   running `W` unrolled f32 multiply-adds into its output row; it
+//!   carries no per-row or per-block branches, which is what a row of a
+//!   few kept values is bound by. At widths 8 and up the portable kernel
+//!   holds each output row in a `[f32; W]` register accumulator across all
+//!   of the row's kept values. Other widths take a chunked general path.
+//!   Only the (at most one) partial row/column strip of edge blocks takes
+//!   the checked path.
 //!
 //! The plan is built at [`PatternPrunedMatrix`] construction, so the matmul
 //! hot loop performs **zero heap allocation** and the kernel result is
@@ -39,8 +48,7 @@
 //! Lowering itself has two halves. [`PackLayout::assign`] scores every
 //! block of a weight against the set (the expensive part) and keeps
 //! everything a pack needs that does not depend on the values: the
-//! block→pattern ids, the block offsets, and each pattern's kept positions
-//! as flat offsets for the weight's row stride. It scores from a
+//! block→pattern ids and the block offsets. It scores from a
 //! [`BlockSquares`] table: the squares of the weight, optionally masked
 //! element-wise without materialising the product, laid out block-transposed
 //! so each pattern's norms for all blocks are a sum of contiguous table
@@ -52,11 +60,23 @@
 //! ([`MaskBits::kept`], a popcount per block); a caller that needs the
 //! kept positions themselves reads them as a dense keep-mask through
 //! [`PackLayout::keep_mask`], and neither gathers a value.
+//!
+//! A layout assigned under a mask still lays out every position its
+//! patterns keep, the masked ones included, so a plan packed under it
+//! stores and multiplies `w * 0`. [`PackLayout::restrict`] narrows it to
+//! the positions the mask keeps too: per block the pattern's bits ∧ the
+//! block's [`MaskBits`], each distinct result interned into the restricted
+//! layout's own [`CompiledSet`]. Its block ids stay `u16`, so every kernel
+//! runs it unchanged. For finite rhs values its products equal the
+//! unrestricted plan's bit for bit: each dropped product is `±0`, and an
+//! accumulator that starts at `+0` never becomes `-0` under
+//! round-to-nearest, so adding `±0` to it changes no bit.
+//!
 //! [`PatternPlan::pack_into`] — the one value gather, which `compile` and
 //! [`PatternPlan::pack`] also run — then writes the kept values into a
 //! plan's existing arena. A plan is an `Arc`-shared layout plus its own
-//! arena, and every layout of one pattern set shares a single
-//! [`CompiledSet`], so a caller that re-lowers the same weight — the
+//! arena, and every layout assigned against one pattern set shares a
+//! single [`CompiledSet`], so a caller that re-lowers the same weight — the
 //! runtime's model bank after an eviction — keeps the layout and only
 //! gathers, into buffers it already owns.
 //!
@@ -84,8 +104,9 @@
 use crate::pattern::{PatternMask, PatternSet};
 use crate::simd::{self, Backend};
 use rt3_tensor::Matrix;
+use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of f32 lanes the inner multiply-add is chunked by; wide enough
 /// for one 256-bit vector, small enough that narrow rhs widths still use
@@ -105,24 +126,22 @@ fn bitmask_words(psize: usize) -> usize {
 }
 
 /// One pattern lowered to flat offset tables: kept positions grouped by
-/// local row, CSR-style, plus each position's local row for the narrow-rhs
-/// kept-list kernel, its in-block offset for block scoring, and the kept
-/// offsets as a bitmask for counting kept positions.
+/// local row, CSR-style, plus each position's in-block offset for block
+/// scoring and the index stream, and the kept offsets as a bitmask for
+/// counting and restricting kept positions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPattern {
     /// `row_ptr[r]..row_ptr[r + 1]` indexes `cols` for local row `r`.
     row_ptr: Vec<u32>,
     /// Local column offset of each kept position, in row-major kept order.
     cols: Vec<u32>,
-    /// Local row of each kept position, parallel to `cols`.
-    rows: Vec<u32>,
     /// Offset `row * size + col` of each kept position within a
     /// `size x size` block, parallel to `cols`: block scoring's index
     /// table.
     local: Vec<u32>,
     /// The in-block offsets of `local` as a bitmask ([`bitmask_words`]
-    /// words), ANDed with a block's [`MaskBits`] to count the positions
-    /// both keep.
+    /// words), ANDed with a block's [`MaskBits`] to count or keep the
+    /// positions both keep.
     bits: Vec<u64>,
 }
 
@@ -133,7 +152,6 @@ impl CompiledPattern {
         let size = mask.size();
         let mut row_ptr = Vec::with_capacity(size + 1);
         let mut cols = Vec::with_capacity(mask.ones());
-        let mut rows = Vec::with_capacity(mask.ones());
         let mut local = Vec::with_capacity(mask.ones());
         let mut bits = vec![0u64; bitmask_words(size)];
         row_ptr.push(0);
@@ -141,7 +159,6 @@ impl CompiledPattern {
             for c in 0..size {
                 if mask.is_kept(r, c) {
                     cols.push(c as u32);
-                    rows.push(r as u32);
                     local.push((r * size + c) as u32);
                     bits[(r * size + c) / 64] |= 1 << ((r * size + c) % 64);
                 }
@@ -151,7 +168,6 @@ impl CompiledPattern {
         Self {
             row_ptr,
             cols,
-            rows,
             local,
             bits,
         }
@@ -214,24 +230,6 @@ pub(crate) fn compile_set(set: &PatternSet) -> Vec<CompiledPattern> {
     set.patterns()
         .iter()
         .map(CompiledPattern::compile)
-        .collect()
-}
-
-/// Per pattern, the offset of every kept position from its block's origin
-/// for row stride `stride`, in row-major kept order.
-fn kept_offsets(compiled: &[CompiledPattern], stride: usize) -> Vec<Vec<u32>> {
-    compiled
-        .iter()
-        .map(|cp| {
-            cp.rows
-                .iter()
-                .zip(&cp.cols)
-                .map(|(&r, &c)| {
-                    u32::try_from(r as usize * stride + c as usize)
-                        .expect("row stride exceeds u32 flat offsets")
-                })
-                .collect()
-        })
         .collect()
 }
 
@@ -443,9 +441,10 @@ impl MaskBits {
 }
 
 /// Everything packing one weight needs that does not depend on its values:
-/// the block→pattern assignment, the arena offset of every block, and each
-/// pattern's kept positions as flat offsets for the weight's row stride.
-/// [`PackLayout::assign`] builds it (the scoring half of lowering); after
+/// the block→pattern assignment and the arena offset of every block, and,
+/// once a plan has been packed under it, the index stream.
+/// [`PackLayout::assign`] builds it (the scoring half of lowering);
+/// [`PackLayout::restrict`] narrows it to a mask's kept positions; after
 /// that, [`PatternPlan::pack_into`] only gathers values.
 #[derive(Debug, PartialEq)]
 pub struct PackLayout {
@@ -458,9 +457,10 @@ pub struct PackLayout {
     assignments: Vec<u16>,
     /// Prefix sums into the arena, one entry per block plus a terminator.
     block_offsets: Vec<u32>,
-    /// Per pattern, the flat offset of every kept position from its
-    /// block's origin for row stride `cols`, in row-major kept order.
-    flat: Vec<Vec<u32>>,
+    /// Position `col << 4 | r` of every stored value — its row within its
+    /// block row and its column in the weight — parallel to the arena;
+    /// built on the first pack (see [`PackLayout::index_stream`]).
+    stream: OnceLock<Vec<u32>>,
 }
 
 impl PackLayout {
@@ -515,22 +515,117 @@ impl PackLayout {
                 }
             }
         }
-        let mut block_offsets = Vec::with_capacity(blocks + 1);
+        Self::laid_out(
+            Arc::clone(set),
+            (squares.rows, squares.cols),
+            squares.psize,
+            assignments,
+        )
+    }
+
+    /// Each layout narrowed to the positions its mask keeps too: every
+    /// block keeps its pattern's bits ∧ the block's bits of the mask, and
+    /// each distinct result is one pattern of a [`CompiledSet`] all the
+    /// restricted layouts share, in the order their blocks first use it —
+    /// as the layouts assigned against one pattern set share that set. A
+    /// plan packed under a restricted layout stores [`MaskBits::kept`] of
+    /// the layout it was narrowed from, and for finite rhs values
+    /// multiplies to the same bits as a plan packed under that layout with
+    /// the same mask (see the module docs); its [`PatternPlan::pattern_set`]
+    /// is the restricted set. A fully masked block keeps the empty pattern
+    /// and stores nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mask was not built for its layout's shape and pattern
+    /// size, the layouts differ in pattern size or have no block between
+    /// them, or the restricted set has more than `u16::MAX` patterns.
+    pub fn restrict<'a>(
+        layouts: impl IntoIterator<Item = (&'a PackLayout, &'a MaskBits)>,
+    ) -> Vec<PackLayout> {
+        let mut ids: HashMap<Vec<u64>, u16> = HashMap::new();
+        let mut patterns: Vec<Vec<u64>> = Vec::new();
+        let mut narrowed = Vec::new();
+        let mut psize = None;
+        for (layout, mask) in layouts {
+            assert_eq!(
+                (mask.rows, mask.cols, mask.psize),
+                (layout.rows, layout.cols, layout.psize),
+                "mask bits of another shape or pattern size"
+            );
+            let size = *psize.get_or_insert(layout.psize);
+            assert_eq!(layout.psize, size, "layouts of different pattern sizes");
+            let words = bitmask_words(size);
+            let mut both = vec![0u64; words];
+            let assignments: Vec<u16> = layout
+                .assignments
+                .iter()
+                .zip(mask.bits.chunks_exact(words))
+                .map(|(&a, block)| {
+                    let pattern = &layout.set.patterns[a as usize].bits;
+                    for ((b, &p), &m) in both.iter_mut().zip(pattern).zip(block) {
+                        *b = p & m;
+                    }
+                    if let Some(&id) = ids.get(&both) {
+                        return id;
+                    }
+                    let id = u16::try_from(patterns.len())
+                        .expect("restricted set too large for u16 assignment indices");
+                    ids.insert(both.clone(), id);
+                    patterns.push(both.clone());
+                    id
+                })
+                .collect();
+            narrowed.push((layout, assignments));
+        }
+        let psize = psize.unwrap_or(0);
+        let masks = patterns
+            .iter()
+            .map(|bits| {
+                let keep = (0..psize * psize).map(|o| bits[o / 64] >> (o % 64) & 1 == 1);
+                PatternMask::new(psize, keep.collect())
+            })
+            .collect();
+        let set = PatternSet::new(masks).expect("layouts with no block restrict to no pattern");
+        let set = Arc::new(CompiledSet::new(&set));
+        narrowed
+            .into_iter()
+            .map(|(layout, assignments)| {
+                Self::laid_out(
+                    Arc::clone(&set),
+                    (layout.rows, layout.cols),
+                    psize,
+                    assignments,
+                )
+            })
+            .collect()
+    }
+
+    /// The layout of `assignments` over `set` for a weight of `shape`: the
+    /// arena offset of every block, from its pattern's kept count.
+    fn laid_out(
+        set: Arc<CompiledSet>,
+        shape: (usize, usize),
+        psize: usize,
+        assignments: Vec<u16>,
+    ) -> Self {
+        let mut block_offsets = Vec::with_capacity(assignments.len() + 1);
         block_offsets.push(0u32);
         let mut stored = 0usize;
         for &a in &assignments {
-            stored += compiled[a as usize].ones();
+            stored += set.patterns[a as usize].ones();
             block_offsets.push(u32::try_from(stored).expect("arena exceeds u32 offsets"));
         }
+        let (rows, cols) = shape;
         Self {
-            set: Arc::clone(set),
-            rows: squares.rows,
-            cols: squares.cols,
-            psize: squares.psize,
-            grid: squares.grid,
+            set,
+            rows,
+            cols,
+            psize,
+            grid: (rows.div_ceil(psize), cols.div_ceil(psize)),
             assignments,
             block_offsets,
-            flat: kept_offsets(compiled, squares.cols),
+            stream: OnceLock::new(),
         }
     }
 
@@ -540,6 +635,54 @@ impl PackLayout {
             .block_offsets
             .last()
             .expect("offsets carry a terminator") as usize
+    }
+
+    /// The arena range of block `bi`.
+    #[inline]
+    fn block_range(&self, bi: usize) -> Range<usize> {
+        self.block_offsets[bi] as usize..self.block_offsets[bi + 1] as usize
+    }
+
+    /// The arena range of the blocks `bcs` of block row `br`.
+    #[inline]
+    fn row_range(&self, br: usize, bcs: Range<usize>) -> Range<usize> {
+        let at = br * self.grid.1;
+        self.block_offsets[at + bcs.start] as usize..self.block_offsets[at + bcs.end] as usize
+    }
+
+    /// The position `col << 4 | r` of every stored value — its row `r`
+    /// within its block row and its column `col` in the weight — block-major
+    /// and parallel to the arena, built on first use: the first pack under
+    /// the layout, so a layout that is never packed — the offline search's
+    /// — never builds it. A block row's values are one contiguous run of
+    /// it, so a walk over a block row is one loop, whatever each block
+    /// keeps; an edge block of an unrestricted layout also lists its
+    /// out-of-shape positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern size exceeds 16, which a 4-bit row cannot
+    /// hold, or the weight has `2^28` columns or more.
+    fn index_stream(&self) -> &[u32] {
+        self.stream.get_or_init(|| {
+            let psize = self.psize;
+            assert!(
+                psize <= 16,
+                "pattern size {psize} exceeds the index stream's 4-bit rows"
+            );
+            assert!(
+                (self.grid.1 * psize) < 1 << 28,
+                "weight too wide for the index stream's 28-bit columns"
+            );
+            let psize = psize as u32;
+            let mut stream = Vec::with_capacity(self.stored_values());
+            for (bi, &a) in self.assignments.iter().enumerate() {
+                let base_c = (bi % self.grid.1) as u32 * psize;
+                let at = |o: u32| ((base_c + o % psize) << 4) | (o / psize);
+                stream.extend(self.set.patterns[a as usize].local.iter().map(|&o| at(o)));
+            }
+            stream
+        })
     }
 
     /// The combined `and ∧ pattern` keep-mask: `1.0` at every kept
@@ -566,27 +709,21 @@ impl PackLayout {
     }
 
     /// Calls `f(i)` with the flat weight index of every kept in-shape
-    /// position, block-major and in each pattern's row-major kept order.
-    /// Full blocks walk the flat offsets; only edge blocks test bounds.
+    /// position, block-major and in each pattern's row-major kept order,
+    /// from the compiled pattern tables (a layout that was never packed has
+    /// no index stream).
     fn for_each_kept_index(&self, mut f: impl FnMut(usize)) {
         let mut bi = 0;
         for base_r in (0..self.rows).step_by(self.psize) {
             let h = self.psize.min(self.rows - base_r);
             for base_c in (0..self.cols).step_by(self.psize) {
                 let w = self.psize.min(self.cols - base_c);
-                let a = self.assignments[bi] as usize;
-                let base = base_r * self.cols + base_c;
-                if h == self.psize && w == self.psize {
-                    for &o in &self.flat[a] {
-                        f(base + o as usize);
-                    }
-                } else {
-                    let cp = &self.set.patterns[a];
-                    for r in 0..h {
-                        let (s, e) = cp.row_range(r);
-                        for &c in cp.cols[s..e].iter().filter(|&&c| (c as usize) < w) {
-                            f(base + r * self.cols + c as usize);
-                        }
+                let cp = &self.set.patterns[self.assignments[bi] as usize];
+                for r in 0..h {
+                    let (s, e) = cp.row_range(r);
+                    let base = (base_r + r) * self.cols + base_c;
+                    for &c in cp.cols[s..e].iter().filter(|&&c| (c as usize) < w) {
+                        f(base + c as usize);
                     }
                 }
                 bi += 1;
@@ -596,39 +733,32 @@ impl PackLayout {
 
     /// Writes every block's kept values into `arena` (block-major, each
     /// block in its pattern's row-major kept order), reading the value at
-    /// flat weight index `i` as `value(i)`. Positions outside the logical
-    /// matrix store 0.0, so every block assigned to a pattern has the same
-    /// arena stride. Full blocks gather through the flat offsets; only edge
-    /// blocks take the clamped path.
+    /// flat weight index `i` as `value(i)`. One loop over the index stream
+    /// per block row serves every block: positions outside the logical
+    /// matrix (only edge blocks of an unrestricted layout have any) store
+    /// 0.0, so every block assigned to a pattern has the same arena stride.
     fn gather(&self, arena: &mut [f32], value: impl Fn(usize) -> f32) {
-        let mut bi = 0;
-        for base_r in (0..self.rows).step_by(self.psize) {
+        let stream = self.index_stream();
+        let full_cols = self.cols / self.psize;
+        for (br, base_r) in (0..self.rows).step_by(self.psize).enumerate() {
             let h = self.psize.min(self.rows - base_r);
-            for base_c in (0..self.cols).step_by(self.psize) {
-                let w = self.psize.min(self.cols - base_c);
-                let a = self.assignments[bi] as usize;
-                let dst = &mut arena
-                    [self.block_offsets[bi] as usize..self.block_offsets[bi + 1] as usize];
-                let base = base_r * self.cols + base_c;
-                if h == self.psize && w == self.psize {
-                    for (d, &o) in dst.iter_mut().zip(&self.flat[a]) {
-                        *d = value(base + o as usize);
-                    }
-                } else {
-                    let cp = &self.set.patterns[a];
-                    for r in 0..self.psize {
-                        let (s, e) = cp.row_range(r);
-                        for (d, &c) in dst[s..e].iter_mut().zip(&cp.cols[s..e]) {
-                            let c = c as usize;
-                            *d = if r < h && c < w {
-                                value(base + r * self.cols + c)
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
+            let mut first = 0;
+            if h == self.psize {
+                let range = self.row_range(br, 0..full_cols);
+                let base = base_r * self.cols;
+                for (d, &s) in arena[range.clone()].iter_mut().zip(&stream[range]) {
+                    *d = value(base + (s & 15) as usize * self.cols + (s >> 4) as usize);
                 }
-                bi += 1;
+                first = full_cols;
+            }
+            let range = self.row_range(br, first..self.grid.1);
+            for (d, &s) in arena[range.clone()].iter_mut().zip(&stream[range]) {
+                let (r, col) = ((s & 15) as usize, (s >> 4) as usize);
+                *d = if r < h && col < self.cols {
+                    value((base_r + r) * self.cols + col)
+                } else {
+                    0.0
+                };
             }
         }
     }
@@ -705,11 +835,14 @@ impl PatternPlan {
     /// packing the masked weight. The arena allocates only when it must
     /// grow past its capacity, so re-packing a plan that once held a
     /// layout at least as large is allocation-free; every slot of the new
-    /// layout is written, so nothing of the previous values survives.
+    /// layout is written, so nothing of the previous values survives. The
+    /// gather walks the layout's index stream, one loop per block row; the
+    /// first pack under a layout builds the stream.
     ///
     /// # Panics
     ///
-    /// Panics if `weight` or `mask` is not shaped like the layout's weight.
+    /// Panics if `weight` or `mask` is not shaped like the layout's weight,
+    /// the pattern size exceeds 16 or the weight has `2^28` columns or more.
     pub fn pack_into(&mut self, layout: &Arc<PackLayout>, weight: &Matrix, mask: Option<&Matrix>) {
         assert_eq!(
             weight.shape(),
@@ -772,46 +905,37 @@ impl PatternPlan {
     /// The packed values of block `bi`, in its pattern's row-major kept
     /// order (the arena slice the kernels execute from).
     pub fn block_values(&self, bi: usize) -> &[f32] {
-        let offsets = &self.layout.block_offsets;
-        &self.arena[offsets[bi] as usize..offsets[bi + 1] as usize]
+        &self.arena[self.layout.block_range(bi)]
     }
 
     /// Bytes of plan metadata beyond the values and the pattern bitmaps:
-    /// per-block offsets plus the compiled per-pattern tables.
+    /// the per-block offsets, the compiled per-pattern tables and the
+    /// index stream.
     pub fn table_bytes(&self) -> usize {
         let tables: usize = self
             .compiled_patterns()
             .iter()
             .map(|cp| {
-                (cp.row_ptr.len() + cp.cols.len() + cp.rows.len() + cp.local.len())
-                    * std::mem::size_of::<u32>()
+                (cp.row_ptr.len() + cp.cols.len() + cp.local.len()) * std::mem::size_of::<u32>()
             })
             .sum();
-        self.layout.block_offsets.len() * std::mem::size_of::<u32>() + tables
+        let l = &*self.layout;
+        (l.block_offsets.len() + l.index_stream().len()) * std::mem::size_of::<u32>() + tables
     }
 
     /// Calls `f(row, col, value)` for every kept position inside the
     /// logical matrix bounds, block-major then row-major within the block —
-    /// the single traversal backing both `to_dense` and `mask`.
+    /// the single traversal backing both `to_dense` and `mask`, over the
+    /// index stream.
     pub fn for_each_kept<F: FnMut(usize, usize, f32)>(&self, mut f: F) {
         let l = &*self.layout;
-        let (grid_rows, grid_cols) = l.grid;
-        for br in 0..grid_rows {
-            let base_r = br * l.psize;
-            let h = l.psize.min(l.rows - base_r);
-            for bc in 0..grid_cols {
-                let bi = br * grid_cols + bc;
-                let base_c = bc * l.psize;
-                let w = l.psize.min(l.cols - base_c);
-                let cp = &l.set.patterns[l.assignments[bi] as usize];
-                let vals = self.block_values(bi);
-                for r in 0..h {
-                    let (s, e) = cp.row_range(r);
-                    for (&c, &v) in cp.cols[s..e].iter().zip(&vals[s..e]) {
-                        if (c as usize) < w {
-                            f(base_r + r, base_c + c as usize, v);
-                        }
-                    }
+        let stream = l.index_stream();
+        for (br, base_r) in (0..l.rows).step_by(l.psize).enumerate() {
+            let range = l.row_range(br, 0..l.grid.1);
+            for (&s, &v) in stream[range.clone()].iter().zip(&self.arena[range]) {
+                let (r, col) = (base_r + (s & 15) as usize, (s >> 4) as usize);
+                if r < l.rows && col < l.cols {
+                    f(r, col, v);
                 }
             }
         }
@@ -819,13 +943,14 @@ impl PatternPlan {
 
     /// Sparse × dense product `plan * rhs`, written into `out` (which is
     /// zeroed first). This is the zero-allocation entry point: the hot loop
-    /// touches only the arena, the offset tables and the two matrices.
+    /// touches only the arena, the offset tables, the index stream and the
+    /// two matrices.
     ///
     /// Common rhs widths (1, 2, 3, 4, 8, 16, 32, 64 — the micro-batch
-    /// sizes the serving engines dispatch) run a monomorphized kernel: the
-    /// kept-list loop, or on an AVX2 backend at widths 8 and up a kernel
-    /// holding each output row in vector registers; other widths take a
-    /// chunked general path. All preserve the scalar reference's
+    /// sizes the serving engines dispatch) run a monomorphized kernel: at
+    /// widths 1–4 one walk per block row over the index stream, at 8 and
+    /// up a kernel holding each output row in registers (vector registers
+    /// on an AVX2 backend); other widths take a chunked general path. All preserve the scalar reference's
     /// per-element accumulation order, so results are bit-identical to it.
     ///
     /// # Panics
@@ -963,9 +1088,18 @@ impl PatternPlan {
             self.execute_tiled::<W>(rhs, out, width, brs, row_base);
             return;
         }
-        let (_, grid_cols) = self.layout.grid;
+        let l = &*self.layout;
+        let (_, grid_cols) = l.grid;
+        let full_cols = l.cols / l.psize;
         for br in brs {
-            for bc in 0..grid_cols {
+            // at the narrow widths a full block row's full blocks are one
+            // walk over the index stream; every other block goes one by one
+            let mut first = 0;
+            if (1..=4).contains(&W) && (br + 1) * l.psize <= l.rows {
+                self.block_row_indexed::<W>(br, full_cols, rhs, out, row_base);
+                first = full_cols;
+            }
+            for bc in first..grid_cols {
                 self.process_block::<W>(br, bc, rhs, out, width, row_base);
             }
         }
@@ -1002,7 +1136,8 @@ impl PatternPlan {
     }
 
     /// Executes one block of the grid. `out` holds the block rows starting
-    /// at logical row `row_base`; rhs indexing stays absolute.
+    /// at logical row `row_base`; rhs indexing stays absolute. The narrow
+    /// widths reach it only for edge blocks (see [`Self::execute`]).
     #[inline]
     fn process_block<const W: usize>(
         &self,
@@ -1020,64 +1155,65 @@ impl PatternPlan {
         let cp = &l.set.patterns[l.assignments[bi] as usize];
         let vals = self.block_values(bi);
         let local_r = base_r - row_base;
-        if base_r + l.psize <= l.rows && base_c + l.psize <= l.cols {
-            if W == 0 {
-                self.block_full_general(cp, vals, local_r, base_c, rhs, out, width);
-            } else if self.backend.covers_width(W) {
-                // `covers_width` constant-folds the width test per
-                // monomorphization; the backend invariant (`Avx2` only
-                // after detection) makes the kernel's feature use sound
-                simd::block_full::<W>(
-                    &cp.row_ptr,
-                    &cp.cols,
-                    vals,
-                    l.psize,
-                    local_r,
-                    base_c,
-                    rhs,
-                    out,
-                );
-            } else if W <= 4 {
-                self.block_full_kept::<W>(cp, vals, local_r, base_c, rhs, out);
-            } else {
-                self.block_full_fixed::<W>(cp, vals, local_r, base_c, rhs, out);
-            }
-        } else {
+        if base_r + l.psize > l.rows || base_c + l.psize > l.cols {
             self.block_edge(cp, vals, base_r, base_c, local_r, rhs, out, width);
+        } else if W == 0 {
+            self.block_full_general(cp, vals, local_r, base_c, rhs, out, width);
+        } else if self.backend.covers_width(W) {
+            // `covers_width` constant-folds the width test per
+            // monomorphization; the backend invariant (`Avx2` only after
+            // detection) makes the kernel's feature use sound
+            simd::block_full::<W>(
+                &cp.row_ptr,
+                &cp.cols,
+                vals,
+                l.psize,
+                local_r,
+                base_c,
+                rhs,
+                out,
+            );
+        } else {
+            self.block_full_fixed::<W>(cp, vals, local_r, base_c, rhs, out);
         }
     }
 
-    /// Interior-block kernel for the narrow rhs widths (1–4) the serving
-    /// engines mostly dispatch, on every backend. One loop walks the
-    /// block's kept values, adding `v * rhs[base_c + cols[k]]` into output
-    /// row `local_r + rows[k]` with `W` unrolled multiply-adds. A loop over
-    /// the block's rows instead (`block_full_fixed`) changes its trip
-    /// count with every pattern row (0–`psize` kept values each),
-    /// mispredicting its branches, and pays a row lookup per row, which a
-    /// row of at most 4 floats cannot amortise; the kept list has one trip
-    /// count per pattern. Each output element still receives its row's
-    /// kept values in row-major kept order, so the result is bit-identical
-    /// to the scalar reference.
+    /// Narrow-width kernel (rhs widths 1–4, the ones the serving engines
+    /// mostly dispatch, on every backend) over the first `blocks` blocks of
+    /// block row `br`, all full. One loop walks their stored values beside
+    /// the layout's index stream (`col << 4 | r`), adding `v * rhs[col]`
+    /// into output row `r` of the block row with `W` unrolled
+    /// multiply-adds, and looks up no pattern table. A loop per block
+    /// instead ends after that block's stored count, which varies from
+    /// block to block under a restricted layout and mispredicts once per
+    /// block; a loop per pattern row (`block_full_fixed`) varies with every
+    /// row (0–`psize` kept values each) and pays a row lookup per row,
+    /// which a row of at most 4 floats cannot amortise. Each output element
+    /// still receives its row's kept values in ascending block column and
+    /// then row-major kept order, so the result is bit-identical to the
+    /// scalar reference.
     ///
-    /// `local_r` is the block's first row *within `out`* (differs from the
-    /// logical row during `par_matmul_into`, whose threads see only their
-    /// own row-range slice).
+    /// `out` holds the block rows starting at logical row `row_base`
+    /// (differs from row 0 during `par_matmul_into`, whose threads see only
+    /// their own row-range slice).
     #[inline]
-    fn block_full_kept<const W: usize>(
+    fn block_row_indexed<const W: usize>(
         &self,
-        cp: &CompiledPattern,
-        vals: &[f32],
-        local_r: usize,
-        base_c: usize,
+        br: usize,
+        blocks: usize,
         rhs: &[f32],
         out: &mut [f32],
+        row_base: usize,
     ) {
-        let psize = self.layout.psize;
-        let (out, _) = out[local_r * W..(local_r + psize) * W].as_chunks_mut::<W>();
-        let (rhs, _) = rhs[base_c * W..(base_c + psize) * W].as_chunks::<W>();
-        for ((&r, &c), &v) in cp.rows.iter().zip(&cp.cols).zip(vals) {
-            let o = &mut out[r as usize];
-            let b = &rhs[c as usize];
+        let l = &*self.layout;
+        let range = l.row_range(br, 0..blocks);
+        let local_r = br * l.psize - row_base;
+        let (out, _) = out[local_r * W..(local_r + l.psize) * W].as_chunks_mut::<W>();
+        let (rhs, _) = rhs[..blocks * l.psize * W].as_chunks::<W>();
+        let stream = &l.index_stream()[range.clone()];
+        for (&s, &v) in stream.iter().zip(&self.arena[range]) {
+            let o = &mut out[(s & 15) as usize];
+            let b = &rhs[(s >> 4) as usize];
             for j in 0..W {
                 o[j] += v * b[j];
             }
@@ -1092,7 +1228,7 @@ impl PatternPlan {
     /// and the row is written back once. Accumulation per element stays in
     /// arena order, so the result is bit-identical to the scalar path.
     /// This is also the loop the AVX2 kernels mirror (`simd::block_full`).
-    /// `local_r` indexes `out` as in `block_full_kept`.
+    /// `local_r` indexes `out` as in `block_edge`.
     #[inline]
     fn block_full_fixed<const W: usize>(
         &self,
@@ -1125,7 +1261,7 @@ impl PatternPlan {
 
     /// Interior-block kernel for arbitrary rhs widths: each output row is
     /// sliced once and the inner loop is a chunked multiply-add over the
-    /// rhs row. `local_r` indexes `out` as in `block_full_kept`.
+    /// rhs row. `local_r` indexes `out` as in `block_edge`.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn block_full_general(
@@ -1155,8 +1291,9 @@ impl PatternPlan {
 
     /// Edge-block kernel: rows and columns are clamped to the logical
     /// matrix bounds (only the last block row/column can land here).
-    /// `base_r` is the logical row (for the clamp); `local_r` indexes
-    /// `out` as in `block_full_kept`.
+    /// `base_r` is the logical row (for the clamp); `local_r` is the
+    /// block's first row *within `out`* (differs from `base_r` during
+    /// `par_matmul_into`, whose threads see only their own row-range slice).
     #[allow(clippy::too_many_arguments)]
     fn block_edge(
         &self,
@@ -1233,7 +1370,7 @@ mod tests {
         assert_eq!(cp.row_range(1), (2, 2));
         assert_eq!(cp.row_range(2), (2, 5));
         assert_eq!(cp.cols, vec![0, 2, 0, 1, 2]);
-        assert_eq!(cp.rows, vec![0, 0, 2, 2, 2]);
+        assert_eq!(cp.local, vec![0, 2, 6, 7, 8]);
     }
 
     /// The mask bitmasks equal an entry-by-entry reference — bit `o` of

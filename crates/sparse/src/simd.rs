@@ -8,7 +8,7 @@
 //! per output row), selected **once** at plan construction via
 //! [`Backend::detect`] and falling back to the portable compiled-scalar
 //! kernels everywhere else (the narrow widths 1–4 the serving engines
-//! mostly dispatch run the portable kept-list kernel on every backend).
+//! mostly dispatch run the portable index-stream kernel on every backend).
 //!
 //! **Bit-exactness contract.** The SIMD kernels vectorize across the
 //! *width/columns* axis: every output element keeps its own lane-private
@@ -33,7 +33,7 @@
 ///
 /// Detected once per process ([`Backend::detect`], cached) and stored in
 /// the plan at construction. `Scalar` is the portable fallback — the
-/// compiled kept-list and register-accumulator kernels — and the
+/// compiled index-stream and register-accumulator kernels — and the
 /// bit-exactness reference for every other backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
