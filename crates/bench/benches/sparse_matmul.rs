@@ -7,14 +7,14 @@
 //! to move.
 //!
 //! Three pattern-pruned kernels are timed at every sweep point:
-//! `pattern_compiled` executes the [`rt3_sparse::PatternPlan`] under the
+//! `pattern_compiled` runs the [`rt3_sparse::PatternPrunedMatrix`] kernels under the
 //! *detected* backend (AVX2 where the CPU has it), `pattern_compiled_scalar`
 //! forces the portable compiled-scalar backend (the PR 3 kernels, still the
 //! bit-exactness reference), and `pattern_scalar_ref` is the retained seed
 //! kernel ([`rt3_sparse::reference::matmul_dense_scalar`]) — so every JSON
 //! line documents scalar-seed → compiled-scalar → SIMD in one row, plus a
 //! `par4` column for the intra-matmul parallel path
-//! ([`rt3_sparse::PatternPlan::par_matmul_into`] with 4 workers).
+//! ([`rt3_sparse::PatternPrunedMatrix::par_matmul_dense_into`] with 4 workers).
 //!
 //! After the criterion groups, a `{"bench": "sparse_matmul/summary_*"}`
 //! JSON line per sweep point records the means and speedups, a
@@ -30,7 +30,7 @@
 //!   s ∈ {0.75, 0.90} × n ∈ {96, 256}, run in quick mode too) the compiled
 //!   kernel under either the detected or the scalar backend is slower
 //!   than CSR (floor 1.0×), or
-//! * `par_matmul_into` with 4 workers is not ≥ 2× the single-threaded
+//! * `par_matmul_dense_into` with 4 workers is not ≥ 2× the single-threaded
 //!   compiled kernel at the n = 2048, w = 64 point — enforced only when
 //!   the host actually has ≥ 4 hardware threads (the committed JSON
 //!   records `workers_available` so single-core runs stay honest).
@@ -55,7 +55,7 @@ use rt3_pruning::{
 use rt3_runtime::{pool, ModelBank};
 use rt3_sparse::{
     reference, Backend, BlockPartition, BlockPrunedMatrix, BlockSquares, CompiledSet, CooMatrix,
-    CsrMatrix, MaskBits, PackLayout, PatternMask, PatternPlan, PatternPrunedMatrix, PatternSet,
+    CsrMatrix, MaskBits, PackLayout, PatternMask, PatternPrunedMatrix, PatternSet,
 };
 use rt3_tensor::Matrix;
 use rt3_transformer::{TransformerConfig, TransformerLm};
@@ -466,15 +466,16 @@ fn bench_restricted(_c: &mut Criterion) {
             let restricted = PackLayout::restrict([(&layout, &bits)]);
             let restricted = Arc::new(restricted.into_iter().next().expect("one layout"));
             let layout = Arc::new(layout);
-            let full = PatternPlan::pack(&layout, &dense, Some(&mask), backend);
-            let narrow = PatternPlan::pack(&restricted, &dense, Some(&mask), backend);
+            let full = PatternPrunedMatrix::pack(&layout, &dense, Some(&mask), backend);
+            let narrow = PatternPrunedMatrix::pack(&restricted, &dense, Some(&mask), backend);
             for width in 1..=4 {
                 let rhs = Matrix::from_fn(n, width, |i, j| ((i * 3 + j) as f32).sin());
                 let mut out = Matrix::zeros(n, width);
                 let iters = 10 * samples as u32;
-                let (full_ns, full_min_ns) = time_ns(iters, || full.matmul_into(&rhs, &mut out));
+                let (full_ns, full_min_ns) =
+                    time_ns(iters, || full.matmul_dense_into(&rhs, &mut out));
                 let (narrow_ns, narrow_min_ns) =
-                    time_ns(iters, || narrow.matmul_into(&rhs, &mut out));
+                    time_ns(iters, || narrow.matmul_dense_into(&rhs, &mut out));
                 println!(
                     "{{\"bench\": \"sparse_matmul/restricted_n{n}_s{s_tag}_w{width}\", \
                      \"sparsity\": {sparsity}, \"backend\": \"{}\", \"mask_kept\": 0.6, \

@@ -15,11 +15,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_data::GlueTask;
 use rt3_hardware::{
-    number_of_runs, simulate_battery_lifetime, simulate_fixed_level, DvfsGovernor,
-    ExecutionProfile, MemoryModel, ModelWorkload, PowerModel, SimulationReport, VfLevel,
+    number_of_runs, simulate_battery_lifetime, simulate_fixed_level, ExecutionProfile, MemoryModel,
+    PowerModel, SimulationReport, VfLevel,
 };
 use rt3_pruning::{combined_masks_for_model, random_pattern_set, PatternSpace};
-use rt3_sparse::{PatternSet, SparseFormat};
+use rt3_sparse::PatternSet;
 use rt3_transformer::Model;
 
 /// One row of the Table II motivation experiment.
@@ -41,22 +41,13 @@ pub fn run_motivation_experiment(
     base_sparsity: f64,
     per_level_sparsities: &[f64],
 ) -> Vec<MotivationRow> {
-    let predictor = config.predictor;
+    let latency = config.latency_model();
     let power = PowerModel::cortex_a7();
     let governor = &config.governor;
     let top_level = *governor.levels().last().expect("non-empty governor");
-    let latency_at = |sparsity: f64, level: &VfLevel| {
-        let workload = ModelWorkload::from_config(
-            &config.workload_config,
-            sparsity,
-            config.seq_len,
-            SparseFormat::BlockPruned,
-        );
-        predictor.latency_ms(&workload, level)
-    };
     // E1: always the top level, one model
     let e1_profile = ExecutionProfile {
-        latency_ms: latency_at(base_sparsity, &top_level),
+        latency_ms: latency.base_latency_ms(base_sparsity, &top_level),
         power_w: power.power_w(&top_level),
     };
     let e1 = simulate_fixed_level(
@@ -70,7 +61,7 @@ pub fn run_motivation_experiment(
         .levels()
         .iter()
         .map(|l| ExecutionProfile {
-            latency_ms: latency_at(base_sparsity, l),
+            latency_ms: latency.base_latency_ms(base_sparsity, l),
             power_w: power.power_w(l),
         })
         .collect();
@@ -91,7 +82,7 @@ pub fn run_motivation_experiment(
         .iter()
         .zip(per_level_sparsities)
         .map(|(l, &s)| ExecutionProfile {
-            latency_ms: latency_at(s, l),
+            latency_ms: latency.base_latency_ms(s, l),
             power_w: power.power_w(l),
         })
         .collect();
@@ -197,7 +188,7 @@ pub fn run_ablation<M: Model>(
     let config = &config;
     let mut evaluator = SurrogateEvaluator::new(profile);
     let unpruned = evaluator.unpruned_score();
-    let predictor = config.predictor;
+    let latency_model = config.latency_model();
     let power = PowerModel::cortex_a7();
     let mut levels: Vec<VfLevel> = config.governor.levels().to_vec();
     levels.reverse(); // M1 = highest frequency
@@ -207,13 +198,7 @@ pub fn run_ablation<M: Model>(
             .iter()
             .zip(sparsities)
             .map(|(level, &s)| {
-                let workload = ModelWorkload::from_config(
-                    &config.workload_config,
-                    s,
-                    config.seq_len,
-                    SparseFormat::BlockPruned,
-                );
-                let latency = predictor.latency_ms(&workload, level);
+                let latency = latency_model.base_latency_ms(s, level);
                 let energy = power.energy_per_inference_j(level, latency);
                 number_of_runs(budget_per_level, energy)
             })
@@ -349,7 +334,7 @@ pub fn run_heuristic_baseline<M: Model, E: AccuracyEvaluator>(
     config: &Rt3Config,
     evaluator: &mut E,
 ) -> SolutionPoint {
-    let predictor = config.predictor;
+    let latency = config.latency_model();
     let mut levels: Vec<VfLevel> = config.governor.levels().to_vec();
     levels.reverse();
     let actions: Vec<usize> = levels
@@ -358,13 +343,8 @@ pub fn run_heuristic_baseline<M: Model, E: AccuracyEvaluator>(
             // choose the *densest* candidate that still meets the constraint
             let mut choice = space.len() - 1;
             for (idx, candidate) in space.candidates().iter().enumerate() {
-                let workload = ModelWorkload::from_config(
-                    &config.workload_config,
-                    candidate.sparsity,
-                    config.seq_len,
-                    SparseFormat::BlockPruned,
-                );
-                if predictor.latency_ms(&workload, level) <= config.timing_constraint_ms {
+                if latency.base_latency_ms(candidate.sparsity, level) <= config.timing_constraint_ms
+                {
                     choice = idx;
                     break;
                 }
@@ -471,11 +451,6 @@ pub fn switch_time_comparison(
         upper_bound_switch_ms: reload.time_ms,
         speedup: reload.time_ms / switch.time_ms,
     }
-}
-
-/// Convenience: the default governor used by the paper-style experiments.
-pub fn paper_governor() -> DvfsGovernor {
-    DvfsGovernor::paper_default()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Configuration of the end-to-end RT3 framework.
 
-use rt3_hardware::{DvfsGovernor, PerformancePredictor};
+use rt3_hardware::{DvfsGovernor, LatencyModel, PerformancePredictor};
 use rt3_pruning::{BlockPruningConfig, PatternSpaceConfig};
 use rt3_transformer::TransformerConfig;
 
@@ -136,6 +136,17 @@ impl Rt3Config {
         cfg.pattern_space.patterns_per_set = 2;
         cfg.workload_config = TransformerConfig::paper_transformer(256);
         cfg
+    }
+
+    /// The single-request latency model of this configuration: its
+    /// predictor on its workload shape and sequence length, the formula
+    /// both the search and the serving path price a level with.
+    pub fn latency_model(&self) -> LatencyModel {
+        LatencyModel {
+            predictor: self.predictor,
+            workload_config: self.workload_config.clone(),
+            seq_len: self.seq_len,
+        }
     }
 
     /// Number of V/F levels (= number of sub-models searched).

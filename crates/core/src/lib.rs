@@ -52,9 +52,9 @@ mod reward;
 mod search;
 
 pub use baselines::{
-    paper_governor, run_ablation, run_bp_evaluation, run_heuristic_baseline,
-    run_motivation_experiment, switch_time_comparison, AblationRow, AblationVariant,
-    BpEvaluationRow, MotivationRow, SwitchComparison,
+    run_ablation, run_bp_evaluation, run_heuristic_baseline, run_motivation_experiment,
+    switch_time_comparison, AblationRow, AblationVariant, BpEvaluationRow, MotivationRow,
+    SwitchComparison,
 };
 pub use compare::{compare_optimizers, ComparisonConfig, ComparisonReport, OptimizerReport};
 pub use config::{RewardParams, Rt3Config};

@@ -18,7 +18,7 @@ use crate::pareto::{pareto_front_indices, ParetoPoint};
 use crate::reward::{compute_reward, RewardCase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rt3_hardware::{number_of_runs, ModelWorkload, PowerModel, VfLevel};
+use rt3_hardware::{number_of_runs, LatencyModel, ModelWorkload, PowerModel, VfLevel};
 use rt3_pruning::{
     block_prune_model, combined_masks, generate_pattern_space, random_block_prune_model,
     resolve_prunable, Lowering, PatternScorer, PatternSpace, PrunableWeight,
@@ -194,6 +194,7 @@ pub struct CandidateTable<'a> {
     config: &'a Rt3Config,
     weights: Vec<PrunableWeight<'a>>,
     scorer: PatternScorer,
+    latency: LatencyModel,
     power: PowerModel,
     /// V/F levels ordered high frequency -> low frequency (M1 first, as in
     /// the paper).
@@ -233,6 +234,7 @@ impl<'a> CandidateTable<'a> {
             config,
             scorer: PatternScorer::new(&weights, &backbone.masks, space.pattern_size()),
             weights,
+            latency: config.latency_model(),
             power: PowerModel::cortex_a7(),
             levels,
             lowered: (0..space.len()).map(|_| OnceCell::new()).collect(),
@@ -246,17 +248,11 @@ impl<'a> CandidateTable<'a> {
         self.lowered[candidate].get_or_init(|| {
             let Lowering { layouts, sparsity } =
                 self.scorer.lower(&self.space.candidates()[candidate].set);
-            let workload = ModelWorkload::from_config(
-                &self.config.workload_config,
-                sparsity,
-                self.config.seq_len,
-                SparseFormat::BlockPruned,
-            );
             let per_level = self
                 .levels
                 .iter()
                 .map(|level| {
-                    let latency = self.config.predictor.latency_ms(&workload, level);
+                    let latency = self.latency.base_latency_ms(sparsity, level);
                     (latency, self.power.energy_per_inference_j(level, latency))
                 })
                 .collect();

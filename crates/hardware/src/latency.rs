@@ -10,7 +10,7 @@
 
 use crate::dvfs::VfLevel;
 use rt3_sparse::SparseFormat;
-use rt3_transformer::{MaskSet, Model, TransformerConfig};
+use rt3_transformer::TransformerConfig;
 
 /// Workload of one weight matrix in the model.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,38 +95,6 @@ pub struct ModelWorkload {
 }
 
 impl ModelWorkload {
-    /// Builds the workload from a live model and an optional mask set: every
-    /// prunable parameter uses the mask's sparsity, everything else is dense.
-    pub fn from_model<M: Model>(
-        model: &M,
-        masks: Option<&MaskSet>,
-        seq_len: usize,
-        format: SparseFormat,
-    ) -> Self {
-        let prunable = model.prunable_parameter_names();
-        let layers = model
-            .parameters()
-            .into_iter()
-            .map(|(name, m)| {
-                let masked = masks.and_then(|ms| ms.get(&name));
-                let sparsity = masked.map_or(0.0, |mask| mask.sparsity());
-                let fmt = if prunable.contains(&name) && sparsity > 0.0 {
-                    format
-                } else {
-                    SparseFormat::Dense
-                };
-                LayerWorkload {
-                    name,
-                    rows: m.rows(),
-                    cols: m.cols(),
-                    sparsity,
-                    format: fmt,
-                }
-            })
-            .collect();
-        Self { layers, seq_len }
-    }
-
     /// Builds the workload analytically from a configuration, applying a
     /// uniform `sparsity` to every prunable projection. Used for full-size
     /// shapes (e.g. DistilBERT, H = 768) that are never instantiated as live
@@ -222,25 +190,6 @@ impl ModelWorkload {
     pub fn total_weight_bytes(&self) -> f64 {
         self.layers.iter().map(LayerWorkload::weight_bytes).sum()
     }
-
-    /// Mean sparsity over the prunable (non-dense-format) layers, weighted by
-    /// element count.
-    pub fn mean_sparsity(&self) -> f64 {
-        let mut pruned = 0.0;
-        let mut total = 0.0;
-        for l in &self.layers {
-            if l.format != SparseFormat::Dense || l.sparsity > 0.0 {
-                let n = (l.rows * l.cols) as f64;
-                pruned += n * l.sparsity;
-                total += n;
-            }
-        }
-        if total == 0.0 {
-            0.0
-        } else {
-            pruned / total
-        }
-    }
 }
 
 /// Analytical latency model for a mobile in-order core.
@@ -330,11 +279,36 @@ impl PerformancePredictor {
     }
 }
 
+/// The one single-request latency formula the offline search, the
+/// baselines and the serving cost models all price a level with: the
+/// predictor on the block-pruned serving workload shape at a sparsity.
+#[derive(Debug, Clone)]
+pub struct LatencyModel {
+    /// Latency predictor calibrated for the target core/cluster.
+    pub predictor: PerformancePredictor,
+    /// Model shape used for latency accounting (may be the full-size paper
+    /// shape even when the banked weights are smaller).
+    pub workload_config: TransformerConfig,
+    /// Sequence length of one request.
+    pub seq_len: usize,
+}
+
+impl LatencyModel {
+    /// Predicted latency of a single request at `sparsity` on `level`.
+    pub fn base_latency_ms(&self, sparsity: f64, level: &VfLevel) -> f64 {
+        let workload = ModelWorkload::from_config(
+            &self.workload_config,
+            sparsity,
+            self.seq_len,
+            SparseFormat::BlockPruned,
+        );
+        self.predictor.latency_ms(&workload, level)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt3_pruning::{block_prune_model, BlockPruningConfig, PruneCriterion};
-    use rt3_transformer::{TransformerConfig, TransformerLm};
 
     #[test]
     fn higher_sparsity_means_lower_latency() {
@@ -391,23 +365,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn workload_from_live_model_uses_mask_sparsity() {
-        let model = TransformerLm::new(TransformerConfig::tiny(32), 1);
-        let masks = block_prune_model(
-            &model,
-            &BlockPruningConfig {
-                num_blocks: 2,
-                criterion: PruneCriterion::Fraction(0.5),
-            },
-        );
-        let dense = ModelWorkload::from_model(&model, None, 8, SparseFormat::BlockPruned);
-        let pruned = ModelWorkload::from_model(&model, Some(&masks), 8, SparseFormat::BlockPruned);
-        assert!(pruned.mean_sparsity() > 0.3);
-        assert!(dense.mean_sparsity() < 1e-9);
-        assert!(pruned.total_macs() < dense.total_macs());
-    }
-
     /// `cycles` as five walks over the layers: compute cycles, then the
     /// attention MACs as `total_macs()` minus the weight MACs summed
     /// again, then the streamed bytes.
@@ -439,18 +396,11 @@ mod tests {
 
     /// The one-pass `cycles` equals the layer walks bit for bit, and
     /// `set_sparsity` equals building the workload again, over two model
-    /// shapes, every format, sparsities from dense to fully pruned, both
-    /// predictors and a live model's workload.
+    /// shapes, every format, sparsities from dense to fully pruned and both
+    /// predictors.
     #[test]
     fn one_pass_cycles_match_the_layer_walks() {
-        let model = TransformerLm::new(TransformerConfig::tiny(32), 1);
-        let masks = block_prune_model(&model, &BlockPruningConfig::default());
-        let mut workloads = vec![ModelWorkload::from_model(
-            &model,
-            Some(&masks),
-            8,
-            SparseFormat::BlockPruned,
-        )];
+        let mut workloads = Vec::new();
         for config in [
             TransformerConfig::paper_transformer(512),
             TransformerConfig::distilbert_full(30522),

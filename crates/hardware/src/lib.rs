@@ -14,7 +14,8 @@
 //!   energy accounting, plus the [`DrainRateTracker`] EWMA drain observer
 //!   behind the runtime's predictive (time-to-death) battery reasoning.
 //! * [`PerformancePredictor`] / [`ModelWorkload`] — the latency predictor
-//!   (component ④'s hardware feedback).
+//!   (component ④'s hardware feedback), and [`LatencyModel`], the one
+//!   single-request formula the search and the serving path price with.
 //! * [`MemoryModel`] / [`simulate_battery_lifetime`] — pattern-set switch
 //!   cost vs full model reload, and the Table II battery simulation.
 //!
@@ -41,7 +42,7 @@ mod power;
 mod reconfig;
 
 pub use dvfs::{DvfsGovernor, DvfsMode, VfLevel};
-pub use latency::{LayerWorkload, ModelWorkload, PerformancePredictor};
+pub use latency::{LatencyModel, LayerWorkload, ModelWorkload, PerformancePredictor};
 pub use power::{number_of_runs, Battery, DrainRateTracker, PowerModel};
 pub use reconfig::{
     simulate_battery_lifetime, simulate_fixed_level, ExecutionProfile, MemoryModel,

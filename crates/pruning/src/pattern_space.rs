@@ -98,16 +98,6 @@ impl PatternSpace {
     pub fn pattern_size(&self) -> usize {
         self.pattern_size
     }
-
-    /// The candidate whose sparsity is closest to `target`.
-    pub fn closest_to(&self, target: f64) -> Option<&CandidatePatternSet> {
-        self.candidates.iter().min_by(|a, b| {
-            (a.sparsity - target)
-                .abs()
-                .partial_cmp(&(b.sparsity - target).abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
 }
 
 /// Builds the per-position importance map by sampling blocks of the
@@ -365,20 +355,6 @@ mod tests {
             assert_eq!(c.set.len(), 3);
             assert!((c.set.mean_sparsity() - c.sparsity).abs() < 0.1);
         }
-    }
-
-    #[test]
-    fn closest_to_finds_nearest_candidate() {
-        let (model, masks) = backbone();
-        let config = PatternSpaceConfig {
-            pattern_size: 4,
-            patterns_per_set: 1,
-            sample_fraction: 0.5,
-            seed: 2,
-        };
-        let space = generate_pattern_space(&model, &masks, &[0.2, 0.5, 0.8], &config);
-        assert!((space.closest_to(0.55).unwrap().sparsity - 0.5).abs() < 1e-9);
-        assert!((space.closest_to(0.95).unwrap().sparsity - 0.8).abs() < 1e-9);
     }
 
     #[test]

@@ -38,11 +38,11 @@
 //! the new level's kept values. Once every arena has held its largest
 //! level, a switch allocates nothing. For finite activations the
 //! restricted weights multiply to the same bits as weights that also store
-//! the masked zeros (see `rt3_sparse::PatternPlan`).
+//! the masked zeros (see `rt3_sparse::PatternPrunedMatrix`).
 
 use rt3_hardware::{MemoryModel, SwitchCost};
 use rt3_pruning::{CandidatePatternSet, Lowering, PatternScorer, PatternSpace, PrunableWeight};
-use rt3_sparse::{PatternPrunedMatrix, PatternSet};
+use rt3_sparse::{Backend, PatternPrunedMatrix, PatternSet};
 use rt3_tensor::Matrix;
 use rt3_transformer::{MaskSet, Model};
 use std::marker::PhantomData;
@@ -63,8 +63,8 @@ pub struct BankedModel {
 
 /// Reusable activation/output buffers for [`BankedModel::infer_with`], so a
 /// steady-state worker allocates its matmul operands once and then serves
-/// every micro-batch allocation-free (the compiled-plan kernel itself never
-/// allocates — see `rt3_sparse::PatternPlan::matmul_into`).
+/// every micro-batch allocation-free (the compiled kernel itself never
+/// allocates — see `rt3_sparse::PatternPrunedMatrix::matmul_dense_into`).
 #[derive(Debug, Default)]
 pub struct InferScratch {
     rhs: Vec<f32>,
@@ -364,7 +364,7 @@ impl<'m, M: Model> ModelBank<'m, M> {
                 Some((_, packed)) => packed.pack_into(layout, weight, mask),
                 None => variant.weights.push((
                     name.clone(),
-                    PatternPrunedMatrix::pack(layout, weight, mask),
+                    PatternPrunedMatrix::pack(layout, weight, mask, Backend::detect()),
                 )),
             }
         }

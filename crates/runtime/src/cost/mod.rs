@@ -31,10 +31,8 @@ pub use calibrated::{
     CalibrationReport, LevelCalibration, SwitchCalibration,
 };
 
-use rt3_core::Rt3Config;
-use rt3_hardware::{PerformancePredictor, VfLevel};
-use rt3_sparse::SparseFormat;
-use rt3_transformer::TransformerConfig;
+pub use rt3_hardware::LatencyModel;
+use rt3_hardware::VfLevel;
 
 /// The analytic cost model's configuration: its batch-amortisation α.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,43 +60,6 @@ impl CostConfig {
             return Err("batch_alpha must be in [0, 1)".into());
         }
         Ok(())
-    }
-}
-
-/// Single-request latency model shared by every [`CostModel`]
-/// implementation: the paper's predictor evaluated on the serving workload
-/// shape.
-#[derive(Debug, Clone)]
-pub struct LatencyModel {
-    /// Latency predictor calibrated for the target core/cluster.
-    pub predictor: PerformancePredictor,
-    /// Model shape used for latency accounting (may be the full-size paper
-    /// shape even when the banked weights are smaller).
-    pub workload_config: TransformerConfig,
-    /// Sequence length of one request.
-    pub seq_len: usize,
-}
-
-impl LatencyModel {
-    /// The latency model of an RT3 configuration: its predictor on its
-    /// workload shape and sequence length.
-    pub fn of(rt3: &Rt3Config) -> Self {
-        Self {
-            predictor: rt3.predictor,
-            workload_config: rt3.workload_config.clone(),
-            seq_len: rt3.seq_len,
-        }
-    }
-
-    /// Predicted latency of a single request at `sparsity` on `level`.
-    pub fn base_latency_ms(&self, sparsity: f64, level: &VfLevel) -> f64 {
-        let workload = rt3_hardware::ModelWorkload::from_config(
-            &self.workload_config,
-            sparsity,
-            self.seq_len,
-            SparseFormat::BlockPruned,
-        );
-        self.predictor.latency_ms(&workload, level)
     }
 }
 
@@ -142,6 +103,9 @@ pub trait CostModel: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rt3_hardware::PerformancePredictor;
+    use rt3_sparse::SparseFormat;
+    use rt3_transformer::TransformerConfig;
 
     #[test]
     fn cost_config_validates_alpha_range() {

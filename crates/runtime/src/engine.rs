@@ -11,7 +11,7 @@
 //! replayed as real sparse inference on the [`crate::pool`] worker pool.
 
 use crate::bank::{BankStats, ModelBank};
-use crate::cost::{Analytic, CostConfig, CostModel, LatencyModel};
+use crate::cost::{Analytic, CostConfig, CostModel};
 use crate::governor::DeviceGovernor;
 use crate::pool;
 use crate::report::{ServeReport, WindowReport};
@@ -295,7 +295,7 @@ pub(crate) fn level_bank<'m, M: Model>(
 /// The default cost model of `rt3`: its latency model with the default
 /// batch amortisation.
 pub(crate) fn analytic_cost(rt3: &Rt3Config) -> Arc<dyn CostModel> {
-    Arc::new(Analytic::new(LatencyModel::of(rt3), CostConfig::default()))
+    Arc::new(Analytic::new(rt3.latency_model(), CostConfig::default()))
 }
 
 /// One simulated device stepped window-by-window: its governor (battery,

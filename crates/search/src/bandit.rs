@@ -38,16 +38,6 @@ pub enum BanditPolicy {
 pub struct BanditConfig {
     /// Arm-selection policy shared by every level.
     pub policy: BanditPolicy,
-    /// Evaluation budget over which the UCB dither (or ε) anneals linearly
-    /// to 0. The schedule counts *distinct observed assignments* — the same
-    /// quantity the budget-matched [`crate::SearchDriver`] charges its
-    /// budget in — so replayed cache-hit observations never advance it:
-    /// the effective exploration probability is
-    /// `dither · max(0, 1 − distinct / budget)`, reaching 0 (pure
-    /// deterministic UCB/greedy argmax proposals) exactly when the
-    /// evaluation budget is genuinely spent. `None` keeps the probability
-    /// constant (the pre-annealing behaviour).
-    pub anneal_budget: Option<u64>,
 }
 
 impl Default for BanditConfig {
@@ -57,7 +47,6 @@ impl Default for BanditConfig {
                 exploration: 1.0,
                 dither: 0.1,
             },
-            anneal_budget: None,
         }
     }
 }
@@ -69,9 +58,6 @@ impl BanditConfig {
     ///
     /// Returns a description of the violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.anneal_budget == Some(0) {
-            return Err("anneal_budget must be positive when set".into());
-        }
         match self.policy {
             BanditPolicy::Ucb1 {
                 exploration,
@@ -134,9 +120,6 @@ pub struct DecomposedBandit {
     rng: StdRng,
     levels: Vec<LevelArms>,
     observations: u64,
-    /// Distinct assignments observed so far — the annealing clock (only
-    /// tracked when `anneal_budget` is set).
-    seen: std::collections::HashSet<Vec<usize>>,
     tracker: BestTracker,
 }
 
@@ -156,7 +139,6 @@ impl DecomposedBandit {
                 .map(|_| LevelArms::new(space.num_candidates))
                 .collect(),
             observations: 0,
-            seen: std::collections::HashSet::new(),
             tracker: BestTracker::new(),
         }
     }
@@ -164,34 +146,6 @@ impl DecomposedBandit {
     /// UCB1 with the default exploration coefficient.
     pub fn for_space(space: AssignmentSpace, seed: u64) -> Self {
         Self::new(space, BanditConfig::default(), seed)
-    }
-
-    /// UCB1 with the default exploration coefficient and the dither
-    /// annealed linearly to 0 over `budget` distinct observed assignments
-    /// (the quantity the budget-matched driver charges as evaluations).
-    pub fn for_space_with_budget(space: AssignmentSpace, seed: u64, budget: u64) -> Self {
-        Self::new(
-            space,
-            BanditConfig {
-                anneal_budget: Some(budget),
-                ..BanditConfig::default()
-            },
-            seed,
-        )
-    }
-
-    /// Linear annealing factor in `[0, 1]`: 1 with no budget configured or
-    /// at the first proposal, 0 once the number of *distinct* observed
-    /// assignments reaches the budget. Counting distinct assignments (not
-    /// raw `observe` calls) keeps the clock aligned with the budget-matched
-    /// driver, which replays cached proposals through `observe` for free —
-    /// and because the dither itself is what generates novel proposals, the
-    /// schedule can only complete when the budget is genuinely spent.
-    fn exploration_scale(&self) -> f64 {
-        match self.config.anneal_budget {
-            Some(budget) => (1.0 - self.seen.len() as f64 / budget as f64).max(0.0),
-            None => 1.0,
-        }
     }
 
     /// A random arm among the still-unexplored ones of `level`, `None` when
@@ -212,13 +166,11 @@ impl DecomposedBandit {
     }
 
     fn pick_arm(&mut self, level: usize) -> usize {
-        let scale = self.exploration_scale();
         match self.config.policy {
             BanditPolicy::Ucb1 {
                 exploration,
                 dither,
             } => {
-                let dither = dither * scale;
                 if dither > 0.0 && self.rng.gen::<f64>() < dither {
                     return self.rng.gen_range(0..self.space.num_candidates);
                 }
@@ -240,7 +192,7 @@ impl DecomposedBandit {
                 best_arm
             }
             BanditPolicy::EpsilonGreedy { epsilon } => {
-                if self.rng.gen::<f64>() < epsilon * scale {
+                if self.rng.gen::<f64>() < epsilon {
                     return self.rng.gen_range(0..self.space.num_candidates);
                 }
                 if let Some(arm) = self.random_unexplored(level) {
@@ -270,9 +222,6 @@ impl Optimizer for DecomposedBandit {
     fn observe(&mut self, actions: &[usize], reward: f64, meets_constraint: bool) {
         self.tracker.offer(actions, reward, meets_constraint);
         self.observations += 1;
-        if self.config.anneal_budget.is_some() && !self.seen.contains(actions) {
-            self.seen.insert(actions.to_vec());
-        }
         for (level, &arm) in actions.iter().enumerate() {
             if level >= self.levels.len() || arm >= self.space.num_candidates {
                 continue;
@@ -335,111 +284,11 @@ mod tests {
             space,
             BanditConfig {
                 policy: BanditPolicy::EpsilonGreedy { epsilon: 0.2 },
-                anneal_budget: None,
             },
             23,
         );
         let bandit = drive(bandit, 150);
         assert_eq!(bandit.best(), Some(vec![2, 2]));
-    }
-
-    /// The `index`-th assignment of `space` in lexicographic order (the
-    /// enumeration `Exhaustive` walks).
-    fn assignment(space: AssignmentSpace, index: usize) -> Vec<usize> {
-        let mut digits = Vec::with_capacity(space.num_levels);
-        let mut rest = index;
-        for _ in 0..space.num_levels {
-            digits.push(rest % space.num_candidates);
-            rest /= space.num_candidates;
-        }
-        digits
-    }
-
-    /// Feeds every distinct assignment of the space once, as the
-    /// budget-matched driver would (each charged evaluation observed once).
-    fn feed_full_space(bandit: &mut DecomposedBandit) {
-        let space = bandit.space;
-        let n = space.num_candidates;
-        for i in 0..space.size().expect("small space") {
-            let a = assignment(space, i);
-            let r = reward_of(&a, n);
-            bandit.observe(&a, r, true);
-        }
-    }
-
-    #[test]
-    fn annealed_epsilon_makes_late_budget_proposals_greedy() {
-        let space = AssignmentSpace::new(3, 5);
-        let budget = space.size().expect("small space") as u64; // 125 distinct assignments
-        let mut bandit = DecomposedBandit::new(
-            space,
-            BanditConfig {
-                policy: BanditPolicy::EpsilonGreedy { epsilon: 0.5 },
-                anneal_budget: Some(budget),
-            },
-            17,
-        );
-        // the clock counts distinct assignments: replaying one does not
-        // advance it
-        let first = assignment(space, 0);
-        bandit.observe(&first, reward_of(&first, space.num_candidates), true);
-        bandit.observe(&first, reward_of(&first, space.num_candidates), true);
-        assert!(
-            (bandit.exploration_scale() - (1.0 - 1.0 / budget as f64)).abs() < 1e-12,
-            "a replayed observation must not advance the annealing clock"
-        );
-        feed_full_space(&mut bandit);
-        // budget exhausted: exploration has annealed to exactly 0, so every
-        // proposal is each level's greedy (highest-mean) arm — the best()
-        // read-out — with no random deviation left
-        assert_eq!(bandit.exploration_scale(), 0.0);
-        let greedy = bandit.best().expect("all levels explored");
-        assert_eq!(greedy, vec![2, 2, 2], "middle arm is the optimum");
-        for _ in 0..50 {
-            let proposal = bandit.propose();
-            assert_eq!(
-                proposal, greedy,
-                "late-budget proposals must be greedy, not dithered"
-            );
-        }
-    }
-
-    #[test]
-    fn annealed_ucb_dither_goes_deterministic_at_budget_exhaustion() {
-        let space = AssignmentSpace::new(3, 5);
-        let budget = space.size().expect("small space") as u64;
-        let mut annealed = DecomposedBandit::for_space_with_budget(space, 17, budget);
-        feed_full_space(&mut annealed);
-        assert_eq!(annealed.exploration_scale(), 0.0);
-        // zero dither: proposals are the pure UCB argmax, identical across
-        // repeated calls (no randomness is consumed at all)
-        let first = annealed.propose();
-        for _ in 0..50 {
-            assert_eq!(annealed.propose(), first, "no dithered deviation");
-        }
-        // an un-annealed bandit with the same statistics still dithers:
-        // across 50 proposals at dither 0.1 per level, a deviation is
-        // near-certain
-        let mut constant = DecomposedBandit::for_space(space, 17);
-        feed_full_space(&mut constant);
-        assert_eq!(constant.exploration_scale(), 1.0);
-        let baseline = constant.propose();
-        let deviated = (0..50).any(|_| constant.propose() != baseline);
-        assert!(deviated, "constant dither should still explore");
-    }
-
-    #[test]
-    fn annealing_cannot_finish_while_novel_assignments_remain() {
-        // mid-schedule the dither is merely reduced, and a budget larger
-        // than the space can never fully anneal — exploration survives
-        // until the budget is genuinely unspendable
-        let space = AssignmentSpace::new(2, 3); // 9 assignments
-        let mut bandit = DecomposedBandit::for_space_with_budget(space, 5, 20);
-        feed_full_space(&mut bandit);
-        assert!(
-            (bandit.exploration_scale() - (1.0 - 9.0 / 20.0)).abs() < 1e-12,
-            "the clock advances only as far as the space allows"
-        );
     }
 
     #[test]

@@ -66,17 +66,6 @@ impl<T> EvaluationCache<T> {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Fraction of lookups answered from the cache (`0.0` before the first
-    /// lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +92,6 @@ mod tests {
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 2);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(cache.peek(&[1, 2]), Some(&42));
         assert_eq!(cache.peek(&[9, 9]), None);
     }

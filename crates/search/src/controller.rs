@@ -89,13 +89,6 @@ pub struct Episode {
     pub probabilities: Vec<f64>,
 }
 
-impl Episode {
-    /// Joint log-probability of the sampled actions.
-    pub fn log_probability(&self) -> f64 {
-        self.probabilities.iter().map(|p| p.max(1e-12).ln()).sum()
-    }
-}
-
 /// The RNN policy controller.
 ///
 /// # Examples
@@ -427,7 +420,6 @@ mod tests {
             assert_eq!(e.actions.len(), 3);
             assert!(e.actions.iter().all(|&a| a < 5));
             assert!(e.probabilities.iter().all(|&p| (0.0..=1.0).contains(&p)));
-            assert!(e.log_probability() <= 0.0);
         }
     }
 

@@ -12,7 +12,6 @@ use crate::optimizer::{AssignmentSpace, BestTracker, Optimizer};
 pub struct Exhaustive {
     space: AssignmentSpace,
     next: Vec<usize>,
-    wrapped: bool,
     tracker: BestTracker,
 }
 
@@ -22,14 +21,8 @@ impl Exhaustive {
         Self {
             space,
             next: vec![0; space.num_levels],
-            wrapped: false,
             tracker: BestTracker::new(),
         }
-    }
-
-    /// Whether the whole space has been proposed at least once.
-    pub fn exhausted(&self) -> bool {
-        self.wrapped
     }
 }
 
@@ -52,7 +45,6 @@ impl Optimizer for Exhaustive {
             }
             self.next[level] = 0;
         }
-        self.wrapped = true;
         current
     }
 
@@ -76,12 +68,10 @@ mod tests {
         let mut exhaustive = Exhaustive::new(space);
         let mut seen = HashSet::new();
         for _ in 0..27 {
-            assert!(!exhaustive.exhausted());
             let a = exhaustive.propose();
             assert!(space.contains(&a));
             assert!(seen.insert(a), "no repeats inside the first sweep");
         }
-        assert!(exhaustive.exhausted());
         assert_eq!(seen.len(), 27);
         assert_eq!(exhaustive.propose(), vec![0, 0, 0], "wraps to the start");
     }

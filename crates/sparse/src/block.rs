@@ -56,26 +56,6 @@ impl BlockPartition {
         Self { ranges }
     }
 
-    /// Splits `dimension` into blocks of at most `block_size` elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size == 0`.
-    pub fn with_block_size(dimension: usize, block_size: usize) -> Self {
-        assert!(block_size > 0, "block size must be positive");
-        let mut ranges = Vec::new();
-        let mut start = 0;
-        while start < dimension {
-            let end = (start + block_size).min(dimension);
-            ranges.push((start, end));
-            start = end;
-        }
-        if ranges.is_empty() {
-            ranges.push((0, 0));
-        }
-        Self { ranges }
-    }
-
     /// The half-open `(start, end)` ranges.
     pub fn ranges(&self) -> &[(usize, usize)] {
         &self.ranges
@@ -286,24 +266,6 @@ impl BlockPrunedMatrix {
         out
     }
 
-    /// Bytes needed to store packed values plus per-block column indices and
-    /// block boundaries. Compare with [`crate::CooMatrix::storage_bytes`].
-    pub fn storage_bytes(&self) -> usize {
-        self.nnz() * std::mem::size_of::<f32>() + self.index_bytes()
-    }
-
-    /// Bytes spent on index metadata alone (kept-column lists + block
-    /// boundary pairs).
-    pub fn index_bytes(&self) -> usize {
-        let col_index_bytes: usize = self
-            .blocks
-            .iter()
-            .map(|b| b.kept_cols.len() * std::mem::size_of::<u32>())
-            .sum();
-        let boundary_bytes = self.blocks.len() * 2 * std::mem::size_of::<u32>();
-        col_index_bytes + boundary_bytes
-    }
-
     /// The binary keep-mask (1.0 = kept) with the logical matrix shape; used
     /// to apply the pruning decision during masked training.
     pub fn mask(&self) -> Matrix {
@@ -339,14 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn block_size_partition_covers_dimension() {
-        let p = BlockPartition::with_block_size(10, 4);
-        assert_eq!(p.ranges(), &[(0, 4), (4, 8), (8, 10)]);
-        let p0 = BlockPartition::with_block_size(0, 4);
-        assert_eq!(p0.total(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one block")]
     fn even_partition_rejects_zero_blocks() {
         let _ = BlockPartition::even(5, 0);
@@ -379,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn index_overhead_is_far_below_coo_at_same_sparsity() {
+    fn kept_columns_store_as_many_values_as_coo() {
         // 60x60 matrix, keep half the columns in each of 6 blocks.
         let dense = random_dense(60, 60, 24);
         let partition = BlockPartition::even(60, 6);
@@ -387,12 +341,6 @@ mod tests {
         let bp = BlockPrunedMatrix::from_dense_with_kept(&dense, &partition, &kept);
         let coo = CooMatrix::from_dense(&bp.to_dense());
         assert_eq!(bp.nnz(), coo.nnz());
-        assert!(
-            bp.index_bytes() * 10 < coo.index_bytes(),
-            "BP indices {} should be well below COO indices {}",
-            bp.index_bytes(),
-            coo.index_bytes()
-        );
     }
 
     #[test]

@@ -111,19 +111,6 @@ impl CooMatrix {
         }
         out
     }
-
-    /// Bytes needed to store the matrix: values plus **two** index arrays —
-    /// this is exactly the overhead the paper's Challenge 1 highlights.
-    pub fn storage_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<f32>()
-            + self.row_indices.len() * std::mem::size_of::<u32>()
-            + self.col_indices.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Bytes spent on index metadata alone.
-    pub fn index_bytes(&self) -> usize {
-        (self.row_indices.len() + self.col_indices.len()) * std::mem::size_of::<u32>()
-    }
 }
 
 #[cfg(test)]
@@ -167,19 +154,10 @@ mod tests {
     }
 
     #[test]
-    fn storage_counts_two_index_arrays() {
-        let dense = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let coo = CooMatrix::from_dense(&dense);
-        assert_eq!(coo.storage_bytes(), 2 * 4 + 2 * 4 + 2 * 4);
-        assert_eq!(coo.index_bytes(), 16);
-    }
-
-    #[test]
     fn empty_matrix_is_handled() {
         let dense = Matrix::zeros(4, 4);
         let coo = CooMatrix::from_dense(&dense);
         assert_eq!(coo.nnz(), 0);
         assert!(coo.to_dense().approx_eq(&dense, 0.0));
-        assert_eq!(coo.storage_bytes(), 0);
     }
 }

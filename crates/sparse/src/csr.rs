@@ -114,18 +114,6 @@ impl CsrMatrix {
         }
         out
     }
-
-    /// Bytes needed to store values, column indices and row pointers.
-    pub fn storage_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<f32>()
-            + self.col_indices.len() * std::mem::size_of::<u32>()
-            + self.row_ptr.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Bytes spent on index metadata alone.
-    pub fn index_bytes(&self) -> usize {
-        (self.col_indices.len() + self.row_ptr.len()) * std::mem::size_of::<u32>()
-    }
 }
 
 #[cfg(test)]
@@ -162,12 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn csr_index_overhead_is_below_coo() {
+    fn csr_and_coo_store_the_same_nonzeros() {
         let dense = random_sparse(30, 30, 0.2, 14);
         let coo = CooMatrix::from_dense(&dense);
         let csr = CsrMatrix::from_dense(&dense);
         assert_eq!(coo.nnz(), csr.nnz());
-        assert!(csr.index_bytes() < coo.index_bytes());
     }
 
     #[test]

@@ -11,35 +11,36 @@
 //!
 //! * [`CooMatrix`] and [`CsrMatrix`] — irregular-sparsity baselines.
 //! * [`BlockPrunedMatrix`] / [`BlockPartition`] — the Level-1 BP format.
-//! * [`PatternMask`], [`PatternSet`], [`PatternPrunedMatrix`] — the Level-2
-//!   PP format that is swapped at run time to follow DVFS.
-//! * [`PatternPlan`] / [`CompiledPattern`] — the compiled execution plan a
-//!   [`PatternPrunedMatrix`] lowers into at construction: flat value arena,
-//!   shared per-pattern offset tables and a blocked SIMD-friendly kernel
-//!   (see `plan.rs`; the seed scalar kernel survives in [`mod@reference`] for
-//!   bit-level cross-checks).
+//! * [`PatternMask`], [`PatternSet`] — the Level-2 PP patterns, one set
+//!   swapped in at run time per DVFS level.
+//! * [`PatternPrunedMatrix`] — the Level-2 PP format, lowered once into a
+//!   flat value arena under a shared [`PackLayout`] (per-pattern
+//!   [`CompiledPattern`] offset tables, one index stream) and executed by
+//!   blocked SIMD-friendly kernels (see `plan.rs`; the seed scalar kernel
+//!   survives in [`mod@reference`] for bit-level cross-checks).
 //! * [`Backend`] — the runtime-detected kernel backend (`simd.rs`):
 //!   hand-written AVX2 kernels for the full-block widths the engines
 //!   dispatch, bit-identical to the compiled scalar fallback.
-//! * [`StorageReport`] — byte-level comparison across formats.
+//! * [`SparseFormat`] — the format names the latency model prices.
 //!
 //! # Examples
 //!
 //! ```
-//! use rt3_sparse::{BlockPartition, StorageReport};
+//! use rt3_sparse::{PatternMask, PatternPrunedMatrix, PatternSet};
 //! use rt3_tensor::Matrix;
 //!
-//! // A matrix where entire columns were pruned inside each row block.
-//! let mut w = Matrix::filled(8, 8, 1.0);
-//! for r in 0..8 {
-//!     for c in 0..4 {
-//!         w.set(r, c * 2, 0.0);
-//!     }
-//! }
-//! let report = StorageReport::measure(&w, &BlockPartition::even(8, 2));
-//! let coo = report.cost(rt3_sparse::SparseFormat::Coo).expect("coo entry");
-//! let bp = report.cost(rt3_sparse::SparseFormat::BlockPruned).expect("bp entry");
-//! assert!(bp.index_bytes < coo.index_bytes);
+//! // Two 2x2 patterns keeping one column each; every block of `w` keeps
+//! // the pattern that preserves its larger column.
+//! let left = PatternMask::new(2, vec![true, false, true, false]);
+//! let right = PatternMask::new(2, vec![false, true, false, true]);
+//! let set = PatternSet::new(vec![left, right])?;
+//! let w = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f32);
+//! let pp = PatternPrunedMatrix::from_dense(&w, &set);
+//! assert_eq!(pp.assignments(), &[1, 1, 1, 1]);
+//! assert_eq!(pp.stored_values(), 8);
+//! let rhs = Matrix::filled(4, 1, 1.0);
+//! assert_eq!(pp.matmul_dense(&rhs), pp.to_dense().matmul(&rhs));
+//! # Ok::<(), rt3_sparse::SparseError>(())
 //! ```
 
 // unsafe is denied crate-wide and only re-allowed inside `simd`, whose
@@ -60,7 +61,9 @@ mod storage;
 pub use block::{BlockPartition, BlockPrunedMatrix, PrunedBlock};
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
-pub use pattern::{PatternMask, PatternPrunedMatrix, PatternSet, SparseError};
-pub use plan::{BlockSquares, CompiledPattern, CompiledSet, MaskBits, PackLayout, PatternPlan};
+pub use pattern::{PatternMask, PatternSet, SparseError};
+pub use plan::{
+    BlockSquares, CompiledPattern, CompiledSet, MaskBits, PackLayout, PatternPrunedMatrix,
+};
 pub use simd::Backend;
-pub use storage::{FormatCost, SparseFormat, StorageReport};
+pub use storage::SparseFormat;

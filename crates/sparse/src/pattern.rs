@@ -1,17 +1,15 @@
-//! Pattern pruning (PP) primitives: pattern masks, pattern sets and the
-//! pattern-pruned matrix format.
+//! Pattern pruning (PP) primitives: pattern masks and pattern sets.
 //!
 //! RT3's Level-2 software reconfiguration assigns, to every `psize x psize`
 //! block of a weight matrix, one pattern chosen from a small *pattern set*.
 //! Switching the active pattern set at run time changes the model's sparsity
 //! (and therefore its latency) without touching the backbone weights — that
-//! is what makes the switch lightweight enough to track DVFS.
+//! is what makes the switch lightweight enough to track DVFS. The matrix
+//! format a set prunes into is [`crate::PatternPrunedMatrix`].
 
-use crate::plan::{PackLayout, PatternPlan};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rt3_tensor::Matrix;
-use std::sync::Arc;
 
 /// A square binary mask applied to one block of a weight matrix.
 ///
@@ -148,39 +146,6 @@ impl PatternMask {
             }
         }
         out
-    }
-
-    /// The mask as a 0/1 matrix.
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_fn(self.size, self.size, |i, j| {
-            if self.is_kept(i, j) {
-                1.0
-            } else {
-                0.0
-            }
-        })
-    }
-
-    /// Fraction of kept positions shared with `other` (relative to the larger
-    /// kept count); used to reproduce the Fig. 4 observation that patterns
-    /// for different V/F levels share important positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if sizes differ.
-    pub fn overlap(&self, other: &PatternMask) -> f64 {
-        assert_eq!(self.size, other.size, "pattern size mismatch");
-        let shared = self
-            .bits
-            .iter()
-            .zip(other.bits.iter())
-            .filter(|(&a, &b)| a && b)
-            .count();
-        let denom = self.ones().max(other.ones());
-        if denom == 0 {
-            return 0.0;
-        }
-        shared as f64 / denom as f64
     }
 
     /// ASCII rendering for Fig. 4-style visualisation: `#` = kept, `.` =
@@ -332,190 +297,10 @@ impl PatternSet {
     }
 }
 
-/// A matrix stored as pattern-pruned blocks: every `psize x psize` block
-/// carries the index of its assigned pattern, and only the kept values.
-///
-/// Construction immediately lowers the matrix into a [`PatternPlan`] — a
-/// flat value arena plus shared per-pattern offset tables — and every
-/// kernel (`matmul_dense`, `to_dense`, `mask`) executes the plan, so no
-/// per-call layout or indexing work remains on the hot path. The seed's
-/// scalar kernel is retained in [`crate::reference`] for bit-level
-/// cross-checking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PatternPrunedMatrix {
-    plan: PatternPlan,
-}
-
-impl PatternPrunedMatrix {
-    /// Prunes `dense` with the given pattern set: each block is assigned the
-    /// pattern that preserves the largest l2 norm, then only kept values are
-    /// stored — compiled directly into the execution plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern set has more than `u16::MAX` patterns.
-    pub fn from_dense(dense: &Matrix, set: &PatternSet) -> Self {
-        Self {
-            plan: PatternPlan::compile(dense, set),
-        }
-    }
-
-    /// [`Self::from_dense`] with an explicit kernel backend (clamped to
-    /// CPU support); used by the bit-exactness suites to force the scalar
-    /// reference path on SIMD hosts.
-    pub fn from_dense_with_backend(
-        dense: &Matrix,
-        set: &PatternSet,
-        backend: crate::Backend,
-    ) -> Self {
-        Self {
-            plan: PatternPlan::compile_with_backend(dense, set, backend),
-        }
-    }
-
-    /// Packs `weight`, masked element-wise by `mask` if given, under a
-    /// layout kept from an earlier [`PackLayout::assign`], without scoring
-    /// a block. Equals [`Self::from_dense`] of the masked weight when the
-    /// layout was assigned on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` or `mask` is not shaped like the layout's weight.
-    pub fn pack(layout: &Arc<PackLayout>, weight: &Matrix, mask: Option<&Matrix>) -> Self {
-        Self {
-            plan: PatternPlan::pack(layout, weight, mask, crate::Backend::detect()),
-        }
-    }
-
-    /// [`Self::pack`] into this matrix's existing arena (see
-    /// [`PatternPlan::pack_into`]): allocation-free once the arena has held
-    /// a layout at least as large.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Self::pack`].
-    pub fn pack_into(&mut self, layout: &Arc<PackLayout>, weight: &Matrix, mask: Option<&Matrix>) {
-        self.plan.pack_into(layout, weight, mask);
-    }
-
-    /// Logical number of rows.
-    pub fn rows(&self) -> usize {
-        self.plan.shape().0
-    }
-
-    /// Logical number of columns.
-    pub fn cols(&self) -> usize {
-        self.plan.shape().1
-    }
-
-    /// Pattern side length.
-    pub fn pattern_size(&self) -> usize {
-        self.plan.pattern_size()
-    }
-
-    /// `(block rows, block cols)` of the block grid.
-    pub fn block_grid(&self) -> (usize, usize) {
-        self.plan.block_grid()
-    }
-
-    /// Per-block pattern assignment (row-major over the block grid).
-    pub fn assignments(&self) -> &[u16] {
-        self.plan.assignments()
-    }
-
-    /// The pattern set used.
-    pub fn pattern_set(&self) -> &PatternSet {
-        self.plan.pattern_set()
-    }
-
-    /// The compiled execution plan backing every kernel of this matrix.
-    pub fn plan(&self) -> &PatternPlan {
-        &self.plan
-    }
-
-    /// Number of stored values (including zeros that happen to be kept).
-    pub fn stored_values(&self) -> usize {
-        self.plan.stored_values()
-    }
-
-    /// Fraction of logical elements pruned away by the pattern assignment.
-    pub fn sparsity(&self) -> f64 {
-        self.mask().sparsity()
-    }
-
-    /// Reconstructs the dense matrix with pruned positions zeroed.
-    pub fn to_dense(&self) -> Matrix {
-        let (rows, cols) = self.plan.shape();
-        let mut out = Matrix::zeros(rows, cols);
-        self.plan
-            .for_each_kept(|r, c, v| out.as_mut_slice()[r * cols + c] = v);
-        out
-    }
-
-    /// The binary keep-mask with the logical matrix shape.
-    pub fn mask(&self) -> Matrix {
-        let (rows, cols) = self.plan.shape();
-        let mut mask = Matrix::zeros(rows, cols);
-        self.plan
-            .for_each_kept(|r, c, _| mask.as_mut_slice()[r * cols + c] = 1.0);
-        mask
-    }
-
-    /// Sparse × dense product `self * rhs`, executing the compiled plan
-    /// (flat arena, shared per-pattern offset tables, full/edge block
-    /// dispatch — see [`PatternPlan::matmul_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul_dense(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows(), rhs.cols());
-        self.plan.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// Zero-allocation variant of [`Self::matmul_dense`]: writes into a
-    /// caller-provided output matrix (zeroed first), so steady-state
-    /// serving can reuse its buffers across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()` or `out` is not shaped
-    /// `(self.rows(), rhs.cols())`.
-    pub fn matmul_dense_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.plan.matmul_into(rhs, out);
-    }
-
-    /// Intra-matmul parallel variant of [`Self::matmul_dense_into`]:
-    /// contiguous block-row ranges on scoped threads over disjoint output
-    /// slices, bit-identical to the serial kernel for every worker count
-    /// (see [`PatternPlan::par_matmul_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Same shape requirements as [`Self::matmul_dense_into`].
-    pub fn par_matmul_dense_into(&self, rhs: &Matrix, out: &mut Matrix, workers: usize) {
-        self.plan.par_matmul_into(rhs, out, workers);
-    }
-
-    /// Bytes to store the matrix: packed values + one `u16` pattern id per
-    /// block + the pattern bitmaps themselves.
-    pub fn storage_bytes(&self) -> usize {
-        self.stored_values() * std::mem::size_of::<f32>() + self.index_bytes()
-    }
-
-    /// Bytes spent on metadata (assignments + pattern bitmaps). The
-    /// compiled plan's derived offset tables are not counted: they are
-    /// working-set state rebuilt from the bitmaps, not shipped storage
-    /// (see [`PatternPlan::table_bytes`] for their footprint).
-    pub fn index_bytes(&self) -> usize {
-        std::mem::size_of_val(self.assignments()) + self.pattern_set().storage_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PatternPrunedMatrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -544,17 +329,6 @@ mod tests {
         let p = PatternMask::random(10, 0.75, &mut rng);
         assert_eq!(p.ones(), 25);
         assert!((p.sparsity() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overlap_is_one_for_identical_patterns() {
-        let p = checkerboard(6);
-        assert!((p.overlap(&p) - 1.0).abs() < 1e-12);
-        let dense = PatternMask::dense(6);
-        // against the dense pattern the overlap is bounded by the denser
-        // pattern's kept count
-        let expected = p.ones() as f64 / dense.ones() as f64;
-        assert!((p.overlap(&dense) - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -674,8 +448,6 @@ mod tests {
         ])
         .unwrap();
         let pp = PatternPrunedMatrix::from_dense(&dense, &set);
-        // metadata: 16 blocks * 2 bytes + 2 patterns * ceil(25/8) bytes
-        assert_eq!(pp.index_bytes(), 16 * 2 + 2 * 4);
         assert_eq!(pp.stored_values(), 16 * 10);
     }
 
@@ -698,8 +470,8 @@ mod tests {
         assert_eq!(detected.assignments(), scalar.assignments());
         assert_eq!(detected.stored_values(), scalar.stored_values());
         for bi in 0..detected.assignments().len() {
-            let d = detected.plan().block_values(bi);
-            let s = scalar.plan().block_values(bi);
+            let d = detected.block_values(bi);
+            let s = scalar.block_values(bi);
             assert_eq!(d.len(), s.len());
             for (a, b) in d.iter().zip(s) {
                 assert_eq!(a.to_bits(), b.to_bits(), "block {bi} values diverged");

@@ -1,11 +1,11 @@
-//! Compiled execution plans for pattern-pruned matmul.
+//! The pattern-pruned matrix format and its compiled matmul kernels.
 //!
 //! The scalar seed kernel paid three per-call costs that dominated the hot
 //! path of `BankedModel::infer`: it re-derived each pattern's
 //! `kept_positions()` (a fresh `Vec<(usize, usize)>`) for every block of
 //! every call, chased one heap pointer per block through `Vec<Vec<f32>>`
 //! value storage, and bounds-checked every element access. A
-//! [`PatternPlan`] removes all three ahead of time, PatDNN-style:
+//! [`PatternPrunedMatrix`] removes all three ahead of time, PatDNN-style:
 //!
 //! * **Flat value arena.** All kept values live in one contiguous
 //!   `Vec<f32>`; a `block_offsets` prefix-sum table (one `u32` per block)
@@ -19,11 +19,11 @@
 //!   reuse the paper's Level-2 format is designed around.
 //! * **One index stream.** Parallel to the arena, one `u32` per stored
 //!   value holds its position `col << 4 | r`: its row `r` within its block
-//!   row (so a plan's pattern size is at most 16) and its column `col` in
+//!   row (so a matrix's pattern size is at most 16) and its column `col` in
 //!   the weight. A block row's values are one contiguous run of the arena,
 //!   so with the stream a walk over a block row is one loop, however many
 //!   values each of its blocks keeps. The stream is built once per layout,
-//!   when a plan is first packed under it; the value gather, the
+//!   when a matrix is first packed under it; the value gather, the
 //!   narrow-width kernel and the kept-position walk read it and look up no
 //!   pattern table.
 //! * **Full-block vs. edge-block dispatch.** Interior blocks (the common
@@ -39,8 +39,8 @@
 //!   Only the (at most one) partial row/column strip of edge blocks takes
 //!   the checked path.
 //!
-//! The plan is built at [`PatternPrunedMatrix`] construction, so the matmul
-//! hot loop performs **zero heap allocation** and the kernel result is
+//! All of it is built when a [`PatternPrunedMatrix`] is lowered, so the
+//! matmul hot loop performs **zero heap allocation** and the kernel result is
 //! bit-identical to the retained scalar reference
 //! ([`crate::reference::matmul_dense_scalar`]) — the accumulation order per
 //! output element is unchanged.
@@ -62,29 +62,30 @@
 //! [`PackLayout::keep_mask`], and neither gathers a value.
 //!
 //! A layout assigned under a mask still lays out every position its
-//! patterns keep, the masked ones included, so a plan packed under it
+//! patterns keep, the masked ones included, so a matrix packed under it
 //! stores and multiplies `w * 0`. [`PackLayout::restrict`] narrows it to
 //! the positions the mask keeps too: per block the pattern's bits ∧ the
 //! block's [`MaskBits`], each distinct result interned into the restricted
 //! layout's own [`CompiledSet`]. Its block ids stay `u16`, so every kernel
 //! runs it unchanged. For finite rhs values its products equal the
-//! unrestricted plan's bit for bit: each dropped product is `±0`, and an
+//! unrestricted matrix's bit for bit: each dropped product is `±0`, and an
 //! accumulator that starts at `+0` never becomes `-0` under
 //! round-to-nearest, so adding `±0` to it changes no bit.
 //!
-//! [`PatternPlan::pack_into`] — the one value gather, which `compile` and
-//! [`PatternPlan::pack`] also run — then writes the kept values into a
-//! plan's existing arena. A plan is an `Arc`-shared layout plus its own
-//! arena, and every layout assigned against one pattern set shares a
-//! single [`CompiledSet`], so a caller that re-lowers the same weight — the
-//! runtime's model bank after an eviction — keeps the layout and only
-//! gathers, into buffers it already owns.
+//! [`PatternPrunedMatrix::pack_into`] — the one value gather, which
+//! [`PatternPrunedMatrix::from_dense`] and [`PatternPrunedMatrix::pack`]
+//! also run — then writes the kept values into a matrix's existing arena.
+//! A matrix is an `Arc`-shared layout plus its own arena, and every layout
+//! assigned against one pattern set shares a single [`CompiledSet`], so a
+//! caller that re-lowers the same weight — the runtime's model bank after
+//! an eviction — keeps the layout and only gathers, into buffers it
+//! already owns.
 //!
-//! On top of the compiled layout the plan carries three execution-time
-//! strategies (PR 10):
+//! On top of the compiled layout the matrix carries three execution-time
+//! strategies:
 //!
-//! * **Runtime-dispatched SIMD [`Backend`].** Detected once at plan
-//!   construction; on x86-64 with AVX2 the full-block kernels for
+//! * **Runtime-dispatched SIMD [`Backend`].** Detected once when the
+//!   matrix is lowered; on x86-64 with AVX2 the full-block kernels for
 //!   W ∈ {8, 16, 32, 64} run hand-written `std::arch` code (see
 //!   `simd.rs`), bit-identical to the scalar kernels they replace.
 //! * **Block-row-tiled column sweep for the w = 64 regime.** Once the rhs
@@ -93,13 +94,12 @@
 //!   slice is reused across the whole tile while it is still cache-hot.
 //!   For a fixed output element the kept contributions still arrive in
 //!   ascending block-column order, so bit-exactness is preserved.
-//! * **Row-range parallelism.** [`PatternPlan::par_matmul_into`] splits
-//!   the block-row space into contiguous ranges balanced by stored-value
-//!   count and executes them on scoped threads over disjoint output
-//!   slices — no synchronization on the hot path, and each element is
-//!   still accumulated by exactly one thread in arena order.
-//!
-//! [`PatternPrunedMatrix`]: crate::PatternPrunedMatrix
+//! * **Row-range parallelism.**
+//!   [`PatternPrunedMatrix::par_matmul_dense_into`] splits the block-row
+//!   space into contiguous ranges balanced by stored-value count and
+//!   executes them on scoped threads over disjoint output slices — no
+//!   synchronization on the hot path, and each element is still
+//!   accumulated by exactly one thread in arena order.
 
 use crate::pattern::{PatternMask, PatternSet};
 use crate::simd::{self, Backend};
@@ -265,7 +265,8 @@ impl CompiledSet {
 /// weight — the offline search, one set per candidate — builds it once.
 /// With a mask each square is `(w * m) * (w * m)`, the same single-rounded
 /// products as squaring `weight.zip(mask, |w, m| w * m)`; the squares go
-/// through `backend` (clamped like [`PatternPlan::compile_with_backend`]),
+/// through `backend` (clamped like
+/// [`PatternPrunedMatrix::from_dense_with_backend`]),
 /// and every backend writes the same bits.
 #[derive(Debug)]
 pub struct BlockSquares {
@@ -349,7 +350,7 @@ impl BlockSquares {
 /// [`PackLayout::keep_mask`] under the mask, without building it. The bits
 /// depend only on the mask and the pattern size, so a caller that needs
 /// the sparsity of many pattern sets over the same mask — the offline
-/// search, one set per candidate — builds them once, and lowering a plan,
+/// search, one set per candidate — builds them once, and lowering a matrix,
 /// which reads no count, never builds them.
 #[derive(Debug)]
 pub struct MaskBits {
@@ -442,10 +443,10 @@ impl MaskBits {
 
 /// Everything packing one weight needs that does not depend on its values:
 /// the block→pattern assignment and the arena offset of every block, and,
-/// once a plan has been packed under it, the index stream.
+/// once a matrix has been packed under it, the index stream.
 /// [`PackLayout::assign`] builds it (the scoring half of lowering);
 /// [`PackLayout::restrict`] narrows it to a mask's kept positions; after
-/// that, [`PatternPlan::pack_into`] only gathers values.
+/// that, [`PatternPrunedMatrix::pack_into`] only gathers values.
 #[derive(Debug, PartialEq)]
 pub struct PackLayout {
     set: Arc<CompiledSet>,
@@ -528,10 +529,11 @@ impl PackLayout {
     /// each distinct result is one pattern of a [`CompiledSet`] all the
     /// restricted layouts share, in the order their blocks first use it —
     /// as the layouts assigned against one pattern set share that set. A
-    /// plan packed under a restricted layout stores [`MaskBits::kept`] of
+    /// matrix packed under a restricted layout stores [`MaskBits::kept`] of
     /// the layout it was narrowed from, and for finite rhs values
-    /// multiplies to the same bits as a plan packed under that layout with
-    /// the same mask (see the module docs); its [`PatternPlan::pattern_set`]
+    /// multiplies to the same bits as a matrix packed under that layout
+    /// with the same mask (see the module docs); its
+    /// [`PatternPrunedMatrix::pattern_set`]
     /// is the restricted set. A fully masked block keeps the empty pattern
     /// and stores nothing.
     ///
@@ -629,7 +631,7 @@ impl PackLayout {
         }
     }
 
-    /// Values a plan under this layout stores, edge-block padding included.
+    /// Values a matrix under this layout stores, edge-block padding included.
     pub fn stored_values(&self) -> usize {
         *self
             .block_offsets
@@ -764,76 +766,84 @@ impl PackLayout {
     }
 }
 
-/// A pattern-pruned matrix lowered to its executable form: flat value
-/// arena, per-block `u32` offsets, shared per-pattern offset tables and a
-/// full/edge block split. See the module docs for the layout rationale.
+/// A matrix stored as pattern-pruned blocks (the paper's Level-2 format):
+/// every `psize x psize` block carries the id of its assigned pattern, and
+/// only the values its pattern keeps live, in a flat arena under a shared
+/// [`PackLayout`]. Construction lowers the matrix once; every kernel
+/// (`matmul_dense`, `to_dense`, `mask`) then executes the compiled form, so
+/// no per-call layout or indexing work remains on the hot path. See the
+/// module docs for the layout rationale. The seed's scalar kernel is
+/// retained in [`crate::reference`] for bit-level cross-checking.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PatternPlan {
-    /// The value-independent half of the plan (assignment, block offsets,
-    /// compiled tables), shared with every plan packed under it.
+pub struct PatternPrunedMatrix {
+    /// The value-independent half of the matrix (assignment, block
+    /// offsets, compiled tables), shared with every matrix packed under it.
     layout: Arc<PackLayout>,
     /// All kept values, block-major; block `bi` owns
     /// `arena[block_offsets[bi]..block_offsets[bi + 1]]` in its pattern's
     /// row-major kept order.
     arena: Vec<f32>,
-    /// Kernel backend the plan executes with: process state, not model
-    /// data, chosen (and validated) for the host CPU when the plan is
+    /// Kernel backend the matrix executes with: process state, not model
+    /// data, chosen (and validated) for the host CPU when the matrix is
     /// lowered.
     backend: Backend,
 }
 
-impl PatternPlan {
-    /// Lowers `dense` against `set`: [`PackLayout::assign`] gives every
+impl PatternPrunedMatrix {
+    /// Prunes `dense` with `set`: [`PackLayout::assign`] gives every
     /// `psize x psize` block the pattern preserving the largest l2 norm,
-    /// then [`PatternPlan::pack`] packs the kept values into the arena.
+    /// then [`PatternPrunedMatrix::pack`] packs the kept values into the
+    /// arena, on the detected backend.
     ///
     /// # Panics
     ///
     /// Panics if the set has more than `u16::MAX` patterns or the kept
     /// values do not fit a `u32` arena offset.
-    pub fn compile(dense: &Matrix, set: &PatternSet) -> Self {
-        Self::compile_with_backend(dense, set, Backend::detect())
+    pub fn from_dense(dense: &Matrix, set: &PatternSet) -> Self {
+        Self::from_dense_with_backend(dense, set, Backend::detect())
     }
 
-    /// [`PatternPlan::compile`] with an explicit kernel backend. The
-    /// request is clamped to what the CPU supports
+    /// [`PatternPrunedMatrix::from_dense`] with an explicit kernel backend.
+    /// The request is clamped to what the CPU supports
     /// (`Backend::validated`); forcing [`Backend::Scalar`] is how the
-    /// proptest suite obtains the bit-exactness reference on SIMD hosts.
-    pub fn compile_with_backend(dense: &Matrix, set: &PatternSet, backend: Backend) -> Self {
+    /// bit-exactness suites obtain the reference on SIMD hosts.
+    pub fn from_dense_with_backend(dense: &Matrix, set: &PatternSet, backend: Backend) -> Self {
         let squares = BlockSquares::new(dense, None, set.size(), backend);
         let set = Arc::new(CompiledSet::new(set));
         let layout = Arc::new(PackLayout::assign(&squares, &set));
         Self::pack(&layout, dense, None, backend)
     }
 
-    /// A fresh plan under `layout` holding the values of `weight`, masked
-    /// by `mask` if given (see [`PatternPlan::pack_into`]).
+    /// A fresh matrix under `layout` holding the values of `weight`, masked
+    /// by `mask` if given (see [`PatternPrunedMatrix::pack_into`]), without
+    /// scoring a block. Equals [`Self::from_dense_with_backend`] of the
+    /// masked weight when the layout was assigned on it.
     ///
     /// # Panics
     ///
-    /// Same as [`PatternPlan::pack_into`].
+    /// Same as [`PatternPrunedMatrix::pack_into`].
     pub fn pack(
         layout: &Arc<PackLayout>,
         weight: &Matrix,
         mask: Option<&Matrix>,
         backend: Backend,
     ) -> Self {
-        let mut plan = Self {
+        let mut matrix = Self {
             layout: Arc::clone(layout),
             arena: Vec::new(),
             backend: backend.validated(),
         };
-        plan.pack_into(layout, weight, mask);
-        plan
+        matrix.pack_into(layout, weight, mask);
+        matrix
     }
 
     /// The packing half of lowering, and the only value gather: re-targets
-    /// this plan to `layout` and overwrites its arena, in place, with the
+    /// this matrix to `layout` and overwrites its arena, in place, with the
     /// kept values of `weight`. With a `mask` every gathered value is
     /// `weight * mask` — the same single f32 multiply as masking the weight
     /// up front with `Matrix::zip`, so the arena is bit-identical to
     /// packing the masked weight. The arena allocates only when it must
-    /// grow past its capacity, so re-packing a plan that once held a
+    /// grow past its capacity, so re-packing a matrix that once held a
     /// layout at least as large is allocation-free; every slot of the new
     /// layout is written, so nothing of the previous values survives. The
     /// gather walks the layout's index stream, one loop per block row; the
@@ -862,17 +872,17 @@ impl PatternPlan {
         self.layout = Arc::clone(layout);
     }
 
-    /// Logical shape `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.layout.rows, self.layout.cols)
+    /// Logical number of rows.
+    pub fn rows(&self) -> usize {
+        self.layout.rows
     }
 
-    /// Kernel backend this plan executes with.
-    pub fn backend(&self) -> Backend {
-        self.backend
+    /// Logical number of columns.
+    pub fn cols(&self) -> usize {
+        self.layout.cols
     }
 
-    /// The pattern set the plan was lowered against.
+    /// The pattern set the matrix was lowered against.
     pub fn pattern_set(&self) -> &PatternSet {
         &self.layout.set.set
     }
@@ -897,37 +907,38 @@ impl PatternPlan {
         self.arena.len()
     }
 
-    /// The compiled offset tables, one per pattern in the set.
-    pub fn compiled_patterns(&self) -> &[CompiledPattern] {
-        &self.layout.set.patterns
-    }
-
     /// The packed values of block `bi`, in its pattern's row-major kept
     /// order (the arena slice the kernels execute from).
     pub fn block_values(&self, bi: usize) -> &[f32] {
         &self.arena[self.layout.block_range(bi)]
     }
 
-    /// Bytes of plan metadata beyond the values and the pattern bitmaps:
-    /// the per-block offsets, the compiled per-pattern tables and the
-    /// index stream.
-    pub fn table_bytes(&self) -> usize {
-        let tables: usize = self
-            .compiled_patterns()
-            .iter()
-            .map(|cp| {
-                (cp.row_ptr.len() + cp.cols.len() + cp.local.len()) * std::mem::size_of::<u32>()
-            })
-            .sum();
-        let l = &*self.layout;
-        (l.block_offsets.len() + l.index_stream().len()) * std::mem::size_of::<u32>() + tables
+    /// Fraction of logical elements pruned away by the pattern assignment.
+    pub fn sparsity(&self) -> f64 {
+        self.mask().sparsity()
+    }
+
+    /// Reconstructs the dense matrix with pruned positions zeroed.
+    pub fn to_dense(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.rows(), self.cols());
+        let cols = self.cols();
+        self.for_each_kept(|r, c, v| out.as_mut_slice()[r * cols + c] = v);
+        out
+    }
+
+    /// The binary keep-mask with the logical matrix shape.
+    pub fn mask(&self) -> Matrix {
+        let mut mask = Matrix::zeros(self.rows(), self.cols());
+        let cols = self.cols();
+        self.for_each_kept(|r, c, _| mask.as_mut_slice()[r * cols + c] = 1.0);
+        mask
     }
 
     /// Calls `f(row, col, value)` for every kept position inside the
     /// logical matrix bounds, block-major then row-major within the block —
     /// the single traversal backing both `to_dense` and `mask`, over the
     /// index stream.
-    pub fn for_each_kept<F: FnMut(usize, usize, f32)>(&self, mut f: F) {
+    fn for_each_kept<F: FnMut(usize, usize, f32)>(&self, mut f: F) {
         let l = &*self.layout;
         let stream = l.index_stream();
         for (br, base_r) in (0..l.rows).step_by(l.psize).enumerate() {
@@ -941,8 +952,20 @@ impl PatternPlan {
         }
     }
 
-    /// Sparse × dense product `plan * rhs`, written into `out` (which is
-    /// zeroed first). This is the zero-allocation entry point: the hot loop
+    /// Sparse × dense product `self * rhs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.rows()`.
+    pub fn matmul_dense(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows(), rhs.cols());
+        self.matmul_dense_into(rhs, &mut out);
+        out
+    }
+
+    /// Sparse × dense product `self * rhs`, written into `out` (which is
+    /// zeroed first), so steady-state serving can reuse its buffers across
+    /// calls. This is the zero-allocation entry point: the hot loop
     /// touches only the arena, the offset tables, the index stream and the
     /// two matrices.
     ///
@@ -955,9 +978,9 @@ impl PatternPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `rhs.rows()` does not match the plan's column count or
+    /// Panics if `rhs.rows()` does not match the matrix's column count or
     /// `out` is not shaped `(rows, rhs.cols())`.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub fn matmul_dense_into(&self, rhs: &Matrix, out: &mut Matrix) {
         self.check_matmul_shapes(rhs, out);
         out.fill_zero();
         let width = rhs.cols();
@@ -968,20 +991,20 @@ impl PatternPlan {
         self.dispatch_width(rhs.as_slice(), out.as_mut_slice(), width, 0..grid_rows);
     }
 
-    /// [`PatternPlan::matmul_into`] with intra-matmul row-range
-    /// parallelism: the block-row space is split into at most `workers`
-    /// contiguous ranges balanced by stored-value count
-    /// ([`PatternPlan::row_splits`]) and each range runs on its own scoped
-    /// thread over a disjoint `split_at_mut` slice of `out`. There is no
-    /// synchronization on the hot path and every output element is
-    /// accumulated by exactly one thread in arena order, so the result is
-    /// bit-identical to [`PatternPlan::matmul_into`] for every worker
-    /// count (proptest-pinned in `tests/proptest_simd.rs`).
+    /// [`PatternPrunedMatrix::matmul_dense_into`] with intra-matmul
+    /// row-range parallelism: the block-row space is split into at most
+    /// `workers` contiguous ranges balanced by stored-value count
+    /// (`row_splits`) and each range runs on its own scoped thread over a
+    /// disjoint `split_at_mut` slice of `out`. There is no synchronization
+    /// on the hot path and every output element is accumulated by exactly
+    /// one thread in arena order, so the result is bit-identical to
+    /// [`PatternPrunedMatrix::matmul_dense_into`] for every worker count
+    /// (proptest-pinned in `tests/proptest_simd.rs`).
     ///
     /// # Panics
     ///
-    /// Same shape requirements as [`PatternPlan::matmul_into`].
-    pub fn par_matmul_into(&self, rhs: &Matrix, out: &mut Matrix, workers: usize) {
+    /// Same shape requirements as [`PatternPrunedMatrix::matmul_dense_into`].
+    pub fn par_matmul_dense_into(&self, rhs: &Matrix, out: &mut Matrix, workers: usize) {
         self.check_matmul_shapes(rhs, out);
         out.fill_zero();
         let width = rhs.cols();
@@ -1012,7 +1035,7 @@ impl PatternPlan {
     /// balanced as the block-row granularity allows, via binary targets on
     /// the `block_offsets` prefix sums. Concatenated in order the ranges
     /// cover `0..grid_rows` exactly.
-    pub fn row_splits(&self, parts: usize) -> Vec<Range<usize>> {
+    fn row_splits(&self, parts: usize) -> Vec<Range<usize>> {
         let (grid_rows, grid_cols) = self.layout.grid;
         if grid_rows == 0 || parts <= 1 {
             return std::iter::once(0..grid_rows).collect();
@@ -1073,7 +1096,7 @@ impl PatternPlan {
 
     /// Walks the block rows `brs` dispatching interior blocks to the
     /// branch-free kernels (compile-time width `W` when non-zero; SIMD
-    /// when the plan's backend covers `W`) and edge blocks to the clamped
+    /// when the matrix's backend covers `W`) and edge blocks to the clamped
     /// path. In the w = 64 regime with an L1-overflowing rhs the walk
     /// switches to the block-row-tiled column-major sweep.
     fn execute<const W: usize>(
@@ -1194,7 +1217,7 @@ impl PatternPlan {
     /// scalar reference.
     ///
     /// `out` holds the block rows starting at logical row `row_base`
-    /// (differs from row 0 during `par_matmul_into`, whose threads see only
+    /// (differs from row 0 during `par_matmul_dense_into`, whose threads see only
     /// their own row-range slice).
     #[inline]
     fn block_row_indexed<const W: usize>(
@@ -1293,7 +1316,7 @@ impl PatternPlan {
     /// matrix bounds (only the last block row/column can land here).
     /// `base_r` is the logical row (for the clamp); `local_r` is the
     /// block's first row *within `out`* (differs from `base_r` during
-    /// `par_matmul_into`, whose threads see only their own row-range slice).
+    /// `par_matmul_dense_into`, whose threads see only their own row-range slice).
     #[allow(clippy::too_many_arguments)]
     fn block_edge(
         &self,
@@ -1412,7 +1435,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let dense = Matrix::xavier(13, 9, &mut rng);
         let set = set_of(4, 0.5, 3, 32);
-        let plan = PatternPlan::compile(&dense, &set);
+        let plan = PatternPrunedMatrix::from_dense(&dense, &set);
         let (grid_rows, grid_cols) = plan.block_grid();
         assert_eq!((grid_rows, grid_cols), (4, 3));
         for br in 0..grid_rows {
@@ -1432,11 +1455,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let dense = Matrix::xavier(12, 12, &mut rng);
         let set = set_of(4, 0.75, 2, 34);
-        let plan = PatternPlan::compile(&dense, &set);
+        let plan = PatternPrunedMatrix::from_dense(&dense, &set);
         for (bi, &a) in plan.assignments().iter().enumerate() {
             assert_eq!(
                 plan.block_values(bi).len(),
-                plan.compiled_patterns()[a as usize].ones()
+                plan.layout.set.patterns[a as usize].ones()
             );
         }
         assert_eq!(plan.stored_values(), 9 * 4); // 9 blocks x 4 kept each
@@ -1447,7 +1470,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         let dense = Matrix::xavier(64, 32, &mut rng);
         let set = set_of(4, 0.5, 3, 42);
-        let plan = PatternPlan::compile(&dense, &set);
+        let plan = PatternPrunedMatrix::from_dense(&dense, &set);
         let (grid_rows, _) = plan.block_grid();
         for parts in 1..=grid_rows + 3 {
             let splits = plan.row_splits(parts);
@@ -1469,14 +1492,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let dense = Matrix::xavier(50, 30, &mut rng);
         let set = set_of(4, 0.5, 3, 44);
-        let plan = PatternPlan::compile(&dense, &set);
+        let plan = PatternPrunedMatrix::from_dense(&dense, &set);
         for width in [1usize, 3, 8, 64] {
             let rhs = Matrix::xavier(30, width, &mut rng);
             let mut serial = Matrix::zeros(50, width);
-            plan.matmul_into(&rhs, &mut serial);
+            plan.matmul_dense_into(&rhs, &mut serial);
             for workers in [1usize, 2, 3, 7, 64] {
                 let mut par = Matrix::zeros(50, width);
-                plan.par_matmul_into(&rhs, &mut par, workers);
+                plan.par_matmul_dense_into(&rhs, &mut par, workers);
                 assert!(
                     par.approx_eq(&serial, 0.0),
                     "width {width} workers {workers} diverged"
@@ -1490,10 +1513,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(35);
         let dense = Matrix::xavier(8, 8, &mut rng);
         let set = set_of(4, 0.5, 2, 36);
-        let plan = PatternPlan::compile(&dense, &set);
+        let plan = PatternPrunedMatrix::from_dense(&dense, &set);
         let rhs = Matrix::zeros(8, 0);
         let mut out = Matrix::zeros(8, 0);
-        plan.matmul_into(&rhs, &mut out); // must not panic
+        plan.matmul_dense_into(&rhs, &mut out); // must not panic
         assert_eq!(out.shape(), (8, 0));
     }
 }

@@ -6,21 +6,22 @@
 //! call), walks positions as `(usize, usize)` pairs and re-checks matrix
 //! bounds per element. It exists for two reasons:
 //!
-//! * **Bit-level cross-checking.** The compiled plan
-//!   ([`crate::PatternPlan`]) accumulates into each output element in the
+//! * **Bit-level cross-checking.** The compiled kernels of
+//!   [`crate::PatternPrunedMatrix`] accumulate into each output element in the
 //!   same order as this kernel, so property tests assert exact equality
 //!   between the two (`tests/proptest_formats.rs`). The one intentional
 //!   divergence: the reference skips stored values that are exactly `0.0`
-//!   while the plan multiplies them through branch-free; with finite
+//!   while the compiled kernels multiply them through branch-free; with finite
 //!   right-hand sides that changes nothing but the sign of a zero partial
 //!   sum, which compares equal.
 //! * **Before/after benchmarking.** `benches/sparse_matmul.rs` times this
-//!   kernel next to the compiled plan, so the committed bench JSON carries
+//!   kernel next to the compiled kernels, so the committed bench JSON carries
 //!   the seed baseline the speedup is measured against.
 //!
-//! Not for production use: every serving path goes through the plan.
+//! Not for production use: every serving path goes through the compiled
+//! kernels.
 
-use crate::pattern::PatternPrunedMatrix;
+use crate::PatternPrunedMatrix;
 use rt3_tensor::Matrix;
 
 /// Scalar seed kernel: sparse × dense product `m * rhs`, re-deriving the
@@ -36,7 +37,7 @@ pub fn matmul_dense_scalar(m: &PatternPrunedMatrix, rhs: &Matrix) -> Matrix {
     let psize = m.pattern_size();
     let (_, grid_cols) = m.block_grid();
     for bi in 0..m.assignments().len() {
-        let vals = m.plan().block_values(bi);
+        let vals = m.block_values(bi);
         let br = bi / grid_cols;
         let bc = bi % grid_cols;
         let pattern = &m.pattern_set().patterns()[m.assignments()[bi] as usize];

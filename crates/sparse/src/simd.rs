@@ -1,11 +1,11 @@
-//! Runtime-dispatched SIMD kernels for the compiled pattern plans.
+//! Runtime-dispatched SIMD kernels for the pattern-pruned matrix.
 //!
-//! The wide (w ≥ 8) full-block kernels of [`crate::PatternPlan`] hold
+//! The wide (w ≥ 8) full-block kernels of [`crate::PatternPrunedMatrix`] hold
 //! each output row in a register accumulator; on x86-64 with AVX2 that
 //! accumulator maps directly onto 256-bit vector registers (one `__m256`
 //! per 8 rhs columns). This module provides those kernels as `std::arch`
 //! intrinsics for the wide widths (8, 16, 32, 64 — 1, 2, 4 and 8 vectors
-//! per output row), selected **once** at plan construction via
+//! per output row), selected **once** when a matrix is lowered, via
 //! [`Backend::detect`] and falling back to the portable compiled-scalar
 //! kernels everywhere else (the narrow widths 1–4 the serving engines
 //! mostly dispatch run the portable index-stream kernel on every backend).
@@ -29,10 +29,10 @@
 // `#[target_feature]` kernel
 #![allow(unsafe_code)]
 
-/// Kernel backend executing a [`crate::PatternPlan`].
+/// Kernel backend executing a [`crate::PatternPrunedMatrix`].
 ///
 /// Detected once per process ([`Backend::detect`], cached) and stored in
-/// the plan at construction. `Scalar` is the portable fallback — the
+/// the matrix when it is lowered. `Scalar` is the portable fallback — the
 /// compiled index-stream and register-accumulator kernels — and the
 /// bit-exactness reference for every other backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +47,7 @@ pub enum Backend {
 impl Backend {
     /// Detects the best backend the CPU supports. The answer is computed
     /// once and cached for the process (the `is_x86_feature_detected!`
-    /// probe is not free and plans are built on V/F switches).
+    /// probe is not free and matrices are built on V/F switches).
     pub fn detect() -> Self {
         use std::sync::OnceLock;
         static DETECTED: OnceLock<Backend> = OnceLock::new();
@@ -121,12 +121,12 @@ fn square_into_scalar(dst: &mut [f32], src: &[f32]) {
 }
 
 /// Runs the AVX2 full-block kernel for compile-time rhs width `W`
-/// (8, 16, 32 or 64). Mirrors `PatternPlan::block_full_fixed` exactly:
+/// (8, 16, 32 or 64). Mirrors `PatternPrunedMatrix::block_full_fixed` exactly:
 /// output row loaded once into `W / 8` vector accumulators, one broadcast
 /// multiply-add per kept value in arena order, row stored back once.
 ///
 /// `base_r` indexes `out` (which may be a row-range slice during
-/// `par_matmul_into`); `base_c` indexes `rhs` absolutely.
+/// `par_matmul_dense_into`); `base_c` indexes `rhs` absolutely.
 ///
 /// # Panics
 ///
@@ -146,7 +146,7 @@ pub(crate) fn block_full<const W: usize>(
     out: &mut [f32],
 ) {
     debug_assert!(matches!(W, 8 | 16 | 32 | 64), "unsupported SIMD width");
-    // SAFETY: callers dispatch here only when the plan's backend is `Avx2`,
+    // SAFETY: callers dispatch here only when the matrix's backend is `Avx2`,
     // which `Backend::validated` only yields after feature detection.
     unsafe {
         match W {
@@ -184,7 +184,7 @@ mod avx2 {
 
     /// AVX2 full-block kernel with `NV` 256-bit accumulators per output
     /// row (rhs width `NV * 8`). See the module docs for the bit-exactness
-    /// argument; the loop structure is `PatternPlan::block_full_fixed`
+    /// argument; the loop structure is `PatternPrunedMatrix::block_full_fixed`
     /// verbatim with the `[f32; W]` accumulator replaced by YMM registers.
     ///
     /// # Safety

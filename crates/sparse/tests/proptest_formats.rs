@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rt3_sparse::{
     Backend, BlockPartition, BlockPrunedMatrix, BlockSquares, CompiledSet, CooMatrix, CsrMatrix,
-    MaskBits, PackLayout, PatternMask, PatternPlan, PatternPrunedMatrix, PatternSet,
+    MaskBits, PackLayout, PatternMask, PatternPrunedMatrix, PatternSet,
 };
 use rt3_tensor::Matrix;
 use std::sync::Arc;
@@ -27,7 +27,7 @@ fn dense_rhs(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 /// Single-pass lowering of `dense`, written out independently of
-/// `PatternPlan`: per block (row-major over the grid) the pattern
+/// `PatternPrunedMatrix`: per block (row-major over the grid) the pattern
 /// `best_pattern_for` picks and the block's values in that pattern's
 /// row-major kept order, 0.0 outside the matrix.
 fn single_pass_lowering(dense: &Matrix, set: &PatternSet) -> (Vec<u16>, Vec<Vec<f32>>) {
@@ -97,15 +97,15 @@ proptest! {
                 let (assignments, values) = single_pass_lowering(dense, &set);
                 let squares = BlockSquares::new(dense, None, psize, backend);
                 let layout = Arc::new(PackLayout::assign(&squares, &compiled));
-                let plan = PatternPlan::pack(&layout, &m, mask, backend);
+                let plan = PatternPrunedMatrix::pack(&layout, &m, mask, backend);
                 prop_assert_eq!(plan.assignments(), &assignments[..]);
                 for (bi, expected) in values.iter().enumerate() {
                     prop_assert_eq!(bits(plan.block_values(bi)), bits(expected), "block {}", bi);
                 }
                 prop_assert_eq!(plan.stored_values(), values.iter().map(Vec::len).sum::<usize>());
                 prop_assert_eq!(layout.stored_values(), plan.stored_values());
-                prop_assert!(plan == PatternPlan::compile_with_backend(dense, &set, backend));
-                let mut reused = PatternPlan::compile_with_backend(&m, &dense_set, backend);
+                prop_assert!(plan == PatternPrunedMatrix::from_dense_with_backend(dense, &set, backend));
+                let mut reused = PatternPrunedMatrix::from_dense_with_backend(&m, &dense_set, backend);
                 reused.pack_into(&layout, &m, mask);
                 prop_assert!(reused == plan);
                 let pattern_mask = PatternPrunedMatrix::from_dense(dense, &set).mask();
@@ -215,7 +215,7 @@ proptest! {
             for mask in [None, Some(&mask)] {
                 let squares = BlockSquares::new(&weight, mask, psize, backend);
                 let layout = Arc::new(PackLayout::assign(&squares, &compiled));
-                let assignments = PatternPlan::pack(&layout, &weight, mask, backend)
+                let assignments = PatternPrunedMatrix::pack(&layout, &weight, mask, backend)
                     .assignments()
                     .to_vec();
                 let masked = mask.map_or_else(|| weight.clone(), |k| weight.zip(k, |w, k| w * k));
@@ -253,16 +253,6 @@ proptest! {
         prop_assert!(csr.to_dense().approx_eq(&m, 0.0));
         let rhs = dense_rhs(m.cols(), 4, 2);
         prop_assert!(csr.matmul_dense(&rhs).approx_eq(&m.matmul(&rhs), 1e-3));
-    }
-
-    #[test]
-    fn csr_never_needs_more_index_bytes_than_coo(m in sparse_matrix(14)) {
-        let coo = CooMatrix::from_dense(&m);
-        let csr = CsrMatrix::from_dense(&m);
-        // CSR stores rows+1 pointers vs one row index per nnz; for matrices
-        // with at least one nnz per row on average CSR wins, and in general
-        // total storage never exceeds COO by more than the pointer array.
-        prop_assert!(csr.storage_bytes() <= coo.storage_bytes() + (m.rows() + 1) * 4);
     }
 
     #[test]

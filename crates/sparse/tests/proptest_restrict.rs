@@ -10,7 +10,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rt3_sparse::{
-    Backend, BlockSquares, CompiledSet, MaskBits, PackLayout, PatternMask, PatternPlan, PatternSet,
+    Backend, BlockSquares, CompiledSet, MaskBits, PackLayout, PatternMask, PatternPrunedMatrix,
+    PatternSet,
 };
 use rt3_tensor::Matrix;
 use std::sync::Arc;
@@ -49,7 +50,7 @@ proptest! {
     /// keep-mask is the unrestricted one under the mask, and a plan packed
     /// under it stores `MaskBits::kept` of the unrestricted layout. Its
     /// products equal the unrestricted plan's bit for bit at widths 1–5,
-    /// 8, 16, 32 and 64, serially and through `par_matmul_into` with 1–4
+    /// 8, 16, 32 and 64, serially and through `par_matmul_dense_into` with 1–4
     /// workers, on the scalar and the detected backend, for pattern sizes
     /// 3, 4 and 8 over shapes with edge blocks, with masks holding `0.5`
     /// entries and a fully pruned block, and with an all-zero mask.
@@ -89,20 +90,20 @@ proptest! {
                     bits(&restricted.keep_mask(None)),
                     bits(&layout.keep_mask(Some(&mask)))
                 );
-                let full = PatternPlan::pack(&layout, &m, Some(&mask), backend);
-                let narrow = PatternPlan::pack(&restricted, &m, Some(&mask), backend);
+                let full = PatternPrunedMatrix::pack(&layout, &m, Some(&mask), backend);
+                let narrow = PatternPrunedMatrix::pack(&restricted, &m, Some(&mask), backend);
                 prop_assert_eq!(narrow.stored_values(), mask_bits.kept(&layout));
                 prop_assert_eq!(restricted.stored_values(), narrow.stored_values());
                 for width in WIDTHS {
                     let rhs = finite_rhs(cols, width, seed);
                     let mut want = Matrix::filled(rows, width, f32::NAN);
-                    full.matmul_into(&rhs, &mut want);
+                    full.matmul_dense_into(&rhs, &mut want);
                     let mut got = Matrix::filled(rows, width, f32::NAN);
-                    narrow.matmul_into(&rhs, &mut got);
+                    narrow.matmul_dense_into(&rhs, &mut got);
                     prop_assert_eq!(bits(&got), bits(&want), "psize {} width {}", psize, width);
                     for workers in 1..=4 {
                         let mut par = Matrix::filled(rows, width, f32::NAN);
-                        narrow.par_matmul_into(&rhs, &mut par, workers);
+                        narrow.par_matmul_dense_into(&rhs, &mut par, workers);
                         prop_assert_eq!(
                             bits(&par),
                             bits(&want),

@@ -1,6 +1,6 @@
 //! Property-based bit-exactness pins for the PR 10 execution strategies:
 //! the runtime-dispatched SIMD backend, the w = 64 block-row-tiled column
-//! sweep and the row-range parallel `par_matmul_into` must all produce
+//! sweep and the row-range parallel `par_matmul_dense_into` must all produce
 //! *bit-identical* outputs to the compiled scalar kernels (which are
 //! themselves pinned against the seed scalar reference in
 //! `proptest_formats.rs`). Equality here is strict `to_bits` — not even a
@@ -97,7 +97,7 @@ proptest! {
         assert_bits_eq(&out_detected, &out_scalar, "simd vs scalar")?;
     }
 
-    /// `par_matmul_into` must equal the serial kernel bit-for-bit for
+    /// `par_matmul_dense_into` must equal the serial kernel bit-for-bit for
     /// every worker count from degenerate (1) past the block-row count
     /// (where extra workers get empty ranges), on the detected backend.
     #[test]

@@ -56,11 +56,6 @@ impl ManualClock {
             step_ms,
         }
     }
-
-    /// Readings taken so far.
-    pub fn readings(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
-    }
 }
 
 impl Clock for ManualClock {
@@ -79,7 +74,6 @@ mod tests {
         let clock = ManualClock::new(2.5);
         assert_eq!(clock.now_ms(), 2.5);
         assert_eq!(clock.now_ms(), 5.0);
-        assert_eq!(clock.readings(), 2);
         // timing a span between two readings always yields exactly one step
         let start = clock.now_ms();
         let finish = clock.now_ms();

@@ -98,14 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn relu_gradient_matches_finite_differences() {
-        check_op(3, 4, 1e-2, |g, w| {
-            let y = g.relu(w);
-            g.sum_all(y)
-        });
-    }
-
-    #[test]
     fn gelu_gradient_matches_finite_differences() {
         check_op(3, 4, 2e-2, |g, w| {
             let y = g.gelu(w);
@@ -114,11 +106,10 @@ mod tests {
     }
 
     #[test]
-    fn tanh_and_sigmoid_gradients_match_finite_differences() {
+    fn tanh_gradient_matches_finite_differences() {
         check_op(2, 5, 1e-2, |g, w| {
             let t = g.tanh(w);
-            let s = g.sigmoid(t);
-            g.sum_all(s)
+            g.sum_all(t)
         });
     }
 

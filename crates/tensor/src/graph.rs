@@ -42,10 +42,8 @@ enum Op {
     AddRowBroadcast(Var, Var),
     MatMul(Var, Var),
     Transpose(Var),
-    Relu(Var),
     Gelu(Var),
     Tanh(Var),
-    Sigmoid(Var),
     SoftmaxRows(Var),
     LayerNormRows {
         input: Var,
@@ -227,13 +225,6 @@ impl Graph {
         self.push(value, Op::Transpose(a), rg)
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let value = self.nodes[a.0].value.map(|x| x.max(0.0));
-        let rg = self.requires(a);
-        self.push(value, Op::Relu(a), rg)
-    }
-
     /// Gaussian error linear unit (tanh approximation), the Transformer FFN
     /// activation used by BERT-family models.
     pub fn gelu(&mut self, a: Var) -> Var {
@@ -247,13 +238,6 @@ impl Graph {
         let value = self.nodes[a.0].value.map(|x| x.tanh());
         let rg = self.requires(a);
         self.push(value, Op::Tanh(a), rg)
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
-        let rg = self.requires(a);
-        self.push(value, Op::Sigmoid(a), rg)
     }
 
     /// Row-wise numerically stable softmax.
@@ -527,20 +511,12 @@ impl Graph {
                     let ga = grad.transpose();
                     self.accumulate(a, &ga);
                 }
-                Op::Relu(a) => {
-                    let ga = grad.zip(&self.nodes[a.0].value, |g, x| if x > 0.0 { g } else { 0.0 });
-                    self.accumulate(a, &ga);
-                }
                 Op::Gelu(a) => {
                     let ga = grad.zip(&self.nodes[a.0].value, |g, x| g * gelu_grad_scalar(x));
                     self.accumulate(a, &ga);
                 }
                 Op::Tanh(a) => {
                     let ga = grad.zip(&self.nodes[idx].value, |g, y| g * (1.0 - y * y));
-                    self.accumulate(a, &ga);
-                }
-                Op::Sigmoid(a) => {
-                    let ga = grad.zip(&self.nodes[idx].value, |g, y| g * y * (1.0 - y));
                     self.accumulate(a, &ga);
                 }
                 Op::SoftmaxRows(a) => {

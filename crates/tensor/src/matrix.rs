@@ -309,11 +309,6 @@ impl Matrix {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
-    /// l2 norm of row `r`.
-    pub fn row_l2_norm(&self, r: usize) -> f32 {
-        self.row(r).iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// l2 norm of column `c`.
     pub fn col_l2_norm(&self, c: usize) -> f32 {
         assert!(c < self.cols, "column out of bounds");
@@ -564,7 +559,6 @@ mod tests {
     #[test]
     fn row_and_col_norms() {
         let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((m.row_l2_norm(0) - 3.0).abs() < 1e-6);
         assert!((m.col_l2_norm(1) - 4.0).abs() < 1e-6);
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }

@@ -5,20 +5,17 @@
 //!
 //! Run with `cargo run --example battery_runtime`.
 
-use rt3::core::{run_level1, AccuracyEvaluator, CandidateMasks, PruningSpec};
-use rt3::core::{Rt3Config, SurrogateEvaluator, TaskProfile};
-use rt3::hardware::{
-    number_of_runs, simulate_battery_lifetime, simulate_fixed_level, ExecutionProfile,
-    ModelWorkload, PerformancePredictor, PowerModel,
-};
-use rt3::sparse::SparseFormat;
+use rt3::core::{run_level1, run_motivation_experiment, AccuracyEvaluator, CandidateMasks};
+use rt3::core::{PruningSpec, Rt3Config, SurrogateEvaluator, TaskProfile};
+use rt3::hardware::{number_of_runs, PowerModel};
 use rt3::transformer::{TransformerConfig, TransformerLm};
 
 fn main() {
     let mut config = Rt3Config::wikitext_default();
     config.timing_constraint_ms = 115.0;
     config.energy_budget_j = 50_000.0;
-    let predictor = PerformancePredictor::cortex_a7();
+    let latency_model = config.latency_model();
+    let latency = |s: f64, level| latency_model.base_latency_ms(s, level);
     let power = PowerModel::cortex_a7();
     let governor = &config.governor;
     let top = *governor.levels().last().expect("levels");
@@ -28,15 +25,6 @@ fn main() {
     let mut evaluator = SurrogateEvaluator::new(TaskProfile::wikitext2());
     let backbone = run_level1(&model, &config, &mut evaluator);
     let base_sparsity = backbone.sparsity.max(0.55);
-    let latency = |s: f64, level| {
-        let w = ModelWorkload::from_config(
-            &config.workload_config,
-            s,
-            config.seq_len,
-            SparseFormat::BlockPruned,
-        );
-        predictor.latency_ms(&w, level)
-    };
 
     println!("timing constraint: {} ms", config.timing_constraint_ms);
     println!(
@@ -45,60 +33,17 @@ fn main() {
         latency(base_sparsity, &top)
     );
 
-    // E1: no reconfiguration.
-    let e1 = simulate_fixed_level(
-        &top,
-        config.energy_budget_j,
-        ExecutionProfile {
-            latency_ms: latency(base_sparsity, &top),
-            power_w: power.power_w(&top),
-        },
-        config.timing_constraint_ms,
-    );
-
-    // E2: DVFS only (same model everywhere).
-    let e2_profiles: Vec<ExecutionProfile> = governor
-        .levels()
-        .iter()
-        .map(|l| ExecutionProfile {
-            latency_ms: latency(base_sparsity, l),
-            power_w: power.power_w(l),
-        })
-        .collect();
-    let e2 = simulate_battery_lifetime(
-        governor,
-        config.energy_budget_j,
-        &e2_profiles,
-        config.timing_constraint_ms,
-    );
-
-    // E3: DVFS + per-level sparsity chosen so every level meets the deadline.
+    // E1: no reconfiguration; E2: DVFS only (same model everywhere); E3:
+    // DVFS + per-level sparsity chosen so every level meets the deadline.
     let per_level_sparsity = [0.87, 0.74, base_sparsity];
-    let e3_profiles: Vec<ExecutionProfile> = governor
-        .levels()
-        .iter()
-        .zip(per_level_sparsity)
-        .map(|(l, s)| ExecutionProfile {
-            latency_ms: latency(s, l),
-            power_w: power.power_w(l),
-        })
-        .collect();
-    let e3 = simulate_battery_lifetime(
-        governor,
-        config.energy_budget_j,
-        &e3_profiles,
-        config.timing_constraint_ms,
-    );
+    let rows = run_motivation_experiment(&config, base_sparsity, &per_level_sparsity);
 
     println!();
     println!("approach   runs        deadline-met   improvement");
-    for (name, report) in [("E1", &e1), ("E2", &e2), ("E3", &e3)] {
+    for row in &rows {
         println!(
             "{:<10} {:<11} {:<14} {:.2}x",
-            name,
-            report.runs,
-            report.constraint_satisfied,
-            report.runs as f64 / e1.runs as f64
+            row.approach, row.report.runs, row.report.constraint_satisfied, row.improvement
         );
     }
 

@@ -32,8 +32,7 @@ use rt3::core::{
 use rt3::hardware::MemoryModel;
 use rt3::runtime::{
     calibrate, AmortisationCurve, CalibrationOptions, CostConfig, CostModel, Fleet, FleetConfig,
-    FleetReport, FleetScenario, LatencyModel, ModelBank, RoutingPolicy, Scenario, ServeConfig,
-    ServeEngine,
+    FleetReport, FleetScenario, ModelBank, RoutingPolicy, Scenario, ServeConfig, ServeEngine,
 };
 use rt3::transformer::{TransformerConfig, TransformerLm};
 use std::sync::Arc;
@@ -69,7 +68,7 @@ fn main() {
         MemoryModel::odroid_xu3(),
         levels,
     );
-    let latency = LatencyModel::of(&config);
+    let latency = config.latency_model();
     let options = if quick {
         CalibrationOptions::quick()
     } else {
