@@ -1,4 +1,4 @@
-//! Golden regression suite: each of the five single-device scenarios is
+//! Golden regression suite: each of the six single-device scenarios is
 //! played with a fixed seed and its [`ServeReport`] aggregates are pinned
 //! against checked-in expected values, so a refactor of the engine, the
 //! scheduler or the controller cannot silently change serving behaviour.
@@ -168,7 +168,7 @@ fn check_goldens<T: Debug + PartialEq>(actual: &[T], expected: &[T]) {
     }
 }
 
-/// The five fixed traces of the regression suite; every parameter is pinned
+/// The six fixed traces of the regression suite; every parameter is pinned
 /// on purpose — do not "tidy" them.
 fn scenarios() -> Vec<Scenario> {
     vec![
@@ -199,6 +199,19 @@ fn scenarios() -> Vec<Scenario> {
             cap_from_s: 10,
             cap_until_s: 45,
             cap_level_pos: 0,
+        },
+        // overload: 200 arrivals per window against a 64-deep queue, so
+        // queue-full rejections and dead-window arrivals both count; its
+        // golden was captured while the engine still ran its own window
+        // loop. Its rejections come from admitting a whole window's
+        // arrivals before the window dispatches anything; admitting at the
+        // arrival instant (ROADMAP item 13) re-pins this case by design
+        Scenario::CliffDischarge {
+            duration_s: 60,
+            rps: 200.0,
+            background_w: 0.2,
+            cliff_at_s: 25,
+            cliff_drop: 0.6,
         },
     ]
 }
@@ -277,6 +290,20 @@ fn expected() -> Vec<Golden> {
             switches: 3,
             died_at_s: None,
             p50_ms: 0.38930006917144055,
+            p95_ms: 0.38930006917144055,
+            p99_ms: 0.38930006917144055,
+        },
+        Golden {
+            scenario: "cliff-discharge",
+            arrivals: 12000,
+            completed: 2560,
+            missed_deadline: 0,
+            rejected: 5440,
+            dropped_dead_battery: 4000,
+            dropped_at_trace_end: 0,
+            switches: 1,
+            died_at_s: Some(40),
+            p50_ms: 0.22265625,
             p95_ms: 0.38930006917144055,
             p99_ms: 0.38930006917144055,
         },
