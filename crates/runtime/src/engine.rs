@@ -2,24 +2,27 @@
 //! battery-aware controller and the deadline scheduler, producing a
 //! [`ServeReport`].
 //!
-//! The loop advances in one-second windows of simulated time. At each
-//! boundary it reads telemetry (battery state of charge, thermal cap),
-//! lets the [`RuntimeController`] pick a level, performs the pattern-set
-//! switch when the level changed — charging [`SwitchCost::time_ms`] to the
-//! workers and its memory traffic to the battery — then admits and
-//! dispatches that window's arrivals. Dispatched micro-batches are also
-//! replayed as real sparse inference on the [`crate::pool`] worker pool.
+//! The engine owns one simulated device, a [`DeviceSim`], and plays the
+//! trace as a one-device fleet: the scenario's cliff, charger or thermal
+//! cap becomes the device's [`crate::DeviceProfile`], and the fleet's
+//! window loop ([`play_windows`]) drives it. That loop advances in
+//! one-second windows of simulated time. At each boundary the device reads
+//! telemetry (battery state of charge, thermal cap), lets the
+//! [`RuntimeController`] pick a level, performs the pattern-set switch when
+//! the level changed — charging [`SwitchCost::time_ms`] to the workers and
+//! its memory traffic to the battery — then admits and dispatches that
+//! window's arrivals. Dispatched micro-batches are also replayed as real
+//! sparse inference on the [`crate::pool`] worker pool.
 
 use crate::bank::{BankStats, ModelBank};
 use crate::cost::{Analytic, CostConfig, CostModel};
+use crate::fleet::{play_windows, OpenLoop, Router, RoutingPolicy};
 use crate::governor::DeviceGovernor;
 use crate::pool;
 use crate::report::{ServeReport, WindowReport};
 use crate::scenario::Scenario;
 use crate::scheduler::{batches, Completion, RejectReason, Request, SchedulerConfig};
 use crate::telemetry::DeviceTelemetry;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rt3_core::{Rt3Config, SearchOutcome};
 use rt3_hardware::{Battery, MemoryModel};
 use rt3_pruning::PatternSpace;
@@ -191,8 +194,22 @@ impl<'m, M: Model> ServeEngine<'m, M> {
     }
 
     /// Plays `scenario` to completion and reports the outcome.
+    ///
+    /// The engine's one device plays the trace through the fleet's window
+    /// loop, as a one-device fleet, and the fleet's counts map back onto
+    /// the report. The fleet counts a window's admissions as its arrivals,
+    /// and an arrival the device did not admit as unroutable; the report
+    /// counts every arrival of the window, and an unroutable arrival that
+    /// was not rejected as dropped by the dead battery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario's device event is invalid (a cliff drop
+    /// outside `[0, 1]`, a negative or non-finite charger).
     pub fn run(&mut self, scenario: &Scenario) -> ServeReport {
-        let mut device = DeviceSim::new(
+        let profile = scenario.device_profile(self.config.battery_capacity_j);
+        profile.validate().expect("invalid scenario");
+        let mut device = [DeviceSim::new(
             self.bank.take().expect("bank is restored after each run"),
             DeviceGovernor::new(
                 self.rt3.governor.clone(),
@@ -205,56 +222,25 @@ impl<'m, M: Model> ServeEngine<'m, M> {
             self.config.real_inference,
             scenario.duration_s(),
             DeviceTelemetry::new(self.config.telemetry, Arc::new(WallClock::new())),
+        )];
+        let mut traffic = OpenLoop::new(self.config.seed);
+        let (arrivals, unroutable) = play_windows(
+            &mut device,
+            std::slice::from_ref(&profile),
+            scenario,
+            &mut Router::new(RoutingPolicy::BatteryAware),
+            &mut traffic,
+            None,
         );
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut next_id = 0u64;
-
-        for t_s in 0..scenario.duration_s() {
-            let now_ms = t_s as f64 * WINDOW_MS;
-            let window_end_ms = now_ms + WINDOW_MS;
-
-            let serving = device.begin_window(
-                t_s,
-                now_ms,
-                scenario.battery_cliff(t_s),
-                scenario.charge_w(t_s) * WINDOW_S,
-                scenario.thermal_cap(t_s),
-            );
-            let arrival_offsets = scenario.arrivals_in_second(t_s, &mut rng);
-
-            if !serving {
-                device.record_dead_window(t_s, arrival_offsets.len() as u64);
-                continue;
-            }
-
-            let mut rejected_window = 0u64;
-            for offset in &arrival_offsets {
-                let arrival_ms = now_ms + offset;
-                let request = Request {
-                    id: next_id,
-                    arrival_ms,
-                    deadline_ms: arrival_ms + self.config.deadline_budget_ms,
-                };
-                next_id += 1;
-                if device.try_admit(request).is_err() {
-                    rejected_window += 1;
-                }
-            }
-
-            device.end_window(
-                t_s,
-                window_end_ms,
-                arrival_offsets.len() as u64,
-                rejected_window,
-                scenario.background_w(t_s) * WINDOW_S,
-            );
-        }
-
-        let (report, bank) = device.into_report(
-            scenario.name().to_string(),
-            self.config.policy.label(&self.rt3),
-        );
+        let [device] = device;
+        let (mut report, bank) =
+            device.into_report(profile.name, self.config.policy.label(&self.rt3));
         self.bank = Some(bank);
+        report.arrivals = arrivals;
+        report.dropped_dead_battery += unroutable - report.rejected;
+        for (window, &arrivals) in report.windows.iter_mut().zip(&traffic.window_arrivals) {
+            window.arrivals = arrivals;
+        }
         report
     }
 }
@@ -302,10 +288,8 @@ pub(crate) fn analytic_cost(rt3: &Rt3Config) -> Arc<dyn CostModel> {
 /// controller, active level, scheduler) and model bank, plus the trace,
 /// audit, prediction and serve-report state.
 ///
-/// [`ServeEngine::run`] drives a single `DeviceSim` from a [`Scenario`];
-/// [`crate::Fleet`] drives several of them from a
-/// [`crate::FleetScenario`], with arrivals assigned by the router instead of
-/// taken straight from the trace.
+/// [`play_windows`] steps it: over a one-element slice for
+/// [`ServeEngine::run`], over one device per profile for [`crate::Fleet`].
 pub(crate) struct DeviceSim<'m, M: Model> {
     bank: ModelBank<'m, M>,
     /// Battery, controller, active level and scheduler; the fleet router
@@ -327,7 +311,6 @@ pub(crate) struct DeviceSim<'m, M: Model> {
     windows: Vec<WindowReport>,
     latency_hist: StreamingHistogram,
     runs_per_level: Vec<u64>,
-    arrivals_total: u64,
     completed: u64,
     missed: u64,
     switches: u64,
@@ -363,7 +346,6 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             windows: Vec::with_capacity(duration_hint_s as usize),
             latency_hist: StreamingHistogram::new(),
             runs_per_level: vec![0; level_count],
-            arrivals_total: 0,
             completed: 0,
             missed: 0,
             switches: 0,
@@ -500,21 +482,18 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         result.map(|_| ())
     }
 
-    /// Finishes a window on a dead device: queued and incoming requests are
-    /// lost, and a dead window report is recorded. Returns the queued
-    /// requests the death dropped so closed-loop callers can retry them
-    /// elsewhere; open-loop callers ignore the return.
-    pub(crate) fn record_dead_window(&mut self, t_s: u32, arrivals: u64) -> Vec<Request> {
-        self.arrivals_total += arrivals;
+    /// Finishes a window on a dead device: its queued requests are lost,
+    /// and a dead window report is recorded. Returns the queued requests
+    /// the death dropped so closed-loop callers can retry them elsewhere;
+    /// open-loop callers ignore the return. A dead device is never routed
+    /// to, so the window's arrivals are the router's unroutable ones.
+    pub(crate) fn record_dead_window(&mut self, t_s: u32) -> Vec<Request> {
         let dropped_requests = self
             .governor
             .drain_dead(self.telemetry.as_mut().map(|t| (&mut t.shard, &t.ids)));
-        self.dropped_dead += dropped_requests.len() as u64 + arrivals;
+        self.dropped_dead += dropped_requests.len() as u64;
         if let Some(t) = &mut self.telemetry {
             t.shard.add(t.ids.windows_dead, 1);
-            // this window's arrivals never became requests (no ids), so
-            // they count as dropped but leave no individual trace
-            t.shard.add(t.ids.dropped_dead, arrivals);
             let now_ms = t_s as f64 * WINDOW_MS;
             for request in &dropped_requests {
                 t.settle_prediction(request.id, None);
@@ -534,7 +513,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             t_s,
             level_pos: None,
             state_of_charge: self.governor.state_of_charge(),
-            arrivals,
+            arrivals: 0,
             completed: 0,
             missed: 0,
             rejected: 0,
@@ -556,7 +535,6 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         rejected_window: u64,
         background_j: f64,
     ) -> Vec<Completion> {
-        self.arrivals_total += arrivals;
         // dispatch everything that can start inside this window, with batch
         // service times from the shared cost model and energy charged per
         // completion
@@ -670,14 +648,6 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         completions
     }
 
-    /// A snapshot of everything telemetry has recorded so far (`None` when
-    /// telemetry is off). Used by tests to inspect gauges mid-run;
-    /// [`DeviceSim::into_report`] takes the final one.
-    #[cfg(test)]
-    pub(crate) fn telemetry_snapshot(&self) -> Option<rt3_telemetry::TelemetrySnapshot> {
-        self.telemetry.as_ref().map(|t| t.snapshot())
-    }
-
     /// Finalises the run: drops leftover queue entries and assembles the
     /// [`ServeReport`]. Returns the bank alongside so callers that own it
     /// (the single-device engine) can keep it warm across runs.
@@ -714,8 +684,8 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             scenario,
             policy,
             cost_model: self.governor.cost().label().to_string(),
+            arrivals: self.windows.iter().map(|w| w.arrivals).sum(),
             windows: self.windows,
-            arrivals: self.arrivals_total,
             completed: self.completed,
             missed_deadline: self.missed,
             rejected,
@@ -740,57 +710,46 @@ impl<'m, M: Model> DeviceSim<'m, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt3_core::{
-        build_search_space, run_level1, run_level2_search, SurrogateEvaluator, TaskProfile,
-    };
-    use rt3_transformer::{TransformerConfig, TransformerLm};
+    use crate::scheduler::SchedulerConfig;
 
-    /// Satellite check for the drain-rate telemetry: after every
-    /// `begin_window` the exported `time_to_death_ms` gauge must equal what
-    /// the [`DrainRateTracker`] returns for the current battery state —
-    /// the router and the dashboards must agree on when a device dies.
+    /// Satellite check for the drain-rate telemetry: after every governor
+    /// window boundary the device's exported `time_to_death_ms` gauge must
+    /// equal what the [`rt3_hardware::DrainRateTracker`] returns for the
+    /// current battery state — the router and the dashboards must agree on
+    /// when a device dies.
     #[test]
     fn time_to_death_gauge_tracks_the_drain_rate_tracker() {
-        let model = TransformerLm::new(TransformerConfig::tiny(32), 13);
         let rt3 = Rt3Config::tiny_test();
-        let mut evaluator = SurrogateEvaluator::new(TaskProfile::wikitext2());
-        let backbone = run_level1(&model, &rt3, &mut evaluator);
-        let space = build_search_space(&model, &backbone, &rt3);
-        let outcome = run_level2_search(&model, &backbone, &space, &rt3, &mut evaluator);
-        let bank = level_bank(&model, backbone.masks.clone(), &space, &outcome, &rt3);
-        let config = ServeConfig {
-            battery_capacity_j: 30.0,
-            real_inference: false,
-            ..ServeConfig::default()
-        };
-        let mut device = DeviceSim::new(
-            bank,
-            DeviceGovernor::new(
-                rt3.governor.clone(),
-                Battery::new(config.battery_capacity_j),
-                RuntimePolicy::Adaptive,
-                analytic_cost(&rt3),
-                config.scheduler,
-            ),
-            config.deadline_budget_ms,
-            false,
-            10,
-            DeviceTelemetry::new(TelemetryConfig::counters(), Arc::new(WallClock::new())),
+        let mut governor = DeviceGovernor::new(
+            rt3.governor.clone(),
+            Battery::new(30.0),
+            RuntimePolicy::Adaptive,
+            analytic_cost(&rt3),
+            SchedulerConfig::default(),
         );
+        let mut telemetry =
+            DeviceTelemetry::new(TelemetryConfig::counters(), Arc::new(WallClock::new()))
+                .expect("telemetry is on at Counters");
 
         for t_s in 0..10u32 {
             let now_ms = t_s as f64 * WINDOW_MS;
-            let serving = device.begin_window(t_s, now_ms, None, 0.0, None);
-            let snapshot = device
-                .telemetry_snapshot()
-                .expect("telemetry is on at Counters");
-            let gauge = snapshot
+            let decision = governor.begin_window(
+                now_ms,
+                WINDOW_S,
+                None,
+                0.0,
+                None,
+                Some((&mut telemetry.shard, &telemetry.ids)),
+                |governor, level_pos| (governor.base_latency_ms(0.8, level_pos), 0.0),
+            );
+            let gauge = telemetry
+                .snapshot()
                 .metrics
                 .gauge("time_to_death_ms")
                 .expect("gauge is registered and set every window");
             assert_eq!(
                 gauge,
-                device.governor.time_to_death_ms(),
+                governor.time_to_death_ms(),
                 "window {t_s}: exported gauge must match the tracker"
             );
             if t_s == 0 {
@@ -803,10 +762,10 @@ mod tests {
                     "window {t_s}: background drain must bound the horizon"
                 );
             }
-            if serving {
+            if decision.is_some() {
                 // background load only: 0.5 W drains the battery so the
                 // EWMA has a real trajectory to track
-                device.end_window(t_s, now_ms + WINDOW_MS, 0, 0, 0.5 * WINDOW_S);
+                governor.drain(0.5 * WINDOW_S);
             }
         }
     }

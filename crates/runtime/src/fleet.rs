@@ -39,12 +39,16 @@
 //! Round-robin and sticky baselines share the same failover machinery and
 //! differ only in the preference order, which keeps the comparison in
 //! `examples/serve_fleet.rs` honest: battery awareness is the only delta.
+//!
+//! The fleet's window loop, `play_windows`, is the only simulated one:
+//! [`crate::ServeEngine`] plays its single device through it as a
+//! one-device fleet.
 
 use crate::cost::CostModel;
 use crate::engine::{analytic_cost, level_bank, DeviceSim, RuntimePolicy, WINDOW_MS, WINDOW_S};
 use crate::governor::DeviceGovernor;
 use crate::report::FleetReport;
-use crate::scenario::{FleetScenario, Scenario};
+use crate::scenario::{DeviceProfile, FleetScenario, Scenario};
 use crate::scheduler::{Completion, Request, SchedulerConfig};
 use crate::telemetry::{DeviceTelemetry, FleetTelemetry};
 use rand::rngs::StdRng;
@@ -147,11 +151,6 @@ impl Router {
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.policy
-    }
-
     /// Score of one device (higher = preferred). The headroom term is the
     /// raw state of charge for [`RoutingPolicy::BatteryAware`] and the
     /// horizon-normalised time to death for [`RoutingPolicy::Predictive`];
@@ -191,18 +190,31 @@ impl Router {
     /// internal cursor state; the cursors advance only on
     /// [`Router::commit`], so ranking is free of side effects.
     pub fn order(&self, snapshots: &[DeviceSnapshot]) -> Vec<usize> {
-        let alive: Vec<usize> = (0..snapshots.len())
-            .filter(|&i| snapshots[i].alive)
-            .collect();
-        if alive.is_empty() {
+        self.order_by(
+            snapshots.len(),
+            |i| snapshots[i].alive,
+            |i| self.score(&snapshots[i]),
+        )
+    }
+
+    /// [`Router::order`] over `n` devices seen through `alive` and `score`.
+    /// `score` runs only where it can change the order — a scoring policy
+    /// with at least two alive devices — and only for alive devices, so a
+    /// caller can build each snapshot on demand.
+    fn order_by(
+        &self,
+        n: usize,
+        alive: impl Fn(usize) -> bool,
+        score: impl Fn(usize) -> f64,
+    ) -> Vec<usize> {
+        let alive: Vec<usize> = (0..n).filter(|&i| alive(i)).collect();
+        if alive.len() < 2 {
             return alive;
         }
         match self.policy {
             RoutingPolicy::BatteryAware | RoutingPolicy::Predictive => {
-                let mut scored: Vec<(f64, usize)> = alive
-                    .into_iter()
-                    .map(|i| (self.score(&snapshots[i]), i))
-                    .collect();
+                let mut scored: Vec<(f64, usize)> =
+                    alive.into_iter().map(|i| (score(i), i)).collect();
                 // descending score; ties break on the lower device index so
                 // routing stays deterministic
                 scored.sort_by(|a, b| {
@@ -212,8 +224,8 @@ impl Router {
                 });
                 scored.into_iter().map(|(_, i)| i).collect()
             }
-            RoutingPolicy::RoundRobin => rotate_from(&alive, self.rr_next % snapshots.len()),
-            RoutingPolicy::Sticky => rotate_from(&alive, self.sticky_home % snapshots.len()),
+            RoutingPolicy::RoundRobin => rotate_from(&alive, self.rr_next % n),
+            RoutingPolicy::Sticky => rotate_from(&alive, self.sticky_home % n),
         }
     }
 
@@ -247,9 +259,9 @@ fn rotate_from(alive: &[usize], start: usize) -> Vec<usize> {
     order
 }
 
-/// Where the fleet window loop's traffic comes from and where its outcomes
-/// go — the only thing [`Fleet::run`] and [`Fleet::run_chaos`] do
-/// differently.
+/// Where the window loop's traffic comes from and where its outcomes go —
+/// the only thing [`Fleet::run`], [`Fleet::run_chaos`] and
+/// [`crate::ServeEngine::run`] do differently.
 pub(crate) trait TrafficSource {
     /// What a window event carries until it is issued.
     type Event;
@@ -277,17 +289,31 @@ pub(crate) trait TrafficSource {
     fn dropped_dead(&mut self, _dropped: &[Request], _window_end_ms: f64, _t_s: u32) {}
 }
 
-/// The open-loop traffic source: arrivals drawn from the fleet seed at the
-/// scenario's rate, every outcome ignored.
-struct OpenLoop(StdRng);
+/// The open-loop traffic source: arrivals drawn from the seed at the
+/// scenario's rate and counted per window, every outcome ignored.
+pub(crate) struct OpenLoop {
+    rng: StdRng,
+    /// Arrivals issued in each window so far.
+    pub(crate) window_arrivals: Vec<u64>,
+}
+
+impl OpenLoop {
+    pub(crate) fn new(seed: u64) -> Self {
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            window_arrivals: Vec::new(),
+        }
+    }
+}
 
 impl TrafficSource for OpenLoop {
     type Event = ();
     type Attempt = ();
 
     fn window_events(&mut self, t_s: u32, arrivals: &Scenario) -> Vec<(f64, ())> {
-        arrivals
-            .arrivals_in_second(t_s, &mut self.0)
+        let offsets = arrivals.arrivals_in_second(t_s, &mut self.rng);
+        self.window_arrivals.push(offsets.len() as u64);
+        offsets
             .into_iter()
             .map(|offset_ms| (offset_ms, ()))
             .collect()
@@ -353,7 +379,6 @@ impl FleetConfig {
 /// banks' level lowerings.
 pub struct Fleet<'m, M: Model> {
     devices: Vec<DeviceSim<'m, M>>,
-    router: Router,
     pub(crate) config: FleetConfig,
     /// The trace the fleet was built for; [`Fleet::run`] plays exactly this
     /// one, so devices can never be driven by mismatched profiles.
@@ -417,7 +442,6 @@ impl<'m, M: Model> Fleet<'m, M> {
             .collect();
         Self {
             devices,
-            router: Router::new(config.routing),
             config,
             scenario: scenario.clone(),
         }
@@ -447,156 +471,169 @@ impl<'m, M: Model> Fleet<'m, M> {
     /// Plays the fleet's scenario to completion and reports per-device and
     /// fleet aggregates.
     pub fn run(self) -> FleetReport {
-        let mut traffic = OpenLoop(StdRng::seed_from_u64(self.config.seed));
+        let mut traffic = OpenLoop::new(self.config.seed);
         self.play(&mut traffic)
     }
 
-    /// The fleet window loop both [`Fleet::run`] and [`Fleet::run_chaos`]
-    /// play: per governor window, begin every device's window, route the
-    /// source's events one by one in offset order with failover, then end
-    /// every live window (or record a dead one) and feed the outcomes back
-    /// to the source.
-    pub(crate) fn play<S: TrafficSource>(mut self, source: &mut S) -> FleetReport {
-        let scenario = self.scenario.clone();
-        let mut next_id = 0u64;
-        let mut arrivals_total = 0u64;
-        let mut unroutable = 0u64;
-        let n = self.devices.len();
-        let device_names: Vec<String> = scenario.devices.iter().map(|p| p.name.clone()).collect();
-        let mut fleet_telemetry = FleetTelemetry::new(self.config.telemetry, &device_names);
-
-        for t_s in 0..scenario.duration_s() {
-            let now_ms = t_s as f64 * WINDOW_MS;
-            let window_end_ms = now_ms + WINDOW_MS;
-
-            // 1. per-device battery events, death checks, level decisions
-            let mut serving = vec![false; n];
-            for (i, device) in self.devices.iter_mut().enumerate() {
-                let profile = &scenario.devices[i];
-                serving[i] = device.begin_window(
-                    t_s,
-                    now_ms,
-                    profile.battery_cliff_at(t_s),
-                    profile.charge_w_at(t_s) * WINDOW_S,
-                    profile.thermal_cap_at(t_s),
-                );
-            }
-
-            // 2. the window's events, routed one by one with failover
-            let mut routed = vec![0u64; n];
-            let mut rejected = vec![0u64; n];
-            for (offset_ms, event) in source.window_events(t_s, &scenario.arrivals) {
-                let Some(attempt) = source.issue(event) else {
-                    continue;
-                };
-                arrivals_total += 1;
-                let arrival_ms = now_ms + offset_ms;
-                let snapshots: Vec<DeviceSnapshot> = self
-                    .devices
-                    .iter()
-                    .map(|d| Self::snapshot(d, arrival_ms))
-                    .collect();
-                let order = self.router.order(&snapshots);
-                let mut placed = None;
-                for &i in &order {
-                    let request = Request {
-                        id: next_id,
-                        arrival_ms,
-                        deadline_ms: arrival_ms + self.config.deadline_budget_ms,
-                    };
-                    match self.devices[i].try_admit(request) {
-                        Ok(()) => {
-                            routed[i] += 1;
-                            placed = Some(i);
-                            break;
-                        }
-                        Err(_) => {
-                            rejected[i] += 1;
-                            if let Some(ft) = &mut fleet_telemetry {
-                                let id = ft.failovers[i];
-                                ft.add(id, 1);
-                            }
-                        }
-                    }
-                }
-                if let Some(ft) = &mut fleet_telemetry {
-                    let arrivals_id = ft.arrivals;
-                    ft.add(arrivals_id, 1);
-                    match placed {
-                        Some(i) => {
-                            let id = ft.routed[i];
-                            ft.add(id, 1);
-                        }
-                        None => {
-                            let id = ft.unroutable;
-                            ft.add(id, 1);
-                        }
-                    }
-                }
-                match placed {
-                    Some(_) => source.admitted(next_id, attempt),
-                    None => {
-                        unroutable += 1;
-                        source.unroutable(attempt, arrival_ms, t_s);
-                    }
-                }
-                self.router.commit(placed, n);
-                next_id += 1;
-            }
-
-            // 3. per-device dispatch, energy and window reports; the
-            //    outcomes go back to the source
-            for (i, device) in self.devices.iter_mut().enumerate() {
-                if serving[i] {
-                    let completions = device.end_window(
-                        t_s,
-                        window_end_ms,
-                        routed[i],
-                        rejected[i],
-                        scenario.arrivals.background_w(t_s) * WINDOW_S,
-                    );
-                    source.completed(&completions, t_s);
-                } else {
-                    let dropped = device.record_dead_window(t_s, routed[i]);
-                    source.dropped_dead(&dropped, window_end_ms, t_s);
-                }
-            }
-        }
-
-        let routing = self.router.policy().label().to_string();
-        let devices = self
-            .devices
-            .into_iter()
-            .zip(scenario.devices)
-            .map(|(device, profile)| device.into_report(profile.name, "adaptive".to_string()).0)
-            .collect();
+    /// Plays the fleet's scenario with `source`'s traffic and reports.
+    pub(crate) fn play<S: TrafficSource>(self, source: &mut S) -> FleetReport {
+        let Fleet {
+            mut devices,
+            config,
+            scenario,
+        } = self;
+        let names: Vec<String> = scenario.devices.iter().map(|p| p.name.clone()).collect();
+        let mut telemetry = FleetTelemetry::new(config.telemetry, &names);
+        let (arrivals, unroutable) = play_windows(
+            &mut devices,
+            &scenario.devices,
+            &scenario.arrivals,
+            &mut Router::new(config.routing),
+            source,
+            telemetry.as_mut(),
+        );
+        let devices = devices.into_iter().zip(names);
         FleetReport {
             scenario: scenario.name,
-            routing,
-            arrivals: arrivals_total,
+            routing: config.routing.label().to_string(),
+            arrivals,
             unroutable,
-            devices,
-            telemetry: fleet_telemetry.map(|ft| ft.snapshot()),
+            devices: devices
+                .map(|(device, name)| device.into_report(name, "adaptive".to_string()).0)
+                .collect(),
+            telemetry: telemetry.map(|ft| ft.snapshot()),
         }
     }
+}
 
-    /// The router's view of one device for a request arriving at
-    /// `arrival_ms`.
-    fn snapshot(device: &DeviceSim<'m, M>, arrival_ms: f64) -> DeviceSnapshot {
-        let governor = &device.governor;
-        DeviceSnapshot {
-            alive: !governor.is_dead(),
-            state_of_charge: governor.state_of_charge(),
-            level_pos: governor.active_level().unwrap_or(0),
-            levels: governor.level_count(),
-            queue_len: governor.scheduler().queue_len(),
-            queue_capacity: governor.scheduler().queue_capacity(),
-            // the newcomer's simulated completion after the queued backlog,
-            // replayed through the batch step dispatch takes
-            predicted_latency_ms: governor.predicted_finish_ms(arrival_ms) - arrival_ms,
-            deadline_budget_ms: device.deadline_budget_ms,
-            time_to_death_ms: governor.time_to_death_ms(),
+/// The one simulated window loop, which the fleet and the single-device
+/// engine both play: per governor window, begin every device's window with
+/// its profile's events, route the source's events one by one in offset
+/// order with failover, then end every live window (or record a dead one)
+/// and feed the outcomes back to the source. `telemetry` records the
+/// router's counters. Returns the issued arrivals and how many of them no
+/// device admitted.
+pub(crate) fn play_windows<M: Model, S: TrafficSource>(
+    devices: &mut [DeviceSim<'_, M>],
+    profiles: &[DeviceProfile],
+    arrivals: &Scenario,
+    router: &mut Router,
+    source: &mut S,
+    mut telemetry: Option<&mut FleetTelemetry>,
+) -> (u64, u64) {
+    let mut next_id = 0u64;
+    let mut arrivals_total = 0u64;
+    let mut unroutable = 0u64;
+    let n = devices.len();
+
+    for t_s in 0..arrivals.duration_s() {
+        let now_ms = t_s as f64 * WINDOW_MS;
+        let window_end_ms = now_ms + WINDOW_MS;
+
+        // 1. per-device battery events, death checks, level decisions
+        let mut serving = vec![false; n];
+        for (i, (device, profile)) in devices.iter_mut().zip(profiles).enumerate() {
+            serving[i] = device.begin_window(
+                t_s,
+                now_ms,
+                profile.battery_cliff_at(t_s),
+                profile.charge_w_at(t_s) * WINDOW_S,
+                profile.thermal_cap_at(t_s),
+            );
         }
+
+        // 2. the window's events, routed one by one with failover
+        let mut routed = vec![0u64; n];
+        let mut rejected = vec![0u64; n];
+        for (offset_ms, event) in source.window_events(t_s, arrivals) {
+            let Some(attempt) = source.issue(event) else {
+                continue;
+            };
+            arrivals_total += 1;
+            let arrival_ms = now_ms + offset_ms;
+            let order = router.order_by(
+                n,
+                |i| !devices[i].governor.is_dead(),
+                |i| router.score(&snapshot(&devices[i], arrival_ms)),
+            );
+            let mut placed = None;
+            for &i in &order {
+                let request = Request {
+                    id: next_id,
+                    arrival_ms,
+                    deadline_ms: arrival_ms + devices[i].deadline_budget_ms,
+                };
+                match devices[i].try_admit(request) {
+                    Ok(()) => {
+                        routed[i] += 1;
+                        placed = Some(i);
+                        break;
+                    }
+                    Err(_) => {
+                        rejected[i] += 1;
+                        if let Some(ft) = &mut telemetry {
+                            let id = ft.failovers[i];
+                            ft.add(id, 1);
+                        }
+                    }
+                }
+            }
+            if let Some(ft) = &mut telemetry {
+                let arrivals_id = ft.arrivals;
+                ft.add(arrivals_id, 1);
+                let id = match placed {
+                    Some(i) => ft.routed[i],
+                    None => ft.unroutable,
+                };
+                ft.add(id, 1);
+            }
+            match placed {
+                Some(_) => source.admitted(next_id, attempt),
+                None => {
+                    unroutable += 1;
+                    source.unroutable(attempt, arrival_ms, t_s);
+                }
+            }
+            router.commit(placed, n);
+            next_id += 1;
+        }
+
+        // 3. per-device dispatch, energy and window reports; the outcomes
+        //    go back to the source
+        for (i, device) in devices.iter_mut().enumerate() {
+            if serving[i] {
+                let completions = device.end_window(
+                    t_s,
+                    window_end_ms,
+                    routed[i],
+                    rejected[i],
+                    arrivals.background_w(t_s) * WINDOW_S,
+                );
+                source.completed(&completions, t_s);
+            } else {
+                let dropped = device.record_dead_window(t_s);
+                source.dropped_dead(&dropped, window_end_ms, t_s);
+            }
+        }
+    }
+    (arrivals_total, unroutable)
+}
+
+/// The router's view of one device for a request arriving at `arrival_ms`.
+fn snapshot<M: Model>(device: &DeviceSim<'_, M>, arrival_ms: f64) -> DeviceSnapshot {
+    let governor = &device.governor;
+    DeviceSnapshot {
+        alive: !governor.is_dead(),
+        state_of_charge: governor.state_of_charge(),
+        level_pos: governor.active_level().unwrap_or(0),
+        levels: governor.level_count(),
+        queue_len: governor.scheduler().queue_len(),
+        queue_capacity: governor.scheduler().queue_capacity(),
+        // the newcomer's simulated completion after the queued backlog,
+        // replayed through the batch step dispatch takes
+        predicted_latency_ms: governor.predicted_finish_ms(arrival_ms) - arrival_ms,
+        deadline_budget_ms: device.deadline_budget_ms,
+        time_to_death_ms: governor.time_to_death_ms(),
     }
 }
 

@@ -28,7 +28,8 @@
 //!   dispatched micro-batch as actual pattern-pruned sparse matmuls.
 //! * [`Scenario`] — trace-driven workloads (constant drain, bursty traffic,
 //!   cliff discharge, charge-while-serving, thermal cap, diurnal day curve).
-//! * [`ServeEngine`] — the event loop tying it together, producing a
+//! * [`ServeEngine`] — one device tying it together, played through the
+//!   fleet's window loop as a one-device fleet, producing a
 //!   [`ServeReport`] with p50/p95/p99 latency, deadline-miss rate, energy
 //!   and switch counts.
 //! * [`Fleet`] / [`Router`] — cross-device sharding: N simulated devices

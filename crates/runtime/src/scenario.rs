@@ -1,11 +1,14 @@
-//! Trace-driven serving scenarios: each variant describes a full run —
-//! request traffic, background power draw, charging, battery events and
-//! thermal caps — so a new workload is one enum value away.
+//! Trace-driven serving scenarios. A [`Scenario`] is a single-device
+//! trace: request traffic and background power draw, plus at most one
+//! device event (a battery cliff, a charger or a thermal cap), so a new
+//! workload is one enum value away.
 //!
-//! Fleet traces ([`FleetScenario`]) layer per-device events on top: one
-//! fleet-wide arrival curve feeds the router, while each
-//! [`DeviceProfile`] carries that device's battery size, initial charge,
-//! charger, thermal-cap window and cliff.
+//! Device events live in one type, [`DeviceProfile`], which carries a
+//! device's battery size, initial charge, charger, thermal-cap window and
+//! cliff. A fleet trace ([`FleetScenario`]) is one fleet-wide arrival curve
+//! feeding the router plus one profile per device; a single-device trace
+//! hands its event to its device through [`Scenario::device_profile`], and
+//! the engine plays it as a one-device fleet.
 //!
 //! Traffic is generated deterministically from the engine seed: each window
 //! draws `rate × window` arrivals (with the fractional part resolved by a
@@ -191,41 +194,29 @@ impl Scenario {
         }
     }
 
-    /// Charging power flowing *into* the battery at `t_s`, in watts.
-    pub fn charge_w(&self, t_s: u32) -> f64 {
-        match *self {
-            Scenario::ChargeWhileServing {
-                charge_from_s,
-                charge_w,
-                ..
-            } if t_s >= charge_from_s => charge_w,
-            _ => 0.0,
-        }
-    }
-
-    /// Instantaneous battery loss (fraction of capacity) occurring during
-    /// second `t_s`, if any.
-    pub fn battery_cliff(&self, t_s: u32) -> Option<f64> {
+    /// The one device this trace plays on, as a fleet [`DeviceProfile`]:
+    /// named after the scenario, full at the start, and carrying the
+    /// trace's cliff, charger or thermal cap.
+    pub fn device_profile(&self, battery_capacity_j: f64) -> DeviceProfile {
+        let profile = DeviceProfile::new(self.name(), battery_capacity_j, 1.0);
         match *self {
             Scenario::CliffDischarge {
                 cliff_at_s,
                 cliff_drop,
                 ..
-            } if t_s == cliff_at_s => Some(cliff_drop),
-            _ => None,
-        }
-    }
-
-    /// Thermal cap on the level position in effect at `t_s`, if any.
-    pub fn thermal_cap(&self, t_s: u32) -> Option<usize> {
-        match *self {
+            } => profile.with_cliff(cliff_at_s, cliff_drop),
+            Scenario::ChargeWhileServing {
+                charge_from_s,
+                charge_w,
+                ..
+            } => profile.with_charger(charge_from_s, charge_w),
             Scenario::ThermalCap {
                 cap_from_s,
                 cap_until_s,
                 cap_level_pos,
                 ..
-            } if (cap_from_s..cap_until_s).contains(&t_s) => Some(cap_level_pos),
-            _ => None,
+            } => profile.with_thermal_cap(cap_from_s, cap_until_s, cap_level_pos),
+            _ => profile,
         }
     }
 
@@ -352,8 +343,7 @@ impl DeviceProfile {
         if !(self.charge_w >= 0.0 && self.charge_w.is_finite()) {
             return Err(format!("{}: charge_w must be non-negative", self.name));
         }
-        if let Some((at_s, drop)) = self.cliff {
-            let _ = at_s;
+        if let Some((_, drop)) = self.cliff {
             if !(0.0..=1.0).contains(&drop) {
                 return Err(format!("{}: cliff drop must be in [0, 1]", self.name));
             }
@@ -515,18 +505,20 @@ mod tests {
             background_w: 0.2,
             cliff_at_s: 30,
             cliff_drop: 0.25,
-        };
-        assert_eq!(cliff.battery_cliff(29), None);
-        assert_eq!(cliff.battery_cliff(30), Some(0.25));
+        }
+        .device_profile(20.0);
+        assert_eq!(cliff.battery_cliff_at(29), None);
+        assert_eq!(cliff.battery_cliff_at(30), Some(0.25));
         let charge = Scenario::ChargeWhileServing {
             duration_s: 60,
             rps: 2.0,
             background_w: 0.2,
             charge_from_s: 20,
             charge_w: 2.0,
-        };
-        assert_eq!(charge.charge_w(19), 0.0);
-        assert_eq!(charge.charge_w(20), 2.0);
+        }
+        .device_profile(20.0);
+        assert_eq!(charge.charge_w_at(19), 0.0);
+        assert_eq!(charge.charge_w_at(20), 2.0);
         let cap = Scenario::ThermalCap {
             duration_s: 60,
             rps: 2.0,
@@ -534,10 +526,24 @@ mod tests {
             cap_from_s: 10,
             cap_until_s: 40,
             cap_level_pos: 0,
-        };
-        assert_eq!(cap.thermal_cap(9), None);
-        assert_eq!(cap.thermal_cap(10), Some(0));
-        assert_eq!(cap.thermal_cap(40), None);
+        }
+        .device_profile(20.0);
+        assert_eq!(cap.thermal_cap_at(9), None);
+        assert_eq!(cap.thermal_cap_at(10), Some(0));
+        assert_eq!(cap.thermal_cap_at(40), None);
+        for profile in [&cliff, &charge, &cap] {
+            assert!(profile.validate().is_ok());
+            assert_eq!(
+                (profile.battery_capacity_j, profile.initial_soc),
+                (20.0, 1.0)
+            );
+        }
+        assert_eq!(cap.name, "thermal-cap");
+        assert_eq!(
+            Scenario::default_bursty().device_profile(20.0),
+            DeviceProfile::new("bursty-traffic", 20.0, 1.0),
+            "a trace without device events has a plain profile"
+        );
     }
 
     #[test]

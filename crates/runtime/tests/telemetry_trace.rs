@@ -10,8 +10,8 @@ use rt3_core::{
     build_search_space, run_level1, run_level2_search, Rt3Config, SurrogateEvaluator, TaskProfile,
 };
 use rt3_runtime::{
-    Fleet, FleetConfig, FleetReport, FleetScenario, SchedulerConfig, TelemetryConfig,
-    TelemetryLevel,
+    Fleet, FleetConfig, FleetReport, FleetScenario, Scenario, SchedulerConfig, ServeConfig,
+    ServeEngine, ServeReport, TelemetryConfig, TelemetryLevel,
 };
 use rt3_transformer::{TransformerConfig, TransformerLm};
 
@@ -235,11 +235,71 @@ fn span_forest_attributes_every_miss_and_reconciles_with_histograms() {
         .all(|w| w[0].arrival_ms <= w[1].arrival_ms));
 }
 
+/// A single-device engine that dies under overload, at `Counters`: one
+/// worker (seq_len raised to 512, so a request takes tens of milliseconds)
+/// behind a 64-deep queue and a generous deadline, so the device holds
+/// queued requests when the cliff empties its battery.
+fn run_dying_engine() -> ServeReport {
+    let model = TransformerLm::new(TransformerConfig::tiny(32), 13);
+    let mut config = Rt3Config::tiny_test();
+    config.seq_len = 512;
+    let mut evaluator = SurrogateEvaluator::new(TaskProfile::wikitext2());
+    let backbone = run_level1(&model, &config, &mut evaluator);
+    let space = build_search_space(&model, &backbone, &config);
+    let outcome = run_level2_search(&model, &backbone, &space, &config, &mut evaluator);
+    let serve = ServeConfig {
+        battery_capacity_j: 20.0,
+        deadline_budget_ms: 5_000.0,
+        scheduler: SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        },
+        real_inference: false,
+        telemetry: TelemetryConfig::counters(),
+        ..ServeConfig::default()
+    };
+    let mut engine = ServeEngine::new(&model, backbone.masks, &space, &outcome, config, serve);
+    engine.run(&Scenario::CliffDischarge {
+        duration_s: 60,
+        rps: 200.0,
+        background_w: 0.2,
+        cliff_at_s: 25,
+        cliff_drop: 0.6,
+    })
+}
+
+/// Every device's counters reconcile with its report. The dead-window rule:
+/// `requests_dropped_dead` counts the requests a device held when its
+/// battery died, and `dropped_dead_battery` adds the arrivals of its dead
+/// windows. A fleet never routes to a dead device, so there the two are
+/// equal; the engine plays a one-device fleet, so its dead windows'
+/// arrivals are the router's unroutable ones.
 #[test]
 fn device_counters_reconcile_with_the_report() {
-    let (report, _) = run_cliff_fleet();
-    for device in &report.devices {
-        let metrics = &device.telemetry.as_ref().expect("Full snapshot").metrics;
+    let (fleet, _) = run_cliff_fleet();
+    let engine = run_dying_engine();
+    let dead_window_arrivals = |device: &ServeReport| -> u64 {
+        device
+            .windows
+            .iter()
+            .filter(|w| w.level_pos.is_none())
+            .map(|w| w.arrivals)
+            .sum()
+    };
+    let snapshot = engine.telemetry.as_ref().expect("Counters snapshot");
+    assert_eq!(snapshot.level, TelemetryLevel::Counters);
+    let metrics = &snapshot.metrics;
+    assert!(engine.died_at_s.is_some(), "the engine's device must die");
+    assert!(
+        dead_window_arrivals(&engine) > 0 && metrics.counter("requests_dropped_dead") > Some(0),
+        "the death must drop both held requests and dead-window arrivals"
+    );
+    for device in fleet.devices.iter().chain([&engine]) {
+        let metrics = &device
+            .telemetry
+            .as_ref()
+            .expect("telemetry snapshot")
+            .metrics;
         assert_eq!(
             metrics.counter("requests_completed"),
             Some(device.completed)
@@ -250,7 +310,9 @@ fn device_counters_reconcile_with_the_report() {
         );
         assert_eq!(metrics.counter("switches"), Some(device.switches));
         assert_eq!(
-            metrics.counter("requests_dropped_dead"),
+            metrics
+                .counter("requests_dropped_dead")
+                .map(|held| held + dead_window_arrivals(device)),
             Some(device.dropped_dead_battery)
         );
         assert_eq!(
