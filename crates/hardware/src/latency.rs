@@ -203,7 +203,7 @@ pub struct PerformancePredictor {
 }
 
 impl PerformancePredictor {
-    /// Calibrated for a single Cortex-A7 core: dual-issue NEON gives roughly
+    /// Sized for a single Cortex-A7 core: dual-issue NEON gives roughly
     /// 4 single-precision MACs per cycle; LPDDR3 sustains about 2 bytes per
     /// core cycle.
     pub fn cortex_a7() -> Self {
@@ -213,7 +213,7 @@ impl PerformancePredictor {
         }
     }
 
-    /// Calibrated for the whole quad-core A7 cluster running a multi-threaded
+    /// Sized for the whole quad-core A7 cluster running a multi-threaded
     /// inference runtime (the DistilBERT experiments in the paper use the
     /// full cluster): about 16 MACs and 6 bytes per cluster cycle.
     pub fn cortex_a7_cluster() -> Self {

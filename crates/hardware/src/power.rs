@@ -28,7 +28,7 @@ pub struct PowerModel {
 }
 
 impl PowerModel {
-    /// Calibrated so the Cortex-A7 cluster draws roughly 0.75 W at l6
+    /// Set so the Cortex-A7 cluster draws roughly 0.75 W at l6
     /// (1.4 GHz, 1.24 V) and about 0.25 W at l1, consistent with published
     /// Odroid-XU3 measurements.
     pub fn cortex_a7() -> Self {

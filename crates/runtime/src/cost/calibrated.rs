@@ -6,7 +6,7 @@
 //! the pool executes — is dimensionless and transfers: the calibrated model
 //! applies the measured ratio to the predictor's single-request latency.
 
-use super::{CostModel, LatencyModel};
+use super::{CostModel, BATCH_ALPHA};
 use crate::bank::ModelBank;
 use crate::pool;
 use rt3_transformer::Model;
@@ -49,8 +49,8 @@ impl AmortisationCurve {
     }
 
     /// The fixed-α affine curve `α + (1 − α) · b` sampled at batch sizes
-    /// `1..=max_batch` — the analytic baseline expressed as a curve, used
-    /// by the calibration report for side-by-side comparison.
+    /// `1..=max_batch`: the analytic model's curve, and the baseline the
+    /// calibration report compares the measurements with.
     ///
     /// # Panics
     ///
@@ -188,7 +188,7 @@ pub struct LevelCalibration {
     pub sparsity: f64,
     /// Raw measurements, one per batch size `1..=max_batch`.
     pub points: Vec<CalibrationPoint>,
-    /// The clamped curve the [`Calibrated`] model serves from.
+    /// The clamped curve [`CostModel::calibrated`] serves from.
     pub curve: AmortisationCurve,
 }
 
@@ -231,10 +231,10 @@ impl CalibrationReport {
     }
 
     /// Mean absolute deviation between the *raw* measured multipliers
-    /// (before the monotone clamp) and the fixed-α curve over every
-    /// `(level, batch)` point — how far reality sits from the assumed
-    /// amortisation.
-    pub fn mean_abs_deviation_from_alpha(&self, alpha: f64) -> f64 {
+    /// (before the monotone clamp) and the analytic fixed-α curve
+    /// ([`BATCH_ALPHA`]) over every `(level, batch)` point — how far reality
+    /// sits from the assumed amortisation.
+    pub fn mean_abs_deviation_from_alpha(&self) -> f64 {
         let mut total = 0.0;
         let mut count = 0usize;
         for level in &self.levels {
@@ -242,7 +242,7 @@ impl CalibrationReport {
                 continue;
             }
             let max_batch = level.points.iter().map(|p| p.batch).max().expect("points");
-            let fixed = AmortisationCurve::fixed_alpha(alpha, max_batch);
+            let fixed = AmortisationCurve::fixed_alpha(BATCH_ALPHA, max_batch);
             for point in &level.points {
                 total += (point.raw_multiplier - fixed.multiplier(point.batch)).abs();
                 count += 1;
@@ -256,52 +256,6 @@ impl CalibrationReport {
     }
 }
 
-/// Measured cost model: predictor single-request latency, per-level
-/// measured amortisation curves.
-#[derive(Debug, Clone)]
-pub struct Calibrated {
-    latency: LatencyModel,
-    curves: Vec<AmortisationCurve>,
-}
-
-impl Calibrated {
-    /// Builds the model from per-level curves (index = governor level
-    /// position; a level beyond the last curve clamps to it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `curves` is empty.
-    pub fn new(latency: LatencyModel, curves: Vec<AmortisationCurve>) -> Self {
-        assert!(!curves.is_empty(), "at least one level curve is required");
-        Self { latency, curves }
-    }
-
-    /// The curve serving a governor level position (clamped to the last
-    /// curve for out-of-range positions).
-    pub fn curve(&self, level_pos: usize) -> &AmortisationCurve {
-        &self.curves[level_pos.min(self.curves.len() - 1)]
-    }
-
-    /// Number of per-level curves.
-    pub fn levels(&self) -> usize {
-        self.curves.len()
-    }
-}
-
-impl CostModel for Calibrated {
-    fn label(&self) -> &'static str {
-        "calibrated"
-    }
-
-    fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
-    fn service_from_base_ms(&self, level_pos: usize, base_latency_ms: f64, batch: usize) -> f64 {
-        base_latency_ms * self.curve(level_pos).multiplier(batch)
-    }
-}
-
 /// Best (minimum) of a non-empty sample set — the standard robust estimator
 /// for wall-clock timing, where noise (scheduling, cache pollution) is
 /// strictly additive.
@@ -311,7 +265,8 @@ fn best_sample(samples: &[f64]) -> f64 {
 
 /// The calibration pass: times the real worker pool on every banked variant
 /// at every micro-batch size `1..=max_batch` and fits one monotone
-/// piecewise-linear [`AmortisationCurve`] per governor level. Variants are
+/// piecewise-linear [`AmortisationCurve`] per governor level, the curves of
+/// a [`CostModel::calibrated`]. Variants are
 /// rebuilt cold (bypassing the bank's LRU cache) so the pass leaves the
 /// bank's residency statistics untouched.
 ///
@@ -319,10 +274,9 @@ fn best_sample(samples: &[f64]) -> f64 {
 ///
 /// Panics if the options are invalid.
 pub fn calibrate<M: Model>(
-    latency: LatencyModel,
     bank: &ModelBank<'_, M>,
     options: CalibrationOptions,
-) -> (Calibrated, CalibrationReport) {
+) -> (CostModel, CalibrationReport) {
     options.validate().expect("invalid calibration options");
     let mut levels = Vec::with_capacity(bank.levels());
     let mut curves = Vec::with_capacity(bank.levels());
@@ -373,7 +327,7 @@ pub fn calibrate<M: Model>(
     }
     let switches = calibrate_switches(bank, &options);
     (
-        Calibrated::new(latency, curves),
+        CostModel::calibrated(curves),
         CalibrationReport {
             levels,
             switches,
@@ -425,16 +379,6 @@ fn calibrate_switches<M: Model>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt3_hardware::{PerformancePredictor, VfLevel};
-    use rt3_transformer::TransformerConfig;
-
-    fn latency() -> LatencyModel {
-        LatencyModel {
-            predictor: PerformancePredictor::cortex_a7(),
-            workload_config: TransformerConfig::paper_transformer(256),
-            seq_len: 24,
-        }
-    }
 
     #[test]
     fn curve_clamps_noise_monotone_and_pins_batch_one() {
@@ -472,17 +416,16 @@ mod tests {
             AmortisationCurve::from_raw(&[1.0, 1.2]),
             AmortisationCurve::from_raw(&[1.0, 1.9]),
         ];
-        let cost = Calibrated::new(latency(), curves);
+        let cost = CostModel::calibrated(curves);
         assert_eq!(cost.label(), "calibrated");
-        assert_eq!(cost.levels(), 2);
         assert!((cost.service_from_base_ms(0, 100.0, 2) - 120.0).abs() < 1e-9);
         assert!((cost.service_from_base_ms(1, 100.0, 2) - 190.0).abs() < 1e-9);
         // out-of-range level clamps to the last curve
         assert!((cost.service_from_base_ms(9, 100.0, 2) - 190.0).abs() < 1e-9);
         // batch of one is exact at every level
-        let level = VfLevel::odroid_level(3);
-        let base = cost.base_latency_ms(0.5, &level);
-        assert_eq!(cost.service_ms(0, 0.5, &level, 1), base);
+        for level_pos in 0..3 {
+            assert_eq!(cost.service_from_base_ms(level_pos, 37.5, 1), 37.5);
+        }
     }
 
     #[test]
@@ -507,18 +450,18 @@ mod tests {
             switches: Vec::new(),
             options: CalibrationOptions::quick(),
         };
-        // fixed α = 0.5 gives multipliers [1.0, 1.5, 2.0]; the deviation is
-        // computed against the RAW measurements (|1-1| + |2-1.5| + |1.4-2|)
-        // — not the clamped curve, which would hide the batch-3 dip
-        let expected = (0.0 + 0.5 + 0.6) / 3.0;
-        assert!((report.mean_abs_deviation_from_alpha(0.5) - expected).abs() < 1e-12);
+        // fixed α = 0.45 gives multipliers [1.0, 1.55, 2.1]; the deviation
+        // is computed against the RAW measurements (|1-1| + |2-1.55| +
+        // |1.4-2.1|) — not the clamped curve, which would hide the batch-3 dip
+        let expected = (0.0 + 0.45 + 0.7) / 3.0;
+        assert!((report.mean_abs_deviation_from_alpha() - expected).abs() < 1e-12);
         // no points, no deviation
         let empty = CalibrationReport {
             levels: Vec::new(),
             switches: Vec::new(),
             options: CalibrationOptions::quick(),
         };
-        assert_eq!(empty.mean_abs_deviation_from_alpha(0.5), 0.0);
+        assert_eq!(empty.mean_abs_deviation_from_alpha(), 0.0);
     }
 
     #[test]

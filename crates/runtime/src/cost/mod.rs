@@ -1,124 +1,134 @@
-//! The rt3-cost layer: every latency/energy *prediction* the runtime makes
+//! The rt3-cost layer: every service-time *prediction* the runtime makes
 //! — scheduler deadline accounting, engine admission estimates, fleet
-//! routing scores — flows through one [`CostModel`] abstraction instead of
-//! being re-derived (and re-configured) per subsystem.
+//! routing scores — goes through one [`CostModel`]. A prediction is the
+//! single-request latency of [`LatencyModel::base_latency_ms`] (built by
+//! `Rt3Config::latency_model()`, the formula the offline search prices
+//! with) times the model's batch-amortisation multiplier.
 //!
-//! Two implementations ship:
+//! The model holds only the amortisation, one [`AmortisationCurve`] per
+//! V/F level:
 //!
-//! * [`Analytic`] — the paper's [`rt3_hardware::PerformancePredictor`]
-//!   single-request latency plus the fixed batch-amortisation factor α
-//!   (`service = base · (α + (1 − α) · batch)`), reproducing the
-//!   pre-refactor `ServiceModel` math bit-for-bit. This is the default, so
-//!   default-configured runs replay the PR 2 golden scenarios unchanged.
-//! * [`Calibrated`] — the same single-request predictor, but the
-//!   amortisation curve is *measured*: [`calibrate`] times the real
-//!   sparse-inference worker pool ([`crate::pool`]) at every micro-batch
-//!   size and V/F level and fits a per-level piecewise-linear
-//!   [`AmortisationCurve`], closing the loop between the simulated batching
-//!   model and what the compiled sparse kernels actually do.
+//! * [`CostModel::analytic`] — the default: the fixed-α curve
+//!   `α + (1 − α) · b` with α = [`BATCH_ALPHA`], shared by every level;
+//! * [`CostModel::calibrated`] — per-level curves *measured* by
+//!   [`calibrate`], which times the real sparse-inference worker pool
+//!   ([`crate::pool`]) at every micro-batch size and V/F level.
 //!
-//! [`CostConfig`] holds [`Analytic`]'s batch-amortisation α. The serving
-//! engine, the fleet and the socket server all build their analytic model
-//! from its default; a different model is swapped in whole
-//! (`ServeEngine::set_cost_model`, `Fleet::with_cost_model`).
+//! A different model is swapped in whole (`ServeEngine::set_cost_model`,
+//! `Fleet::with_cost_model`).
 
-mod analytic;
 mod calibrated;
 
-pub use analytic::Analytic;
 pub use calibrated::{
-    calibrate, AmortisationCurve, Calibrated, CalibrationOptions, CalibrationPoint,
-    CalibrationReport, LevelCalibration, SwitchCalibration,
+    calibrate, AmortisationCurve, CalibrationOptions, CalibrationPoint, CalibrationReport,
+    LevelCalibration, SwitchCalibration,
 };
 
 pub use rt3_hardware::LatencyModel;
-use rt3_hardware::VfLevel;
 
-/// The analytic cost model's configuration: its batch-amortisation α.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostConfig {
-    /// Fraction of a single-request inference that is amortised across a
-    /// micro-batch (weight streaming); the rest scales per request. In
-    /// `[0, 1)`; a batch of 1 always costs exactly the predicted latency.
-    pub batch_alpha: f64,
+/// Fraction of a single-request inference that the analytic model amortises
+/// across a micro-batch (weight streaming); the rest scales per request.
+pub const BATCH_ALPHA: f64 = 0.45;
+
+/// Batch sizes the analytic curve tabulates. Every scheduler `max_batch` in
+/// the repo is 16 or less, and the scheduler never builds a batch larger
+/// than its `max_batch`, so every dispatched batch is a table lookup of the
+/// exact f64 `α + (1 − α) · b`. Past this size the curve extrapolates along
+/// its last segment, which can differ from that expression in the last bits.
+const ANALYTIC_BATCHES: usize = 64;
+
+/// The runtime's one service-time model: per-V/F-level batch-amortisation
+/// curves (a level past the last curve clamps to it) and a report label.
+#[derive(Debug, Clone)]
+pub struct CostModel {
+    curves: Vec<AmortisationCurve>,
+    label: &'static str,
 }
 
-impl Default for CostConfig {
-    fn default() -> Self {
-        Self { batch_alpha: 0.45 }
-    }
-}
-
-impl CostConfig {
-    /// Validates the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..1.0).contains(&self.batch_alpha) {
-            return Err("batch_alpha must be in [0, 1)".into());
+impl CostModel {
+    /// The default model: one fixed-α curve ([`BATCH_ALPHA`]) for every
+    /// level, so a micro-batch of `b` costs `base · (α + (1 − α) · b)`.
+    pub fn analytic() -> Self {
+        Self {
+            curves: vec![AmortisationCurve::fixed_alpha(
+                BATCH_ALPHA,
+                ANALYTIC_BATCHES,
+            )],
+            label: "analytic",
         }
-        Ok(())
     }
-}
 
-/// One prediction surface for the whole runtime: single-request latency and
-/// micro-batch service time. The scheduler's deadline accounting, the
-/// engine's admission estimate, and the router's predicted-latency score
-/// all call the *same* object, so the three layers can never drift apart.
-pub trait CostModel: Send + Sync {
+    /// A model over measured per-level curves (index = governor level
+    /// position), as [`calibrate`] fits them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `curves` is empty.
+    pub fn calibrated(curves: Vec<AmortisationCurve>) -> Self {
+        assert!(!curves.is_empty(), "at least one level curve is required");
+        Self {
+            curves,
+            label: "calibrated",
+        }
+    }
+
     /// Short label for reports (`"analytic"` / `"calibrated"`).
-    fn label(&self) -> &'static str;
-
-    /// The shared single-request latency model.
-    fn latency_model(&self) -> &LatencyModel;
-
-    /// Predicted latency of a single request at `sparsity` on `level`.
-    fn base_latency_ms(&self, sparsity: f64, level: &VfLevel) -> f64 {
-        self.latency_model().base_latency_ms(sparsity, level)
+    pub fn label(&self) -> &'static str {
+        self.label
     }
 
     /// Service time of a micro-batch of `batch` requests at governor level
-    /// position `level_pos`, given a precomputed single-request latency
-    /// (callers cache [`CostModel::base_latency_ms`] between level switches
-    /// instead of rebuilding the workload per batch).
+    /// position `level_pos`, given the level's single-request latency
+    /// (callers cache [`LatencyModel::base_latency_ms`] between level
+    /// switches instead of rebuilding the workload per batch).
     ///
     /// # Panics
     ///
     /// Panics if `batch` is zero.
-    fn service_from_base_ms(&self, level_pos: usize, base_latency_ms: f64, batch: usize) -> f64;
-
-    /// Service time of a micro-batch of `batch` requests at `sparsity` on
-    /// `level` (position `level_pos`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    fn service_ms(&self, level_pos: usize, sparsity: f64, level: &VfLevel, batch: usize) -> f64 {
-        self.service_from_base_ms(level_pos, self.base_latency_ms(sparsity, level), batch)
+    pub fn service_from_base_ms(
+        &self,
+        level_pos: usize,
+        base_latency_ms: f64,
+        batch: usize,
+    ) -> f64 {
+        let curve = &self.curves[level_pos.min(self.curves.len() - 1)];
+        base_latency_ms * curve.multiplier(batch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt3_hardware::PerformancePredictor;
+    use rt3_hardware::{PerformancePredictor, VfLevel};
     use rt3_sparse::SparseFormat;
     use rt3_transformer::TransformerConfig;
 
     #[test]
-    fn cost_config_validates_alpha_range() {
-        assert!(CostConfig::default().validate().is_ok());
-        assert!(CostConfig { batch_alpha: 0.0 }.validate().is_ok());
-        let err = CostConfig { batch_alpha: 1.0 }.validate().unwrap_err();
-        assert_eq!(err, "batch_alpha must be in [0, 1)");
-        assert!(CostConfig { batch_alpha: -0.1 }.validate().is_err());
-        assert!(CostConfig {
-            batch_alpha: f64::NAN
+    fn batch_of_one_costs_exactly_the_base_latency() {
+        let cost = CostModel::analytic();
+        for base in [0.1, 37.25, 113.0] {
+            assert_eq!(cost.service_from_base_ms(3, base, 1), base);
         }
-        .validate()
-        .is_err());
+    }
+
+    #[test]
+    fn amortisation_is_the_documented_affine_curve() {
+        let cost = CostModel::analytic();
+        let expected = 100.0 * (0.45 + 0.55 * 4.0);
+        assert_eq!(cost.service_from_base_ms(0, 100.0, 4), expected);
+        assert_eq!(cost.label(), "analytic");
+    }
+
+    #[test]
+    #[should_panic(expected = "batch must be non-empty")]
+    fn zero_batch_panics() {
+        let _ = CostModel::analytic().service_from_base_ms(0, 100.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be in [0, 1)")]
+    fn invalid_alpha_panics_at_construction() {
+        let _ = AmortisationCurve::fixed_alpha(1.0, 4);
     }
 
     #[test]

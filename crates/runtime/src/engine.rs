@@ -15,7 +15,7 @@
 //! sparse inference on the [`crate::pool`] worker pool.
 
 use crate::bank::{BankStats, ModelBank};
-use crate::cost::{Analytic, CostConfig, CostModel};
+use crate::cost::CostModel;
 use crate::fleet::{play_windows, OpenLoop, Router, RoutingPolicy};
 use crate::governor::DeviceGovernor;
 use crate::pool;
@@ -24,7 +24,7 @@ use crate::scenario::Scenario;
 use crate::scheduler::{batches, Completion, RejectReason, Request, SchedulerConfig};
 use crate::telemetry::DeviceTelemetry;
 use rt3_core::{Rt3Config, SearchOutcome};
-use rt3_hardware::{Battery, MemoryModel};
+use rt3_hardware::{Battery, LatencyModel, MemoryModel};
 use rt3_pruning::PatternSpace;
 use rt3_telemetry::{StreamingHistogram, TelemetryConfig, TraceEvent, TraceEventKind, WallClock};
 use rt3_transformer::Model;
@@ -67,7 +67,7 @@ impl RuntimePolicy {
 
 /// Serving-engine parameters. The controller hysteresis and the power
 /// model are the ones [`DeviceGovernor::new`] builds, and every prediction
-/// goes through the default [`Analytic`] model until
+/// goes through [`CostModel::analytic`] until
 /// [`ServeEngine::set_cost_model`] replaces it.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -127,7 +127,7 @@ pub struct ServeEngine<'m, M: Model> {
     /// bank stays warm across runs; always `Some` between calls.
     bank: Option<ModelBank<'m, M>>,
     rt3: Rt3Config,
-    cost: Arc<dyn CostModel>,
+    cost: Arc<CostModel>,
     config: ServeConfig,
 }
 
@@ -158,11 +158,10 @@ impl<'m, M: Model> ServeEngine<'m, M> {
             );
         }
         let bank = level_bank(model, backbone_masks, space, outcome, &rt3);
-        let cost = analytic_cost(&rt3);
         Self {
             bank: Some(bank),
             rt3,
-            cost,
+            cost: Arc::new(CostModel::analytic()),
             config,
         }
     }
@@ -173,14 +172,14 @@ impl<'m, M: Model> ServeEngine<'m, M> {
     }
 
     /// The cost model used for deadline accounting and admission estimates.
-    pub fn cost_model(&self) -> &Arc<dyn CostModel> {
+    pub fn cost_model(&self) -> &Arc<CostModel> {
         &self.cost
     }
 
-    /// Replaces the cost model (e.g. with a [`crate::cost::Calibrated`]
-    /// model from a [`crate::cost::calibrate`] pass); subsequent runs use
-    /// it for every prediction.
-    pub fn set_cost_model(&mut self, cost: Arc<dyn CostModel>) {
+    /// Replaces the cost model (e.g. with the [`CostModel::calibrated`]
+    /// model of a [`crate::cost::calibrate`] pass); subsequent runs use it
+    /// for every prediction.
+    pub fn set_cost_model(&mut self, cost: Arc<CostModel>) {
         self.cost = cost;
     }
 
@@ -190,7 +189,7 @@ impl<'m, M: Model> ServeEngine<'m, M> {
         let bank = self.bank.as_mut().expect("bank is restored after each run");
         let sparsity = bank.get(level_pos).sparsity;
         let level = self.rt3.governor.levels()[level_pos];
-        self.cost.base_latency_ms(sparsity, &level)
+        self.rt3.latency_model().base_latency_ms(sparsity, &level)
     }
 
     /// Plays `scenario` to completion and reports the outcome.
@@ -211,6 +210,7 @@ impl<'m, M: Model> ServeEngine<'m, M> {
         profile.validate().expect("invalid scenario");
         let mut device = [DeviceSim::new(
             self.bank.take().expect("bank is restored after each run"),
+            self.rt3.latency_model(),
             DeviceGovernor::new(
                 self.rt3.governor.clone(),
                 Battery::new(self.config.battery_capacity_j),
@@ -278,12 +278,6 @@ pub(crate) fn level_bank<'m, M: Model>(
     )
 }
 
-/// The default cost model of `rt3`: its latency model with the default
-/// batch amortisation.
-pub(crate) fn analytic_cost(rt3: &Rt3Config) -> Arc<dyn CostModel> {
-    Arc::new(Analytic::new(rt3.latency_model(), CostConfig::default()))
-}
-
 /// One simulated device stepped window-by-window: its governor (battery,
 /// controller, active level, scheduler) and model bank, plus the trace,
 /// audit, prediction and serve-report state.
@@ -292,6 +286,8 @@ pub(crate) fn analytic_cost(rt3: &Rt3Config) -> Arc<dyn CostModel> {
 /// [`ServeEngine::run`], over one device per profile for [`crate::Fleet`].
 pub(crate) struct DeviceSim<'m, M: Model> {
     bank: ModelBank<'m, M>,
+    /// Prices a level's single-request latency at each switch.
+    latency: LatencyModel,
     /// Battery, controller, active level and scheduler; the fleet router
     /// reads its state of charge, queue and time to death.
     pub(crate) governor: DeviceGovernor,
@@ -327,16 +323,18 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     /// start their governors at heterogeneous charge).
     pub(crate) fn new(
         bank: ModelBank<'m, M>,
+        latency: LatencyModel,
         governor: DeviceGovernor,
         deadline_budget_ms: f64,
         real_inference: bool,
         duration_hint_s: u32,
         telemetry: Option<DeviceTelemetry>,
     ) -> Self {
-        let level_count = governor.level_count();
+        let level_count = governor.levels().len();
         let bank_stats_seen = bank.stats();
         Self {
             bank,
+            latency,
             governor,
             deadline_budget_ms,
             real_inference,
@@ -372,7 +370,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         thermal_cap: Option<usize>,
     ) -> bool {
         let from_level = self.governor.active_level();
-        let bank = &mut self.bank;
+        let (bank, latency) = (&mut self.bank, &self.latency);
         let (metrics, clock) = match &mut self.telemetry {
             Some(t) => (Some((&mut t.shard, &t.ids)), Some(t.clock.as_ref())),
             None => (None, None),
@@ -398,7 +396,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
                         .map(|(c, begin_ms)| c.now_ms() - begin_ms);
                 }
                 (
-                    governor.base_latency_ms(sparsity, level_pos),
+                    latency.base_latency_ms(sparsity, &governor.levels()[level_pos]),
                     switch_time_ms,
                 )
             },
@@ -724,9 +722,10 @@ mod tests {
             rt3.governor.clone(),
             Battery::new(30.0),
             RuntimePolicy::Adaptive,
-            analytic_cost(&rt3),
+            Arc::new(CostModel::analytic()),
             SchedulerConfig::default(),
         );
+        let latency = rt3.latency_model();
         let mut telemetry =
             DeviceTelemetry::new(TelemetryConfig::counters(), Arc::new(WallClock::new()))
                 .expect("telemetry is on at Counters");
@@ -740,7 +739,10 @@ mod tests {
                 0.0,
                 None,
                 Some((&mut telemetry.shard, &telemetry.ids)),
-                |governor, level_pos| (governor.base_latency_ms(0.8, level_pos), 0.0),
+                |governor, level_pos| {
+                    let level = &governor.levels()[level_pos];
+                    (latency.base_latency_ms(0.8, level), 0.0)
+                },
             );
             let gauge = telemetry
                 .snapshot()

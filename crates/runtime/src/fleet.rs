@@ -45,7 +45,7 @@
 //! one-device fleet.
 
 use crate::cost::CostModel;
-use crate::engine::{analytic_cost, level_bank, DeviceSim, RuntimePolicy, WINDOW_MS, WINDOW_S};
+use crate::engine::{level_bank, DeviceSim, RuntimePolicy, WINDOW_MS, WINDOW_S};
 use crate::governor::DeviceGovernor;
 use crate::report::FleetReport;
 use crate::scenario::{DeviceProfile, FleetScenario, Scenario};
@@ -325,8 +325,8 @@ impl TrafficSource for OpenLoop {
 }
 
 /// Fleet-serving parameters: the per-device serving knobs plus the
-/// routing policy. Every device runs the default analytic cost model (swap
-/// it with [`Fleet::with_cost_model`]).
+/// routing policy. Every device runs [`CostModel::analytic`] (swap it with
+/// [`Fleet::with_cost_model`]).
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// How the router orders devices for each request.
@@ -406,7 +406,7 @@ impl<'m, M: Model> Fleet<'m, M> {
     ) -> Self {
         scenario.validate().expect("invalid fleet scenario");
         config.validate().expect("invalid fleet configuration");
-        let cost = analytic_cost(rt3);
+        let cost = Arc::new(CostModel::analytic());
         let level_count = rt3.governor.levels().len();
         let duration_s = scenario.duration_s();
         // one wall clock shared by every device's kernel/build timings
@@ -426,6 +426,7 @@ impl<'m, M: Model> Fleet<'m, M> {
                 }
                 DeviceSim::new(
                     bank,
+                    rt3.latency_model(),
                     DeviceGovernor::new(
                         rt3.governor.clone(),
                         battery,
@@ -447,11 +448,11 @@ impl<'m, M: Model> Fleet<'m, M> {
         }
     }
 
-    /// Replaces every device's cost model (e.g. with a
-    /// [`crate::cost::Calibrated`] model from a [`crate::cost::calibrate`]
-    /// pass) before the trace is played.
+    /// Replaces every device's cost model (e.g. with the
+    /// [`CostModel::calibrated`] model of a [`crate::cost::calibrate`] pass)
+    /// before the trace is played.
     #[must_use]
-    pub fn with_cost_model(mut self, cost: Arc<dyn CostModel>) -> Self {
+    pub fn with_cost_model(mut self, cost: Arc<CostModel>) -> Self {
         for device in &mut self.devices {
             device.governor.set_cost_model(Arc::clone(&cost));
         }
@@ -626,7 +627,7 @@ fn snapshot<M: Model>(device: &DeviceSim<'_, M>, arrival_ms: f64) -> DeviceSnaps
         alive: !governor.is_dead(),
         state_of_charge: governor.state_of_charge(),
         level_pos: governor.active_level().unwrap_or(0),
-        levels: governor.level_count(),
+        levels: governor.levels().len(),
         queue_len: governor.scheduler().queue_len(),
         queue_capacity: governor.scheduler().queue_capacity(),
         // the newcomer's simulated completion after the queued backlog,

@@ -30,7 +30,7 @@ pub struct DeviceGovernor {
     power: PowerModel,
     levels: Vec<VfLevel>,
     policy: RuntimePolicy,
-    cost: Arc<dyn CostModel>,
+    cost: Arc<CostModel>,
     scheduler: DeadlineScheduler,
     dead: bool,
     active_level: Option<usize>,
@@ -49,7 +49,7 @@ impl DeviceGovernor {
         governor: DvfsGovernor,
         battery: Battery,
         policy: RuntimePolicy,
-        cost: Arc<dyn CostModel>,
+        cost: Arc<CostModel>,
         scheduler: SchedulerConfig,
     ) -> Self {
         Self {
@@ -277,18 +277,13 @@ impl DeviceGovernor {
         self.energy_j
     }
 
-    /// Single-request latency of `level_pos` at `sparsity`.
-    pub(crate) fn base_latency_ms(&self, sparsity: f64, level_pos: usize) -> f64 {
-        self.cost.base_latency_ms(sparsity, &self.levels[level_pos])
-    }
-
     /// The cost model behind every prediction.
-    pub(crate) fn cost(&self) -> &Arc<dyn CostModel> {
+    pub(crate) fn cost(&self) -> &Arc<CostModel> {
         &self.cost
     }
 
     /// Replaces the cost model before the first activation.
-    pub(crate) fn set_cost_model(&mut self, cost: Arc<dyn CostModel>) {
+    pub(crate) fn set_cost_model(&mut self, cost: Arc<CostModel>) {
         assert!(
             self.active_level.is_none(),
             "the cost model must be set before the first window"
@@ -306,9 +301,9 @@ impl DeviceGovernor {
         self.active_level
     }
 
-    /// Number of governor levels.
-    pub(crate) fn level_count(&self) -> usize {
-        self.levels.len()
+    /// The governor's V/F levels, by position.
+    pub(crate) fn levels(&self) -> &[VfLevel] {
+        &self.levels
     }
 
     /// Battery state of charge in `[0, 1]`.

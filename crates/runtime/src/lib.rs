@@ -17,9 +17,10 @@
 //!   admission, dispatch with inference energy, and the death drain that
 //!   the simulated device and the socket server share, together with the
 //!   [`DeviceMetricIds`] schema.
-//! * [`cost`] — the unified cost-model layer behind every prediction:
-//!   the [`CostModel`] trait with the default fixed-α [`Analytic`] model
-//!   and the pool-measured [`Calibrated`] model (see [`calibrate`]).
+//! * [`cost`] — the one [`CostModel`] behind every service-time
+//!   prediction: per-level batch-amortisation curves, the fixed-α
+//!   [`CostModel::analytic`] by default or the pool-measured
+//!   [`CostModel::calibrated`] (see [`calibrate`]).
 //! * [`DeadlineScheduler`] — bounded queue, admission control, greedy
 //!   micro-batching and simulated workers whose service times come from
 //!   the shared cost model over the paper's
@@ -96,8 +97,8 @@ pub use chaos::{
 };
 pub use controller::{HysteresisConfig, LevelDecision, RuntimeController, Telemetry};
 pub use cost::{
-    calibrate, AmortisationCurve, Analytic, Calibrated, CalibrationOptions, CalibrationReport,
-    CostConfig, CostModel, LatencyModel, SwitchCalibration,
+    calibrate, AmortisationCurve, CalibrationOptions, CalibrationReport, CostModel, LatencyModel,
+    SwitchCalibration,
 };
 pub use engine::{RuntimePolicy, ServeConfig, ServeEngine};
 pub use fleet::{DeviceSnapshot, Fleet, FleetConfig, Router, RoutingPolicy};
@@ -394,12 +395,7 @@ mod tests {
             AmortisationCurve::from_raw(&[1.0, 1.1, 1.15, 1.18]);
             config.governor.levels().len()
         ];
-        let latency = LatencyModel {
-            predictor: config.predictor,
-            workload_config: config.workload_config.clone(),
-            seq_len: config.seq_len,
-        };
-        engine.set_cost_model(Arc::new(Calibrated::new(latency, curves)));
+        engine.set_cost_model(Arc::new(CostModel::calibrated(curves)));
         let calibrated = engine.run(&scenario);
         assert_eq!(calibrated.cost_model, "calibrated");
         assert!(calibrated.completed > 0);

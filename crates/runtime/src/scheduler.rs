@@ -2,12 +2,14 @@
 //! greedy micro-batching over a pool of simulated workers.
 //!
 //! Time is simulated: the engine advances a millisecond clock and the
-//! scheduler tracks when each worker frees up. Service times come from the
-//! shared [`crate::cost::CostModel`] — for a batch of one, the charged time
-//! **is** the predictor's latency at the active V/F level (the property
-//! test in `tests/proptest_cost.rs` pins this), and larger micro-batches
-//! amortise the memory-bound fraction of an inference across requests
-//! through the model's fixed-α or measured curve. The scheduler itself
+//! scheduler tracks when each worker frees up. A service time is the active
+//! V/F level's single-request latency
+//! ([`rt3_hardware::LatencyModel::base_latency_ms`]) times the shared
+//! [`crate::cost::CostModel`]'s amortisation multiplier: for a batch of one
+//! the charged time **is** the predictor's latency (the property tests in
+//! `tests/proptest_runtime.rs` pin this), and larger micro-batches amortise
+//! the memory-bound fraction of an inference across requests through the
+//! level's fixed-α or measured curve. The scheduler itself
 //! stays model-agnostic: [`DeadlineScheduler::dispatch`] takes a
 //! `batch → service time` closure, so there is exactly one place (the
 //! [`crate::DeviceGovernor`], which owns a device's scheduler) where the

@@ -1,9 +1,9 @@
 //! Property-based tests for the rt3-cost layer:
 //!
-//! 1. the [`Analytic`] cost model reproduces the pre-refactor
-//!    `ServiceModel` fixed-α math **bit-for-bit** for every batch size, so
-//!    the refactor is provably behaviour-preserving under the default
-//!    configuration (the golden-scenario suite pins the end-to-end
+//! 1. the fixed-α [`AmortisationCurve`] holds the bits of the old
+//!    `ServiceModel` multiplier `α + (1 − α) · b` for every α and tabulated
+//!    batch size, and [`CostModel::analytic`] charges the old service time
+//!    **bit-for-bit** (the golden-scenario suite pins the end-to-end
 //!    consequence);
 //! 2. any [`AmortisationCurve`] — however noisy the raw measurements — is
 //!    monotone non-decreasing in the batch size and exact at a batch of
@@ -20,8 +20,7 @@ use rt3_pruning::{
     block_prune_model, generate_pattern_space, BlockPruningConfig, PatternSpaceConfig,
 };
 use rt3_runtime::{
-    calibrate, AmortisationCurve, Analytic, CalibrationOptions, CostConfig, CostModel,
-    LatencyModel, ModelBank,
+    calibrate, AmortisationCurve, CalibrationOptions, CostModel, LatencyModel, ModelBank,
 };
 use rt3_transformer::{TransformerConfig, TransformerLm};
 
@@ -36,30 +35,40 @@ fn latency_model() -> LatencyModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The old `ServiceModel` charged
-    /// `base · (α + (1 − α) · batch)`; [`Analytic`] must produce the
-    /// *identical bits* for every α, base latency and batch size, at every
-    /// level position (the analytic curve is level-independent).
+    /// The old `ServiceModel` charged `base · (α + (1 − α) · batch)`. The
+    /// fixed-α curve must hold that multiplier's *identical bits* for every
+    /// α and every batch size the analytic model tabulates (64), exactly
+    /// 1.0 at a batch of one; and [`CostModel::analytic`] must charge
+    /// `base · (0.45 + 0.55 · batch)` bit for bit at every level position
+    /// (the analytic curve is level-independent).
     #[test]
     fn analytic_reproduces_the_old_service_model_bit_for_bit(
-        batch_alpha in 0.0f64..0.999,
+        batch_alpha in 0.0f64..1.0,
         sparsity in 0.0f64..0.95,
         level_index in 1usize..=6,
-        batch in 1usize..32,
+        batch in 1usize..=64,
         level_pos in 0usize..8,
     ) {
-        let cost = Analytic::new(latency_model(), CostConfig { batch_alpha });
+        let curve = AmortisationCurve::fixed_alpha(batch_alpha, 64);
+        prop_assert!(curve.multiplier(1).to_bits() == 1.0f64.to_bits());
+        for b in 1..=64usize {
+            // the pre-refactor multiplier, verbatim
+            let old = batch_alpha + (1.0 - batch_alpha) * b as f64;
+            prop_assert!(
+                curve.multiplier(b).to_bits() == old.to_bits(),
+                "fixed_alpha({batch_alpha}) at batch {b}: {} vs {old}",
+                curve.multiplier(b)
+            );
+        }
         let level = VfLevel::odroid_level(level_index);
-        let base = cost.base_latency_ms(sparsity, &level);
-        // the pre-refactor expression, verbatim
-        let old_service_model = base * (batch_alpha + (1.0 - batch_alpha) * batch as f64);
-        let new = cost.service_from_base_ms(level_pos, base, batch);
+        let base = latency_model().base_latency_ms(sparsity, &level);
+        let old_service_model = base * (0.45 + 0.55 * batch as f64);
+        let new = CostModel::analytic().service_from_base_ms(level_pos, base, batch);
         prop_assert!(
             new.to_bits() == old_service_model.to_bits(),
             "analytic ({new}) must equal the old ServiceModel math \
              ({old_service_model}) bit-for-bit"
         );
-        prop_assert!(cost.service_ms(level_pos, sparsity, &level, 1).to_bits() == base.to_bits());
     }
 
     /// However noisy the raw measurements, the clamped curve is monotone
@@ -137,8 +146,7 @@ fn real_calibration_pass_yields_monotone_curves() {
         MemoryModel::odroid_xu3(),
         2,
     );
-    let (calibrated, report) = calibrate(latency_model(), &bank, CalibrationOptions::quick());
-    assert_eq!(calibrated.levels(), 2);
+    let (calibrated, report) = calibrate(&bank, CalibrationOptions::quick());
     assert_eq!(report.levels.len(), 2);
     for level in &report.levels {
         assert_eq!(level.curve.multiplier(1), 1.0);
@@ -153,9 +161,20 @@ fn real_calibration_pass_yields_monotone_curves() {
             assert!(point.measured_ms.is_finite() && point.measured_ms >= 0.0);
         }
     }
-    // batch of one costs exactly the predictor's latency under calibration
-    let level = VfLevel::odroid_level(3);
-    let base = calibrated.base_latency_ms(0.5, &level);
-    assert_eq!(calibrated.service_ms(0, 0.5, &level, 1), base);
+    // the model serves each level's measured curve, and a batch of one
+    // costs exactly the predictor's latency under calibration
+    let base = latency_model().base_latency_ms(0.5, &VfLevel::odroid_level(3));
+    for level in &report.levels {
+        assert_eq!(
+            calibrated.service_from_base_ms(level.level_pos, base, 1),
+            base
+        );
+        for b in 1..=level.curve.len() {
+            assert_eq!(
+                calibrated.service_from_base_ms(level.level_pos, base, b),
+                base * level.curve.multiplier(b)
+            );
+        }
+    }
     assert_eq!(calibrated.label(), "calibrated");
 }

@@ -15,9 +15,10 @@ use rt3_hardware::{DvfsGovernor, MemoryModel, ModelWorkload, PerformancePredicto
 use rt3_pruning::{
     block_prune_model, generate_pattern_space, BlockPruningConfig, PatternSpaceConfig,
 };
+use rt3_runtime::cost::BATCH_ALPHA;
 use rt3_runtime::{
-    Analytic, CostConfig, CostModel, DeadlineScheduler, HysteresisConfig, LatencyModel, ModelBank,
-    Request, RuntimeController, SchedulerConfig, Telemetry,
+    CostModel, DeadlineScheduler, HysteresisConfig, LatencyModel, ModelBank, Request,
+    RuntimeController, SchedulerConfig, Telemetry,
 };
 use rt3_sparse::SparseFormat;
 use rt3_transformer::{TransformerConfig, TransformerLm};
@@ -125,31 +126,30 @@ proptest! {
         level_index in 1usize..=6,
         arrival_ms in 0.0f64..10_000.0,
         batch in 1usize..8,
-        batch_alpha in 0.0f64..0.9,
     ) {
-        let cost = Analytic::new(
-            LatencyModel {
-                predictor: PerformancePredictor::cortex_a7(),
-                workload_config: TransformerConfig::paper_transformer(512),
-                seq_len: 24,
-            },
-            CostConfig { batch_alpha },
-        );
+        let latency = LatencyModel {
+            predictor: PerformancePredictor::cortex_a7(),
+            workload_config: TransformerConfig::paper_transformer(512),
+            seq_len: 24,
+        };
+        let cost = CostModel::analytic();
         let level = VfLevel::odroid_level(level_index);
         let workload = ModelWorkload::from_config(
-            &cost.latency_model().workload_config,
+            &latency.workload_config,
             sparsity,
-            cost.latency_model().seq_len,
+            latency.seq_len,
             SparseFormat::BlockPruned,
         );
-        let predicted = cost.latency_model().predictor.latency_ms(&workload, &level);
+        let predicted = latency.predictor.latency_ms(&workload, &level);
+        let base = latency.base_latency_ms(sparsity, &level);
+        let service = |b: usize| cost.service_from_base_ms(0, base, b);
 
-        // the cost model agrees with the predictor bit-for-bit at batch 1
-        prop_assert!(cost.base_latency_ms(sparsity, &level) == predicted);
-        prop_assert!(cost.service_ms(0, sparsity, &level, 1) == predicted);
-        let expected_batch =
-            predicted * (batch_alpha + (1.0 - batch_alpha) * batch as f64);
-        prop_assert!((cost.service_ms(0, sparsity, &level, batch) - expected_batch).abs() < 1e-9);
+        // the latency model and the cost model agree with the predictor
+        // bit-for-bit at batch 1
+        prop_assert!(base == predicted);
+        prop_assert!(service(1) == predicted);
+        let expected_batch = predicted * (BATCH_ALPHA + (1.0 - BATCH_ALPHA) * batch as f64);
+        prop_assert!((service(batch) - expected_batch).abs() < 1e-9);
 
         // and the scheduler charges exactly that service time on the clock
         let mut scheduler = DeadlineScheduler::new(SchedulerConfig {
@@ -163,11 +163,9 @@ proptest! {
             deadline_ms: arrival_ms + predicted + 1.0,
         };
         prop_assert!(scheduler
-            .submit(request, |b| cost.service_ms(0, sparsity, &level, b))
+            .submit(request, service)
             .is_ok());
-        let done = scheduler.dispatch(f64::INFINITY, 0, |b| {
-            cost.service_ms(0, sparsity, &level, b)
-        });
+        let done = scheduler.dispatch(f64::INFINITY, 0, service);
         prop_assert_eq!(done.len(), 1);
         prop_assert!(done[0].start_ms == arrival_ms, "idle worker starts at arrival");
         prop_assert!(

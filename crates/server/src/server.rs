@@ -34,8 +34,8 @@ use crate::protocol::{
 };
 use rt3_hardware::{Battery, DvfsGovernor};
 use rt3_runtime::{
-    Analytic, Completion, CostConfig, CostModel, DeviceGovernor, DeviceMetricIds, LatencyModel,
-    RejectReason, Request, RuntimePolicy, SchedulerConfig,
+    Completion, CostModel, DeviceGovernor, DeviceMetricIds, LatencyModel, RejectReason, Request,
+    RuntimePolicy, SchedulerConfig,
 };
 use rt3_telemetry::{
     CounterId, MetricRegistry, MetricShard, ObsPlane, TelemetryLevel, TelemetrySnapshot,
@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 /// figures a bank would: each level's base latency and the switch time.
 pub struct ServerSpec {
     /// Prediction surface for admission and service times.
-    pub cost: Arc<dyn CostModel>,
+    pub cost: Arc<CostModel>,
     /// Battery governor (levels + thresholds).
     pub governor: DvfsGovernor,
     /// Single-request latency per governor level position (what the
@@ -76,21 +76,18 @@ impl ServerSpec {
     /// levels, analytic batch amortisation.
     pub fn paper_default(battery_capacity_j: f64) -> Self {
         let governor = DvfsGovernor::paper_default();
-        let cost: Arc<dyn CostModel> = Arc::new(Analytic::new(
-            LatencyModel {
-                predictor: rt3_hardware::PerformancePredictor::cortex_a7(),
-                workload_config: rt3_transformer::TransformerConfig::paper_transformer(512),
-                seq_len: 24,
-            },
-            CostConfig::default(),
-        ));
+        let latency = LatencyModel {
+            predictor: rt3_hardware::PerformancePredictor::cortex_a7(),
+            workload_config: rt3_transformer::TransformerConfig::paper_transformer(512),
+            seq_len: 24,
+        };
         let level_base_ms = governor
             .levels()
             .iter()
-            .map(|level| cost.base_latency_ms(0.7, level))
+            .map(|level| latency.base_latency_ms(0.7, level))
             .collect();
         Self {
-            cost,
+            cost: Arc::new(CostModel::analytic()),
             governor,
             level_base_ms,
             switch_time_ms: 8.0,

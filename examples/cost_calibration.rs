@@ -10,7 +10,7 @@
 //!    amortisation curve (`rt3::runtime::calibrate`) — the measured
 //!    replacement for the fixed batch-amortisation α;
 //! 3. replay the bursty acceptance trace on one device under the fixed-α
-//!    `Analytic` model and under the measured `Calibrated` model;
+//!    analytic cost model and under the measured calibrated one;
 //! 4. replay the heterogeneous-cliff fleet trace under the PR 2 baseline
 //!    (battery-headroom router + fixed α) and under the predictive router
 //!    (time-to-death from the EWMA drain tracker) + calibrated model.
@@ -30,9 +30,10 @@ use rt3::core::{
     build_search_space, run_level1, run_level2_search, Rt3Config, SurrogateEvaluator, TaskProfile,
 };
 use rt3::hardware::MemoryModel;
+use rt3::runtime::cost::BATCH_ALPHA;
 use rt3::runtime::{
-    calibrate, AmortisationCurve, CalibrationOptions, CostConfig, CostModel, Fleet, FleetConfig,
-    FleetReport, FleetScenario, ModelBank, RoutingPolicy, Scenario, ServeConfig, ServeEngine,
+    calibrate, AmortisationCurve, CalibrationOptions, CostModel, Fleet, FleetConfig, FleetReport,
+    FleetScenario, ModelBank, RoutingPolicy, Scenario, ServeConfig, ServeEngine,
 };
 use rt3::transformer::{TransformerConfig, TransformerLm};
 use std::sync::Arc;
@@ -68,7 +69,6 @@ fn main() {
         MemoryModel::odroid_xu3(),
         levels,
     );
-    let latency = config.latency_model();
     let options = if quick {
         CalibrationOptions::quick()
     } else {
@@ -78,10 +78,9 @@ fn main() {
         "calibrating: {} levels x batch 1..={} ({} reps x {} samples per point, 1 worker)...",
         levels, options.max_batch, options.repetitions, options.samples
     );
-    let (calibrated, report) = calibrate(latency, &bank, options);
-    let alpha = CostConfig::default().batch_alpha;
+    let (calibrated, report) = calibrate(&bank, options);
     for level in &report.levels {
-        let fixed = AmortisationCurve::fixed_alpha(alpha, level.curve.len());
+        let fixed = AmortisationCurve::fixed_alpha(BATCH_ALPHA, level.curve.len());
         println!(
             "{{\"bench\": \"cost_calibration/curve\", \"level\": {}, \"sparsity\": {:.4}, \
              \"measured_ms\": {}, \"multipliers\": {}, \"fixed_alpha_multipliers\": {}}}",
@@ -93,9 +92,9 @@ fn main() {
         );
     }
     println!(
-        "{{\"bench\": \"cost_calibration/deviation\", \"alpha\": {alpha}, \
+        "{{\"bench\": \"cost_calibration/deviation\", \"alpha\": {BATCH_ALPHA}, \
          \"mean_abs_deviation\": {:.4}}}",
-        report.mean_abs_deviation_from_alpha(alpha),
+        report.mean_abs_deviation_from_alpha(),
     );
     // measured V/F switch costs (cold rebuild of the destination variant
     // with the source resident), one JSON entry per ordered level pair
@@ -155,7 +154,7 @@ fn main() {
 
     // ---- compare: headroom+fixed vs predictive+calibrated on the cliff ---
     let fleet_scenario = FleetScenario::heterogeneous_cliff();
-    let fleet_run = |policy: RoutingPolicy, cost: Option<Arc<dyn CostModel>>| -> FleetReport {
+    let fleet_run = |policy: RoutingPolicy, cost: Option<Arc<CostModel>>| -> FleetReport {
         let fleet_config = FleetConfig {
             routing: policy,
             deadline_budget_ms: 250.0,
