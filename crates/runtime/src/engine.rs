@@ -22,7 +22,7 @@ use crate::pool;
 use crate::report::{ServeReport, WindowReport};
 use crate::scenario::Scenario;
 use crate::scheduler::{batches, Completion, RejectReason, Request, SchedulerConfig};
-use crate::telemetry::DeviceTelemetry;
+use crate::telemetry::{DeviceTelemetry, ROUTER_UNROUTABLE};
 use rt3_core::{Rt3Config, SearchOutcome};
 use rt3_hardware::{Battery, LatencyModel, MemoryModel};
 use rt3_pruning::PatternSpace;
@@ -199,7 +199,9 @@ impl<'m, M: Model> ServeEngine<'m, M> {
     /// the report. The fleet counts a window's admissions as its arrivals,
     /// and an arrival the device did not admit as unroutable; the report
     /// counts every arrival of the window, and an unroutable arrival that
-    /// was not rejected as dropped by the dead battery.
+    /// was not rejected as dropped by the dead battery. The telemetry
+    /// snapshot records the unroutable arrivals under the router's
+    /// `router_unroutable` counter, so it reconciles on its own.
     ///
     /// # Panics
     ///
@@ -238,6 +240,10 @@ impl<'m, M: Model> ServeEngine<'m, M> {
         self.bank = Some(bank);
         report.arrivals = arrivals;
         report.dropped_dead_battery += unroutable - report.rejected;
+        if let Some(snapshot) = &mut report.telemetry {
+            let counters = &mut snapshot.metrics.counters;
+            counters.push((ROUTER_UNROUTABLE.to_string(), unroutable));
+        }
         for (window, &arrivals) in report.windows.iter_mut().zip(&traffic.window_arrivals) {
             window.arrivals = arrivals;
         }

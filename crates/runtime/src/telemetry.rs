@@ -269,6 +269,10 @@ impl DeviceTelemetry {
     }
 }
 
+/// Arrivals no device admitted: the router's counter, which the
+/// single-device engine also records for its dead-window arrivals.
+pub(crate) const ROUTER_UNROUTABLE: &str = "router_unroutable";
+
 /// The fleet router's metric schema: per-device route/failover counters
 /// plus fleet-wide admission totals. Also part of the DESIGN.md §9 JSONL
 /// contract.
@@ -293,7 +297,7 @@ impl FleetTelemetry {
         }
         let mut registry = MetricRegistry::new();
         let arrivals = registry.counter("router_arrivals");
-        let unroutable = registry.counter("router_unroutable");
+        let unroutable = registry.counter(ROUTER_UNROUTABLE);
         let routed = device_names
             .iter()
             .map(|name| registry.counter(&format!("routed_to:{name}")))

@@ -273,7 +273,8 @@ fn run_dying_engine() -> ServeReport {
 /// battery died, and `dropped_dead_battery` adds the arrivals of its dead
 /// windows. A fleet never routes to a dead device, so there the two are
 /// equal; the engine plays a one-device fleet, so its dead windows'
-/// arrivals are the router's unroutable ones.
+/// arrivals are the router's unroutable ones, less the rejections, and its
+/// snapshot carries `router_unroutable` to reconcile on its own.
 #[test]
 fn device_counters_reconcile_with_the_report() {
     let (fleet, _) = run_cliff_fleet();
@@ -293,6 +294,18 @@ fn device_counters_reconcile_with_the_report() {
     assert!(
         dead_window_arrivals(&engine) > 0 && metrics.counter("requests_dropped_dead") > Some(0),
         "the death must drop both held requests and dead-window arrivals"
+    );
+    let counter = |name: &str| {
+        metrics
+            .counter(name)
+            .unwrap_or_else(|| panic!("the engine's snapshot has no `{name}` counter"))
+    };
+    assert_eq!(
+        counter("requests_dropped_dead") + counter("router_unroutable")
+            - counter("requests_rejected_queue_full")
+            - counter("requests_rejected_certain_miss"),
+        engine.dropped_dead_battery,
+        "the snapshot alone reconciles the dead-battery drops"
     );
     for device in fleet.devices.iter().chain([&engine]) {
         let metrics = &device
